@@ -1,14 +1,18 @@
 """Ball and sphere enumeration, weighted sphere sums, and counting oracles.
 
-Elements are generated directly in canonical form by the ShortLex automaton:
-after a canonical word w, the letter t may be appended exactly when t is not
-blocked, and the blocked set updates by
+Canonical (ShortLex) words are the language of one finite automaton,
+``NormalFormAutomaton``: after a canonical word w, the letter t may be
+appended exactly when t is not blocked, and the blocked set updates by
 
     B(wt) = {t}  |  {s < t : s commutes with t}  |  {s in B(w) : s commutes with t}.
 
 The first part forbids the cancellation tt, the second forbids a word that a
 single swap would make lexicographically smaller, and the third propagates
-older obstructions through a commuting letter.  The automaton doubles as an
+older obstructions through a commuting letter.  The automaton is the only
+place that knows this rule.  Everything else follows its integer transition
+table: ``Ball`` generates elements directly in canonical form,
+``restricted_sphere_series`` pairs the automaton state with a
+letter-removability set, and ``NormalFormAutomaton.sphere_series`` is the
 exact transfer-matrix oracle for sphere counts and weighted sphere sums.
 """
 
@@ -45,45 +49,28 @@ class Ball:
         k = len(gens)
         gidx = {s: i for i, s in enumerate(gens)}
 
+        trans = NormalFormAutomaton(diagram).transitions
         words: list[Word] = [()]
         parent = [0]
         plast = [-1]
-        blocked: list[frozenset[str]] = [frozenset()]
+        state = [0]  # automaton state of each element
         index: dict[Word, int] = {(): 0}
         sphere_start = [0, 1]
 
-        commutes = diagram.commutes
-        frontier = [0]
         for _ in range(radius):
-            nxt: list[int] = []
-            for u in frontier:
+            for u in range(sphere_start[-2], sphere_start[-1]):
                 wu = words[u]
-                bu = blocked[u]
-                for t in gens:
-                    if t in bu:
-                        continue
-                    child = wu + (t,)
+                for ti, st in trans[state[u]]:
                     if len(words) >= cap:
                         raise BallCapExceeded(
                             f"ball of radius {radius} exceeds cap {cap}"
                         )
+                    child = wu + (gens[ti],)
                     index[child] = len(words)
-                    nxt.append(len(words))
                     words.append(child)
                     parent.append(u)
-                    plast.append(gidx[t])
-                    blocked.append(
-                        frozenset(
-                            {t}
-                            | {s for s in gens if gidx[s] < gidx[t] and commutes(s, t)}
-                            | {s for s in bu if commutes(s, t)}
-                        )
-                    )
-            frontier = nxt
-            sphere_start.append(len(words))
-            if not frontier:
-                break
-        while len(sphere_start) < radius + 2:
+                    plast.append(ti)
+                    state.append(st)
             sphere_start.append(len(words))
 
         n = len(words)
@@ -187,12 +174,14 @@ _BALL_CACHE: dict[tuple, Ball] = {}
 
 
 def ball(diagram: CoxeterDiagram, radius: int, cap: int = DEFAULT_ELEMENT_CAP) -> Ball:
-    """Memoized ball construction."""
+    """Memoized ball construction.  ``cap`` bounds the element count of a
+    cached ball as well as of a new one."""
     key = (diagram.key(), radius)
     b = _BALL_CACHE.get(key)
-    if b is None or (cap != DEFAULT_ELEMENT_CAP):
-        b = Ball(diagram, radius, cap=cap)
-        _BALL_CACHE[key] = b
+    if b is None:
+        b = _BALL_CACHE[key] = Ball(diagram, radius, cap=cap)
+    elif len(b) > cap:
+        raise BallCapExceeded(f"ball of radius {radius} exceeds cap {cap}")
     return b
 
 
@@ -236,7 +225,7 @@ def restricted_sphere_series(diagram: CoxeterDiagram, q: Mapping[str, Fraction],
     weighted count of valid u of length l - |g|.
     """
     gword = diagram.normal_form(g)
-    gidx = diagram._gidx
+    trans = NormalFormAutomaton(diagram).transitions
     gens = diagram.generators
     commutes = diagram.commutes
     zero = Fraction(0)
@@ -249,24 +238,18 @@ def restricted_sphere_series(diagram: CoxeterDiagram, q: Mapping[str, Fraction],
     q_g = Fraction(1)
     for t in gword:
         q_g *= q[t]
-    # weighted states: (B, R) -> accumulated weight
-    states: dict[tuple[frozenset, frozenset], Fraction] = {
-        (frozenset(), r_state): Fraction(1)
-    }
+    # weighted states: (automaton state, R) -> accumulated weight
+    states: dict[tuple[int, frozenset], Fraction] = {(0, r_state): Fraction(1)}
     out[len(gword)] = q_g
     for l in range(len(gword) + 1, lmax + 1):
-        new: dict[tuple[frozenset, frozenset], Fraction] = {}
-        for (b, r), weight in states.items():
-            for t in gens:
-                if t in b or t in r:
+        new: dict[tuple[int, frozenset], Fraction] = {}
+        for (st, r), weight in states.items():
+            for ti, nst in trans[st]:
+                t = gens[ti]
+                if t in r:
                     continue
-                nb = frozenset(
-                    {t}
-                    | {s for s in gens if gidx[s] < gidx[t] and commutes(s, t)}
-                    | {s for s in b if commutes(s, t)}
-                )
                 nr = frozenset({t} | {s for s in r if commutes(s, t)})
-                key = (nb, nr)
+                key = (nst, nr)
                 new[key] = new.get(key, zero) + weight * q[t]
         states = new
         out[l] = q_g * sum(states.values(), zero)
@@ -307,10 +290,14 @@ def kappa_profile(diagram: CoxeterDiagram, w: Sequence[str]) -> list[int]:
 
 
 class NormalFormAutomaton:
-    """Transfer-matrix view of the canonical-word language.
+    """The canonical-word automaton as an integer transition table.
 
-    States are blocked sets; following the automaton with per-generator
-    weights computes exact weighted sphere sums without enumerating elements.
+    ``states[i]`` is a blocked set; state 0 is the empty set, the state of
+    the empty word.  ``transitions[i]`` lists ``(generator index, next
+    state)`` for every generator not blocked in state i, in generator order,
+    so following it from state 0 emits the canonical words in ShortLex
+    order.  With per-generator weights it computes exact weighted sphere sums
+    without enumerating elements.
     """
 
     def __init__(self, diagram: CoxeterDiagram):
@@ -321,9 +308,7 @@ class NormalFormAutomaton:
         states: list[frozenset[str]] = [frozenset()]
         pos: dict[frozenset[str], int] = {frozenset(): 0}
         trans: list[list[tuple[int, int]]] = []  # state -> [(gen index, next state)]
-        queue = [frozenset()]
-        while queue:
-            b = queue.pop()
+        for b in states:  # states grows while it is walked
             row: list[tuple[int, int]] = []
             for t in gens:
                 if t in b:
@@ -333,29 +318,13 @@ class NormalFormAutomaton:
                     | {s for s in gens if gidx[s] < gidx[t] and commutes(s, t)}
                     | {s for s in b if commutes(s, t)}
                 )
-                j = pos.get(nb)
-                if j is None:
-                    j = len(states)
-                    pos[nb] = j
+                j = pos.setdefault(nb, len(states))
+                if j == len(states):
                     states.append(nb)
-                    queue.append(nb)
                 row.append((gidx[t], j))
-            while len(trans) < len(states):
-                trans.append([])
-            trans[pos[b]] = row
-        # discovery order interleaves; rebuild rows for every state
+            trans.append(row)
         self.states = states
-        self.transitions = [
-            [
-                (gidx[t], pos[frozenset(
-                    {t}
-                    | {s for s in gens if gidx[s] < gidx[t] and commutes(s, t)}
-                    | {s for s in b if commutes(s, t)}
-                )])
-                for t in gens if t not in b
-            ]
-            for b in states
-        ]
+        self.transitions = trans
 
     def sphere_series(self, weights: Sequence, lmax: int) -> list:
         """[S_0, ..., S_lmax] with S_l = sum over canonical words of length l

@@ -76,9 +76,10 @@ def growth_value(diagram: CoxeterDiagram, q: Mapping[str, Fraction]) -> Fraction
     return 1 / growth_reciprocal(diagram, q)
 
 
-def ray_numerator(diagram: CoxeterDiagram, q: Mapping[str, Fraction]) -> polys.Poly:
-    """Reduced numerator N(t) of D(t*q), normalized so that N(0) = 1."""
-    qq = _check_positive_rational(diagram, q)
+def _ray_fraction(diagram: CoxeterDiagram, qq: Mapping[str, Fraction]
+                  ) -> tuple[polys.Poly, polys.Poly]:
+    """(num, den) with D(t*q) = num(t) / den(t) and den = prod_s (1 + q_s t):
+    the clique sum over the common denominator, not reduced."""
     num: polys.Poly = []
     for clique in cliques(diagram):
         term = polys.from_coeffs([1])
@@ -91,6 +92,13 @@ def ray_numerator(diagram: CoxeterDiagram, q: Mapping[str, Fraction]) -> polys.P
     den = polys.from_coeffs([1])
     for s in diagram.generators:
         den = polys.mul(den, polys.from_coeffs([1, qq[s]]))
+    return num, den
+
+
+def ray_numerator(diagram: CoxeterDiagram, q: Mapping[str, Fraction]) -> polys.Poly:
+    """Reduced numerator N(t) of D(t*q), normalized so that N(0) = 1."""
+    qq = _check_positive_rational(diagram, q)
+    num, den = _ray_fraction(diagram, qq)
     g = polys.gcd_poly(num, den)
     if polys.degree(g) >= 1:
         num = polys.exact_div(num, g)
@@ -224,18 +232,7 @@ def series_coefficients(diagram: CoxeterDiagram, q: Mapping[str, Fraction],
     a_l(q), computed from the rational form.  Oracle counterpart of
     enumeration.sphere_weight."""
     qq = _check_positive_rational(diagram, q)
-    num: polys.Poly = []
-    for clique in cliques(diagram):
-        term = polys.from_coeffs([1])
-        for s in diagram.generators:
-            if s in clique:
-                term = polys.mul(term, polys.from_coeffs([0, -qq[s]]))
-            else:
-                term = polys.mul(term, polys.from_coeffs([1, qq[s]]))
-        num = polys.add(num, term)
-    den = polys.from_coeffs([1])
-    for s in diagram.generators:
-        den = polys.mul(den, polys.from_coeffs([1, qq[s]]))
+    num, den = _ray_fraction(diagram, qq)
     # W(t q) = den / num as a power series.
     inv = polys.power_series_inverse(num, nterms)
     out = []

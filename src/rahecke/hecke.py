@@ -98,12 +98,6 @@ class MultiParameter:
     def root(self, s: str):
         return self.roots[s]
 
-    def q_word(self, word: Sequence[str]):
-        acc = Fraction(1) if self.exact else 1.0
-        for s in word:
-            acc = acc * self.q[s]
-        return acc
-
     def char_gen(self, s: str, eps_s: int):
         """Character value on T_s for sign eps_s: eps_s * q_s ** (eps_s / 2)."""
         r = self.roots[s]
@@ -149,6 +143,22 @@ class MultiParameter:
     def __repr__(self) -> str:
         mode = "exact" if self.exact else "float"
         return f"MultiParameter({mode}, {self.q})"
+
+
+def left_letter(params: MultiParameter, s: str,
+                state: Mapping[Word, object]) -> dict[Word, object]:
+    """T_s times the combination ``state`` of basis symbols, by the one-letter
+    rule; zero coefficients are dropped."""
+    d = params.diagram
+    p = params.p(s)
+    out: dict[Word, object] = {}
+    for w, c in state.items():
+        sw = d.left_multiply(s, w)
+        out[sw] = out.get(sw, 0) + c
+        if len(sw) < len(w):  # s <= w
+            if p != 0:
+                out[w] = out.get(w, 0) + c * p
+    return {w: c for w, c in out.items() if c != 0}
 
 
 class HeckeElement:
@@ -226,18 +236,6 @@ class HeckeElement:
 
     # -- multiplication ------------------------------------------------------
 
-    def _left_letter(self, s: str, state: dict[Word, object]) -> dict[Word, object]:
-        d = self.diagram
-        p = self.params.p(s)
-        out: dict[Word, object] = {}
-        for w, c in state.items():
-            sw = d.left_multiply(s, w)
-            out[sw] = out.get(sw, 0) + c
-            if len(sw) < len(w):  # s <= w
-                if p != 0:
-                    out[w] = out.get(w, 0) + c * p
-        return {w: c for w, c in out.items() if c != 0}
-
     def __mul__(self, other: "HeckeElement") -> "HeckeElement":
         if not isinstance(other, HeckeElement):
             return self.scaled(other)
@@ -246,7 +244,7 @@ class HeckeElement:
         for v, cv in self.coeffs.items():
             state = dict(other.coeffs)
             for s in reversed(v):
-                state = self._left_letter(s, state)
+                state = left_letter(self.params, s, state)
             for w, c in state.items():
                 total[w] = total.get(w, 0) + cv * c
         return HeckeElement(self.params, total)
@@ -277,26 +275,6 @@ class HeckeElement:
 
     def norm2(self) -> float:
         return math.sqrt(float(self.norm2_sq()))
-
-
-def mul(a: HeckeElement, b: HeckeElement) -> HeckeElement:
-    return a * b
-
-
-def adjoint(a: HeckeElement) -> HeckeElement:
-    return a.adjoint()
-
-
-def trace(a: HeckeElement):
-    return a.trace()
-
-
-def l2_inner(a: HeckeElement, b: HeckeElement):
-    return a.inner(b)
-
-
-def l2_norm(a: HeckeElement) -> float:
-    return a.norm2()
 
 
 def flip_parameters(a: HeckeElement, eps: Sequence[int]) -> HeckeElement:

@@ -23,7 +23,7 @@ import numpy as np
 from . import enumeration
 from .coxeter import CoxeterDiagram, Word
 from .enumeration import Ball, ball
-from .hecke import HeckeElement, MultiParameter
+from .hecke import HeckeElement, MultiParameter, left_letter
 
 DENSE_LIMIT = 4000
 
@@ -107,22 +107,6 @@ class TruncatedOperator:
         return TruncatedOperator(self.ball, cols, self.reach + other.reach,
                                  self.exact and other.exact)
 
-    def transpose(self) -> "TruncatedOperator":
-        cols: list[dict[int, object]] = [dict() for _ in range(len(self.ball))]
-        for v, col in enumerate(self.cols):
-            for r, val in col.items():
-                cols[r][v] = val
-        return TruncatedOperator(self.ball, cols, self.reach, self.exact)
-
-    def apply(self, vec: Sequence) -> list:
-        out = [0] * len(self.ball)
-        for v, x in enumerate(vec):
-            if x == 0:
-                continue
-            for r, a in self.cols[v].items():
-                out[r] += a * x
-        return out
-
     def to_dense(self) -> np.ndarray:
         n = len(self.ball)
         m = np.zeros((n, n))
@@ -158,7 +142,6 @@ def rep_hecke(a: HeckeElement, b: Ball) -> TruncatedOperator:
     one-letter rule at the level of words, with no intermediate truncation,
     and only then projected back to the ball.
     """
-    d = a.diagram
     params = a.params
     n = b.radius
     reach = a.support_radius()
@@ -169,14 +152,7 @@ def rep_hecke(a: HeckeElement, b: Ball) -> TruncatedOperator:
         for w, c in a.coeffs.items():
             state = {wv: c}
             for s in reversed(w):
-                new: dict[Word, object] = {}
-                p = params.p(s)
-                for u, cc in state.items():
-                    su = d.left_multiply(s, u)
-                    new[su] = new.get(su, 0) + cc
-                    if p != 0 and len(su) < len(u):
-                        new[u] = new.get(u, 0) + cc * p
-                state = new
+                state = left_letter(params, s, state)
             for u, cc in state.items():
                 acc[u] = acc.get(u, 0) + cc
         col: dict[int, object] = {}
@@ -277,26 +253,12 @@ def q_operator(d: CoxeterDiagram, u: Sequence[str], q: Fraction, b: Ball,
     return op, float(tail), c_fit
 
 
-def op_norm(x: TruncatedOperator, iters: int = 40, seed: int = 0) -> float:
-    """Norm of the compression matrix: dense for small balls, power iteration
-    otherwise.  Either way a certified lower bound on the operator norm."""
-    n = len(x.ball)
-    if n <= DENSE_LIMIT:
-        return float(np.linalg.norm(x.to_dense(), 2))
-    rng = np.random.default_rng(seed)
-    rows = x.transpose()
-    vec = rng.standard_normal(n)
-    vec /= np.linalg.norm(vec)
-    est = 0.0
-    for _ in range(iters):
-        img = np.asarray(x.apply(vec), dtype=float)
-        nrm = np.linalg.norm(img)
-        if nrm == 0:
-            return 0.0
-        est = max(est, nrm / np.linalg.norm(vec))
-        vec = np.asarray(rows.apply(img), dtype=float)
-        vec /= np.linalg.norm(vec)
-    return est
+def op_norm(x: TruncatedOperator) -> float:
+    """Norm of the compression matrix, a certified lower bound on the
+    operator norm (dense; balls above DENSE_LIMIT are refused)."""
+    if len(x.ball) > DENSE_LIMIT:
+        raise ValueError("ball too large for a dense norm")
+    return float(np.linalg.norm(x.to_dense(), 2))
 
 
 def spectrum_bounds(x: TruncatedOperator, tol: float = 1e-9) -> tuple[float, float]:

@@ -15,8 +15,8 @@ reach; equality with the generic Hecke machinery is checked at small cutoffs
 by the tests.
 
 For per-letter multiplicative weights (possibly of mixed sign) the weighted
-sphere sums follow from the last-letter transfer recursion, which is what the
-cross-pattern inner products of two projection series use.
+sphere sums come from the canonical-word automaton's transfer recursion,
+which is what the cross-pattern inner products of two projection series use.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .coxeter import CoxeterDiagram
+from .enumeration import NormalFormAutomaton
 from .hecke import MultiParameter
 
 
@@ -34,13 +35,6 @@ def is_free_product(diagram: CoxeterDiagram) -> bool:
         not diagram.commutes(s, t)
         for i, s in enumerate(gens) for t in gens[i + 1:]
     )
-
-
-def _check_free(diagram: CoxeterDiagram) -> None:
-    for i, s in enumerate(diagram.generators):
-        for t in diagram.generators[i + 1:]:
-            if diagram.commutes(s, t):
-                raise ValueError("radial calculus needs a free-product diagram")
 
 
 class RadialModel:
@@ -171,22 +165,6 @@ class RadialModel:
         return total
 
 
-def free_product_weighted_sphere_sums(k: int, weights: Sequence[Fraction],
-                                      lmax: int) -> list[Fraction]:
-    """S_l = sum over length-l words of the product of per-letter weights,
-    for the free product of k involutions; exact last-letter transfer."""
-    if len(weights) != k:
-        raise ValueError("one weight per generator")
-    out = [Fraction(1)]
-    vec = [Fraction(w) for w in weights]
-    out.append(sum(vec))
-    for _ in range(lmax - 1):
-        tot = sum(vec)
-        vec = [weights[i] * (tot - vec[i]) for i in range(k)]
-        out.append(sum(vec))
-    return out[: lmax + 1]
-
-
 def cross_pattern_inner(params: MultiParameter, eps1: Sequence[int],
                         eps2: Sequence[int], cutoff: int) -> Fraction:
     """<E^(i)_{eps1}, E^(i)_{eps2}> for a free-product diagram, exactly.
@@ -198,7 +176,8 @@ def cross_pattern_inner(params: MultiParameter, eps1: Sequence[int],
     from . import growth
 
     d = params.diagram
-    _check_free(d)
+    if not is_free_product(d):
+        raise ValueError("radial calculus needs a free-product diagram")
     norm = Fraction(1)
     for eps in (eps1, eps2):
         q_abs = params.abs_flip(eps)
@@ -208,5 +187,5 @@ def cross_pattern_inner(params: MultiParameter, eps1: Sequence[int],
     weights = []
     for s, e1, e2 in zip(d.generators, eps1, eps2):
         weights.append(params.char_gen(s, e1) * params.char_gen(s, e2))
-    sums = free_product_weighted_sphere_sums(d.rank, weights, cutoff)
+    sums = NormalFormAutomaton(d).sphere_series(weights, cutoff)
     return sum(sums) / norm

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -153,3 +154,47 @@ def test_out_file(capsys, diagram_a_file, tmp_path):
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc["normal_form"] == "ab"
+
+
+# Outputs of these commands are pinned byte for byte in tests/golden/cli/:
+# refactors of the enumeration, growth and Hecke layers must not change them.
+GOLDEN_DIAGRAMS = {
+    "A": '{"generators": ["a", "b", "c"], "commuting": [["a", "b"]]}',
+    "free3": '{"generators": ["a", "b", "c"], "commuting": []}',
+    "pentagon": '{"generators": ["a", "b", "c", "d", "e"], "commuting": '
+                '[["a", "b"], ["b", "c"], ["c", "d"], ["d", "e"], ["e", "a"]]}',
+}
+GOLDEN_CASES = {
+    "classify_A": ["classify", "--diagram", "A", "--q", "a=1/4,b=4,c=1"],
+    "classify_pentagon": ["classify", "--diagram", "pentagon", "--q", "all=1"],
+    "growth_pentagon": ["growth", "--diagram", "pentagon",
+                        "--q", "a=1/4,b=1,c=2,d=1,e=1/2"],
+    "ball_A": ["ball", "--diagram", "A", "--radius", "4", "--elements"],
+    "ball_pentagon": ["ball", "--diagram", "pentagon", "--radius", "3", "--elements"],
+    "eproj_free3": ["eproj", "--diagram", "free3", "--q", "all=1/4",
+                    "--epsilon", "all=+1", "--cutoff", "3", "--residuals"],
+    "mul_A": ["mul", "--diagram", "A", "--q", "a=1/4,b=9,c=1",
+              "--left", "1*T(ab) - 1/2*T(c)", "--right", "2*T(bca) + T(e)"],
+    "verify_cliq_A": ["verify", "--suite", "cliq", "--diagram", "A",
+                      "--q", "all=1/4", "--radius", "5"],
+    "verify_corollary_A": ["verify", "--suite", "corollary", "--diagram", "A",
+                           "--q", "a=1/4,b=1/9,c=4", "--radius", "6"],
+    "verify_positivity_A": ["verify", "--suite", "positivity", "--diagram", "A",
+                            "--q", "all=1/4", "--radius", "4", "--word", "a"],
+}
+GOLDEN_DIR = Path(__file__).parent / "golden" / "cli"
+
+
+def golden_argv(name, tmp_path):
+    argv = list(GOLDEN_CASES[name])
+    key = argv[argv.index("--diagram") + 1]
+    path = tmp_path / f"{key}.json"
+    path.write_text(GOLDEN_DIAGRAMS[key])
+    argv[argv.index("--diagram") + 1] = str(path)
+    return argv
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_golden_output(capsys, tmp_path, name):
+    assert main(golden_argv(name, tmp_path)) == 0
+    assert capsys.readouterr().out == (GOLDEN_DIR / f"{name}.json").read_text()

@@ -1,6 +1,11 @@
+import hashlib
 from fractions import Fraction
+from itertools import combinations, product
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rahecke.coxeter import CoxeterDiagram
 from rahecke.enumeration import (Ball, BallCapExceeded, NormalFormAutomaton,
@@ -59,6 +64,14 @@ def test_ball_cap():
     d = CoxeterDiagram(["a", "b", "c"])
     with pytest.raises(BallCapExceeded):
         Ball(d, 10, cap=50)
+    # a cached ball is returned as is under a larger cap and still refused
+    # under a smaller one
+    b = ball(d, 4)
+    assert ball(d, 4, cap=10 ** 9) is b
+    assert ball(d, 4) is b
+    with pytest.raises(BallCapExceeded):
+        ball(d, 4, cap=len(b) - 1)
+    assert ball(d, 4) is b
 
 
 def test_multiplication_tables(diagram_a):
@@ -244,3 +257,74 @@ def test_component_count_convolution():
                     new[i + j] += x * y
         conv = new
     assert conv == full
+
+
+# sha256 of each Ball array over the rank <= 5 corpus at radius 6, in corpus
+# order; recorded from the frozenset blocked-set implementation that the
+# automaton-driven construction replaced.
+BALL_ARRAY_DIGESTS = {
+    "words": "3672143b845c254a07e3d5cf8c1eda63875c6c6e155c41cf7819232ff8ee6625",
+    "parent": "0c2b6c5b1c4822a7072aa8712bae204e4889cfaafadc07081a337f53724ec1c2",
+    "plast": "4311b2a18f5677c3aad275f2ae6076143ec5cc92348d593d2e96af3b8a62da70",
+    "length": "1029acd3bcf2758bd02daa898515ff53bc331dbf14e09029dc6f54880ab2b04b",
+    "sphere_start": "8b5430c9d9f60b5dfda3d2a3aa172f0c5aa9e95d0e44ba9d5aa80004f67b1a1a",
+    "rmul": "b047a9da2db4223c311863b4a63f6e377035012f1623a4f8b750d7af3a19f6c4",
+    "lmul": "d0bc29a66d53506f42cfd971445aacf3880aff76ec5a5e198fbe3086e94c700d",
+    "ldesc": "1f05c17fa55a20b2027dc2ba24d037070cf11df8961d9f8cd02310232df99034",
+}
+
+
+def test_ball_arrays_unchanged_on_corpus():
+    hashes = {name: hashlib.sha256() for name in BALL_ARRAY_DIGESTS}
+    for d in connected_diagram_corpus(5):
+        b = Ball(d, 6)
+        hashes["words"].update("\n".join(" ".join(w) for w in b.words).encode() + b"\0")
+        for name in BALL_ARRAY_DIGESTS:
+            if name != "words":
+                hashes[name].update(np.asarray(getattr(b, name), dtype="<i8").tobytes())
+    assert {name: h.hexdigest() for name, h in hashes.items()} == BALL_ARRAY_DIGESTS
+
+
+@st.composite
+def diagrams(draw, max_rank=5):
+    """A right-angled diagram of rank <= max_rank with random commuting pairs."""
+    names = "abcde"[: draw(st.integers(1, max_rank))]
+    pairs = list(combinations(names, 2))
+    commuting = [pair for pair, keep in
+                 zip(pairs, draw(st.lists(st.booleans(), min_size=len(pairs),
+                                          max_size=len(pairs))))
+                 if keep]
+    return CoxeterDiagram(list(names), commuting)
+
+
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+@PROPERTY_SETTINGS
+@given(diagrams(), st.integers(0, 6))
+def test_ball_spheres_match_automaton(d, radius):
+    assert Ball(d, radius).sphere_sizes() == NormalFormAutomaton(d).sphere_counts(radius)
+
+
+@PROPERTY_SETTINGS
+@given(diagrams(), st.integers(0, 4))
+def test_ball_words_are_distinct_normal_forms(d, radius):
+    """Ball words are the distinct normal forms of all letter sequences of
+    length <= radius, in (length, ShortLex) order."""
+    forms = {d.normal_form(seq) for n in range(radius + 1)
+             for seq in product(d.generators, repeat=n)}
+    gidx = {s: i for i, s in enumerate(d.generators)}
+    assert Ball(d, radius).words == sorted(
+        forms, key=lambda w: (len(w), [gidx[s] for s in w]))
+
+
+@PROPERTY_SETTINGS
+@given(diagrams(), st.data())
+def test_restricted_series_matches_weight(d, data):
+    g = data.draw(st.lists(st.sampled_from(d.generators), max_size=4))
+    q = {s: Fraction(data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5)))
+         for s in d.generators}
+    lmax = 5
+    series = restricted_sphere_series(d, q, g, lmax)
+    b = ball(d, lmax)
+    assert series == [restricted_sphere_weight(d, q, l, g, b) for l in range(lmax + 1)]

@@ -152,6 +152,17 @@ def test_spectrum_requires_selfadjoint(params, b6):
         l2rep.spectrum_bounds(x)
 
 
+def test_dense_limit_refused():
+    free3 = CoxeterDiagram(["a", "b", "c"])
+    big = ball(free3, 11)
+    assert len(big) > l2rep.DENSE_LIMIT
+    ident = l2rep.TruncatedOperator.identity(big)
+    with pytest.raises(ValueError):
+        l2rep.op_norm(ident)
+    with pytest.raises(ValueError):
+        l2rep.spectrum_bounds(ident)
+
+
 def test_op_norm_monotone_in_radius(params, diagram_a):
     a = HeckeElement.basis(params, "ac")
     norms = [l2rep.op_norm(l2rep.rep_hecke(a, ball(diagram_a, n))) for n in (3, 4, 5, 6)]

@@ -3,10 +3,9 @@ from fractions import Fraction
 import pytest
 
 from rahecke.coxeter import CoxeterDiagram
-from rahecke.enumeration import ball
+from rahecke.enumeration import NormalFormAutomaton, ball
 from rahecke.hecke import HeckeElement, MultiParameter, central_projection_partial
-from rahecke.radial import (RadialModel, cross_pattern_inner,
-                            free_product_weighted_sphere_sums, is_free_product)
+from rahecke.radial import RadialModel, cross_pattern_inner, is_free_product
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +96,7 @@ def test_growth_value_errors():
 
 def test_weighted_sphere_sums(free3):
     weights = [Fraction(1, 2), Fraction(-1, 3), Fraction(2)]
-    sums = free_product_weighted_sphere_sums(3, weights, 5)
+    sums = NormalFormAutomaton(free3).sphere_series(weights, 5)
     b = ball(free3, 5)
     wmap = dict(zip(free3.generators, weights))
     for l in range(6):
