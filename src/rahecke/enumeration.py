@@ -107,15 +107,17 @@ class Ball:
                 shield |= noncomm[x]
         self.rmul = rmul
 
-        # Left multiplication via s*(u t) = (s*u) t along the generation tree.
+        # Left multiplication via s*(u t) = (s*u) t along the generation tree,
+        # one sphere at a time: every parent lies in the previous sphere.
         lmul = np.full((k, n), -1, dtype=np.int64)
         if radius >= 1:
             for i, s in enumerate(gens):
-                lmul[i, 0] = index[(s,)]
-                for v in range(1, n):
-                    su = lmul[i, parent[v]]
-                    if su >= 0:
-                        lmul[i, v] = rmul[su, plast[v]]
+                row = lmul[i]
+                row[0] = index[(s,)]
+                for l in range(1, radius + 1):
+                    lo, hi = sphere_start[l], sphere_start[l + 1]
+                    su = row[self.parent[lo:hi]]
+                    row[lo:hi] = np.where(su >= 0, rmul[su, self.plast[lo:hi]], -1)
         self.lmul = lmul
         self.ldesc = np.zeros((k, n), dtype=bool)
         for i in range(k):

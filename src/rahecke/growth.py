@@ -12,8 +12,12 @@ series has nonnegative coefficients, its radius of convergence is t0, so
 
     q inside the convergence region  <=>  rho(q) < 1  <=>  N has no root in (0, 1].
 
-All decisions are made by exact sign evaluations and Sturm counts; boundary
-cases (rho = 1) are the exact condition N(1) = 0.
+All decisions are made by exact sign evaluations and Sturm counts; the
+boundary (rho = 1) is the exact condition that 1 is the only root of N in
+(0, 1].  One ray numerator and one Sturm chain per parameter give both the
+membership and, when asked, the bracket of t0 (see polys for the two-phase
+bisection).  The classifier analyses each distinct |q_eps| once; flips that
+differ only at generators with q_s = 1 share the result.
 """
 
 from __future__ import annotations
@@ -27,8 +31,7 @@ from . import polys
 from .coxeter import CoxeterDiagram
 
 SignPattern = tuple[int, ...]
-
-BISECTION_WIDTH = Fraction(1, 2 ** 64)
+Bracket = tuple[Fraction, Fraction]
 
 
 def _check_positive_rational(diagram: CoxeterDiagram, q: Mapping[str, Fraction]) -> dict[str, Fraction]:
@@ -123,41 +126,59 @@ class GrowthReport:
         return float((self.rho[0] + self.rho[1]) / 2)
 
 
-def pole_and_rho(diagram: CoxeterDiagram, q: Mapping[str, Fraction],
-                 width: Fraction = BISECTION_WIDTH) -> GrowthReport:
+def _ray_analysis(diagram: CoxeterDiagram, qq: Mapping[str, Fraction], bracket: bool
+                  ) -> tuple[str, Bracket | None, polys.Poly]:
+    """(membership, t0, N) of a checked parameter from one ray numerator N and
+    one Sturm chain of its squarefree part.  t0 is the isolating interval of
+    the smallest positive root of N, bisected only when ``bracket`` is true
+    (None otherwise, and when N has no positive root).
+
+    Membership: no root of N in (0, 1] is Interior (rho < 1); N(1) = 0 as
+    the only root in (0, 1] is Boundary (rho = 1); anything else has a root
+    below 1 and is Exterior (rho > 1)."""
+    num = ray_numerator(diagram, qq)
+    f = polys.squarefree_part(num)
+    if polys.degree(f) < 1:
+        return "Interior", None, num
+    chain = polys.sturm_chain(f)
+    inside = polys.count_roots(chain, Fraction(0), Fraction(1))
+    if inside == 0:
+        membership = "Interior"
+    elif inside == 1 and polys.evaluate(f, Fraction(1)) == 0:
+        membership = "Boundary"
+    else:
+        membership = "Exterior"
+    t0 = polys.isolate_smallest_positive_root(chain) if bracket else None
+    return membership, t0, num
+
+
+def _rho(t0: Bracket | None) -> Bracket:
+    if t0 is None:
+        return (Fraction(0), Fraction(0))
+    lo, hi = t0
+    return (1 / hi, 1 / lo)
+
+
+def pole_and_rho(diagram: CoxeterDiagram, q: Mapping[str, Fraction]) -> GrowthReport:
     """Isolate the smallest positive pole t0 of t -> W(t*q) and rho = 1/t0."""
     qq = _check_positive_rational(diagram, q)
-    num = ray_numerator(diagram, qq)
-    bracket = polys.smallest_positive_root(num, width=width)
-    if bracket is None:
-        rho = (Fraction(0), Fraction(0))
-    else:
-        lo, hi = bracket
-        rho = (1 / hi, 1 / lo)
+    _, t0, num = _ray_analysis(diagram, qq, bracket=True)
     return GrowthReport(
         diagram=diagram,
         q=dict(qq),
         reciprocal_value=growth_reciprocal(diagram, qq),
         cleared_polynomial=list(num),
-        t0=bracket,
-        rho=rho,
+        t0=t0,
+        rho=_rho(t0),
     )
 
 
 def region_membership(diagram: CoxeterDiagram, q: Mapping[str, Fraction]) -> str:
     """Position of q relative to the positive part of the convergence region:
-    'Interior' (rho < 1), 'Boundary' (rho = 1) or 'Exterior' (rho > 1)."""
+    'Interior' (rho < 1), 'Boundary' (rho = 1) or 'Exterior' (rho > 1).
+    Decided by Sturm counts alone; no bisection."""
     qq = _check_positive_rational(diagram, q)
-    num = ray_numerator(diagram, qq)
-    f = polys.squarefree_part(num)
-    one = Fraction(1)
-    if polys.evaluate(f, one) == 0:
-        return "Boundary"
-    if polys.degree(f) < 1:
-        return "Interior"
-    chain = polys.sturm_chain(f)
-    inside = polys.count_roots(chain, Fraction(0), one)
-    return "Exterior" if inside >= 1 else "Interior"
+    return _ray_analysis(diagram, qq, bracket=False)[0]
 
 
 def all_sign_patterns(rank: int) -> list[SignPattern]:
@@ -195,15 +216,15 @@ def classify_simplicity(diagram: CoxeterDiagram, q: Mapping[str, Fraction]) -> V
     witnesses: list[SignPattern] = []
     boundary: list[SignPattern] = []
     per_flip: dict[SignPattern, dict] = {}
+    # Flips with equal |q_eps| (some q_s = 1) share one analysis.
+    analyses: dict[tuple[Fraction, ...], tuple[str, Bracket | None]] = {}
     for eps in all_sign_patterns(diagram.rank):
         qe = flipped_parameter(diagram, qq, eps)
-        membership = region_membership(diagram, qe)
-        report = pole_and_rho(diagram, qe)
-        per_flip[eps] = {
-            "membership": membership,
-            "t0": report.t0,
-            "rho": report.rho,
-        }
+        key = tuple(qe[s] for s in diagram.generators)
+        if key not in analyses:
+            analyses[key] = _ray_analysis(diagram, qe, bracket=True)[:2]
+        membership, t0 = analyses[key]
+        per_flip[eps] = {"membership": membership, "t0": t0, "rho": _rho(t0)}
         if membership in ("Interior", "Boundary"):
             witnesses.append(eps)
         if membership == "Boundary":

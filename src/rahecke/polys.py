@@ -2,14 +2,24 @@
 real-root counting and exact bisection.
 
 Polynomials are lists of Fractions, lowest degree first, with no trailing
-zeros (the zero polynomial is the empty list).
+zeros (the zero polynomial is the empty list).  A Sturm chain is kept as
+integer coefficient lists (each member scaled once by a positive rational),
+and every sign in it is taken at x = a/b by integer Horner evaluation.
+
+``isolate_smallest_positive_root`` is the one bisection routine.  It runs in
+two phases: Sturm counts until the bracket isolates the root, then the sign
+of the polynomial alone.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 Poly = list[Fraction]
+
+# Width of every isolating interval that smallest_positive_root returns.
+BISECTION_WIDTH = Fraction(1, 2 ** 64)
 
 
 def trim(p: Poly) -> Poly:
@@ -113,27 +123,44 @@ def squarefree_part(p: Poly) -> Poly:
     return exact_div(p, g)
 
 
-def sturm_chain(p: Poly) -> list[Poly]:
-    """Sturm chain of a squarefree polynomial."""
+def sturm_chain(p: Poly) -> list[list[int]]:
+    """Sturm chain of a squarefree polynomial, each member scaled once to
+    primitive integer coefficients (lowest degree first).  The scale is
+    positive, so every sign, and with it every Sturm count, is unchanged."""
     chain = [list(p), derivative(p)]
     while chain[-1]:
         rem = divmod_poly(chain[-2], chain[-1])[1]
         if not rem:
             break
         chain.append(neg(rem))
-    return [c for c in chain if c]
+    return [_primitive(c) for c in chain if c]
 
 
-def sign_variations(chain: list[Poly], x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = evaluate(p, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _primitive(p: Poly) -> list[int]:
+    den = lcm(*(Fraction(c).denominator for c in p))
+    ints = [int(c * den) for c in p]
+    g = gcd(*ints)
+    return [c // g for c in ints]
 
 
-def count_roots(chain: list[Poly], a: Fraction, b: Fraction) -> int:
+def _sign(p: list[int], a: int, b: int) -> int:
+    """Sign of p(a/b) for integer p and b > 0: integer Horner on the
+    homogenised sum c_i a^i b^(n-i)."""
+    acc = 0
+    bp = 1
+    for c in reversed(p):
+        acc = acc * a + c * bp
+        bp *= b
+    return (acc > 0) - (acc < 0)
+
+
+def sign_variations(chain: list[list[int]], x: Fraction) -> int:
+    a, b = x.numerator, x.denominator
+    signs = [s for s in (_sign(p, a, b) for p in chain) if s]
+    return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
+
+
+def count_roots(chain: list[list[int]], a: Fraction, b: Fraction) -> int:
     """Number of distinct real roots in (a, b] for a squarefree chain."""
     return sign_variations(chain, a) - sign_variations(chain, b)
 
@@ -141,15 +168,14 @@ def count_roots(chain: list[Poly], a: Fraction, b: Fraction) -> int:
 def cauchy_bound(p: Poly) -> Fraction:
     """All real roots of p lie in (-B, B)."""
     lead = abs(p[-1])
-    return Fraction(1) + max(abs(c) for c in p) / lead
+    return Fraction(1) + Fraction(max(abs(c) for c in p)) / lead
 
 
-def smallest_positive_root(p: Poly, width: Fraction = Fraction(1, 2 ** 64)
-                           ) -> tuple[Fraction, Fraction] | None:
+def smallest_positive_root(p: Poly) -> tuple[Fraction, Fraction] | None:
     """Isolating interval for the smallest positive real root of p.
 
-    Returns dyadic (lo, hi] with lo < root <= hi, hi - lo <= width and
-    exactly one root of p inside, or (r, r) when the root is hit exactly,
+    Returns dyadic (lo, hi] with lo < root <= hi, hi - lo <= BISECTION_WIDTH
+    and exactly one root of p inside, or (r, r) when the root is hit exactly,
     or None when p has no positive real root.  Requires p(0) != 0.
     """
     f = squarefree_part(p)
@@ -157,20 +183,34 @@ def smallest_positive_root(p: Poly, width: Fraction = Fraction(1, 2 ** 64)
         return None
     if evaluate(f, Fraction(0)) == 0:
         raise ValueError("polynomial vanishes at 0")
-    chain = sturm_chain(f)
-    bound = cauchy_bound(f)
+    return isolate_smallest_positive_root(sturm_chain(f))
+
+
+def isolate_smallest_positive_root(chain: list[list[int]]
+                                   ) -> tuple[Fraction, Fraction] | None:
+    """The bisection behind ``smallest_positive_root``, given the Sturm chain
+    of the squarefree part (whose head must not vanish at 0).
+
+    Phase 1 bisects on Sturm counts until (lo, hi] holds exactly one root and
+    lo > 0.  From then on the root lies in (lo, mid] exactly when f(mid) = 0
+    or sign f(mid) != sign f(lo), so phase 2 evaluates f alone, at dyadic
+    points kept as integer numerators over a common power of 2.  Both phases
+    test the same predicate, so the brackets are those of a Sturm-count
+    bisection.
+    """
     hi = Fraction(1)
+    bound = cauchy_bound(chain[0])
     while hi < bound:
         hi *= 2
-    if count_roots(chain, Fraction(0), hi) == 0:
-        return None
     lo = Fraction(0)
-    while (hi - lo) > width or count_roots(chain, lo, hi) != 1 or lo == 0:
+    if count_roots(chain, lo, hi) == 0:
+        return None
+    while count_roots(chain, lo, hi) != 1 or lo == 0:
         mid = (lo + hi) / 2
-        if evaluate(f, mid) == 0:
+        if _sign(chain[0], mid.numerator, mid.denominator) == 0:
             # mid is a rational root; it is the smallest in (lo, hi] unless
             # the deflated polynomial still has one strictly below it.
-            f = exact_div(f, [-mid, Fraction(1)])
+            f = exact_div(from_coeffs(chain[0]), [-mid, Fraction(1)])
             chain = sturm_chain(f)
             if count_roots(chain, lo, mid) == 0:
                 return (mid, mid)
@@ -179,7 +219,22 @@ def smallest_positive_root(p: Poly, width: Fraction = Fraction(1, 2 ** 64)
             hi = mid
         else:
             lo = mid
-    return (lo, hi)
+    # Phase 2: lo = a/d and hi = b/d with d a power of 2.
+    f = chain[0]
+    d = max(lo.denominator, hi.denominator)
+    a, b = int(lo * d), int(hi * d)
+    s_lo = _sign(f, a, d)
+    while (b - a) * BISECTION_WIDTH.denominator > BISECTION_WIDTH.numerator * d:
+        a, b, d = 2 * a, 2 * b, 2 * d
+        m = (a + b) // 2
+        s = _sign(f, m, d)
+        if s == 0:
+            return (Fraction(m, d), Fraction(m, d))
+        if s != s_lo:
+            b = m
+        else:
+            a = m
+    return (Fraction(a, d), Fraction(b, d))
 
 
 def power_series_inverse(p: Poly, nterms: int) -> list[Fraction]:

@@ -1,6 +1,10 @@
+import hashlib
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rahecke.coxeter import CoxeterDiagram
 from rahecke.enumeration import NormalFormAutomaton, connected_diagram_corpus
@@ -204,3 +208,139 @@ def test_smallest_positive_root_edge_cases():
     g = polys.mul(f, f)
     lo, hi = polys.smallest_positive_root(g)
     assert lo == hi == Fraction(1, 2)
+
+
+def test_boundary_needs_one_as_the_only_root_below_one(monkeypatch, free3):
+    """N = (1-t)(1-2t) vanishes at 1 but has the root 1/2 below it, so
+    rho = 2 > 1: Exterior, not Boundary."""
+    f = polys.from_coeffs([Fraction(1), Fraction(-3), Fraction(2)])
+    monkeypatch.setattr(growth, "ray_numerator", lambda diagram, q: list(f))
+    q = q_const(free3, 1)
+    assert growth.region_membership(free3, q) == "Exterior"
+    assert growth.pole_and_rho(free3, q).t0 == (Fraction(1, 2), Fraction(1, 2))
+    verdict = growth.classify_simplicity(free3, q)
+    assert verdict.status == "Simple" and not verdict.boundary_flags
+
+
+# sha256 of classify_simplicity(d, q).per_flip (with status, witnesses and
+# boundary flags) over the rank <= 5 corpus at FLIP_VECTORS, in corpus order;
+# recorded from the Sturm-count bisection that evaluated every flip
+# separately with Fraction arithmetic.
+FLIP_VECTORS = (
+    (Fraction(1, 4), Fraction(2, 5), Fraction(1), Fraction(3, 5), Fraction(2)),
+    (Fraction(1), Fraction(3, 2), Fraction(1), Fraction(9, 4), Fraction(1, 2)),
+    (Fraction(3), Fraction(1, 3), Fraction(5, 7), Fraction(1), Fraction(7, 5)),
+)
+PER_FLIP_DIGEST = "f5aefd0461ee367bfbd29c3866ffe5bec02bfdb154803ac7b3704ed116474bd1"
+
+
+def test_per_flip_unchanged_on_corpus():
+    h = hashlib.sha256()
+    for d in connected_diagram_corpus(5):
+        for vec in FLIP_VECTORS:
+            v = growth.classify_simplicity(d, dict(zip(d.generators, vec)))
+            h.update(f"{d.generators}|{v.status}|{v.witnesses}|{v.boundary_flags}\n".encode())
+            for eps, info in sorted(v.per_flip.items()):
+                h.update(f"{eps}:{info['membership']}:{info['t0']}:{info['rho']}\n".encode())
+    assert h.hexdigest() == PER_FLIP_DIGEST
+
+
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+WIDTH = Fraction(1, 2 ** 64)
+
+
+@st.composite
+def int_polys(draw, positive=False):
+    """A random integer polynomial of degree 1..6 with p(0) != 0; with
+    ``positive``, all coefficients are positive (so no positive root)."""
+    low = 1 if positive else -9
+    cs = draw(st.lists(st.integers(low, 9), min_size=2, max_size=7))
+    cs[0] = cs[0] or 1
+    cs[-1] = cs[-1] or 1
+    return polys.from_coeffs(cs)
+
+
+@PROPERTY_SETTINGS
+@given(int_polys())
+def test_smallest_positive_root_isolates(p):
+    chain = polys.sturm_chain(polys.squarefree_part(p))
+    bracket = polys.smallest_positive_root(p)
+    if bracket is None:
+        assert polys.count_roots(chain, Fraction(0), polys.cauchy_bound(p)) == 0
+        return
+    lo, hi = bracket
+    if lo == hi:
+        assert polys.evaluate(p, lo) == 0
+        assert polys.count_roots(chain, Fraction(0), lo) == 1
+        return
+    assert 0 < lo < hi and hi - lo <= WIDTH
+    assert polys.count_roots(chain, lo, hi) == 1
+    assert polys.count_roots(chain, Fraction(0), lo) == 0
+
+
+@PROPERTY_SETTINGS
+@given(int_polys(positive=True), st.integers(1, 2 ** 20), st.integers(0, 40))
+def test_smallest_positive_root_hits_dyadic_roots(g, a, j):
+    r = Fraction(a, 2 ** j)
+    p = polys.mul(g, polys.from_coeffs([-r.numerator, r.denominator]))
+    assert polys.smallest_positive_root(p) == (r, r)
+
+
+@st.composite
+def irreducible_diagrams(draw, max_rank=5):
+    """An irreducible right-angled diagram of rank <= max_rank: a random
+    spanning tree of infinity edges plus random extra ones."""
+    names = "abcde"[: draw(st.integers(1, max_rank))]
+    infinity = {(names[draw(st.integers(0, i - 1))], names[i]) for i in range(1, len(names))}
+    for pair in combinations(names, 2):
+        if draw(st.booleans()):
+            infinity.add(pair)
+    commuting = [pair for pair in combinations(names, 2) if pair not in infinity]
+    return CoxeterDiagram(list(names), commuting)
+
+
+Q_VALUES = [Fraction(1, 4), Fraction(2, 5), Fraction(1, 2), Fraction(3, 5), Fraction(1),
+            Fraction(3, 2), Fraction(2), Fraction(9, 4), Fraction(4)]
+
+
+def _params(data, d):
+    return {s: data.draw(st.sampled_from(Q_VALUES)) for s in d.generators}
+
+
+def _named(d, patterns, name=str):
+    """Sign patterns as sets of (generator name, sign) pairs."""
+    return {frozenset((name(s), e) for s, e in zip(d.generators, eps)) for eps in patterns}
+
+
+@PROPERTY_SETTINGS
+@given(irreducible_diagrams(), st.data())
+def test_classifier_invariant_under_renaming(d, data):
+    q = _params(data, d)
+    order = data.draw(st.permutations(d.generators))
+    new_name = dict(zip(d.generators, "vwxyz"))
+    renamed = CoxeterDiagram([new_name[s] for s in order],
+                             [(new_name[s], new_name[t])
+                              for s, t in combinations(d.generators, 2) if d.commutes(s, t)])
+    v = growth.classify_simplicity(d, q)
+    w = growth.classify_simplicity(renamed, {new_name[s]: q[s] for s in d.generators})
+    assert v.status == w.status
+    assert _named(d, v.witnesses, new_name.get) == _named(renamed, w.witnesses)
+    assert _named(d, v.boundary_flags, new_name.get) == _named(renamed, w.boundary_flags)
+
+
+@PROPERTY_SETTINGS
+@given(irreducible_diagrams(), st.data())
+def test_rho_monotone(d, data):
+    q = _params(data, d)
+    bigger = {s: v * data.draw(st.sampled_from([1, Fraction(5, 4), 2, 3])) for s, v in q.items()}
+    assert growth.pole_and_rho(d, q).rho[0] <= growth.pole_and_rho(d, bigger).rho[1]
+
+
+@PROPERTY_SETTINGS
+@given(irreducible_diagrams(), st.data())
+def test_decisive_flip_decides(d, data):
+    """NotSimple exactly when the flip to q*_s = min(q_s, 1/q_s) is a witness."""
+    q = _params(data, d)
+    decisive = tuple(1 if q[s] <= 1 else -1 for s in d.generators)
+    v = growth.classify_simplicity(d, q)
+    assert (v.status == "NotSimple") == (decisive in v.witnesses)
