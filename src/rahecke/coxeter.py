@@ -193,24 +193,31 @@ class CoxeterDiagram:
             shield |= self._noncomm[x]
         return sorted(found, key=self._gidx.__getitem__)
 
+    def _unshielded(self, s: str, word: Sequence[str]) -> int:
+        """Position of the first s in ``word`` that commutes with every letter
+        before it, or -1 when there is none (s is a left descent of a reduced
+        word iff there is one).  A letter not commuting with s shields every
+        later s."""
+        blockers = self._noncomm[s]
+        for i, x in enumerate(word):
+            if x in blockers:
+                return i if x == s else -1
+        return -1
+
     def left_strip(self, s: str, word: Sequence[str]) -> Word:
         """Canonical word of ``s * word`` when s is a left descent of ``word``."""
-        shield: set[str] = set()
-        for i, x in enumerate(word):
-            if x == s and s not in shield:
-                return self._linearize(tuple(word[:i]) + tuple(word[i + 1:]))
-            shield |= self._noncomm[x]
-        raise ValueError(f"{s!r} is not a left descent of {word!r}")
+        i = self._unshielded(s, word)
+        if i < 0:
+            raise ValueError(f"{s!r} is not a left descent of {word!r}")
+        return self._linearize(tuple(word[:i]) + tuple(word[i + 1:]))
 
     def left_multiply(self, s: str, word: Sequence[str]) -> Word:
         if s not in self._gidx:
             raise DiagramError(f"unknown generator {s!r}")
-        shield: set[str] = set()
-        for i, x in enumerate(word):
-            if x == s and s not in shield:
-                return self._linearize(tuple(word[:i]) + tuple(word[i + 1:]))
-            shield |= self._noncomm[x]
-        return self._linearize((s,) + tuple(word))
+        i = self._unshielded(s, word)
+        if i < 0:
+            return self._linearize((s,) + tuple(word))
+        return self._linearize(tuple(word[:i]) + tuple(word[i + 1:]))
 
     # -- weak right Bruhat order --------------------------------------------
 
@@ -223,13 +230,7 @@ class CoxeterDiagram:
         # Strip the letters of v off the front of w one descent at a time.
         cur = w
         for t in v:
-            shield: set[str] = set()
-            pos = -1
-            for i, x in enumerate(cur):
-                if x == t and t not in shield:
-                    pos = i
-                    break
-                shield |= self._noncomm[x]
+            pos = self._unshielded(t, cur)
             if pos < 0:
                 return False
             cur = cur[:pos] + cur[pos + 1:]

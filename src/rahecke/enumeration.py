@@ -47,7 +47,6 @@ class Ball:
         self.radius = radius
         gens = diagram.generators
         k = len(gens)
-        gidx = {s: i for i, s in enumerate(gens)}
 
         trans = NormalFormAutomaton(diagram).transitions
         words: list[Word] = [()]
@@ -81,30 +80,25 @@ class Ball:
         self.length = np.fromiter((len(w) for w in words), dtype=np.int64, count=n)
         self.sphere_start = sphere_start  # sphere l = [start[l], start[l+1])
 
-        # Right multiplication table.  Pass 1: tree edges u -> u*t and their
-        # inverses.  Pass 2: right descents, by removing the matching letter
-        # (the removal of a right descent from a canonical word stays
-        # canonical), which also fills the longer non-canonical products from
-        # the shorter side.
+        # Right multiplication table, sphere by sphere: the tree edges
+        # u -> u*t and their inverses, then the other right descents of
+        # v = u*t, which are the right descents s of u that commute with t.
+        # For those v*s = (u*s)*t lies in the previous sphere, whose ascents
+        # are all filled by the time v's sphere is reached; each such pair
+        # also fills the ascent (v*s)*s = v.
         rmul = np.full((n, k), -1, dtype=np.int64)
-        for v in range(1, n):
-            u, ti = parent[v], plast[v]
-            rmul[u, ti] = v
-            rmul[v, ti] = u
-        noncomm = {s: diagram._noncomm[s] for s in gens}
-        for v in range(1, n):
-            wv = words[v]
-            shield: set[str] = set()
-            for pos in range(len(wv) - 1, -1, -1):
-                x = wv[pos]
-                if x not in shield:
-                    ti = gidx[x]
-                    if rmul[v, ti] < 0:
-                        shorter = index[wv[:pos] + wv[pos + 1:]]
-                        rmul[v, ti] = shorter
-                        if self.length[shorter] < radius:
-                            rmul[shorter, ti] = v
-                shield |= noncomm[x]
+        comm = np.array([[diagram.commutes(s, t) for t in gens] for s in gens])
+        for l in range(1, radius + 1):
+            lo, hi = sphere_start[l], sphere_start[l + 1]
+            v, u, t = np.arange(lo, hi), self.parent[lo:hi], self.plast[lo:hi]
+            rmul[u, t] = v
+            rmul[v, t] = u
+            for si in range(k):
+                us = rmul[u, si]  # u*s is shorter iff it lies before u's sphere
+                hit = comm[si, t] & (us >= 0) & (us < sphere_start[l - 1])
+                w = rmul[us[hit], t[hit]]
+                rmul[v[hit], si] = w
+                rmul[w, si] = v[hit]
         self.rmul = rmul
 
         # Left multiplication via s*(u t) = (s*u) t along the generation tree,

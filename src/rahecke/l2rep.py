@@ -10,6 +10,11 @@ a basis vector -- and identity checks only compare columns delta_v with
 operator.  All norms computed from compressions are certified lower bounds of
 the operator norms; spectra of compressions of self-adjoint operators with
 spectrum in [c, C] stay in [c, C].
+
+The fast engine for large balls (``BallAction``, ``sphere_passes``) applies
+an x supported on the l-sphere as the compression P_n x P_{n-l}: x moves
+B_{n-l} into B_n, so these columns are exact and the sampled norms are lower
+bounds too, up to float64 rounding.
 """
 
 from __future__ import annotations
@@ -462,12 +467,12 @@ def verify_corollary_split(params: MultiParameter, g: Sequence[str], power: int,
 
 
 class BallAction:
-    """Compressed generator actions T_s on a ball as sparse matrices.
+    """Generator actions T_s on a ball as sparse float64 matrices.
 
     Row v of T_s holds the coefficient 1 at column s*v (when s*v stays in the
-    ball) and p_s at column v on the descent set.  Stored CSR in float32; the
-    downstream uses (norm ratios with 10% tolerances) are insensitive to
-    single precision.
+    ball) and p_s at column v on the descent set.  T_s maps B_m into B_{m+1},
+    so its leading block of |B_{m+1}| rows and |B_m| columns is T_s on B_m
+    exactly, with nothing truncated.
     """
 
     def __init__(self, b: Ball, p_values: Mapping[str, float]):
@@ -475,28 +480,14 @@ class BallAction:
 
         self.ball = b
         n = len(b)
-        self.mats = []
         self.p = [float(p_values[s]) for s in b.diagram.generators]
-        for i in range(b.diagram.rank):
-            lm = np.asarray(b.lmul[i])
-            valid = lm >= 0
-            rows = [np.nonzero(valid)[0]]
-            cols = [lm[valid]]
-            data = [np.ones(int(valid.sum()), dtype=np.float32)]
-            p = self.p[i]
-            if p != 0.0:
-                dv = np.nonzero(np.asarray(b.ldesc[i]))[0]
-                rows.append(dv)
-                cols.append(dv)
-                data.append(np.full(len(dv), p, dtype=np.float32))
-            mat = sparse.csr_matrix(
-                (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-                shape=(n, n), dtype=np.float32,
-            )
-            self.mats.append(mat)
-
-    def apply_gen(self, i: int, vec: np.ndarray) -> np.ndarray:
-        return self.mats[i] @ vec
+        self.mats = []
+        for i, p in enumerate(self.p):
+            jump = np.nonzero(b.lmul[i] >= 0)[0]
+            desc = np.nonzero(b.ldesc[i])[0] if p else jump[:0]
+            self.mats.append(sparse.csr_matrix(
+                (np.r_[np.ones(len(jump)), np.full(len(desc), p)],
+                 (np.r_[jump, desc], np.r_[b.lmul[i][jump], desc])), shape=(n, n)))
 
 
 def _word_tree(diagram: CoxeterDiagram, words: list[Word]) -> dict:
@@ -510,74 +501,75 @@ def _word_tree(diagram: CoxeterDiagram, words: list[Word]) -> dict:
     return root
 
 
-def _apply_tree(action: BallAction, node: dict, coeffs: np.ndarray,
-                vec: np.ndarray) -> np.ndarray:
-    out = None
-    for key, sub in node.items():
-        if key == -1:
-            term = coeffs[sub] * vec
-        else:
-            term = action.apply_gen(key, _apply_tree(action, sub, coeffs, vec))
-        if out is None:
-            out = term
-        else:
-            out += term
-    if out is None:
-        return np.zeros_like(vec)
-    return out
+def sphere_passes(action: BallAction, words: list[Word]):
+    """``(forward, backward)`` for x = sum_w c_w T_w, the words w of one
+    length l: ``forward(coeffs, vec)`` applies the compression P_n x P_{n-l}
+    (n the ball radius) to vectors on B_{n-l}, the first |B_{n-l}| ball
+    elements, and ``backward`` applies its transpose.  ``coeffs`` holds one
+    entry, or one row for a batch of columns, per word.
+
+    Both passes walk one trie of the words.  Forward is the Horner recursion;
+    its edge for s at depth k is the block of T_s from B_{n-k} into
+    B_{n-k+1}, so no intermediate vector leaves the ball and nothing is
+    truncated.  Backward runs the same edges transposed from the root and
+    collects at the leaves (the transposition principle; T_s is self-adjoint,
+    so the transpose needs no second trie).
+    """
+    l, n, size = len(words[0]), action.ball.radius, action.ball.sphere_start
+    if l > n or any(len(w) != l for w in words):
+        raise ValueError("words must share one length <= the ball radius")
+    # blocks[k][i]: T_i from B_{n-k-1} into B_{n-k}, where |B_m| = size[m + 1]
+    blocks = [[m[:size[n - k + 1], :size[n - k]] for m in action.mats]
+              for k in range(l)]
+    transposed = [[m.T for m in row] for row in blocks]
+    tree = _word_tree(action.ball.diagram, words)
+
+    def forward(coeffs: np.ndarray, vec: np.ndarray) -> np.ndarray:
+        def walk(node: dict, k: int) -> np.ndarray:
+            if -1 in node:
+                return coeffs[node[-1]] * vec
+            return sum(blocks[k][i] @ walk(sub, k + 1) for i, sub in node.items())
+
+        return walk(tree, 0)
+
+    def backward(coeffs: np.ndarray, vec: np.ndarray) -> np.ndarray:
+        def walk(node: dict, k: int, v: np.ndarray) -> np.ndarray:
+            if -1 in node:
+                return coeffs[node[-1]] * v
+            return sum(walk(sub, k + 1, transposed[k][i] @ v) for i, sub in node.items())
+
+        return walk(tree, 0, vec)
+
+    return forward, backward
 
 
-def sphere_operator_norms(action: BallAction, trees: tuple[dict, dict],
+def sphere_operator_norms(action: BallAction, words: list[Word],
                           coeff_matrix: np.ndarray, iters: int = 12,
                           seed: int = 0) -> np.ndarray:
-    """Lower-bound estimates of || sum_w c_w T_w || on the compression for a
-    batch of coefficient vectors (columns of ``coeff_matrix``), by power
-    iteration on the normal operator.
-
-    Every estimate ||x v|| / ||v|| is a valid lower bound, so the running
-    maximum over the iterations is reported per column.
+    """Lower-bound estimates of || sum_w c_w T_w || for a batch of
+    coefficient vectors (columns of ``coeff_matrix``, one row per word), by
+    power iteration on X^T X for the compression X = P_n x P_{n-l} of
+    ``sphere_passes``.  Every ||X v|| / ||v|| is a lower bound on ||X||, so
+    on the operator norm, up to float64 rounding; the running maximum over
+    the iterations is reported per column.
     """
-    tree, tree_adj = trees
-    n = len(action.ball)
-    g = coeff_matrix.shape[1]
+    forward, backward = sphere_passes(action, words)
+    b = action.ball
     rng = np.random.default_rng(seed)
-    vec = rng.standard_normal((n, g)).astype(np.float32)
+    vec = rng.standard_normal((b.sphere_start[b.radius - len(words[0]) + 1],
+                               coeff_matrix.shape[1]))
     vec /= np.linalg.norm(vec, axis=0)
-    coeffs = coeff_matrix.astype(np.float32)
-    est = np.zeros(g)
+    est = np.zeros(coeff_matrix.shape[1])
     for _ in range(iters):
-        img = _apply_tree(action, tree, coeffs, vec)
-        nrm = np.linalg.norm(img, axis=0).astype(float)
-        base = np.linalg.norm(vec, axis=0).astype(float)
+        img = forward(coeff_matrix, vec)
+        nrm = np.linalg.norm(img, axis=0)
+        base = np.linalg.norm(vec, axis=0)
         est = np.maximum(est, np.where(base > 0, nrm / np.maximum(base, 1e-30), 0.0))
         if not nrm.any():
             break
-        vec = _apply_tree(action, tree_adj, coeffs, img)
-        scale = np.linalg.norm(vec, axis=0)
-        vec /= np.maximum(scale, np.float32(1e-30))
+        vec = backward(coeff_matrix, img)
+        vec /= np.maximum(np.linalg.norm(vec, axis=0), 1e-30)
     return est
-
-
-def sphere_operator_norm(action: BallAction, trees: tuple[dict, dict],
-                         coeffs: np.ndarray, iters: int = 12,
-                         seed: int = 0) -> float:
-    return float(sphere_operator_norms(action, trees,
-                                       np.asarray(coeffs)[:, None],
-                                       iters=iters, seed=seed)[0])
-
-
-_ACTION_CACHE: dict = {}
-
-
-def _cached_action(d: CoxeterDiagram, n: int, q: float) -> BallAction:
-    key = (d.key(), n, q)
-    got = _ACTION_CACHE.get(key)
-    if got is None:
-        b = ball(d, n)
-        p = (q - 1.0) / math.sqrt(q)
-        got = BallAction(b, {s: p for s in d.generators})
-        _ACTION_CACHE[key] = got
-    return got
 
 
 def haagerup_ratio(d: CoxeterDiagram, q: float, l: int, n: int,
@@ -585,25 +577,26 @@ def haagerup_ratio(d: CoxeterDiagram, q: float, l: int, n: int,
                    batch: int = 8) -> dict:
     """Sampled ratios ||x|| / (l ||x||_2) for x supported on the l-sphere.
 
-    Coefficients are seeded standard normals; compression norms are power
-    iteration lower bounds, batched over samples.  Returns per-trial ratios
-    and their maximum, a lower bound for the best constant in the
+    Coefficients are seeded standard normals.  Each ||x|| is a power
+    iteration lower bound on the norm of the compression P_n x P_{n-l}
+    (``sphere_operator_norms``), batched over samples.  Returns per-trial
+    ratios and their maximum, a lower bound for the best constant in the
     linear-in-l bound on sphere-supported operators.
     """
     if l < 1:
         raise ValueError("l must be >= 1")
     if n < l + 2:
         raise ValueError("need n >= l + 2")
-    action = _cached_action(d, n, float(q))
-    b = action.ball
+    b = ball(d, n)
+    p = (q - 1.0) / math.sqrt(q)
+    action = BallAction(b, {s: p for s in d.generators})
     words = [b.words[v] for v in b.sphere(l)]
-    trees = (_word_tree(d, words), _word_tree(d, [d.inverse(w) for w in words]))
     rng = np.random.default_rng(seed)
     samples = rng.standard_normal((len(words), trials))
     ratios: list[float] = []
     for lo in range(0, trials, batch):
         chunk = samples[:, lo:lo + batch]
-        tops = sphere_operator_norms(action, trees, chunk, iters=iters, seed=seed)
+        tops = sphere_operator_norms(action, words, chunk, iters=iters, seed=seed)
         l2s = np.linalg.norm(chunk, axis=0)
         ratios.extend((tops / (l * l2s)).tolist())
     return {"l": l, "n": n, "q": float(q), "trials": trials,
