@@ -4,11 +4,14 @@ The reciprocal of the full growth series is the clique sum
 
     D(q) = sum over cliques G of the commuting graph of prod_{s in G} (-q_s / (1 + q_s)),
 
-with the empty clique contributing 1.  Along the ray t -> t*q the series
-W(t*q) is a rational function of t whose reduced numerator N has N(0) = 1;
-the growth exponent rho(q) is the reciprocal of the smallest positive root
-t0 of N (and 0 when N has no positive root, i.e. W is finite).  Since the
-series has nonnegative coefficients, its radius of convergence is t0, so
+with the empty clique contributing 1.  Along the ray t -> t*q, with
+q_s = a_s / b_s, the clique sum over the common denominator
+prod_s (b_s + a_s t) is an integer polynomial, and W(t*q) is a rational
+function of t whose reduced numerator N is kept as primitive integers with
+N(0) > 0; the growth exponent rho(q) is the reciprocal of the smallest
+positive root t0 of N (and 0 when N has no positive root, i.e. W is finite).
+Since the series has nonnegative coefficients, its radius of convergence is
+t0, so
 
     q inside the convergence region  <=>  rho(q) < 1  <=>  N has no root in (0, 1].
 
@@ -61,15 +64,9 @@ def cliques(diagram: CoxeterDiagram) -> list[tuple[str, ...]]:
 
 
 def growth_reciprocal(diagram: CoxeterDiagram, q: Mapping[str, Fraction]) -> Fraction:
-    """D(q) = 1/W(q), exactly."""
-    qq = _check_positive_rational(diagram, q)
-    total = Fraction(0)
-    for clique in cliques(diagram):
-        term = Fraction(1)
-        for s in clique:
-            term *= -qq[s] / (1 + qq[s])
-        total += term
-    return total
+    """D(q) = 1/W(q), exactly: the ray fraction at t = 1."""
+    num, den = _ray_fraction(diagram, _check_positive_rational(diagram, q))
+    return Fraction(sum(num), sum(den))
 
 
 def growth_value(diagram: CoxeterDiagram, q: Mapping[str, Fraction]) -> Fraction:
@@ -81,34 +78,34 @@ def growth_value(diagram: CoxeterDiagram, q: Mapping[str, Fraction]) -> Fraction
 
 def _ray_fraction(diagram: CoxeterDiagram, qq: Mapping[str, Fraction]
                   ) -> tuple[polys.Poly, polys.Poly]:
-    """(num, den) with D(t*q) = num(t) / den(t) and den = prod_s (1 + q_s t):
-    the clique sum over the common denominator, not reduced."""
+    """Integer (num, den) with D(t*q) = num(t) / den(t): with q_s = a_s / b_s,
+    den = prod_s (b_s + a_s t) and num is the clique sum over it,
+    sum_G prod_{s in G} (-a_s t) prod_{s not in G} (b_s + a_s t), not reduced."""
+    inside = {s: [0, -qq[s].numerator] for s in diagram.generators}
+    outside = {s: [qq[s].denominator, qq[s].numerator] for s in diagram.generators}
     num: polys.Poly = []
     for clique in cliques(diagram):
-        term = polys.from_coeffs([1])
+        term = [1]
         for s in diagram.generators:
-            if s in clique:
-                term = polys.mul(term, polys.from_coeffs([0, -qq[s]]))
-            else:
-                term = polys.mul(term, polys.from_coeffs([1, qq[s]]))
+            term = polys.mul(term, inside[s] if s in clique else outside[s])
         num = polys.add(num, term)
-    den = polys.from_coeffs([1])
+    den = [1]
     for s in diagram.generators:
-        den = polys.mul(den, polys.from_coeffs([1, qq[s]]))
+        den = polys.mul(den, outside[s])
     return num, den
 
 
 def ray_numerator(diagram: CoxeterDiagram, q: Mapping[str, Fraction]) -> polys.Poly:
-    """Reduced numerator N(t) of D(t*q), normalized so that N(0) = 1."""
+    """Reduced numerator N(t) of D(t*q): primitive integers with N(0) > 0."""
     qq = _check_positive_rational(diagram, q)
     num, den = _ray_fraction(diagram, qq)
     g = polys.gcd_poly(num, den)
     if polys.degree(g) >= 1:
         num = polys.exact_div(num, g)
-    c0 = num[0]
-    if c0 == 0:
-        raise RuntimeError("cleared numerator vanishes at 0; invalid input")
-    return polys.scale(num, Fraction(1) / c0)
+    num = polys.primitive(num)
+    if num[0] <= 0:
+        raise RuntimeError("cleared numerator is not positive at 0; invalid input")
+    return num
 
 
 @dataclass(frozen=True)
@@ -167,7 +164,7 @@ def pole_and_rho(diagram: CoxeterDiagram, q: Mapping[str, Fraction]) -> GrowthRe
         diagram=diagram,
         q=dict(qq),
         reciprocal_value=growth_reciprocal(diagram, qq),
-        cleared_polynomial=list(num),
+        cleared_polynomial=[Fraction(c, num[0]) for c in num],
         t0=t0,
         rho=_rho(t0),
     )
@@ -249,17 +246,15 @@ def character_list(diagram: CoxeterDiagram, q: Mapping[str, Fraction]) -> list[S
 
 def series_coefficients(diagram: CoxeterDiagram, q: Mapping[str, Fraction],
                         nterms: int) -> list[Fraction]:
-    """Taylor coefficients of t -> W(t*q) = 1/D(t*q): the weighted sphere sums
-    a_l(q), computed from the rational form.  Oracle counterpart of
+    """Taylor coefficients of t -> W(t*q) = den(t) / num(t): the weighted sphere
+    sums a_l(q), from num * W = den term by term.  Oracle counterpart of
     enumeration.sphere_weight."""
     qq = _check_positive_rational(diagram, q)
     num, den = _ray_fraction(diagram, qq)
-    # W(t q) = den / num as a power series.
-    inv = polys.power_series_inverse(num, nterms)
-    out = []
+    out: list[Fraction] = []
     for n in range(nterms):
-        acc = Fraction(0)
-        for k in range(min(n, len(den) - 1) + 1):
-            acc += den[k] * inv[n - k]
-        out.append(acc)
+        acc = den[n] if n < len(den) else 0
+        for k in range(1, min(n, len(num) - 1) + 1):
+            acc -= num[k] * out[n - k]
+        out.append(Fraction(acc) / num[0])
     return out

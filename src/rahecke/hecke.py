@@ -130,11 +130,7 @@ class MultiParameter:
         """|q_eps| as a plain mapping for the growth module (exact mode)."""
         if not self.exact:
             raise ValueError("exact region decisions need exact parameters")
-        emap = dict(zip(self.diagram.generators, eps))
-        return {
-            s: (self.q[s] if emap[s] == 1 else 1 / self.q[s])
-            for s in self.diagram.generators
-        }
+        return growth.flipped_parameter(self.diagram, self.q, eps)
 
     def same_as(self, other: "MultiParameter") -> bool:
         return (self.diagram == other.diagram and self.exact == other.exact
@@ -312,13 +308,7 @@ def central_projection_partial(params: MultiParameter, eps: Sequence[int],
     if not params.exact:
         raise ValueError("central projections need exact parameters")
     d = params.diagram
-    q_abs = params.abs_flip(eps)
-    if growth.region_membership(d, q_abs) != "Interior":
-        raise ValueError(
-            "flipped parameter lies outside the interior of the convergence "
-            "region; the projection series is not defined there"
-        )
-    w_value = 1 / growth.growth_reciprocal(d, q_abs)
+    w_value = growth.growth_value(d, params.abs_flip(eps))
     if b is None or b.radius < cutoff:
         b = enumeration.ball(d, cutoff)
     coeffs: dict[Word, object] = {}

@@ -1,10 +1,12 @@
-"""Dense univariate polynomials over the rationals, with Sturm-based
-real-root counting and exact bisection.
+"""Dense univariate integer polynomials, with Sturm-based real-root counting
+and exact bisection.
 
-Polynomials are lists of Fractions, lowest degree first, with no trailing
-zeros (the zero polynomial is the empty list).  A Sturm chain is kept as
-integer coefficient lists (each member scaled once by a positive rational),
-and every sign in it is taken at x = a/b by integer Horner evaluation.
+Polynomials are lists of ints, lowest degree first, with no trailing zeros
+(the zero polynomial is the empty list).  Division is by pseudo-remainders
+scaled by |lc|^k, so a remainder is a positive multiple of the rational one
+and keeps its sign; gcds and Sturm chains are primitive remainder sequences
+(W. S. Brown, J. ACM 18, 1971).  Every sign is taken at x = a/b by integer
+Horner evaluation.
 
 ``isolate_smallest_positive_root`` is the one bisection routine.  It runs in
 two phases: Sturm counts until the bracket isolates the root, then the sign
@@ -14,9 +16,9 @@ of the polynomial alone.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
-Poly = list[Fraction]
+Poly = list[int]
 
 # Width of every isolating interval that smallest_positive_root returns.
 BISECTION_WIDTH = Fraction(1, 2 ** 64)
@@ -28,44 +30,26 @@ def trim(p: Poly) -> Poly:
     return p
 
 
-def from_coeffs(cs) -> Poly:
-    return trim([Fraction(c) for c in cs])
-
-
 def degree(p: Poly) -> int:
     return len(p) - 1
 
 
 def add(p: Poly, q: Poly) -> Poly:
     n = max(len(p), len(q))
-    return trim([
-        (p[i] if i < len(p) else Fraction(0)) + (q[i] if i < len(q) else Fraction(0))
-        for i in range(n)
-    ])
-
-
-def neg(p: Poly) -> Poly:
-    return [-c for c in p]
-
-
-def sub(p: Poly, q: Poly) -> Poly:
-    return add(p, neg(q))
+    return trim([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
+                 for i in range(n)])
 
 
 def mul(p: Poly, q: Poly) -> Poly:
     if not p or not q:
         return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a == 0:
             continue
         for j, b in enumerate(q):
             out[i + j] += a * b
     return trim(out)
-
-
-def scale(p: Poly, c: Fraction) -> Poly:
-    return trim([a * c for a in p])
 
 
 def evaluate(p: Poly, x: Fraction) -> Fraction:
@@ -79,39 +63,59 @@ def derivative(p: Poly) -> Poly:
     return trim([c * i for i, c in enumerate(p)][1:])
 
 
-def divmod_poly(p: Poly, q: Poly) -> tuple[Poly, Poly]:
+def primitive(p: Poly) -> Poly:
+    """p divided by the gcd of its coefficients; the sign is kept."""
+    g = gcd(*p)
+    return [c // g for c in p] if g > 1 else list(p)
+
+
+def prem(p: Poly, q: Poly) -> Poly:
+    """Remainder of |lc q|^k * p by q, k the number of division steps: a
+    positive multiple of the rational remainder, so every sign is kept."""
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
     rem = list(p)
-    quo = [Fraction(0)] * max(0, len(p) - len(q) + 1)
     dq = len(q) - 1
-    lead = q[-1]
-    while len(rem) - 1 >= dq and rem:
-        c = rem[-1] / lead
+    lead = abs(q[-1])
+    sign = 1 if q[-1] > 0 else -1
+    while rem and len(rem) - 1 >= dq:
+        c = sign * rem[-1]
         k = len(rem) - 1 - dq
-        quo[k] = c
-        for i in range(len(q)):
-            rem[k + i] -= c * q[i]
+        rem = [lead * a for a in rem]
+        for i, b in enumerate(q):
+            rem[k + i] -= c * b
         trim(rem)
-        if not rem:
-            break
-    return trim(quo), rem
+    return rem
 
 
 def gcd_poly(p: Poly, q: Poly) -> Poly:
-    a, b = list(p), list(q)
+    """Primitive gcd with a positive leading coefficient (primitive PRS)."""
+    a, b = primitive(p), primitive(q)
     while b:
-        a, b = b, divmod_poly(a, b)[1]
-    if a:
-        a = scale(a, Fraction(1) / a[-1])  # monic
-    return a
+        a, b = b, primitive(prem(a, b))
+    return [-c for c in a] if a and a[-1] < 0 else a
 
 
 def exact_div(p: Poly, q: Poly) -> Poly:
-    quo, rem = divmod_poly(p, q)
+    """p / q over the integers; raises unless q divides p.  For primitive q
+    this is exact whenever the rational division is (Gauss's lemma)."""
+    if not q:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(p)
+    dq = len(q) - 1
+    quo = [0] * max(0, len(p) - dq)
+    while rem and len(rem) - 1 >= dq:
+        c, r = divmod(rem[-1], q[-1])
+        if r:
+            break
+        k = len(rem) - 1 - dq
+        quo[k] = c
+        for i, b in enumerate(q):
+            rem[k + i] -= c * b
+        trim(rem)
     if rem:
         raise ValueError("division is not exact")
-    return quo
+    return trim(quo)
 
 
 def squarefree_part(p: Poly) -> Poly:
@@ -123,27 +127,20 @@ def squarefree_part(p: Poly) -> Poly:
     return exact_div(p, g)
 
 
-def sturm_chain(p: Poly) -> list[list[int]]:
-    """Sturm chain of a squarefree polynomial, each member scaled once to
-    primitive integer coefficients (lowest degree first).  The scale is
-    positive, so every sign, and with it every Sturm count, is unchanged."""
-    chain = [list(p), derivative(p)]
+def sturm_chain(p: Poly) -> list[Poly]:
+    """Sturm chain of a squarefree polynomial, each member primitive: p, p'
+    and the negated pseudo-remainders.  Each member is a positive multiple
+    of the rational Sturm chain's, so every sign and Sturm count is too."""
+    chain = [primitive(p), primitive(derivative(p))]
     while chain[-1]:
-        rem = divmod_poly(chain[-2], chain[-1])[1]
+        rem = prem(chain[-2], chain[-1])
         if not rem:
             break
-        chain.append(neg(rem))
-    return [_primitive(c) for c in chain if c]
+        chain.append(primitive([-c for c in rem]))
+    return [c for c in chain if c]
 
 
-def _primitive(p: Poly) -> list[int]:
-    den = lcm(*(Fraction(c).denominator for c in p))
-    ints = [int(c * den) for c in p]
-    g = gcd(*ints)
-    return [c // g for c in ints]
-
-
-def _sign(p: list[int], a: int, b: int) -> int:
+def _sign(p: Poly, a: int, b: int) -> int:
     """Sign of p(a/b) for integer p and b > 0: integer Horner on the
     homogenised sum c_i a^i b^(n-i)."""
     acc = 0
@@ -154,13 +151,13 @@ def _sign(p: list[int], a: int, b: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def sign_variations(chain: list[list[int]], x: Fraction) -> int:
+def sign_variations(chain: list[Poly], x: Fraction) -> int:
     a, b = x.numerator, x.denominator
     signs = [s for s in (_sign(p, a, b) for p in chain) if s]
     return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
 
 
-def count_roots(chain: list[list[int]], a: Fraction, b: Fraction) -> int:
+def count_roots(chain: list[Poly], a: Fraction, b: Fraction) -> int:
     """Number of distinct real roots in (a, b] for a squarefree chain."""
     return sign_variations(chain, a) - sign_variations(chain, b)
 
@@ -186,7 +183,7 @@ def smallest_positive_root(p: Poly) -> tuple[Fraction, Fraction] | None:
     return isolate_smallest_positive_root(sturm_chain(f))
 
 
-def isolate_smallest_positive_root(chain: list[list[int]]
+def isolate_smallest_positive_root(chain: list[Poly]
                                    ) -> tuple[Fraction, Fraction] | None:
     """The bisection behind ``smallest_positive_root``, given the Sturm chain
     of the squarefree part (whose head must not vanish at 0).
@@ -210,7 +207,7 @@ def isolate_smallest_positive_root(chain: list[list[int]]
         if _sign(chain[0], mid.numerator, mid.denominator) == 0:
             # mid is a rational root; it is the smallest in (lo, hi] unless
             # the deflated polynomial still has one strictly below it.
-            f = exact_div(from_coeffs(chain[0]), [-mid, Fraction(1)])
+            f = exact_div(chain[0], [-mid.numerator, mid.denominator])
             chain = sturm_chain(f)
             if count_roots(chain, lo, mid) == 0:
                 return (mid, mid)
@@ -235,17 +232,3 @@ def isolate_smallest_positive_root(chain: list[list[int]]
         else:
             a = m
     return (Fraction(a, d), Fraction(b, d))
-
-
-def power_series_inverse(p: Poly, nterms: int) -> list[Fraction]:
-    """First ``nterms`` coefficients of 1/p as a power series; p(0) != 0."""
-    if not p or p[0] == 0:
-        raise ValueError("series inverse requires a unit constant term")
-    inv0 = Fraction(1) / p[0]
-    out = [inv0]
-    for n in range(1, nterms):
-        acc = Fraction(0)
-        for k in range(1, min(n, len(p) - 1) + 1):
-            acc += p[k] * out[n - k]
-        out.append(-inv0 * acc)
-    return out

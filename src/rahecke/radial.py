@@ -180,10 +180,7 @@ def cross_pattern_inner(params: MultiParameter, eps1: Sequence[int],
         raise ValueError("radial calculus needs a free-product diagram")
     norm = Fraction(1)
     for eps in (eps1, eps2):
-        q_abs = params.abs_flip(eps)
-        if growth.region_membership(d, q_abs) != "Interior":
-            raise ValueError("pattern outside the interior region")
-        norm *= 1 / growth.growth_reciprocal(d, q_abs)
+        norm *= growth.growth_value(d, params.abs_flip(eps))
     weights = []
     for s, e1, e2 in zip(d.generators, eps1, eps2):
         weights.append(params.char_gen(s, e1) * params.char_gen(s, e2))

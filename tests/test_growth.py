@@ -159,8 +159,7 @@ def test_ray_homogeneity(diagram_a):
     lo1, hi1 = rep1.t0
     lo2, hi2 = rep2.t0
     scaled = (lo2 * t, hi2 * t)
-    num = polys.from_coeffs(growth.ray_numerator(diagram_a, q))
-    f = polys.squarefree_part(num)
+    f = polys.squarefree_part(growth.ray_numerator(diagram_a, q))
     chain = polys.sturm_chain(f)
     lo = min(lo1, scaled[0])
     hi = max(hi1, scaled[1])
@@ -199,11 +198,11 @@ def test_product_rule_reducible():
 
 def test_smallest_positive_root_edge_cases():
     # exact rational root found exactly
-    f = polys.from_coeffs([Fraction(1), Fraction(-3), Fraction(2)])  # (1-t)(1-2t)
+    f = [1, -3, 2]  # (1-t)(1-2t)
     lo, hi = polys.smallest_positive_root(f)
     assert lo == hi == Fraction(1, 2)
     # no positive root
-    assert polys.smallest_positive_root(polys.from_coeffs([1, 0, 1])) is None
+    assert polys.smallest_positive_root([1, 0, 1]) is None
     # repeated roots are handled through the squarefree part
     g = polys.mul(f, f)
     lo, hi = polys.smallest_positive_root(g)
@@ -212,10 +211,11 @@ def test_smallest_positive_root_edge_cases():
 
 def test_boundary_needs_one_as_the_only_root_below_one(monkeypatch, free3):
     """N = (1-t)(1-2t) vanishes at 1 but has the root 1/2 below it, so
-    rho = 2 > 1: Exterior, not Boundary."""
-    f = polys.from_coeffs([Fraction(1), Fraction(-3), Fraction(2)])
+    rho = 2 > 1: Exterior, not Boundary.  At q = 1/2 the real numerator is
+    1 - t (Boundary, NotSimple), so the patch must reach the analysis."""
+    f = [1, -3, 2]
     monkeypatch.setattr(growth, "ray_numerator", lambda diagram, q: list(f))
-    q = q_const(free3, 1)
+    q = q_const(free3, Fraction(1, 2))
     assert growth.region_membership(free3, q) == "Exterior"
     assert growth.pole_and_rho(free3, q).t0 == (Fraction(1, 2), Fraction(1, 2))
     verdict = growth.classify_simplicity(free3, q)
@@ -257,7 +257,7 @@ def int_polys(draw, positive=False):
     cs = draw(st.lists(st.integers(low, 9), min_size=2, max_size=7))
     cs[0] = cs[0] or 1
     cs[-1] = cs[-1] or 1
-    return polys.from_coeffs(cs)
+    return cs
 
 
 @PROPERTY_SETTINGS
@@ -282,8 +282,44 @@ def test_smallest_positive_root_isolates(p):
 @given(int_polys(positive=True), st.integers(1, 2 ** 20), st.integers(0, 40))
 def test_smallest_positive_root_hits_dyadic_roots(g, a, j):
     r = Fraction(a, 2 ** j)
-    p = polys.mul(g, polys.from_coeffs([-r.numerator, r.denominator]))
+    p = polys.mul(g, [-r.numerator, r.denominator])
     assert polys.smallest_positive_root(p) == (r, r)
+
+
+@st.composite
+def polys_with_known_roots(draw):
+    """(p, roots): p = c * prod (b_i t - a_i) * (c0 + c1 t^k), with c of
+    either sign and k even, so the last factor has no real root.  The gap
+    factor, and roots closed under negation, make the remainder sequence
+    skip degrees."""
+    roots = draw(st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=6),
+                          min_size=0, max_size=4))
+    if draw(st.booleans()):
+        roots += [-r for r in roots]
+    c = draw(st.integers(1, 5)) * draw(st.sampled_from([1, -1]))
+    p = [c]
+    for r in roots:
+        p = polys.mul(p, [-r.numerator, r.denominator])
+    c0, c1 = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    gap = [c0] + [0] * (draw(st.sampled_from([2, 4, 6])) - 1) + [c1]
+    return polys.mul(p, gap), set(roots)
+
+
+@PROPERTY_SETTINGS
+@given(polys_with_known_roots(),
+       st.fractions(min_value=-10, max_value=10, max_denominator=6),
+       st.fractions(min_value=-10, max_value=10, max_denominator=6))
+def test_sturm_counts_known_roots(p_roots, a, b):
+    p, roots = p_roots
+    lo, hi = min(a, b), max(a, b)
+    chain = polys.sturm_chain(polys.squarefree_part(p))
+    assert polys.count_roots(chain, lo, hi) == sum(1 for r in roots if lo < r <= hi)
+
+
+def test_sturm_count_keeps_signs_through_a_negative_lead():
+    """The pseudo-remainder scales by |lc|, never by a negative lc."""
+    chain = polys.sturm_chain([-1, -1, -1, 0, -1])  # -(1 + t + t^2 + t^4)
+    assert polys.count_roots(chain, Fraction(-10), Fraction(10)) == 0
 
 
 @st.composite
@@ -344,3 +380,13 @@ def test_decisive_flip_decides(d, data):
     decisive = tuple(1 if q[s] <= 1 else -1 for s in d.generators)
     v = growth.classify_simplicity(d, q)
     assert (v.status == "NotSimple") == (decisive in v.witnesses)
+
+
+@PROPERTY_SETTINGS
+@given(irreducible_diagrams(), st.data())
+def test_series_matches_automaton(d, data):
+    """The clique numerator's series is the automaton's weighted sphere sums."""
+    q = {s: data.draw(st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9))
+         for s in d.generators}
+    sums = NormalFormAutomaton(d).sphere_series([q[s] for s in d.generators], 8)
+    assert growth.series_coefficients(d, q, 9) == sums
