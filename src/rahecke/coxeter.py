@@ -160,9 +160,6 @@ class CoxeterDiagram:
         self._check_letters(letters)
         return self._linearize(self._reduce(letters))
 
-    def is_reduced(self, word: Sequence[str]) -> bool:
-        return len(self.normal_form(word)) == len(word)
-
     # -- group operations --------------------------------------------------
 
     def multiply(self, v: Iterable[str], w: Iterable[str]) -> Word:

@@ -10,7 +10,8 @@ The first part forbids the cancellation tt, the second forbids a word that a
 single swap would make lexicographically smaller, and the third propagates
 older obstructions through a commuting letter.  The automaton is the only
 place that knows this rule.  Everything else follows its integer transition
-table: ``Ball`` generates elements directly in canonical form,
+table: ``Ball`` generates each sphere from the previous one on arrays and
+keeps only integer tables (word tuples are derived on first read),
 ``restricted_sphere_series`` pairs the automaton state with a
 letter-removability set, and ``NormalFormAutomaton.sphere_series`` is the
 exact transfer-matrix oracle for sphere counts and weighted sphere sums.
@@ -18,6 +19,7 @@ exact transfer-matrix oracle for sphere counts and weighted sphere sums.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -33,11 +35,16 @@ class BallCapExceeded(RuntimeError):
 
 
 class Ball:
-    """All elements of word length <= radius, sorted by (length, ShortLex).
+    """All elements of word length <= radius, sorted by (length, ShortLex),
+    held as integer tables.
 
-    Carries index tables for one-letter multiplication on both sides:
-    ``rmul[v, i]`` is the index of ``v * s_i`` and ``lmul[i][v]`` the index of
-    ``s_i * v``; entries are -1 when the product leaves the ball.
+    ``parent[v]`` is v with its last letter removed and ``plast[v]`` the
+    index of that letter (the root is its own parent, with ``plast`` -1), so
+    the children of an element are contiguous.  ``rmul[v, i]`` is the index
+    of ``v * s_i`` and ``lmul[i][v]`` the index of ``s_i * v``; entries are
+    -1 when the product leaves the ball.  ``words`` and ``index`` are built
+    from ``parent``/``plast`` on first read, for the exact paths that work on
+    word tuples.
     """
 
     def __init__(self, diagram: CoxeterDiagram, radius: int, cap: int = DEFAULT_ELEMENT_CAP):
@@ -45,39 +52,35 @@ class Ball:
             raise ValueError("radius must be >= 0")
         self.diagram = diagram
         self.radius = radius
-        gens = diagram.generators
-        k = len(gens)
+        k = diagram.rank
 
-        trans = NormalFormAutomaton(diagram).transitions
-        words: list[Word] = [()]
-        parent = [0]
-        plast = [-1]
-        state = [0]  # automaton state of each element
-        index: dict[Word, int] = {(): 0}
+        # table[state, i]: the automaton state after appending s_i, -1 if blocked
+        aut = NormalFormAutomaton(diagram)
+        table = np.full((len(aut.states), k), -1, dtype=np.int64)
+        for st, row in enumerate(aut.transitions):
+            for ti, nxt in row:
+                table[st, ti] = nxt
+
+        # Children of a sphere in row-major (parent, letter) order are the
+        # next sphere in ShortLex order.
+        parents = [np.zeros(1, dtype=np.int64)]
+        plasts = [np.full(1, -1, dtype=np.int64)]
+        state = np.zeros(1, dtype=np.int64)
         sphere_start = [0, 1]
-
         for _ in range(radius):
-            for u in range(sphere_start[-2], sphere_start[-1]):
-                wu = words[u]
-                for ti, st in trans[state[u]]:
-                    if len(words) >= cap:
-                        raise BallCapExceeded(
-                            f"ball of radius {radius} exceeds cap {cap}"
-                        )
-                    child = wu + (gens[ti],)
-                    index[child] = len(words)
-                    words.append(child)
-                    parent.append(u)
-                    plast.append(ti)
-                    state.append(st)
-            sphere_start.append(len(words))
+            nxt = table[state]
+            pi, ti = np.nonzero(nxt >= 0)
+            if sphere_start[-1] + len(pi) > cap:
+                raise BallCapExceeded(f"ball of radius {radius} exceeds cap {cap}")
+            parents.append(pi + sphere_start[-2])
+            plasts.append(ti)
+            state = nxt[pi, ti]
+            sphere_start.append(sphere_start[-1] + len(pi))
 
-        n = len(words)
-        self.words = words
-        self.index = index
-        self.parent = np.asarray(parent, dtype=np.int64)
-        self.plast = np.asarray(plast, dtype=np.int64)
-        self.length = np.fromiter((len(w) for w in words), dtype=np.int64, count=n)
+        n = sphere_start[-1]
+        self.parent = np.concatenate(parents)
+        self.plast = np.concatenate(plasts)
+        self.length = np.repeat(np.arange(radius + 1, dtype=np.int64), np.diff(sphere_start))
         self.sphere_start = sphere_start  # sphere l = [start[l], start[l+1])
 
         # Right multiplication table, sphere by sphere: the tree edges
@@ -87,6 +90,7 @@ class Ball:
         # are all filled by the time v's sphere is reached; each such pair
         # also fills the ascent (v*s)*s = v.
         rmul = np.full((n, k), -1, dtype=np.int64)
+        gens = diagram.generators
         comm = np.array([[diagram.commutes(s, t) for t in gens] for s in gens])
         for l in range(1, radius + 1):
             lo, hi = sphere_start[l], sphere_start[l + 1]
@@ -104,24 +108,37 @@ class Ball:
         # Left multiplication via s*(u t) = (s*u) t along the generation tree,
         # one sphere at a time: every parent lies in the previous sphere.
         lmul = np.full((k, n), -1, dtype=np.int64)
-        if radius >= 1:
-            for i, s in enumerate(gens):
-                row = lmul[i]
-                row[0] = index[(s,)]
-                for l in range(1, radius + 1):
-                    lo, hi = sphere_start[l], sphere_start[l + 1]
-                    su = row[self.parent[lo:hi]]
-                    row[lo:hi] = np.where(su >= 0, rmul[su, self.plast[lo:hi]], -1)
+        for i in range(k):
+            row = lmul[i]
+            row[0] = rmul[0, i]
+            for l in range(1, radius + 1):
+                lo, hi = sphere_start[l], sphere_start[l + 1]
+                su = row[self.parent[lo:hi]]
+                row[lo:hi] = np.where(su >= 0, rmul[su, self.plast[lo:hi]], -1)
         self.lmul = lmul
         self.ldesc = np.zeros((k, n), dtype=bool)
         for i in range(k):
             valid = lmul[i] >= 0
             self.ldesc[i, valid] = self.length[lmul[i, valid]] < self.length[valid]
 
+    @functools.cached_property
+    def words(self) -> list[Word]:
+        """The canonical word of every element, in ball order."""
+        gens = self.diagram.generators
+        words: list[Word] = [()]
+        for u, t in zip(self.parent[1:].tolist(), self.plast[1:].tolist()):
+            words.append(words[u] + (gens[t],))
+        return words
+
+    @functools.cached_property
+    def index(self) -> dict[Word, int]:
+        """Element index of every canonical word in the ball."""
+        return {w: v for v, w in enumerate(self.words)}
+
     # -- basic queries -------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self.parent)
 
     def sphere(self, l: int) -> range:
         if l < 0 or l > self.radius:
@@ -131,25 +148,11 @@ class Ball:
     def sphere_sizes(self) -> list[int]:
         return [self.sphere_start[l + 1] - self.sphere_start[l] for l in range(self.radius + 1)]
 
-    def index_of(self, word: Sequence[str]) -> int:
-        return self.index[self.diagram.normal_form(word)]
-
-    def starts_with_index(self, prefix: Word, v: int) -> bool:
-        """Whether prefix <= (element at index v), via the index tables."""
-        cur = v
-        for i, t in enumerate(prefix):
-            ti = self.diagram.gen_index(t)
-            if not self.ldesc[ti, cur]:
-                return False
-            cur = self.lmul[ti, cur]
-        return True
-
     def prefix_mask(self, prefix: Word) -> np.ndarray:
         """Boolean array over the ball: prefix <= v, stripping one letter of
         the prefix at a time across all elements at once."""
-        n = len(self.words)
-        alive = np.ones(n, dtype=bool)
-        cur = np.arange(n, dtype=np.int64)
+        alive = np.ones(len(self), dtype=bool)
+        cur = np.arange(len(self), dtype=np.int64)
         for t in prefix:
             ti = self.diagram.gen_index(t)
             alive &= self.ldesc[ti][cur]
@@ -161,7 +164,7 @@ class Ball:
         gens = self.diagram.generators
         qs = [q[s] for s in gens]
         out = [Fraction(1) if all(isinstance(x, Fraction) for x in qs) else 1.0]
-        for v in range(1, len(self.words)):
+        for v in range(1, len(self)):
             out.append(out[self.parent[v]] * qs[self.plast[v]])
         return out
 
@@ -187,8 +190,7 @@ def sphere_weight(diagram: CoxeterDiagram, q: Mapping[str, Fraction], l: int,
     if b is None or b.radius < l:
         b = ball(diagram, l)
     weights = b.element_weights(q)
-    total = sum(weights[v] for v in b.sphere(l))
-    return total if l > 0 else weights[0]
+    return sum(weights[v] for v in b.sphere(l))
 
 
 def restricted_sphere_weight(diagram: CoxeterDiagram, q: Mapping[str, Fraction],
@@ -198,14 +200,12 @@ def restricted_sphere_weight(diagram: CoxeterDiagram, q: Mapping[str, Fraction],
     if b is None or b.radius < l:
         b = ball(diagram, l)
     weights = b.element_weights(q)
+    below = b.prefix_mask(gw)
     total = Fraction(0)
-    hit = False
     for v in b.sphere(l):
-        inv = b.index[diagram.inverse(b.words[v])]
-        if b.starts_with_index(gw, inv):
+        if below[b.index[diagram.inverse(b.words[v])]]:
             total += weights[v]
-            hit = True
-    return total if hit else total * 0
+    return total
 
 
 def restricted_sphere_series(diagram: CoxeterDiagram, q: Mapping[str, Fraction],

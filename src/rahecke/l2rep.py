@@ -14,7 +14,9 @@ spectrum in [c, C] stay in [c, C].
 The fast engine for large balls (``BallAction``, ``sphere_passes``) applies
 an x supported on the l-sphere as the compression P_n x P_{n-l}: x moves
 B_{n-l} into B_n, so these columns are exact and the sampled norms are lower
-bounds too, up to float64 rounding.
+bounds too, up to float64 rounding.  It works on the ball's integer tables
+only: the ball's generation tree, cut at depth l, is the trie of the sphere
+words, and no word tuple is built.
 """
 
 from __future__ import annotations
@@ -68,9 +70,6 @@ class TruncatedOperator:
     def diag(self) -> list:
         zero = Fraction(0) if self.exact else 0.0
         return [self.cols[v].get(v, zero) for v in range(len(self.ball))]
-
-    def is_diagonal(self) -> bool:
-        return all(set(col) <= {v} for v, col in enumerate(self.cols))
 
     def __add__(self, other: "TruncatedOperator") -> "TruncatedOperator":
         cols = []
@@ -490,74 +489,75 @@ class BallAction:
                  (np.r_[jump, desc], np.r_[b.lmul[i][jump], desc])), shape=(n, n)))
 
 
-def _word_tree(diagram: CoxeterDiagram, words: list[Word]) -> dict:
-    """Trie over the words keyed by generator index; leaves hold word slots."""
-    root: dict = {}
-    for slot, w in enumerate(words):
-        node = root
-        for s in w:
-            node = node.setdefault(diagram.gen_index(s), {})
-        node[-1] = slot
-    return root
+def sphere_passes(action: BallAction, l: int):
+    """``(forward, backward)`` for x = sum_w c_w T_w over the l-sphere:
+    ``forward(coeffs, vec)`` applies the compression P_n x P_{n-l} (n the
+    ball radius) to vectors on B_{n-l}, the first |B_{n-l}| ball elements,
+    and ``backward`` applies its transpose.  ``coeffs`` holds one entry, or
+    one row for a batch of columns, per element of the l-sphere, in ball
+    order.
 
-
-def sphere_passes(action: BallAction, words: list[Word]):
-    """``(forward, backward)`` for x = sum_w c_w T_w, the words w of one
-    length l: ``forward(coeffs, vec)`` applies the compression P_n x P_{n-l}
-    (n the ball radius) to vectors on B_{n-l}, the first |B_{n-l}| ball
-    elements, and ``backward`` applies its transpose.  ``coeffs`` holds one
-    entry, or one row for a batch of columns, per word.
-
-    Both passes walk one trie of the words.  Forward is the Horner recursion;
-    its edge for s at depth k is the block of T_s from B_{n-k} into
-    B_{n-k+1}, so no intermediate vector leaves the ball and nothing is
-    truncated.  Backward runs the same edges transposed from the root and
-    collects at the leaves (the transposition principle; T_s is self-adjoint,
-    so the transpose needs no second trie).
+    Both passes walk the ball's generation tree to depth l: the children of
+    u are its canonical extensions u*t, so the tree is the trie of the sphere
+    words once the elements with no extension to length l are pruned.
+    Forward is the Horner recursion; its edge for s at depth k is the block of
+    T_s from B_{n-k} into B_{n-k+1}, so no intermediate vector leaves the
+    ball and nothing is truncated.  Backward runs the same edges transposed
+    from the root and collects at the leaves (the transposition principle;
+    T_s is self-adjoint, so the transpose needs no second tree).
     """
-    l, n, size = len(words[0]), action.ball.radius, action.ball.sphere_start
-    if l > n or any(len(w) != l for w in words):
-        raise ValueError("words must share one length <= the ball radius")
+    b, n = action.ball, action.ball.radius
+    size, parent = b.sphere_start, b.parent
+    if not 0 <= l <= n or size[l] == size[l + 1]:
+        raise ValueError("need a nonempty sphere of length <= the ball radius")
     # blocks[k][i]: T_i from B_{n-k-1} into B_{n-k}, where |B_m| = size[m + 1]
     blocks = [[m[:size[n - k + 1], :size[n - k]] for m in action.mats]
               for k in range(l)]
     transposed = [[m.T for m in row] for row in blocks]
-    tree = _word_tree(action.ball.diagram, words)
+    # live: the elements of B_l with a descendant on the l-sphere; a parent
+    # precedes its children, which are contiguous and in letter order
+    alive = np.zeros(size[l + 1], dtype=bool)
+    alive[size[l]:] = True
+    for k in range(l, 0, -1):
+        alive[parent[size[k]:size[k + 1]][alive[size[k]:size[k + 1]]]] = True
+    live = np.nonzero(alive)[0][1:]  # the root is its own parent: skip it
+    children: dict[int, list[tuple[int, int]]] = {}
+    for c, u, i in zip(live.tolist(), parent[live].tolist(), b.plast[live].tolist()):
+        children.setdefault(u, []).append((c, i))
 
     def forward(coeffs: np.ndarray, vec: np.ndarray) -> np.ndarray:
-        def walk(node: dict, k: int) -> np.ndarray:
-            if -1 in node:
-                return coeffs[node[-1]] * vec
-            return sum(blocks[k][i] @ walk(sub, k + 1) for i, sub in node.items())
+        def walk(u: int, k: int) -> np.ndarray:
+            if k == l:
+                return coeffs[u - size[l]] * vec
+            return sum(blocks[k][i] @ walk(c, k + 1) for c, i in children[u])
 
-        return walk(tree, 0)
+        return walk(0, 0)
 
     def backward(coeffs: np.ndarray, vec: np.ndarray) -> np.ndarray:
-        def walk(node: dict, k: int, v: np.ndarray) -> np.ndarray:
-            if -1 in node:
-                return coeffs[node[-1]] * v
-            return sum(walk(sub, k + 1, transposed[k][i] @ v) for i, sub in node.items())
+        def walk(u: int, k: int, v: np.ndarray) -> np.ndarray:
+            if k == l:
+                return coeffs[u - size[l]] * v
+            return sum(walk(c, k + 1, transposed[k][i] @ v) for c, i in children[u])
 
-        return walk(tree, 0, vec)
+        return walk(0, 0, vec)
 
     return forward, backward
 
 
-def sphere_operator_norms(action: BallAction, words: list[Word],
-                          coeff_matrix: np.ndarray, iters: int = 12,
-                          seed: int = 0) -> np.ndarray:
-    """Lower-bound estimates of || sum_w c_w T_w || for a batch of
-    coefficient vectors (columns of ``coeff_matrix``, one row per word), by
-    power iteration on X^T X for the compression X = P_n x P_{n-l} of
-    ``sphere_passes``.  Every ||X v|| / ||v|| is a lower bound on ||X||, so
-    on the operator norm, up to float64 rounding; the running maximum over
-    the iterations is reported per column.
+def sphere_operator_norms(action: BallAction, l: int, coeff_matrix: np.ndarray,
+                          iters: int = 12, seed: int = 0) -> np.ndarray:
+    """Lower-bound estimates of || sum_w c_w T_w || over the l-sphere for a
+    batch of coefficient vectors (columns of ``coeff_matrix``, one row per
+    sphere element in ball order), by power iteration on X^T X for the
+    compression X = P_n x P_{n-l} of ``sphere_passes``.  Every
+    ||X v|| / ||v|| is a lower bound on ||X||, so on the operator norm, up
+    to float64 rounding; the running maximum over the iterations is reported
+    per column.
     """
-    forward, backward = sphere_passes(action, words)
+    forward, backward = sphere_passes(action, l)
     b = action.ball
     rng = np.random.default_rng(seed)
-    vec = rng.standard_normal((b.sphere_start[b.radius - len(words[0]) + 1],
-                               coeff_matrix.shape[1]))
+    vec = rng.standard_normal((b.sphere_start[b.radius - l + 1], coeff_matrix.shape[1]))
     vec /= np.linalg.norm(vec, axis=0)
     est = np.zeros(coeff_matrix.shape[1])
     for _ in range(iters):
@@ -590,13 +590,12 @@ def haagerup_ratio(d: CoxeterDiagram, q: float, l: int, n: int,
     b = ball(d, n)
     p = (q - 1.0) / math.sqrt(q)
     action = BallAction(b, {s: p for s in d.generators})
-    words = [b.words[v] for v in b.sphere(l)]
     rng = np.random.default_rng(seed)
-    samples = rng.standard_normal((len(words), trials))
+    samples = rng.standard_normal((b.sphere_sizes()[l], trials))
     ratios: list[float] = []
     for lo in range(0, trials, batch):
         chunk = samples[:, lo:lo + batch]
-        tops = sphere_operator_norms(action, words, chunk, iters=iters, seed=seed)
+        tops = sphere_operator_norms(action, l, chunk, iters=iters, seed=seed)
         l2s = np.linalg.norm(chunk, axis=0)
         ratios.extend((tops / (l * l2s)).tolist())
     return {"l": l, "n": n, "q": float(q), "trials": trials,

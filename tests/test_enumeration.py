@@ -72,6 +72,16 @@ def test_ball_cap():
     with pytest.raises(BallCapExceeded):
         ball(d, 4, cap=len(b) - 1)
     assert ball(d, 4) is b
+    # a fresh ball of exactly cap elements builds; one more is refused
+    assert len(Ball(d, 4, cap=len(b))) == len(b)
+    with pytest.raises(BallCapExceeded):
+        Ball(d, 4, cap=len(b) - 1)
+
+
+def test_ball_builds_no_words():
+    b = Ball(CoxeterDiagram(["a", "b", "c"], [["a", "b"]]), 5)
+    assert "words" not in b.__dict__ and "index" not in b.__dict__
+    assert b.words[b.rmul[b.index[("b",)], 0]] == ("a", "b")  # a, b commute
 
 
 def test_multiplication_tables(diagram_a):

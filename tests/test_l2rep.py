@@ -10,7 +10,7 @@ from rahecke.coxeter import CoxeterDiagram
 from rahecke.enumeration import ball
 from rahecke.hecke import HeckeElement, MultiParameter
 from rahecke import l2rep
-from test_growth import irreducible_diagrams
+from test_enumeration import diagrams
 
 
 @pytest.fixture(scope="module")
@@ -204,49 +204,67 @@ def test_haagerup_single_letter(diagram_a):
     assert 0 < out["max_ratio"] <= 2 * math.sqrt(3) + 1e-6
     b = ball(diagram_a, 6)
     act = l2rep.BallAction(b, {s: (0.25 - 1) / 0.5 for s in diagram_a.generators})
-    norm = l2rep.sphere_operator_norms(act, [("a",)], np.ones((1, 1)), iters=60)[0]
+    onehot = np.zeros((b.sphere_sizes()[1], 1))
+    onehot[b.index[("a",)] - b.sphere_start[1]] = 1.0
+    norm = l2rep.sphere_operator_norms(act, 1, onehot, iters=60)[0]
     assert abs(norm - 2.0) < 1e-3
 
 
+def test_haagerup_builds_no_words():
+    d = CoxeterDiagram(["h1", "h2", "h3", "h4"], [["h1", "h3"]])
+    l2rep.haagerup_ratio(d, 0.5, 2, 5, 3)
+    assert "words" not in ball(d, 5).__dict__
+
+
 def _sphere_case(d, q, n, l, c_seed):
-    """(action, sphere words, coefficients, dense P_n x P_{n-l}) for a random
-    x on the l-sphere; the dense block comes from the exact ``rep_hecke``."""
+    """(action, coefficients, dense P_n x P_{n-l}) for a random x on the
+    l-sphere; the dense block comes from the exact ``rep_hecke``."""
     pf = MultiParameter.floating(d, {s: q for s in d.generators})
     b = ball(d, n)
-    words = [b.words[v] for v in b.sphere(l)]
-    c = np.random.default_rng(c_seed).standard_normal(len(words))
+    c = np.random.default_rng(c_seed).standard_normal(b.sphere_sizes()[l])
     x = HeckeElement.zero(pf)
-    for w, cw in zip(words, c):
-        x = x + float(cw) * HeckeElement.basis(pf, w)
+    for v, cw in zip(b.sphere(l), c):
+        x = x + float(cw) * HeckeElement.basis(pf, b.words[v])
     dense = l2rep.rep_hecke(x, b).to_dense()[:, :b.sphere_start[n - l + 1]]
     act = l2rep.BallAction(b, {s: pf.p(s) for s in d.generators})
-    return act, words, c, dense
+    return act, c, dense
+
+
+def _check_sphere_passes(d, q, n, l, c_seed):
+    """The forward pass is exactly P_n x P_{n-l}, the backward pass its
+    transpose, and the power-iteration norm a lower bound on its norm."""
+    act, c, dense = _sphere_case(d, q, n, l, c_seed)
+    forward, backward = l2rep.sphere_passes(act, l)
+    fwd = forward(c, np.eye(dense.shape[1]))
+    assert np.abs(fwd - dense).max() <= 1e-9
+    assert np.abs(backward(c, np.eye(dense.shape[0])) - fwd.T).max() <= 1e-9
+    est = l2rep.sphere_operator_norms(act, l, c[:, None], iters=20)[0]
+    assert est <= float(np.linalg.norm(dense, 2)) * (1 + 1e-9)
 
 
 def test_fast_norm_matches_dense(diagram_a):
-    act, words, c, dense = _sphere_case(diagram_a, 0.49, 7, 2, 9)
-    fast = l2rep.sphere_operator_norms(act, words, c[:, None], iters=60)[0]
+    act, c, dense = _sphere_case(diagram_a, 0.49, 7, 2, 9)
+    fast = l2rep.sphere_operator_norms(act, 2, c[:, None], iters=60)[0]
     exact = float(np.linalg.norm(dense, 2))
     assert fast <= exact + 1e-6
     assert fast >= exact * 0.98
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(irreducible_diagrams(max_rank=4), st.data())
+@given(diagrams(max_rank=4), st.data())
 def test_sphere_passes_match_rep_hecke(d, data):
-    """The forward pass is exactly P_n x P_{n-l}, the backward pass its
-    transpose, and the power-iteration norm a lower bound on its norm."""
     n = data.draw(st.integers(3, 6))
     l = data.draw(st.integers(1, n - 2))
     assume(ball(d, n).sphere_sizes()[l] > 0)
     q = data.draw(st.floats(0.2, 0.95))
-    act, words, c, dense = _sphere_case(d, q, n, l, data.draw(st.integers(0, 2 ** 16)))
-    forward, backward = l2rep.sphere_passes(act, words)
-    fwd = forward(c, np.eye(dense.shape[1]))
-    assert np.abs(fwd - dense).max() <= 1e-9
-    assert np.abs(backward(c, np.eye(dense.shape[0])) - fwd.T).max() <= 1e-9
-    est = l2rep.sphere_operator_norms(act, words, c[:, None], iters=20)[0]
-    assert est <= float(np.linalg.norm(dense, 2)) * (1 + 1e-9)
+    _check_sphere_passes(d, q, n, l, data.draw(st.integers(0, 2 ** 16)))
+
+
+@pytest.mark.parametrize("n,l", [(5, 2), (5, 3), (6, 4)])
+def test_sphere_passes_prune_dead_ends(n, l):
+    # c commutes with a and b and comes last, so no canonical word extends c
+    d = CoxeterDiagram(["a", "b", "c"], [["a", "c"], ["b", "c"]])
+    _check_sphere_passes(d, 0.6, n, l, n + l)
 
 
 def test_conjugate_action_reach(diagram_a, b6):
