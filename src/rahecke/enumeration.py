@@ -169,18 +169,25 @@ class Ball:
         return out
 
 
-_BALL_CACHE: dict[tuple, Ball] = {}
+_BALL_CACHE: dict[tuple, Ball] = {}  # least recently used first
 
 
 def ball(diagram: CoxeterDiagram, radius: int, cap: int = DEFAULT_ELEMENT_CAP) -> Ball:
     """Memoized ball construction.  ``cap`` bounds the element count of a
-    cached ball as well as of a new one."""
+    cached ball as well as of a new one.  The cache keeps at most
+    ``DEFAULT_ELEMENT_CAP`` elements in all (besides the ball just returned),
+    evicting the least recently used balls first."""
     key = (diagram.key(), radius)
     b = _BALL_CACHE.get(key)
     if b is None:
-        b = _BALL_CACHE[key] = Ball(diagram, radius, cap=cap)
+        b = Ball(diagram, radius, cap=cap)
     elif len(b) > cap:
         raise BallCapExceeded(f"ball of radius {radius} exceeds cap {cap}")
+    _BALL_CACHE.pop(key, None)
+    _BALL_CACHE[key] = b
+    total = sum(map(len, _BALL_CACHE.values()))
+    while total > DEFAULT_ELEMENT_CAP and len(_BALL_CACHE) > 1:
+        total -= len(_BALL_CACHE.pop(next(iter(_BALL_CACHE))))
     return b
 
 

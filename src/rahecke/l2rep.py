@@ -3,7 +3,11 @@ of l2(W), operator-identity verification, and spectral estimates.
 
 Truncation discipline: a TruncatedOperator stores the *true* compression
 P_n X P_n of the operator it represents (columns are computed by acting on
-basis vectors without intermediate truncation, then projecting).  Every
+basis vectors without intermediate truncation, then projecting).  The exact
+columns (``rep_hecke``, ``rep_group_word``) are computed on the ball's ids
+and its one-letter tables: a letter that would carry a term out of the ball
+waits as a pending prefix in front of it, so a term that leaves the ball and
+comes back is kept, and only what ends outside the ball is dropped.  Every
 operator carries its ``reach`` -- the largest word length by which it can move
 a basis vector -- and identity checks only compare columns delta_v with
 |v| + total reach <= n, where the compression agrees with the untruncated
@@ -27,10 +31,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import enumeration
 from .coxeter import CoxeterDiagram, Word
 from .enumeration import Ball, ball
-from .hecke import HeckeElement, MultiParameter, left_letter
+from .hecke import HeckeElement, MultiParameter, cliq_decomposition
 
 DENSE_LIMIT = 4000
 
@@ -139,45 +142,88 @@ class TruncatedOperator:
         return worst
 
 
+def _compressed_columns(b: Ball, p: Sequence, terms: Sequence[tuple[Sequence[int], object]]
+                        ) -> list[dict[int, object]]:
+    """Columns of the compression of sum c T_w over ``terms`` (generator
+    index words w, coefficients c) to the ball, where T_s acts by the
+    one-letter rule T_s delta_u = delta_{su} + p[s] [s <= u] delta_u.
+
+    A term is a key ``(pending, base)``: a ball id ``base`` and a tuple of
+    generator indices ``pending`` whose product with ``base`` is
+    length-additive.  s is a left descent of the term iff s is unshielded in
+    ``pending`` (every letter before it commutes with s), or s commutes with
+    all of ``pending`` and is a left descent of ``base``.  A step goes
+    through ``lmul`` while the product stays in the ball; otherwise the
+    letter waits in ``pending``.  At the end each ``pending`` is pushed onto
+    its base through ``lmul``; every such step lengthens the element, so a -1
+    means the element lies outside the ball and the term is dropped.
+    """
+    d = b.diagram
+    gens = d.generators
+    lmul = b.lmul.tolist()
+    ldesc = b.ldesc.tolist()
+    blockers = [frozenset(j for j, t in enumerate(gens) if not d.commutes(s, t))
+                for s in gens]
+    cols: list[dict[int, object]] = []
+    for v in range(len(b)):
+        acc: dict[int, object] = {}
+        for letters, c in terms:
+            state: dict[tuple[tuple[int, ...], int], object] = {((), v): c}
+            for s in reversed(letters):
+                row, drow, block, ps = lmul[s], ldesc[s], blockers[s], p[s]
+                out: dict[tuple[tuple[int, ...], int], object] = {}
+                for key, cc in state.items():
+                    pending, base = key
+                    i = next((j for j, x in enumerate(pending) if x in block), -1) \
+                        if pending else -1
+                    if i >= 0 and pending[i] == s:
+                        down, new = True, (pending[:i] + pending[i + 1:], base)
+                    elif i >= 0:
+                        down, new = False, ((s,) + pending, base)
+                    else:
+                        down, su = drow[base], row[base]
+                        new = (pending, su) if su >= 0 else ((s,) + pending, base)
+                    # adding to 0 would cost a Fraction operation per term;
+                    # zero sums are dropped once, at the end of the column
+                    old = out.get(new)
+                    out[new] = cc if old is None else old + cc
+                    if down and ps:
+                        old = out.get(key)
+                        out[key] = cc * ps if old is None else old + cc * ps
+                state = out
+            for (pending, base), cc in state.items():
+                for x in reversed(pending):
+                    base = lmul[x][base]
+                    if base < 0:
+                        break
+                else:
+                    old = acc.get(base)
+                    acc[base] = cc if old is None else old + cc
+        cols.append({u: cc for u, cc in acc.items() if cc})
+    return cols
+
+
 def rep_hecke(a: HeckeElement, b: Ball) -> TruncatedOperator:
     """Compression of the left-regular action of ``a`` to the ball.
 
-    Columns are exact: each basis vector is pushed through the defining
-    one-letter rule at the level of words, with no intermediate truncation,
-    and only then projected back to the ball.
+    Columns are exact: each basis vector is pushed through the one-letter
+    rule on ball ids, with letters that would leave the ball kept pending
+    rather than truncated, and only then projected back to the ball.
     """
     params = a.params
-    n = b.radius
-    reach = a.support_radius()
-    cols: list[dict[int, object]] = []
-    for v in range(len(b)):
-        wv = b.words[v]
-        acc: dict[Word, object] = {}
-        for w, c in a.coeffs.items():
-            state = {wv: c}
-            for s in reversed(w):
-                state = left_letter(params, s, state)
-            for u, cc in state.items():
-                acc[u] = acc.get(u, 0) + cc
-        col: dict[int, object] = {}
-        for u, cc in acc.items():
-            if cc != 0 and len(u) <= n:
-                col[b.index[u]] = cc
-        cols.append(col)
-    return TruncatedOperator(b, cols, reach, params.exact)
+    d = a.diagram
+    p = [params.p(s) for s in d.generators]
+    terms = [(tuple(map(d.gen_index, w)), c) for w, c in a.coeffs.items()]
+    return TruncatedOperator(b, _compressed_columns(b, p, terms),
+                             a.support_radius(), params.exact)
 
 
 def rep_group_word(d: CoxeterDiagram, word: Sequence[str], b: Ball) -> TruncatedOperator:
-    """Compression of the undeformed operator T_w at q == 1 (a permutation)."""
+    """Compression of the undeformed operator T_w at q == 1 (a permutation),
+    by the same exact walk on ball ids as ``rep_hecke`` with p == 0."""
     w = d.normal_form(word)
-    cols: list[dict[int, object]] = []
-    for v in range(len(b)):
-        target = d.multiply(w, b.words[v])
-        if len(target) <= b.radius:
-            cols.append({b.index[target]: Fraction(1)})
-        else:
-            cols.append({})
-    return TruncatedOperator(b, cols, len(w), True)
+    terms = [(tuple(map(d.gen_index, w)), Fraction(1))]
+    return TruncatedOperator(b, _compressed_columns(b, [0] * d.rank, terms), len(w), True)
 
 
 def proj_p(d: CoxeterDiagram, word: Sequence[str], b: Ball) -> TruncatedOperator:
@@ -219,26 +265,35 @@ def q_operator(d: CoxeterDiagram, u: Sequence[str], q: Fraction, b: Ball,
     uw = d.normal_form(u)
     q = Fraction(q)
     exponent = max(d.rank - 2, 0)
-    memo: dict = {}
+    length = b.length.tolist()
+    rmul = b.rmul.tolist()
+    # below[p]: u <= p^-1, i.e. the letters of u strip off p as right descents
+    below = np.ones(len(b), dtype=bool)
+    cur = np.arange(len(b))
+    for t in uw:
+        nxt = b.rmul[cur, d.gen_index(t)]
+        below &= (nxt >= 0) & (nxt < cur)
+        cur = np.where(below, nxt, 0)
+    below = below.tolist()
+    powers = [q ** l for l in range(cutoff + 1)]
+    # prefixes[v]: the ids p <= v; the right descents of v are its
+    # neighbours v*s of smaller id, and every shorter prefix lies below one
+    prefixes: list[frozenset[int]] = []
     diag = []
     c_fit = Fraction(0)
     for v in range(len(b)):
-        entry = Fraction(0)
+        pre = frozenset({v}).union(*(prefixes[w] for w in rmul[v] if 0 <= w < v))
+        prefixes.append(pre)
         counts: dict[int, int] = {}
-        for p in enumeration.prefixes(d, b.words[v], _memo=memo):
-            l = len(p)
+        hits: dict[int, int] = {}
+        for p in pre:
+            l = length[p]
             counts[l] = counts.get(l, 0) + 1
+            if len(uw) <= l <= cutoff and below[p]:
+                hits[l] = hits.get(l, 0) + 1
         for l, cnt in counts.items():
             c_fit = max(c_fit, Fraction(cnt, max(l, 1) ** exponent))
-            if l < len(uw) or l > cutoff:
-                continue
-            hit = 0
-            for p in enumeration.prefixes(d, b.words[v], _memo=memo):
-                if len(p) == l and d.starts_with(uw, d.inverse(p)):
-                    hit += 1
-            if hit:
-                entry += q ** l * hit
-        diag.append(entry)
+        diag.append(sum((powers[l] * hit for l, hit in hits.items()), Fraction(0)))
     # rigorous geometric majorant of the tail sum
     tail = Fraction(0)
     l = cutoff + 1
@@ -412,14 +467,11 @@ def verify_remark22(params: MultiParameter, s: str, w: Sequence[str], b: Ball):
 
 def verify_cliq_identity(params: MultiParameter, w: Sequence[str], b: Ball):
     """Residual of the clique decomposition of T_w on the exactness domain."""
-    from .hecke import cliq_decomposition
-
     d = params.diagram
     wnf = d.normal_form(w)
     if b.radius < len(wnf) + 2:
         raise ValueError("ball too small")
     lhs = rep_hecke(HeckeElement.basis(params, wnf), b)
-    one = MultiParameter.one(d)
     rhs = TruncatedOperator.zero(b, exact=params.exact)
     for wp, gamma, wpp, coeff in cliq_decomposition(params, wnf):
         term = rep_group_word(d, wp, b) @ proj_clique(d, gamma, b) @ rep_group_word(d, wpp, b)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rahecke import enumeration
 from rahecke.coxeter import CoxeterDiagram
 from rahecke.enumeration import (Ball, BallCapExceeded, NormalFormAutomaton,
                                  ball, connected_diagram_corpus, kappa,
@@ -76,6 +77,30 @@ def test_ball_cap():
     assert len(Ball(d, 4, cap=len(b))) == len(b)
     with pytest.raises(BallCapExceeded):
         Ball(d, 4, cap=len(b) - 1)
+
+
+def test_ball_cache_evicts_least_recently_used(monkeypatch):
+    d = CoxeterDiagram(["a", "b", "c"])  # |B_2|, |B_3|, |B_4| = 10, 22, 46
+    built = []
+
+    class Counted(Ball):
+        def __init__(self, diagram, radius, cap=enumeration.DEFAULT_ELEMENT_CAP):
+            built.append(radius)
+            super().__init__(diagram, radius, cap)
+
+    monkeypatch.setattr(enumeration, "_BALL_CACHE", {})
+    monkeypatch.setattr(enumeration, "Ball", Counted)
+    monkeypatch.setattr(enumeration, "DEFAULT_ELEMENT_CAP", 10 + 22 + 46 - 1)
+    b2, b3 = ball(d, 2), ball(d, 3)
+    assert ball(d, 2) is b2 and built == [2, 3]  # a hit rebuilds nothing
+    ball(d, 4)  # over the bound: b3 is now the least recently used
+    assert [key[1] for key in enumeration._BALL_CACHE] == [2, 4]
+    again = ball(d, 3)
+    assert again is not b3 and built == [2, 3, 4, 3]
+    for name in ("parent", "plast", "length", "rmul", "lmul", "ldesc"):
+        assert np.array_equal(getattr(again, name), getattr(b3, name))
+    assert again.sphere_start == b3.sphere_start
+    assert [key[1] for key in enumeration._BALL_CACHE] == [4, 3]  # b2 went next
 
 
 def test_ball_builds_no_words():

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rahecke.coxeter import CoxeterDiagram
-from rahecke.enumeration import ball
+from rahecke.enumeration import Ball, ball
 from rahecke.hecke import HeckeElement, MultiParameter
 from rahecke import l2rep
 from test_enumeration import diagrams
@@ -69,6 +69,54 @@ def test_rep_homomorphism(params, b6):
         lhs = l2rep.rep_hecke(x, b6) @ l2rep.rep_hecke(y, b6)
         rhs = l2rep.rep_hecke(x * y, b6)
         assert lhs.max_abs_difference(rhs) == 0
+
+
+SQUARES = [Fraction(1), Fraction(1, 4), Fraction(4), Fraction(9, 4), Fraction(1, 9)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(diagrams(max_rank=4), st.data())
+def test_id_columns_match_word_products(d, data):
+    """Every column of ``rep_hecke`` is a * T_v cut to the ball, and every
+    column of ``rep_group_word`` is delta_{wv}, near the ball's edge too,
+    where a term may leave the ball and come back."""
+    n = data.draw(st.integers(1, 4))
+    q = {s: data.draw(st.sampled_from(SQUARES)) for s in d.generators}
+    params = MultiParameter.exact_squares(d, q)
+    b, small = ball(d, n), ball(d, 3)
+    a = HeckeElement.zero(params)
+    for _ in range(data.draw(st.integers(1, 3))):
+        w = small.words[data.draw(st.integers(0, len(small) - 1))]
+        c = Fraction(data.draw(st.integers(-3, 3)), data.draw(st.integers(1, 3)))
+        a = a + c * HeckeElement.basis(params, w)
+    word = data.draw(st.lists(st.sampled_from(d.generators), max_size=5))
+    hecke_cols = l2rep.rep_hecke(a, b).cols
+    group_cols = l2rep.rep_group_word(d, word, b).cols
+    for v in range(len(b)):
+        image = a * HeckeElement.basis(params, b.words[v])
+        assert hecke_cols[v] == {b.index[u]: c for u, c in image.coeffs.items()
+                                 if len(u) <= n}
+        target = d.multiply(word, b.words[v])
+        assert group_cols[v] == ({b.index[target]: 1} if len(target) <= n else {})
+
+
+def test_term_leaving_the_ball_comes_back():
+    # ab lies outside B_1, but T_ab delta_a = delta_b + p_a delta_ab
+    d = CoxeterDiagram(["a", "b"], [["a", "b"]])
+    params = MultiParameter.exact_squares(d, {"a": Fraction(1, 4), "b": Fraction(4)})
+    b1 = ball(d, 1)
+    ia, ib = b1.index[("a",)], b1.index[("b",)]
+    assert l2rep.rep_hecke(HeckeElement.basis(params, "ab"), b1).cols[ia] == {ib: 1}
+    assert l2rep.rep_group_word(d, "ab", b1).cols[ia] == {ib: 1}
+
+
+def test_exact_paths_build_no_words(params, diagram_a):
+    b = Ball(diagram_a, 6)
+    l2rep.verify_cliq_identity(params, "acb", b)
+    l2rep.verify_remark22(params, "a", "c", b)
+    l2rep.verify_corollary_split(params, ("a", "c", "b", "c"), 1, b)
+    l2rep.q_operator(diagram_a, "a", Fraction(1, 2), b, 5)
+    assert "words" not in b.__dict__ and "index" not in b.__dict__
 
 
 def test_proj_examples(diagram_a, b6):
