@@ -5,13 +5,16 @@ Truncation discipline: a TruncatedOperator stores the *true* compression
 P_n X P_n of the operator it represents (columns are computed by acting on
 basis vectors without intermediate truncation, then projecting).  The exact
 columns (``rep_hecke``, ``rep_group_word``) are computed on the ball's ids
-and its one-letter tables: a letter that would carry a term out of the ball
-waits as a pending prefix in front of it, so a term that leaves the ball and
-comes back is kept, and only what ends outside the ball is dropped.  Every
-operator carries its ``reach`` -- the largest word length by which it can move
-a basis vector -- and identity checks only compare columns delta_v with
-|v| + total reach <= n, where the compression agrees with the untruncated
-operator.  All norms computed from compressions are certified lower bounds of
+and its one-letter tables by one walker of sparse vectors: a letter that
+would carry a term out of the ball waits as a pending prefix in front of it,
+so a term that leaves the ball and comes back is kept, and only what ends
+outside the ball is dropped.  Every operator carries its ``reach`` -- the
+largest word length by which it can move a basis vector -- and identity
+checks only compare columns delta_v with |v| + total reach <= n, where the
+compression agrees with the untruncated operator.  The remark, clique and
+closed-path suites compute only those columns, each side as walker
+applications and prefix masks on delta_v; none builds a full compression.
+All norms computed from compressions are certified lower bounds of
 the operator norms; spectra of compressions of self-adjoint operators with
 spectrum in [c, C] stay in [c, C].
 
@@ -31,7 +34,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .coxeter import CoxeterDiagram, Word
+from .coxeter import CoxeterDiagram
 from .enumeration import Ball, ball
 from .hecke import HeckeElement, MultiParameter, cliq_decomposition
 
@@ -129,24 +132,54 @@ class TruncatedOperator:
         if max_col_length is None:
             max_col_length = min(self.exactness_radius, other.exactness_radius)
         worst = Fraction(0) if (self.exact and other.exact) else 0.0
-        for v in range(len(self.ball)):
-            if self.ball.length[v] > max_col_length:
-                continue
-            rows = set(self.cols[v]) | set(other.cols[v])
-            for r in rows:
-                diff = self.cols[v].get(r, 0) - other.cols[v].get(r, 0)
-                if diff < 0:
-                    diff = -diff
-                if diff > worst:
-                    worst = diff
+        for v in _domain(self.ball, max_col_length):
+            worst = _worst(worst, self.cols[v], other.cols[v])
         return worst
 
 
-def _compressed_columns(b: Ball, p: Sequence, terms: Sequence[tuple[Sequence[int], object]]
-                        ) -> list[dict[int, object]]:
-    """Columns of the compression of sum c T_w over ``terms`` (generator
-    index words w, coefficients c) to the ball, where T_s acts by the
-    one-letter rule T_s delta_u = delta_{su} + p[s] [s <= u] delta_u.
+def _domain(b: Ball, radius: int) -> range:
+    """Ids of the ball elements of length <= ``radius`` (ids go by length)."""
+    return range(b.sphere_start[min(max(radius + 1, 0), b.radius + 1)])
+
+
+def _worst(worst, lhs: Mapping[int, object], rhs: Mapping[int, object]):
+    """``worst`` raised to the largest |entry difference| of two sparse
+    columns."""
+    for r in set(lhs) | set(rhs):
+        diff = lhs.get(r, 0) - rhs.get(r, 0)
+        if diff < 0:
+            diff = -diff
+        if diff > worst:
+            worst = diff
+    return worst
+
+
+def _add(acc: dict[int, object], r: int, x) -> None:
+    old = acc.get(r)
+    acc[r] = x if old is None else old + x
+
+
+#: An operator sum c T_w for the walker: ``(p, terms)`` with p_s per
+#: generator index and ``terms`` of (generator index word w, coefficient c).
+Op = tuple[Sequence, Sequence[tuple[tuple[int, ...], object]]]
+
+
+def _hecke_op(a: HeckeElement) -> Op:
+    d = a.diagram
+    return ([a.params.p(s) for s in d.generators],
+            [(tuple(map(d.gen_index, w)), c) for w, c in a.coeffs.items()])
+
+
+def _group_op(d: CoxeterDiagram, word: Sequence[str]) -> Op:
+    """T_w at q == 1 (p == 0), a permutation of the basis; the word need not
+    be reduced, since s -> T_s at q == 1 is a group action."""
+    return [0] * d.rank, [(tuple(map(d.gen_index, word)), Fraction(1))]
+
+
+class _Walker:
+    """Operators sum c T_w on sparse vectors ``{id: coeff}`` over a ball,
+    where T_s acts by the one-letter rule
+    T_s delta_u = delta_{su} + p_s [s <= u] delta_u, compressed to the ball.
 
     A term is a key ``(pending, base)``: a ball id ``base`` and a tuple of
     generator indices ``pending`` whose product with ``base`` is
@@ -158,14 +191,18 @@ def _compressed_columns(b: Ball, p: Sequence, terms: Sequence[tuple[Sequence[int
     its base through ``lmul``; every such step lengthens the element, so a -1
     means the element lies outside the ball and the term is dropped.
     """
-    d = b.diagram
-    gens = d.generators
-    lmul = b.lmul.tolist()
-    ldesc = b.ldesc.tolist()
-    blockers = [frozenset(j for j, t in enumerate(gens) if not d.commutes(s, t))
-                for s in gens]
-    cols: list[dict[int, object]] = []
-    for v in range(len(b)):
+
+    def __init__(self, b: Ball):
+        d = b.diagram
+        self.lmul = b.lmul.tolist()
+        self.ldesc = b.ldesc.tolist()
+        self.blockers = [frozenset(j for j, t in enumerate(d.generators)
+                                   if not d.commutes(s, t)) for s in d.generators]
+
+    def column(self, op: Op, v: int) -> dict[int, object]:
+        """The compression of ``op`` applied to delta_v."""
+        p, terms = op
+        lmul, ldesc, blockers = self.lmul, self.ldesc, self.blockers
         acc: dict[int, object] = {}
         for letters, c in terms:
             state: dict[tuple[tuple[int, ...], int], object] = {((), v): c}
@@ -197,10 +234,18 @@ def _compressed_columns(b: Ball, p: Sequence, terms: Sequence[tuple[Sequence[int
                     if base < 0:
                         break
                 else:
-                    old = acc.get(base)
-                    acc[base] = cc if old is None else old + cc
-        cols.append({u: cc for u, cc in acc.items() if cc})
-    return cols
+                    _add(acc, base, cc)
+        return {u: cc for u, cc in acc.items() if cc}
+
+    def apply(self, op: Op, vec: Mapping[int, object]) -> dict[int, object]:
+        """The compression of ``op`` applied to ``vec``: the columns of its
+        ids, weighted and summed in the order of ``TruncatedOperator``'s
+        product."""
+        acc: dict[int, object] = {}
+        for u, x in vec.items():
+            for r, a in self.column(op, u).items():
+                _add(acc, r, a * x)
+        return {r: y for r, y in acc.items() if y}
 
 
 def rep_hecke(a: HeckeElement, b: Ball) -> TruncatedOperator:
@@ -210,20 +255,17 @@ def rep_hecke(a: HeckeElement, b: Ball) -> TruncatedOperator:
     rule on ball ids, with letters that would leave the ball kept pending
     rather than truncated, and only then projected back to the ball.
     """
-    params = a.params
-    d = a.diagram
-    p = [params.p(s) for s in d.generators]
-    terms = [(tuple(map(d.gen_index, w)), c) for w, c in a.coeffs.items()]
-    return TruncatedOperator(b, _compressed_columns(b, p, terms),
-                             a.support_radius(), params.exact)
+    walk, op = _Walker(b), _hecke_op(a)
+    return TruncatedOperator(b, [walk.column(op, v) for v in range(len(b))],
+                             a.support_radius(), a.params.exact)
 
 
 def rep_group_word(d: CoxeterDiagram, word: Sequence[str], b: Ball) -> TruncatedOperator:
     """Compression of the undeformed operator T_w at q == 1 (a permutation),
     by the same exact walk on ball ids as ``rep_hecke`` with p == 0."""
     w = d.normal_form(word)
-    terms = [(tuple(map(d.gen_index, w)), Fraction(1))]
-    return TruncatedOperator(b, _compressed_columns(b, [0] * d.rank, terms), len(w), True)
+    walk, op = _Walker(b), _group_op(d, w)
+    return TruncatedOperator(b, [walk.column(op, v) for v in range(len(b))], len(w), True)
 
 
 def proj_p(d: CoxeterDiagram, word: Sequence[str], b: Ball) -> TruncatedOperator:
@@ -233,14 +275,6 @@ def proj_p(d: CoxeterDiagram, word: Sequence[str], b: Ball) -> TruncatedOperator
     mask = b.prefix_mask(w)
     cols = [({v: one} if mask[v] else {}) for v in range(len(b))]
     return TruncatedOperator(b, cols, 0, True)
-
-
-def proj_clique(d: CoxeterDiagram, gamma: Sequence[str], b: Ball) -> TruncatedOperator:
-    """P_Gamma = product of P_s over a commuting set (equals P of the product)."""
-    word: Word = ()
-    for s in gamma:
-        word = d.multiply(word, (s,))
-    return proj_p(d, word, b)
 
 
 def conjugate_action(d: CoxeterDiagram, word: Sequence[str],
@@ -399,19 +433,34 @@ def positivity_window(params: MultiParameter, word: Sequence[str], n: int,
 
 
 # -- identity suites ---------------------------------------------------------
+#
+# Each suite compares only columns delta_v with |v| <= n - reach, where every
+# intermediate vector stays in the ball, so the compression of a product
+# equals the product of the compressions.  The suites below the action case
+# evaluate both sides on those columns alone: each term is a chain of walker
+# applications and diagonal prefix masks, and no full compression is built.
+
+
+def _sandwich(walk: _Walker, left: Op, mask: np.ndarray, right: Op, v: int
+              ) -> dict[int, object]:
+    """left P right delta_v, for P the diagonal projection given by ``mask``."""
+    return walk.apply(left, {u: x for u, x in walk.column(right, v).items() if mask[u]})
 
 
 def verify_action_case(d: CoxeterDiagram, s: str, w: Sequence[str], b: Ball):
     """Residual of the matching case of the conjugation rule for s.P_w.
 
-    Returns (case, residual) with residual exact 0 expected; comparisons are
-    restricted to columns where neither side is affected by truncation.
+    Returns (case, residual) with residual exact 0 expected, compared on the
+    columns |v| <= n - 2, where the compression of T_s P_w T_s (reach 2) is
+    exact.  Built from full compressions, as a cross-check of
+    ``verify_action_case_fast``.
     """
+    if b.radius < 2:
+        raise ValueError("ball too small")
     wnf = d.normal_form(w)
     pw = proj_p(d, wnf, b)
     lhs = conjugate_action(d, (s,), pw)
     sw = d.multiply((s,), wnf)
-    domain = b.radius - 2 - len(sw)
     if d.centralizes(s, wnf):
         if d.starts_with((s,), wnf):
             case = 2
@@ -422,7 +471,7 @@ def verify_action_case(d: CoxeterDiagram, s: str, w: Sequence[str], b: Ball):
     else:
         case = 1
         rhs = proj_p(d, sw, b)
-    return case, lhs.max_abs_difference(rhs, max_col_length=domain)
+    return case, lhs.max_abs_difference(rhs, max_col_length=b.radius - 2)
 
 
 def verify_action_case_fast(d: CoxeterDiagram, s: str, w: Sequence[str], b: Ball) -> tuple[int, int]:
@@ -450,68 +499,81 @@ def verify_action_case_fast(d: CoxeterDiagram, s: str, w: Sequence[str], b: Ball
 
 def verify_remark22(params: MultiParameter, s: str, w: Sequence[str], b: Ball):
     """Residuals of T_s(1-P_s)T_s = P_s and T_s P_w T_s = P_{sw}
-    (the latter for w outside the centralizer of s with s not below w)."""
+    (the latter for w outside the centralizer of s with s not below w), both
+    on the columns |v| <= n - 2."""
     d = params.diagram
-    ts = rep_hecke(HeckeElement.basis(params, (s,)), b)
-    ps = proj_p(d, (s,), b)
-    ident = TruncatedOperator.identity(b, exact=params.exact)
-    first = (ts @ (ident - ps) @ ts).max_abs_difference(ps, max_col_length=b.radius - 2)
+    if b.radius < 2:
+        raise ValueError("ball too small")
     wnf = d.normal_form(w)
     if d.centralizes(s, wnf) or d.starts_with((s,), wnf):
         raise ValueError("second identity needs w outside C(s) with s not below w")
-    sw = d.multiply((s,), wnf)
-    second = (ts @ proj_p(d, wnf, b) @ ts).max_abs_difference(
-        proj_p(d, sw, b), max_col_length=b.radius - 2 - len(sw))
+    walk, ts = _Walker(b), _hecke_op(HeckeElement.basis(params, (s,)))
+    ps, pw, psw = (b.prefix_mask(u) for u in ((s,), wnf, d.multiply((s,), wnf)))
+    one = Fraction(1)
+    first = second = Fraction(0) if params.exact else 0.0
+    for v in _domain(b, b.radius - 2):
+        first = _worst(first, _sandwich(walk, ts, ~ps, ts, v), {v: one} if ps[v] else {})
+        second = _worst(second, _sandwich(walk, ts, pw, ts, v), {v: one} if psw[v] else {})
     return first, second
 
 
 def verify_cliq_identity(params: MultiParameter, w: Sequence[str], b: Ball):
-    """Residual of the clique decomposition of T_w on the exactness domain."""
+    """Residual of the clique decomposition of T_w on the columns
+    |v| <= n - |w|."""
     d = params.diagram
     wnf = d.normal_form(w)
     if b.radius < len(wnf) + 2:
         raise ValueError("ball too small")
-    lhs = rep_hecke(HeckeElement.basis(params, wnf), b)
-    rhs = TruncatedOperator.zero(b, exact=params.exact)
-    for wp, gamma, wpp, coeff in cliq_decomposition(params, wnf):
-        term = rep_group_word(d, wp, b) @ proj_clique(d, gamma, b) @ rep_group_word(d, wpp, b)
-        rhs = rhs + term.scaled(coeff)
-    return lhs.max_abs_difference(rhs, max_col_length=b.radius - len(wnf))
+    walk, lhs = _Walker(b), _hecke_op(HeckeElement.basis(params, wnf))
+    decomposition = cliq_decomposition(params, wnf)
+    masks = {gamma: b.prefix_mask(d.normal_form(gamma))
+             for gamma in {gamma for _, gamma, _, _ in decomposition}}
+    terms = [(_group_op(d, wp), masks[gamma], _group_op(d, wpp), coeff)
+             for wp, gamma, wpp, coeff in decomposition]
+    worst = Fraction(0) if params.exact else 0.0
+    for v in _domain(b, b.radius - len(wnf)):
+        rhs: dict[int, object] = {}
+        for left, mask, right, coeff in terms:
+            for r, x in _sandwich(walk, left, mask, right, v).items():
+                _add(rhs, r, coeff * x)
+        worst = _worst(worst, walk.column(lhs, v), rhs)
+    return worst
 
 
 def verify_corollary_split(params: MultiParameter, g: Sequence[str], power: int,
                            b: Ball):
-    """Residual of T_{g^l} = T_{g^l}^(1) + P_{s_1} x with the telescoped x.
+    """Residual of T_{g^l} = T_{g^l}^(1) + P_{s_1} x with the telescoped x,
+    on the columns |v| <= n - |g^l| - 1.
 
     Returns (residual, number of terms of x).  The telescoping takes
     x = sum_i p_{t_i} P_{t_1..t_i} T^(1) over the word with t_i removed.
     """
     d = params.diagram
-    gw = tuple(g)
-    letters = gw * power
+    letters = tuple(g) * power
     word = d.normal_form(letters)
     if len(word) != len(letters):
         raise ValueError("g^l is not reduced; not a diagram path")
     if b.radius < len(letters) + 2:
         raise ValueError("ball too small")
-    lhs = rep_hecke(HeckeElement.basis(params, word), b)
-    rhs = rep_group_word(d, word, b)
-    terms = 0
-    x_total = TruncatedOperator.zero(b, exact=params.exact)
-    for i in range(len(letters)):
-        t = letters[i]
-        p = params.p(t)
-        if p == 0:
-            continue
-        prefix = letters[: i + 1]
-        rest = letters[:i] + letters[i + 1:]
-        term = proj_p(d, d.normal_form(prefix), b) @ rep_group_word(d, rest, b)
-        x_total = x_total + term.scaled(p)
-        terms += 1
-    ps1 = proj_p(d, (letters[0],), b)
-    rhs = rhs + (ps1 @ x_total)
-    residual = lhs.max_abs_difference(rhs, max_col_length=b.radius - len(letters) - 1)
-    return residual, terms
+    walk = _Walker(b)
+    lhs, group = _hecke_op(HeckeElement.basis(params, word)), _group_op(d, word)
+    x_terms = [(params.p(t), b.prefix_mask(d.normal_form(letters[:i + 1])),
+                _group_op(d, letters[:i] + letters[i + 1:]))
+               for i, t in enumerate(letters) if params.p(t) != 0]
+    ps1 = b.prefix_mask((letters[0],))
+    worst = Fraction(0) if params.exact else 0.0
+    for v in _domain(b, b.radius - len(letters) - 1):
+        x: dict[int, object] = {}
+        for p, mask, rest in x_terms:
+            for u, c in walk.column(rest, v).items():
+                if mask[u]:
+                    _add(x, u, p * c)
+        rhs = walk.column(group, v)
+        for u, c in x.items():
+            if ps1[u]:
+                _add(rhs, u, c)
+        worst = _worst(worst, walk.column(lhs, v), rhs)
+    return worst, len(x_terms)
 
 
 # -- fast engine for large balls ---------------------------------------------

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from rahecke.coxeter import CoxeterDiagram
 from rahecke.enumeration import Ball, ball
-from rahecke.hecke import HeckeElement, MultiParameter
+from rahecke.hecke import HeckeElement, MultiParameter, cliq_decomposition
 from rahecke import l2rep
 from test_enumeration import diagrams
 
@@ -163,6 +164,137 @@ def test_cliq_identity(params, diagram_a):
         diagram_a, {"a": Fraction(1, 4), "b": Fraction(4), "c": Fraction(9)})
     for w in ("ab", "acb"):
         assert l2rep.verify_cliq_identity(mixed, w, b8) == 0
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_empty_domain_is_refused(params, diagram_a, n):
+    # T_s X T_s is exact on |v| <= n - 2, which holds no column here
+    b = ball(diagram_a, n)
+    with pytest.raises(ValueError, match="ball too small"):
+        l2rep.verify_remark22(params, "a", "cb", b)
+    with pytest.raises(ValueError, match="ball too small"):
+        l2rep.verify_action_case(diagram_a, "a", "cb", b)
+
+
+# The identity suites as the products of full compressions they replace,
+# compared on the same columns (Remark 2.2's second identity on |v| <= n - 2).
+
+
+def _full_remark22(params, s, w, b):
+    d = params.diagram
+    ts = l2rep.rep_hecke(HeckeElement.basis(params, (s,)), b)
+    ps = l2rep.proj_p(d, (s,), b)
+    ident = l2rep.TruncatedOperator.identity(b, exact=params.exact)
+    sw = d.multiply((s,), d.normal_form(w))
+    return ((ts @ (ident - ps) @ ts).max_abs_difference(ps, b.radius - 2),
+            (ts @ l2rep.proj_p(d, w, b) @ ts).max_abs_difference(
+                l2rep.proj_p(d, sw, b), b.radius - 2))
+
+
+def _full_cliq(params, w, b):
+    d = params.diagram
+    wnf = d.normal_form(w)
+    lhs = l2rep.rep_hecke(HeckeElement.basis(params, wnf), b)
+    rhs = l2rep.TruncatedOperator.zero(b, exact=params.exact)
+    for wp, gamma, wpp, coeff in l2rep.cliq_decomposition(params, wnf):
+        term = (l2rep.rep_group_word(d, wp, b) @ l2rep.proj_p(d, d.normal_form(gamma), b)
+                @ l2rep.rep_group_word(d, wpp, b))
+        rhs = rhs + term.scaled(coeff)
+    return lhs.max_abs_difference(rhs, b.radius - len(wnf))
+
+
+def _full_corollary(params, g, power, b):
+    d = params.diagram
+    letters = tuple(g) * power
+    lhs = l2rep.rep_hecke(HeckeElement.basis(params, letters), b)
+    x = l2rep.TruncatedOperator.zero(b, exact=params.exact)
+    for i, t in enumerate(letters):
+        if params.p(t) != 0:
+            term = (l2rep.proj_p(d, letters[:i + 1], b)
+                    @ l2rep.rep_group_word(d, letters[:i] + letters[i + 1:], b))
+            x = x + term.scaled(params.p(t))
+    rhs = l2rep.rep_group_word(d, letters, b) + l2rep.proj_p(d, letters[:1], b) @ x
+    return lhs.max_abs_difference(rhs, b.radius - len(letters) - 1)
+
+
+def _scale_one_term(params, w):
+    """cliq_decomposition with one coefficient doubled: a wrong identity."""
+    terms = cliq_decomposition(params, w)
+    wp, gamma, wpp, coeff = terms[-1]
+    return terms[:-1] + [(wp, gamma, wpp, 2 * coeff)]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(diagrams(max_rank=4), st.data())
+def test_suites_match_full_compressions(d, data):
+    """Each suite's residual equals the one of its full-matrix formula, in
+    exact and float mode, and under a broken clique decomposition."""
+    n = data.draw(st.integers(2, 4))
+    if data.draw(st.booleans()):
+        params = MultiParameter.exact_squares(
+            d, {s: data.draw(st.sampled_from(SQUARES)) for s in d.generators})
+    else:
+        params = MultiParameter.floating(
+            d, {s: data.draw(st.floats(0.1, 5.0)) for s in d.generators})
+    b, small = ball(d, n), ball(d, 3)
+    w = small.words[data.draw(st.integers(0, len(small) - 1))]
+    s = data.draw(st.sampled_from(d.generators))
+    if len(w) + 2 <= n:
+        decomposition = _scale_one_term if data.draw(st.booleans()) else cliq_decomposition
+        with mock.patch.object(l2rep, "cliq_decomposition", decomposition):
+            assert l2rep.verify_cliq_identity(params, w, b) == _full_cliq(params, w, b)
+    if not (d.centralizes(s, w) or d.starts_with((s,), w)):
+        assert l2rep.verify_remark22(params, s, w, b) == _full_remark22(params, s, w, b)
+    if w and len(w) + 2 <= n:
+        assert l2rep.verify_corollary_split(params, w, 1, b) == \
+            (_full_corollary(params, w, 1, b), sum(params.p(t) != 0 for t in w))
+
+
+@pytest.mark.parametrize("power,n", [(1, 6), (2, 10)])
+def test_corollary_matches_full_compressions(diagram_a, power, n):
+    g = ("a", "c", "b", "c")
+    q = {"a": Fraction(1, 4), "b": Fraction(1, 9), "c": Fraction(4)}
+    for params in (MultiParameter.exact_squares(diagram_a, q),
+                   MultiParameter.floating(diagram_a, {s: float(v) for s, v in q.items()})):
+        res, terms = l2rep.verify_corollary_split(params, g, power, ball(diagram_a, n))
+        assert terms == 4 * power
+        assert res == _full_corollary(params, g, power, ball(diagram_a, n))
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_broken_decomposition_residual(diagram_a, exact, monkeypatch):
+    q = {"a": Fraction(1, 4), "b": Fraction(4), "c": Fraction(9)}
+    params = (MultiParameter.exact_squares(diagram_a, q) if exact
+              else MultiParameter.floating(diagram_a, {s: float(v) for s, v in q.items()}))
+    monkeypatch.setattr(l2rep, "cliq_decomposition", _scale_one_term)
+    b = ball(diagram_a, 6)
+    for w in ("ab", "acb"):
+        res = l2rep.verify_cliq_identity(params, w, b)
+        assert res != 0 and res == _full_cliq(params, w, b)
+
+
+def test_cliq_walks_only_domain_columns(monkeypatch):
+    """On the radius-9 pentagon ball (20,901 elements) with |w| = 7 the
+    residual is taken on |v| <= 2: T_w is walked on exactly those columns,
+    and each term of the decomposition adds at most two walks per column."""
+    d = CoxeterDiagram(list("abcde"), [["a", "b"], ["b", "c"], ["c", "d"],
+                                       ["d", "e"], ["e", "a"]])
+    params = MultiParameter.exact_squares(d, {s: Fraction(1, 4) for s in d.generators})
+    b = ball(d, 9)
+    w = b.words[b.sphere_start[7]]
+    walked = []
+    column = l2rep._Walker.column
+
+    def counting(self, op, v):
+        walked.append((op, v))
+        return column(self, op, v)
+
+    monkeypatch.setattr(l2rep._Walker, "column", counting)
+    assert l2rep.verify_cliq_identity(params, w, b) == 0
+    domain = range(b.sphere_start[3])
+    lhs = l2rep._hecke_op(HeckeElement.basis(params, w))
+    assert sorted(v for op, v in walked if op == lhs) == list(domain)
+    assert len(walked) <= len(domain) * (1 + 2 * len(cliq_decomposition(params, w)))
 
 
 def test_corollary_split(params, diagram_a):
