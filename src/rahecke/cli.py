@@ -13,11 +13,11 @@ import json
 import sys
 from fractions import Fraction
 
-from . import acceptance, growth, l2rep
+from . import acceptance, growth, l2rep, radial
 from .coxeter import CoxeterDiagram, DiagramError, parse_diagram
 from .enumeration import ball
-from .hecke import (HeckeElement, MultiParameter, central_projection_partial,
-                    char_value, parse_element_literal)
+from .hecke import (MultiParameter, central_projection_partial, char_value,
+                    parse_element_literal)
 
 
 def _encode(obj):
@@ -213,10 +213,9 @@ def cmd_eproj(args) -> dict:
     doc = {"epsilon": _pattern_doc(d, eps), "cutoff": args.cutoff,
            "trace": e.trace(), "coefficients": coeffs}
     if args.residuals:
-        ta = HeckeElement.basis(params, (d.generators[0],))
-        lam = params.char_gen(d.generators[0], eps[0])
         doc["idempotent_residual_sq"] = (e * e - e).norm2_sq()
-        doc["eigen_residual_sq"] = (ta * e - lam * e).norm2_sq()
+        doc["eigen_residual_sq"] = radial.eigen_residuals_sq(
+            params, eps, d.generators[0], args.cutoff)[-1]
     return doc
 
 
@@ -227,7 +226,6 @@ def cmd_verify(args) -> dict:
     doc: dict = {"suite": args.suite, "radius": n}
     if args.suite == "action":
         b = ball(d, n)
-        rows = []
         bad = 0
         for v in range(len(b)):
             if b.length[v] > args.max_length:

@@ -259,11 +259,10 @@ def restricted_sphere_series(diagram: CoxeterDiagram, q: Mapping[str, Fraction],
     return out
 
 
-def prefixes(diagram: CoxeterDiagram, w: Sequence[str],
-             _memo: dict | None = None) -> frozenset[Word]:
+def prefixes(diagram: CoxeterDiagram, w: Sequence[str]) -> frozenset[Word]:
     """All v with v <= w in the weak right order."""
     word = diagram.normal_form(w)
-    memo = _memo if _memo is not None else {}
+    memo: dict[Word, frozenset[Word]] = {}
 
     def rec(u: Word) -> frozenset[Word]:
         got = memo.get(u)

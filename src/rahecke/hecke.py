@@ -269,9 +269,6 @@ class HeckeElement:
             acc = acc + (c * c.conjugate() if isinstance(c, complex) else c * c)
         return acc
 
-    def norm2(self) -> float:
-        return math.sqrt(float(self.norm2_sq()))
-
 
 def flip_parameters(a: HeckeElement, eps: Sequence[int]) -> HeckeElement:
     """Image of ``a`` under the isomorphism T_s -> eps_s T_s over (q_s**eps_s)."""

@@ -39,6 +39,7 @@ from .enumeration import Ball, ball
 from .hecke import HeckeElement, MultiParameter, cliq_decomposition
 
 DENSE_LIMIT = 4000
+HAAGERUP_BATCH = 8  # samples per batched power iteration in haagerup_ratio
 
 
 class TruncatedOperator:
@@ -476,7 +477,10 @@ def verify_action_case(d: CoxeterDiagram, s: str, w: Sequence[str], b: Ball):
 
 def verify_action_case_fast(d: CoxeterDiagram, s: str, w: Sequence[str], b: Ball) -> tuple[int, int]:
     """Same check as verify_action_case via index tables only (q == 1, so the
-    conjugated projection is diagonal: entry at v is [w <= s*v])."""
+    conjugated projection is diagonal: entry at v is [w <= s*v]), compared
+    on the columns |v| <= n - 1, where s*v stays in the ball."""
+    if b.radius < 1:
+        raise ValueError("ball too small")
     wnf = d.normal_form(w)
     si = d.gen_index(s)
     sw = d.multiply((s,), wnf)
@@ -493,7 +497,7 @@ def verify_action_case_fast(d: CoxeterDiagram, s: str, w: Sequence[str], b: Ball
             case, rhs = 3, pw
     else:
         case, rhs = 1, psw
-    bad = int(np.abs((lhs - rhs)[ok_domain]).max()) if ok_domain.any() else 0
+    bad = int(np.abs((lhs - rhs)[ok_domain]).max())
     return case, bad
 
 
@@ -687,8 +691,7 @@ def sphere_operator_norms(action: BallAction, l: int, coeff_matrix: np.ndarray,
 
 
 def haagerup_ratio(d: CoxeterDiagram, q: float, l: int, n: int,
-                   trials: int, seed: int = 0, iters: int = 8,
-                   batch: int = 8) -> dict:
+                   trials: int, seed: int = 0, iters: int = 8) -> dict:
     """Sampled ratios ||x|| / (l ||x||_2) for x supported on the l-sphere.
 
     Coefficients are seeded standard normals.  Each ||x|| is a power
@@ -707,8 +710,8 @@ def haagerup_ratio(d: CoxeterDiagram, q: float, l: int, n: int,
     rng = np.random.default_rng(seed)
     samples = rng.standard_normal((b.sphere_sizes()[l], trials))
     ratios: list[float] = []
-    for lo in range(0, trials, batch):
-        chunk = samples[:, lo:lo + batch]
+    for lo in range(0, trials, HAAGERUP_BATCH):
+        chunk = samples[:, lo:lo + HAAGERUP_BATCH]
         tops = sphere_operator_norms(action, l, chunk, iters=iters, seed=seed)
         l2s = np.linalg.norm(chunk, axis=0)
         ratios.extend((tops / (l * l2s)).tolist())

@@ -1,22 +1,29 @@
-"""Sphere-sum calculus for free-product diagrams (no commuting pairs).
+"""Exact sphere-sum formulas for the central projection partial sums.
 
-In a free product of k involutions every element has a unique reduced word,
-and the sphere sums h_l = sum_{|w|=l} T_w satisfy the three-term recursion
+The partial sum E^(i) = (1/W) sum_{|w| <= i} (sqrt q)_{w,eps} T_w has
+coefficients that multiply letterwise, so its traces, inner products and
+eigen residuals are weighted sphere sums, which the canonical-word
+automaton's transfer recursion gives exactly on any right-angled diagram:
 
-    h_1 h_l = h_{l+1} + p h_l + (k-1) h_{l-1}   (l >= 2, equal parameters q)
+* ``cross_pattern_inner``: <E^(i)_{eps1}, E^(i)_{eps2}> is the sphere-sum
+  series with per-letter weight (sqrt q)_{s,eps1} (sqrt q)_{s,eps2};
+* ``eigen_residuals_sq``: by the one-letter rule and
+  chi_s^2 - p_s chi_s - 1 = 0, T_s E^(i) - chi_s E^(i) lives on the edge
+  sphere |w| = i, at the w with s not below w, and its squared norm is
+  (1 + |q_eps|_s) / W^2 * (a_i - r_{s,i}), with a_i the weighted sphere sum
+  at |q_eps| and r_{s,i} its restriction to {w : s <= w}.
+
+In a free product of k involutions at one parameter q the sphere sums
+h_l = sum_{|w|=l} T_w also satisfy the three-term recursion
+
+    h_1 h_l = h_{l+1} + p h_l + (k-1) h_{l-1}   (l >= 2)
     h_1 h_1 = h_2 + p h_1 + k
     h_1 h_0 = h_1
 
-so radial elements (linear combinations of the h_l) form a commutative
-algebra in which products, traces and l2-norms are exact rational
-computations of size linear in the cutoff.  This scales the central
-projection partial sums to cutoffs far beyond what ball enumeration can
-reach; equality with the generic Hecke machinery is checked at small cutoffs
-by the tests.
-
-For per-letter multiplicative weights (possibly of mixed sign) the weighted
-sphere sums come from the canonical-word automaton's transfer recursion,
-which is what the cross-pattern inner products of two projection series use.
+so radial elements form a commutative algebra (``RadialModel``) in which
+products, and hence the idempotent residual ||E^(i)^2 - E^(i)||_2^2, are
+exact rational computations of size linear in the cutoff.  Equality with
+the generic Hecke machinery is checked at small cutoffs by the tests.
 """
 
 from __future__ import annotations
@@ -24,17 +31,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .coxeter import CoxeterDiagram
-from .enumeration import NormalFormAutomaton
+from . import growth
+from .enumeration import NormalFormAutomaton, restricted_sphere_series
 from .hecke import MultiParameter
-
-
-def is_free_product(diagram: CoxeterDiagram) -> bool:
-    gens = diagram.generators
-    return all(
-        not diagram.commutes(s, t)
-        for i, s in enumerate(gens) for t in gens[i + 1:]
-    )
 
 
 class RadialModel:
@@ -136,48 +135,16 @@ class RadialModel:
         diff = [a - b for a, b in zip(sq, e + [Fraction(0)] * (len(sq) - len(e)))]
         return self.norm2_sq(diff)
 
-    def eigen_residual_sq(self, eps: int, cutoff: int) -> Fraction:
-        """|| T_a E^(i) - chi(T_a) E^(i) ||_2^2 for the first generator a.
-
-        T_a h_l splits over the sphere parts that do and do not start with a;
-        with n_a(l) = (k-1)^(l-1) elements starting with a, the coefficient of
-        T_u in T_a E^(i) is beta_{l-1} + p beta_l on the starting part and
-        beta_{l+1} on the rest, where beta_l is the sphere coefficient of
-        E^(i).
-        """
-        beta = self.e_partial(eps, cutoff)
-
-        def b(l: int) -> Fraction:
-            return beta[l] if 0 <= l < len(beta) else Fraction(0)
-
-        chi = self.projection_coefficient(eps)
-        total = Fraction(0)
-        # l = 0 (the identity component): coefficient beta_1 from T_a h_1 -> k? no:
-        # T_a T_a = T_e + p T_a contributes to T_e with beta_1; T_a T_e -> T_a only.
-        total += (b(1) - chi * b(0)) ** 2
-        for l in range(1, cutoff + 2):
-            n_start = (self.k - 1) ** (l - 1)
-            n_rest = self.sphere_size(l) - n_start
-            c_start = b(l - 1) + self.p * b(l)
-            c_rest = b(l + 1)
-            total += n_start * (c_start - chi * b(l)) ** 2
-            total += n_rest * (c_rest - chi * b(l)) ** 2
-        return total
-
 
 def cross_pattern_inner(params: MultiParameter, eps1: Sequence[int],
                         eps2: Sequence[int], cutoff: int) -> Fraction:
-    """<E^(i)_{eps1}, E^(i)_{eps2}> for a free-product diagram, exactly.
+    """<E^(i)_{eps1}, E^(i)_{eps2}> at i = cutoff, exactly.
 
     The basis coefficients multiply letterwise, so the inner product is a
     weighted sphere-sum series with per-letter weight
     (sqrt q)_{s,eps1} * (sqrt q)_{s,eps2}, normalized by both W values.
     """
-    from . import growth
-
     d = params.diagram
-    if not is_free_product(d):
-        raise ValueError("radial calculus needs a free-product diagram")
     norm = Fraction(1)
     for eps in (eps1, eps2):
         norm *= growth.growth_value(d, params.abs_flip(eps))
@@ -186,3 +153,17 @@ def cross_pattern_inner(params: MultiParameter, eps1: Sequence[int],
         weights.append(params.char_gen(s, e1) * params.char_gen(s, e2))
     sums = NormalFormAutomaton(d).sphere_series(weights, cutoff)
     return sum(sums) / norm
+
+
+def eigen_residuals_sq(params: MultiParameter, eps: Sequence[int], s: str,
+                       cutoff: int) -> list[Fraction]:
+    """[||T_s E^(i) - chi_eps(T_s) E^(i)||_2^2 for i = 0..cutoff], exactly,
+    as (1 + |q_eps|_s) / W^2 * (a_i - r_{s,i}) from one pass of each series.
+    Refuses flips whose |q_eps| is not strictly inside the region."""
+    d = params.diagram
+    q = params.abs_flip(eps)
+    w_value = growth.growth_value(d, q)
+    a = NormalFormAutomaton(d).sphere_series([q[t] for t in d.generators], cutoff)
+    r = restricted_sphere_series(d, q, (s,), cutoff)
+    scale = (1 + q[s]) / (w_value * w_value)
+    return [scale * (ai - ri) for ai, ri in zip(a, r)]

@@ -146,6 +146,9 @@ def test_error_exits(capsys, diagram_a_file, tmp_path):
     assert main(["mul", "--diagram", diagram_a_file, "--q", "all=1/2",
                  "--left", "1*T(a)", "--right", "1*T(a)"]) == 1
     capsys.readouterr()
+    assert main(["verify", "--suite", "action", "--diagram", diagram_a_file,
+                 "--radius", "0"]) == 1
+    assert "ball too small" in capsys.readouterr().err
 
 
 def test_out_file(capsys, diagram_a_file, tmp_path):

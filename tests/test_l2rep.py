@@ -147,6 +147,9 @@ def test_action_cases(diagram_a, b6):
         assert case == expect_case and res == 0
         case, res = l2rep.verify_action_case_fast(diagram_a, s, w, b6)
         assert case == expect_case and res == 0
+    # at radius 0 no column has s*v inside the ball, so nothing is compared
+    with pytest.raises(ValueError, match="ball too small"):
+        l2rep.verify_action_case_fast(diagram_a, "a", "c", ball(diagram_a, 0))
 
 
 def test_remark22(params, b6):

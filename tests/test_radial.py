@@ -1,11 +1,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rahecke import growth
 from rahecke.coxeter import CoxeterDiagram
 from rahecke.enumeration import NormalFormAutomaton, ball
 from rahecke.hecke import HeckeElement, MultiParameter, central_projection_partial
-from rahecke.radial import RadialModel, cross_pattern_inner, is_free_product
+from rahecke.radial import RadialModel, cross_pattern_inner, eigen_residuals_sq
+from test_enumeration import diagrams
+from test_l2rep import SQUARES
 
 
 @pytest.fixture(scope="module")
@@ -16,11 +21,6 @@ def free3():
 @pytest.fixture(scope="module")
 def params(free3):
     return MultiParameter.exact_squares(free3, {s: Fraction(1, 4) for s in "abc"})
-
-
-def test_is_free_product(free3):
-    assert is_free_product(free3)
-    assert not is_free_product(CoxeterDiagram(["a", "b"], [["a", "b"]]))
 
 
 def test_sphere_sizes():
@@ -69,6 +69,7 @@ def test_norm_matches(params, free3):
 
 def test_e_partial_consistency(params):
     m = RadialModel(3, Fraction(1, 2))
+    eig = eigen_residuals_sq(params, (1, 1, 1), "a", 5)
     for i in (0, 2, 5):
         e_vec = m.e_partial(1, i)
         e_gen = central_projection_partial(params, (1, 1, 1), i)
@@ -76,15 +77,16 @@ def test_e_partial_consistency(params):
         sq = e_gen * e_gen - e_gen
         assert sq.norm2_sq() == m.idempotent_residual_sq(1, i)
         ta = HeckeElement.basis(params, "a")
-        assert (ta * e_gen - Fraction(1, 2) * e_gen).norm2_sq() == m.eigen_residual_sq(1, i)
+        assert (ta * e_gen - Fraction(1, 2) * e_gen).norm2_sq() == eig[i]
 
 
-def test_eigen_residual_closed_form():
+def test_eigen_residual_closed_form(params):
     m = RadialModel(3, Fraction(1, 2))
     w = m.growth_value(Fraction(1, 4))
+    eig = eigen_residuals_sq(params, (1, 1, 1), "a", 33)
     for i in (4, 17, 33):
         beta_i = m.e_partial(1, i)[i]
-        assert m.eigen_residual_sq(1, i) == beta_i ** 2 * 2 ** i * Fraction(5, 4)
+        assert eig[i] == beta_i ** 2 * 2 ** i * Fraction(5, 4)
     assert w == Fraction(5, 2)
 
 
@@ -123,8 +125,44 @@ def test_cross_pattern_inner(free3):
         cross_pattern_inner(params, (1, 1, 1), (-1, -1, -1), 5)
 
 
-def test_cross_pattern_needs_free_product():
+def test_cross_pattern_inner_diagram_a():
     d = CoxeterDiagram(["a", "b", "c"], [["a", "b"]])
-    params = MultiParameter.exact_squares(d, {s: Fraction(1, 4) for s in "abc"})
-    with pytest.raises(ValueError):
-        cross_pattern_inner(params, (1, 1, 1), (1, 1, -1), 4)
+    params = MultiParameter.exact_squares(
+        d, {"a": Fraction(1, 100), "b": Fraction(1, 100), "c": Fraction(4)})
+    for i in (0, 2, 4):
+        e1 = central_projection_partial(params, (1, 1, 1), i)
+        e2 = central_projection_partial(params, (1, 1, -1), i)
+        assert cross_pattern_inner(params, (1, 1, 1), (1, 1, -1), i) == e1.inner(e2)
+        assert cross_pattern_inner(params, (1, 1, -1), (1, 1, -1), i) == e2.inner(e2)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(diagrams(max_rank=4), st.data())
+def test_generic_formulas_match_hecke_products(d, data):
+    """On any diagram, the sphere-sum eigen residuals and cross inner
+    products equal the Hecke-product values for every interior flip, and a
+    Boundary or Exterior flip is refused."""
+    params = MultiParameter.exact_squares(
+        d, {s: data.draw(st.sampled_from(SQUARES)) for s in d.generators})
+    flips = data.draw(st.lists(st.sampled_from(growth.all_sign_patterns(d.rank)),
+                               min_size=1, max_size=3, unique=True))
+    cutoff = 3
+    partials = {}  # interior flip -> [E^(0), ..., E^(cutoff)]
+    for eps in flips:
+        if growth.region_membership(d, params.abs_flip(eps)) != "Interior":
+            with pytest.raises(ValueError):
+                eigen_residuals_sq(params, eps, d.generators[0], cutoff)
+            with pytest.raises(ValueError):
+                cross_pattern_inner(params, eps, eps, cutoff)
+            continue
+        es = [central_projection_partial(params, eps, i) for i in range(cutoff + 1)]
+        partials[eps] = es
+        for s in d.generators:
+            chi = params.char_gen(s, eps[d.gen_index(s)])
+            ts = HeckeElement.basis(params, (s,))
+            assert eigen_residuals_sq(params, eps, s, cutoff) == [
+                (ts * e - chi * e).norm2_sq() for e in es]
+    for eps1, es1 in partials.items():
+        for eps2, es2 in partials.items():
+            for i in range(cutoff + 1):
+                assert cross_pattern_inner(params, eps1, eps2, i) == es1[i].inner(es2[i])
