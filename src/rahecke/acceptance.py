@@ -225,17 +225,7 @@ def criterion_4_operator_identities() -> CriterionResult:
 
     # conjugation rule, all three cases, |w| <= 5, both diagrams
     for d, nball in ((da, 8), (pent, 7)):
-        b = ball(d, nball)
-        cases = {1: 0, 2: 0, 3: 0}
-        bad = 0
-        for v in range(len(b)):
-            if b.length[v] > 5:
-                break
-            for s in d.generators:
-                case, res = l2rep.verify_action_case_fast(d, s, b.words[v], b)
-                cases[case] += 1
-                if res != 0:
-                    bad += 1
+        cases, bad = l2rep.verify_action_sweep(d, ball(d, nball), 5)
         details[f"action cases rank{d.rank}"] = cases
         details[f"action residual violations rank{d.rank}"] = bad
         ok &= (bad == 0) and all(cases[c] > 0 for c in cases)
@@ -256,13 +246,7 @@ def criterion_4_operator_identities() -> CriterionResult:
     ok &= (r1 == 0 and r2 == 0 and r3 == 0 and r4 == 0)
 
     # clique decomposition for every |w| <= 6 on diagram A
-    b8 = ball(da, 8)
-    worst = Fraction(0)
-    for v in range(len(b8)):
-        if b8.length[v] > 6:
-            break
-        res = l2rep.verify_cliq_identity(params, b8.words[v], b8)
-        worst = max(worst, res)
+    _, worst = l2rep.verify_cliq_sweep(params, ball(da, 8))
     details["cliq worst residual"] = str(worst)
     ok &= (worst == 0)
 

@@ -50,10 +50,6 @@ def _load_diagram(path: str) -> CoxeterDiagram:
         return parse_diagram(fh.read())
 
 
-def _parse_rational(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def _parse_q(diagram: CoxeterDiagram, text: str) -> dict[str, Fraction]:
     """Parse 'a=1/4,b=1' or the broadcast form 'all=1/4'."""
     out: dict[str, Fraction] = {}
@@ -64,7 +60,7 @@ def _parse_q(diagram: CoxeterDiagram, text: str) -> dict[str, Fraction]:
             raise DiagramError(f"bad parameter assignment {item!r}")
         key, val = item.split("=", 1)
         key = key.strip()
-        value = _parse_rational(val.strip())
+        value = Fraction(val.strip())
         if key == "all":
             for s in diagram.generators:
                 out[s] = value
@@ -225,28 +221,12 @@ def cmd_verify(args) -> dict:
     n = args.radius
     doc: dict = {"suite": args.suite, "radius": n}
     if args.suite == "action":
-        b = ball(d, n)
-        bad = 0
-        for v in range(len(b)):
-            if b.length[v] > args.max_length:
-                break
-            for s in d.generators:
-                case, res = l2rep.verify_action_case_fast(d, s, b.words[v], b)
-                bad += (res != 0)
-        doc["pairs"] = sum(1 for v in range(len(b)) if b.length[v] <= args.max_length) * d.rank
+        cases, bad = l2rep.verify_action_sweep(d, ball(d, n), args.max_length)
+        doc["pairs"] = sum(cases.values())
         doc["violations"] = bad
     elif args.suite == "cliq":
         params = _params(d, qmap, "exact")
-        b = ball(d, n)
-        worst = Fraction(0)
-        count = 0
-        for v in range(len(b)):
-            if b.length[v] > n - 2:
-                break
-            worst = max(worst, l2rep.verify_cliq_identity(params, b.words[v], b))
-            count += 1
-        doc["words"] = count
-        doc["worst_residual"] = worst
+        doc["words"], doc["worst_residual"] = l2rep.verify_cliq_sweep(params, ball(d, n))
     elif args.suite == "corollary":
         params = _params(d, qmap, "exact")
         g = d.covering_closed_path()

@@ -148,24 +148,37 @@ class Ball:
     def sphere_sizes(self) -> list[int]:
         return [self.sphere_start[l + 1] - self.sphere_start[l] for l in range(self.radius + 1)]
 
+    def letters(self, v: int) -> list[int]:
+        """The generator indices of v's canonical word, read off the
+        generation tree."""
+        out = []
+        while v:
+            out.append(int(self.plast[v]))
+            v = int(self.parent[v])
+        return out[::-1]
+
     def prefix_mask(self, prefix: Word) -> np.ndarray:
-        """Boolean array over the ball: prefix <= v, stripping one letter of
-        the prefix at a time across all elements at once."""
+        """Boolean array over the ball: prefix <= v."""
+        return self.letter_mask([self.diagram.gen_index(t) for t in prefix])
+
+    def letter_mask(self, letters: Sequence[int]) -> np.ndarray:
+        """``prefix_mask`` of the word with these generator indices, stripping
+        one letter at a time across all elements at once."""
         alive = np.ones(len(self), dtype=bool)
         cur = np.arange(len(self), dtype=np.int64)
-        for t in prefix:
-            ti = self.diagram.gen_index(t)
+        for ti in letters:
             alive &= self.ldesc[ti][cur]
             cur = np.where(alive, self.lmul[ti][cur], 0)
         return alive
 
-    def element_weights(self, q: Mapping[str, Fraction]) -> list:
-        """q_w for every ball element, in ball order."""
-        gens = self.diagram.generators
-        qs = [q[s] for s in gens]
+    def element_weights(self, q: Mapping[str, Fraction], l: int) -> list:
+        """q_w, the product of per-letter weights, for every ball element of
+        length <= l, in ball order, multiplied out along the generation tree."""
+        qs = [q[s] for s in self.diagram.generators]
         out = [Fraction(1) if all(isinstance(x, Fraction) for x in qs) else 1.0]
-        for v in range(1, len(self)):
-            out.append(out[self.parent[v]] * qs[self.plast[v]])
+        top = self.sphere_start[min(l, self.radius) + 1]
+        for u, t in zip(self.parent[1:top].tolist(), self.plast[1:top].tolist()):
+            out.append(out[u] * qs[t])
         return out
 
 
@@ -196,23 +209,26 @@ def sphere_weight(diagram: CoxeterDiagram, q: Mapping[str, Fraction], l: int,
     """a_l(q) = sum of q_w over the sphere of radius l."""
     if b is None or b.radius < l:
         b = ball(diagram, l)
-    weights = b.element_weights(q)
+    weights = b.element_weights(q, l)
     return sum(weights[v] for v in b.sphere(l))
 
 
 def restricted_sphere_weight(diagram: CoxeterDiagram, q: Mapping[str, Fraction],
                              l: int, g: Sequence[str], b: Ball | None = None):
-    """Sum of q_w over {|w| = l : g <= w^-1}."""
+    """Sum of q_w over {|w| = l : g <= w^-1}, on ball ids: the inverse of
+    u*t is t*u^-1, so the inverse ids follow the generation tree through
+    ``lmul``."""
     gw = diagram.normal_form(g)
     if b is None or b.radius < l:
         b = ball(diagram, l)
-    weights = b.element_weights(q)
-    below = b.prefix_mask(gw)
-    total = Fraction(0)
-    for v in b.sphere(l):
-        if below[b.index[diagram.inverse(b.words[v])]]:
-            total += weights[v]
-    return total
+    sphere = b.sphere(l)
+    inv = np.zeros(sphere.stop, dtype=np.int64)
+    for k in range(1, l + 1):
+        lo, hi = b.sphere_start[k], b.sphere_start[k + 1]
+        inv[lo:hi] = b.lmul[b.plast[lo:hi], inv[b.parent[lo:hi]]]
+    below = b.prefix_mask(gw)[inv[sphere.start:]].tolist()
+    weights = b.element_weights(q, l)[sphere.start:]
+    return sum((x for x, hit in zip(weights, below) if hit), Fraction(0))
 
 
 def restricted_sphere_series(diagram: CoxeterDiagram, q: Mapping[str, Fraction],
@@ -281,14 +297,6 @@ def prefixes(diagram: CoxeterDiagram, w: Sequence[str]) -> frozenset[Word]:
 def kappa(diagram: CoxeterDiagram, w: Sequence[str], l: int) -> int:
     """kappa_w(l) = #{v <= w with |v| = l}."""
     return sum(1 for p in prefixes(diagram, w) if len(p) == l)
-
-
-def kappa_profile(diagram: CoxeterDiagram, w: Sequence[str]) -> list[int]:
-    word = diagram.normal_form(w)
-    counts = [0] * (len(word) + 1)
-    for p in prefixes(diagram, word):
-        counts[len(p)] += 1
-    return counts
 
 
 class NormalFormAutomaton:

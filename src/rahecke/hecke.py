@@ -95,9 +95,6 @@ class MultiParameter:
         """p_s = (q_s - 1) / sqrt(q_s)."""
         return self._p[s]
 
-    def root(self, s: str):
-        return self.roots[s]
-
     def char_gen(self, s: str, eps_s: int):
         """Character value on T_s for sign eps_s: eps_s * q_s ** (eps_s / 2)."""
         r = self.roots[s]
@@ -227,9 +224,6 @@ class HeckeElement:
             bits.append(f"{self.coeffs[w]}*T({self.diagram.format_element(w)})")
         return "HeckeElement(" + " + ".join(bits) + ")"
 
-    def support_radius(self) -> int:
-        return max((len(w) for w in self.coeffs), default=0)
-
     # -- multiplication ------------------------------------------------------
 
     def __mul__(self, other: "HeckeElement") -> "HeckeElement":
@@ -294,27 +288,23 @@ def char_value(params: MultiParameter, eps: Sequence[int], a: HeckeElement):
 
 
 def central_projection_partial(params: MultiParameter, eps: Sequence[int],
-                               cutoff: int,
-                               b: enumeration.Ball | None = None) -> HeckeElement:
+                               cutoff: int) -> HeckeElement:
     """Partial sum E^(i) of the central projection series for the pattern eps.
 
     E^(i) = (1/W(|q_eps|)) * sum_{|w| <= i} (sqrt q)_{w,eps} T_w.  Requires
     |q_eps| strictly inside the convergence region, so that the normalization
-    W(|q_eps|) is an exact positive rational.
+    W(|q_eps|) is an exact positive rational.  The coefficients (sqrt q)_{w,eps}
+    are the character values chi_eps(T_w), multiplied out along the ball's
+    generation tree.
     """
     if not params.exact:
         raise ValueError("central projections need exact parameters")
     d = params.diagram
     w_value = growth.growth_value(d, params.abs_flip(eps))
-    if b is None or b.radius < cutoff:
-        b = enumeration.ball(d, cutoff)
-    coeffs: dict[Word, object] = {}
-    for v in range(len(b)):
-        if b.length[v] > cutoff:
-            break
-        w = b.words[v]
-        coeffs[w] = params.sqrt_q_signed(w, eps) / w_value
-    return HeckeElement(params, coeffs)
+    b = enumeration.ball(d, cutoff)
+    chars = {s: params.char_gen(s, e) for s, e in zip(d.generators, eps)}
+    return HeckeElement(params, {w: c / w_value for w, c in
+                                 zip(b.words, b.element_weights(chars, cutoff))})
 
 
 def cliq_decomposition(params: MultiParameter, w: Sequence[str]

@@ -8,15 +8,17 @@ columns (``rep_hecke``, ``rep_group_word``) are computed on the ball's ids
 and its one-letter tables by one walker of sparse vectors: a letter that
 would carry a term out of the ball waits as a pending prefix in front of it,
 so a term that leaves the ball and comes back is kept, and only what ends
-outside the ball is dropped.  Every operator carries its ``reach`` -- the
-largest word length by which it can move a basis vector -- and identity
-checks only compare columns delta_v with |v| + total reach <= n, where the
-compression agrees with the untruncated operator.  The remark, clique and
-closed-path suites compute only those columns, each side as walker
-applications and prefix masks on delta_v; none builds a full compression.
-All norms computed from compressions are certified lower bounds of
-the operator norms; spectra of compressions of self-adjoint operators with
-spectrum in [c, C] stay in [c, C].
+outside the ball is dropped.  Each identity suite states its own comparison
+domain: the columns delta_v with |v| <= n minus the longest word by which
+its products move a basis vector, where a product of compressions agrees
+with the compression of the product.  The remark, clique and closed-path
+suites compute only those columns, each side as walker applications and
+prefix masks on delta_v; none builds a full compression.  The ball sweeps
+(``verify_action_sweep``, ``verify_cliq_sweep``) run a suite over every w of
+a ball, reading w off the ball's tables rather than its word tuples.  All
+norms computed from compressions are certified lower bounds of the operator
+norms; spectra of compressions of self-adjoint operators with spectrum in
+[c, C] stay in [c, C].
 
 The fast engine for large balls (``BallAction``, ``sphere_passes``) applies
 an x supported on the l-sphere as the compression P_n x P_{n-l}: x moves
@@ -45,34 +47,24 @@ HAAGERUP_BATCH = 8  # samples per batched power iteration in haagerup_ratio
 class TruncatedOperator:
     """Sparse-column matrix of an operator compressed to a ball."""
 
-    def __init__(self, b: Ball, cols: list[dict[int, object]], reach: int, exact: bool):
+    def __init__(self, b: Ball, cols: list[dict[int, object]], exact: bool):
         self.ball = b
         self.cols = cols
-        self.reach = reach
         self.exact = exact
-
-    @property
-    def exactness_radius(self) -> int:
-        return self.ball.radius - self.reach
 
     @classmethod
     def zero(cls, b: Ball, exact: bool = True) -> "TruncatedOperator":
-        return cls(b, [dict() for _ in range(len(b))], 0, exact)
+        return cls(b, [dict() for _ in range(len(b))], exact)
 
     @classmethod
     def identity(cls, b: Ball, exact: bool = True) -> "TruncatedOperator":
         one = Fraction(1) if exact else 1.0
-        return cls(b, [{v: one} for v in range(len(b))], 0, exact)
+        return cls(b, [{v: one} for v in range(len(b))], exact)
 
     @classmethod
-    def diagonal(cls, b: Ball, values: Sequence, reach: int = 0,
-                 exact: bool = True) -> "TruncatedOperator":
-        return cls(
-            b,
-            [({v: values[v]} if values[v] != 0 else {}) for v in range(len(b))],
-            reach,
-            exact,
-        )
+    def diagonal(cls, b: Ball, values: Sequence, exact: bool = True) -> "TruncatedOperator":
+        return cls(b, [({v: values[v]} if values[v] != 0 else {}) for v in range(len(b))],
+                   exact)
 
     def diag(self) -> list:
         zero = Fraction(0) if self.exact else 0.0
@@ -89,19 +81,14 @@ class TruncatedOperator:
                 else:
                     d[r] = nv
             cols.append(d)
-        return TruncatedOperator(self.ball, cols, max(self.reach, other.reach),
-                                 self.exact and other.exact)
+        return TruncatedOperator(self.ball, cols, self.exact and other.exact)
 
     def __sub__(self, other: "TruncatedOperator") -> "TruncatedOperator":
         return self + other.scaled(-1)
 
     def scaled(self, c) -> "TruncatedOperator":
-        return TruncatedOperator(
-            self.ball,
-            [{r: c * v for r, v in col.items()} for col in self.cols],
-            self.reach,
-            self.exact,
-        )
+        return TruncatedOperator(self.ball, [{r: c * v for r, v in col.items()}
+                                             for col in self.cols], self.exact)
 
     def __matmul__(self, other: "TruncatedOperator") -> "TruncatedOperator":
         cols = []
@@ -115,8 +102,7 @@ class TruncatedOperator:
                     else:
                         acc[r] = nv
             cols.append(acc)
-        return TruncatedOperator(self.ball, cols, self.reach + other.reach,
-                                 self.exact and other.exact)
+        return TruncatedOperator(self.ball, cols, self.exact and other.exact)
 
     def to_dense(self) -> np.ndarray:
         n = len(self.ball)
@@ -126,12 +112,9 @@ class TruncatedOperator:
                 m[r, v] = float(val)
         return m
 
-    def max_abs_difference(self, other: "TruncatedOperator",
-                           max_col_length: int | None = None):
+    def max_abs_difference(self, other: "TruncatedOperator", max_col_length: int):
         """Largest |entry difference| over columns delta_v with
-        |v| <= max_col_length (default: the joint exactness radius)."""
-        if max_col_length is None:
-            max_col_length = min(self.exactness_radius, other.exactness_radius)
+        |v| <= max_col_length."""
         worst = Fraction(0) if (self.exact and other.exact) else 0.0
         for v in _domain(self.ball, max_col_length):
             worst = _worst(worst, self.cols[v], other.cols[v])
@@ -257,8 +240,7 @@ def rep_hecke(a: HeckeElement, b: Ball) -> TruncatedOperator:
     rather than truncated, and only then projected back to the ball.
     """
     walk, op = _Walker(b), _hecke_op(a)
-    return TruncatedOperator(b, [walk.column(op, v) for v in range(len(b))],
-                             a.support_radius(), a.params.exact)
+    return TruncatedOperator(b, [walk.column(op, v) for v in range(len(b))], a.params.exact)
 
 
 def rep_group_word(d: CoxeterDiagram, word: Sequence[str], b: Ball) -> TruncatedOperator:
@@ -266,7 +248,7 @@ def rep_group_word(d: CoxeterDiagram, word: Sequence[str], b: Ball) -> Truncated
     by the same exact walk on ball ids as ``rep_hecke`` with p == 0."""
     w = d.normal_form(word)
     walk, op = _Walker(b), _group_op(d, w)
-    return TruncatedOperator(b, [walk.column(op, v) for v in range(len(b))], len(w), True)
+    return TruncatedOperator(b, [walk.column(op, v) for v in range(len(b))], True)
 
 
 def proj_p(d: CoxeterDiagram, word: Sequence[str], b: Ball) -> TruncatedOperator:
@@ -275,12 +257,12 @@ def proj_p(d: CoxeterDiagram, word: Sequence[str], b: Ball) -> TruncatedOperator
     one = Fraction(1)
     mask = b.prefix_mask(w)
     cols = [({v: one} if mask[v] else {}) for v in range(len(b))]
-    return TruncatedOperator(b, cols, 0, True)
+    return TruncatedOperator(b, cols, True)
 
 
 def conjugate_action(d: CoxeterDiagram, word: Sequence[str],
                      x: TruncatedOperator) -> TruncatedOperator:
-    """w.x = T_w^(1) x T_{w^-1}^(1), with reach increased by 2|w|."""
+    """w.x = T_w^(1) x T_{w^-1}^(1)."""
     w = d.normal_form(word)
     left = rep_group_word(d, w, x.ball)
     right = rep_group_word(d, d.inverse(w), x.ball)
@@ -343,7 +325,7 @@ def q_operator(d: CoxeterDiagram, u: Sequence[str], q: Fraction, b: Ball,
             l += 1
             term = q ** l * l ** exponent
         tail *= c_fit * 2
-    op = TruncatedOperator.diagonal(b, diag, reach=0, exact=True)
+    op = TruncatedOperator.diagonal(b, diag, exact=True)
     return op, float(tail), c_fit
 
 
@@ -435,11 +417,12 @@ def positivity_window(params: MultiParameter, word: Sequence[str], n: int,
 
 # -- identity suites ---------------------------------------------------------
 #
-# Each suite compares only columns delta_v with |v| <= n - reach, where every
-# intermediate vector stays in the ball, so the compression of a product
-# equals the product of the compressions.  The suites below the action case
-# evaluate both sides on those columns alone: each term is a chain of walker
-# applications and diagonal prefix masks, and no full compression is built.
+# Each suite states its domain: the columns delta_v with |v| <= n minus the
+# length its products can add, where every intermediate vector stays in the
+# ball, so the compression of a product equals the product of the
+# compressions.  The suites below the action case evaluate both sides on
+# those columns alone: each term is a chain of walker applications and
+# diagonal prefix masks, and no full compression is built.
 
 
 def _sandwich(walk: _Walker, left: Op, mask: np.ndarray, right: Op, v: int
@@ -452,9 +435,9 @@ def verify_action_case(d: CoxeterDiagram, s: str, w: Sequence[str], b: Ball):
     """Residual of the matching case of the conjugation rule for s.P_w.
 
     Returns (case, residual) with residual exact 0 expected, compared on the
-    columns |v| <= n - 2, where the compression of T_s P_w T_s (reach 2) is
-    exact.  Built from full compressions, as a cross-check of
-    ``verify_action_case_fast``.
+    columns |v| <= n - 2, where the product of the compressions of T_s, P_w
+    and T_s is exact.  Built from full compressions, as a cross-check of
+    ``verify_action_sweep``.
     """
     if b.radius < 2:
         raise ValueError("ball too small")
@@ -475,30 +458,52 @@ def verify_action_case(d: CoxeterDiagram, s: str, w: Sequence[str], b: Ball):
     return case, lhs.max_abs_difference(rhs, max_col_length=b.radius - 2)
 
 
-def verify_action_case_fast(d: CoxeterDiagram, s: str, w: Sequence[str], b: Ball) -> tuple[int, int]:
-    """Same check as verify_action_case via index tables only (q == 1, so the
-    conjugated projection is diagonal: entry at v is [w <= s*v]), compared
-    on the columns |v| <= n - 1, where s*v stays in the ball."""
+def verify_action_sweep(d: CoxeterDiagram, b: Ball, max_length: int
+                        ) -> tuple[dict[int, int], int]:
+    """Case counts and violations of the conjugation rule for s.P_w over every
+    pair (s, w) with |w| <= max_length, on the ball's ids and tables.
+
+    At q == 1 the conjugated projection is diagonal, with entry [w <= s*v] at
+    v, so both sides are prefix masks, compared on the columns |v| <= n - 1,
+    where s*v stays in the ball.  s <= w is read from ``ldesc``; s*w == w*s
+    iff every letter of w is s or commutes with s (the reduced-word rule for
+    graph products), which one pass down the generation tree decides for all
+    s and w, the last sphere included.  The mask of w is built once for all s
+    from its letters in the tree.  For an ascent s of w, sw <= v iff s <= v
+    and w <= s*v (empty when s*w leaves the ball); for a descent the mask of
+    s*w is built from its own letters.  Only the w being checked holds masks.
+    """
     if b.radius < 1:
         raise ValueError("ball too small")
-    wnf = d.normal_form(w)
-    si = d.gen_index(s)
-    sw = d.multiply((s,), wnf)
-    ok_domain = b.length <= b.radius - 1
-    mask_w = b.prefix_mask(wnf)
-    sv = b.lmul[si]
-    lhs = np.where(sv >= 0, mask_w[np.where(sv >= 0, sv, 0)], False).astype(np.int64)
-    pw = mask_w.astype(np.int64)
-    psw = b.prefix_mask(sw).astype(np.int64)
-    if d.centralizes(s, wnf):
-        if d.starts_with((s,), wnf):
-            case, rhs = 2, psw - pw
-        else:
-            case, rhs = 3, pw
-    else:
-        case, rhs = 1, psw
-    bad = int(np.abs((lhs - rhs)[ok_domain]).max())
-    return case, bad
+    k, m = d.rank, b.sphere_start[b.radius]  # the columns |v| <= n - 1
+    top = min(max_length, b.radius)
+    ws = _domain(b, top)
+    gens = d.generators
+    fixes = np.array([[s == t or d.commutes(s, t) for t in gens] for s in gens])
+    central = np.ones((k, len(ws)), dtype=bool)  # central[s, w]: s*w == w*s
+    for l in range(1, top + 1):
+        lo, hi = b.sphere_start[l], b.sphere_start[l + 1]
+        central[:, lo:hi] = central[:, b.parent[lo:hi]] & fixes[:, b.plast[lo:hi]]
+    steps, below = b.lmul[:, :m], b.ldesc[:, :m]
+    cases = {1: 0, 2: 0, 3: 0}
+    bad = 0
+    for w in ws:
+        mask = b.letter_mask(b.letters(w))
+        lhs, pw = mask[steps], mask[:m]  # lhs[s, v] = [w <= s*v]
+        for s in range(k):
+            if b.ldesc[s, w]:
+                psw = b.letter_mask(b.letters(b.lmul[s, w]))[:m]
+            else:
+                psw = below[s] & lhs[s]
+            if not central[s, w]:
+                case, rhs = 1, psw
+            elif b.ldesc[s, w]:
+                case, rhs = 2, psw.astype(np.int8) - pw
+            else:
+                case, rhs = 3, pw
+            cases[case] += 1
+            bad += bool((lhs[s] != rhs).any())
+    return cases, bad
 
 
 def verify_remark22(params: MultiParameter, s: str, w: Sequence[str], b: Ball):
@@ -542,6 +547,18 @@ def verify_cliq_identity(params: MultiParameter, w: Sequence[str], b: Ball):
                 _add(rhs, r, coeff * x)
         worst = _worst(worst, walk.column(lhs, v), rhs)
     return worst
+
+
+def verify_cliq_sweep(params: MultiParameter, b: Ball) -> tuple[int, object]:
+    """(count, worst residual) of ``verify_cliq_identity`` over every w with
+    |w| <= n - 2, each word read off the generation tree."""
+    gens = params.diagram.generators
+    ws = _domain(b, b.radius - 2)
+    worst = Fraction(0) if params.exact else 0.0
+    for w in ws:
+        word = tuple(gens[t] for t in b.letters(w))
+        worst = max(worst, verify_cliq_identity(params, word, b))
+    return len(ws), worst
 
 
 def verify_corollary_split(params: MultiParameter, g: Sequence[str], power: int,

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from rahecke import enumeration
 from rahecke.coxeter import CoxeterDiagram
 from rahecke.enumeration import (Ball, BallCapExceeded, NormalFormAutomaton,
-                                 ball, connected_diagram_corpus, kappa,
-                                 kappa_profile, prefixes,
+                                 ball, connected_diagram_corpus, kappa, prefixes,
                                  restricted_sphere_series,
                                  restricted_sphere_weight, sphere_weight)
 
@@ -188,6 +187,21 @@ def test_restricted_sphere_weight(diagram_a):
     assert restricted_sphere_weight(d, q1, 6, g) == count
 
 
+def test_sphere_weights_build_no_words(diagram_a):
+    b = Ball(diagram_a, 6)
+    q = {"a": Fraction(1, 2), "b": Fraction(3), "c": Fraction(1, 5)}
+    restricted_sphere_weight(diagram_a, q, 6, ("a", "c"), b)
+    sphere_weight(diagram_a, q, 6, b)
+    assert "words" not in b.__dict__ and "index" not in b.__dict__
+
+
+def test_element_weights_stop_at_the_sphere(diagram_a):
+    b = ball(diagram_a, 6)
+    q = {"a": Fraction(1, 2), "b": Fraction(3), "c": Fraction(1, 5)}
+    for l in range(7):
+        assert b.element_weights(q, l) == [_prod(q, w) for w in b.words[:b.sphere_start[l + 1]]]
+
+
 def test_restricted_series_matches_enumeration(diagram_a):
     d = diagram_a
     g = ("a", "c", "b", "c")
@@ -236,8 +250,8 @@ def test_kappa_polynomial_bound(diagram_a):
     b = ball(d, 10)
     c_fit = Fraction(0)
     profs = []
-    for v in range(len(b)):
-        prof = kappa_profile(d, b.words[v])
+    for w in b.words:
+        prof = [kappa(d, w, l) for l in range(len(w) + 1)]
         profs.append(prof)
         for l, cnt in enumerate(prof):
             c_fit = max(c_fit, Fraction(cnt, max(l, 1)))
