@@ -21,7 +21,7 @@ import numpy as np
 from . import enumeration, growth, l2rep, radial
 from .coxeter import CoxeterDiagram
 from .enumeration import NormalFormAutomaton, ball, connected_diagram_corpus
-from .hecke import HeckeElement, MultiParameter, central_projection_partial
+from .hecke import HeckeElement, MultiParameter, central_projection_partial, rational_sqrt
 
 
 def diagram_dinfty() -> CoxeterDiagram:
@@ -187,6 +187,8 @@ def criterion_3_hecke_identities(samples: int = 200, seed: int = 0) -> Criterion
     for qmap in qmaps:
         params = MultiParameter.exact_squares(d, qmap)
         for s in d.generators:
+            # p_s is checked against the criterion's own q_s, not read on trust
+            quad_ok &= params.p(s) * rational_sqrt(qmap[s]) == qmap[s] - 1
             ts = HeckeElement.basis(params, (s,))
             expect = HeckeElement.one(params) + params.p(s) * ts
             quad_ok &= (ts * ts == expect)

@@ -67,6 +67,8 @@ class CoxeterDiagram:
             s: frozenset({s} | {t for t in gens if t != s and (s, t) not in pairs})
             for s in gens
         }
+        # the same sets as bitmasks over generator indices
+        self._conflict = {s: sum(1 << self._gidx[t] for t in self._noncomm[s]) for s in gens}
 
     # -- basic structure ---------------------------------------------------
 
@@ -139,19 +141,19 @@ class CoxeterDiagram:
         # Greedy ShortLex: repeatedly emit the smallest letter that commutes
         # with everything before it.  On reduced input this yields the
         # lexicographically least reduced word of the element.
+        gidx, conflict, full = self._gidx, self._conflict, (1 << len(self.generators)) - 1
         rest = list(letters)
         out: list[str] = []
         while rest:
-            best_i = -1
-            best_rank = len(self.generators)
-            shield: set[str] = set()
+            best_i, best_rank, shield = -1, len(self.generators), 0
             for i, x in enumerate(rest):
-                if x not in shield and self._gidx[x] < best_rank:
-                    best_rank = self._gidx[x]
-                    best_i = i
-                shield |= self._noncomm[x]
-            out.append(rest[best_i])
-            del rest[best_i]
+                r = gidx[x]
+                if r < best_rank and not shield >> r & 1:
+                    best_rank, best_i = r, i
+                shield |= conflict[x]
+                if shield == full:
+                    break
+            out.append(rest.pop(best_i))
         return tuple(out)
 
     def normal_form(self, word: Iterable[str]) -> Word:
@@ -208,13 +210,37 @@ class CoxeterDiagram:
             raise ValueError(f"{s!r} is not a left descent of {word!r}")
         return self._linearize(tuple(word[:i]) + tuple(word[i + 1:]))
 
-    def left_multiply(self, s: str, word: Sequence[str]) -> Word:
-        if s not in self._gidx:
-            raise DiagramError(f"unknown generator {s!r}")
-        i = self._unshielded(s, word)
-        if i < 0:
-            return self._linearize((s,) + tuple(word))
-        return self._linearize(tuple(word[:i]) + tuple(word[i + 1:]))
+    # -- heaps of pieces ---------------------------------------------------
+    # An element is its heap (Cartier-Foata; Viennot, "Heaps of pieces I"),
+    # keyed by layers of generator bitmasks, layer 0 at the top: a letter lies
+    # one layer below the deepest letter right of it that it does not commute
+    # with, or in layer 0, so letters added on the left move no other letter.
+
+    def heap_lmul(self, layers: tuple[int, ...], s: str) -> tuple[tuple[int, ...], bool]:
+        """Layers of s*w from the layers of w, and whether s <= w."""
+        bit, conflict = 1 << self._gidx[s], self._conflict[s]
+        k = len(layers) - 1
+        while k >= 0 and not layers[k] & conflict:
+            k -= 1
+        if k >= 0 and layers[k] & bit:  # s <= w; a layer it empties is the last
+            rest = layers[k] ^ bit
+            return layers[:k] + ((rest,) if rest else ()) + layers[k + 1:], True
+        if k + 1 == len(layers):
+            return layers + (bit,), False
+        return layers[:k + 1] + (layers[k + 1] | bit,) + layers[k + 2:], False
+
+    def heap(self, word: Iterable[str]) -> tuple[int, ...]:
+        """Heap layers of the element spelled by ``word``."""
+        layers: tuple[int, ...] = ()
+        for s in reversed(tuple(word)):
+            layers = self.heap_lmul(layers, s)[0]
+        return layers
+
+    def heap_word(self, layers: Sequence[int]) -> Word:
+        """Canonical word of the element with these heap layers."""
+        gens = self.generators
+        return self._linearize([gens[i] for layer in reversed(layers)
+                                for i in range(len(gens)) if layer >> i & 1])
 
     # -- weak right Bruhat order --------------------------------------------
 

@@ -7,9 +7,12 @@ one-letter rule
     T_s T_w = T_{sw}                 if s is not below w,
     T_s T_w = T_{sw} + p_s T_w       if s <= w,      p_s = (q_s - 1) / sqrt(q_s),
 
-extended letter by letter over the left factor and bilinearly.  In exact mode
-every q_s must be the square of a rational, so p_s, character values, and the
-coefficients of the central-projection partial sums all stay rational.
+extended letter by letter over the left factor and bilinearly.  Inside a
+product the terms are keyed by heap layers, on which a letter is one scan
+(``CoxeterDiagram.heap_lmul``); words are read and written only at the
+product's edges.  In exact mode every q_s must be the square of a rational, so
+p_s, character values, and the coefficients of the central-projection partial
+sums all stay rational.
 """
 
 from __future__ import annotations
@@ -138,22 +141,6 @@ class MultiParameter:
         return f"MultiParameter({mode}, {self.q})"
 
 
-def left_letter(params: MultiParameter, s: str,
-                state: Mapping[Word, object]) -> dict[Word, object]:
-    """T_s times the combination ``state`` of basis symbols, by the one-letter
-    rule; zero coefficients are dropped."""
-    d = params.diagram
-    p = params.p(s)
-    out: dict[Word, object] = {}
-    for w, c in state.items():
-        sw = d.left_multiply(s, w)
-        out[sw] = out.get(sw, 0) + c
-        if len(sw) < len(w):  # s <= w
-            if p != 0:
-                out[w] = out.get(w, 0) + c * p
-    return {w: c for w, c in out.items() if c != 0}
-
-
 class HeckeElement:
     """Finite linear combination of basis symbols T_w."""
 
@@ -230,14 +217,27 @@ class HeckeElement:
         if not isinstance(other, HeckeElement):
             return self.scaled(other)
         self._require_same(other)
-        total: dict[Word, object] = {}
+        d, p = self.diagram, self.params.p
+        right = {d.heap(w): c for w, c in other.coeffs.items()}
+        total: dict[tuple[int, ...], object] = {}
         for v, cv in self.coeffs.items():
-            state = dict(other.coeffs)
+            state = right
             for s in reversed(v):
-                state = left_letter(self.params, s, state)
-            for w, c in state.items():
-                total[w] = total.get(w, 0) + cv * c
-        return HeckeElement(self.params, total)
+                ps = p(s)
+                out: dict[tuple[int, ...], object] = {}
+                for key, c in state.items():
+                    skey, below = d.heap_lmul(key, s)
+                    old = out.get(skey)
+                    out[skey] = c if old is None else old + c
+                    if below and ps != 0:
+                        old = out.get(key)
+                        out[key] = c * ps if old is None else old + c * ps
+                state = {key: c for key, c in out.items() if c != 0}
+            for key, c in state.items():
+                old = total.get(key)
+                total[key] = cv * c if old is None else old + cv * c
+        return HeckeElement(self.params, {d.heap_word(key): c for key, c in total.items()
+                                          if c != 0})
 
     # -- involution, trace, l2 ------------------------------------------------
 

@@ -552,6 +552,8 @@ def verify_cliq_identity(params: MultiParameter, w: Sequence[str], b: Ball):
 def verify_cliq_sweep(params: MultiParameter, b: Ball) -> tuple[int, object]:
     """(count, worst residual) of ``verify_cliq_identity`` over every w with
     |w| <= n - 2, each word read off the generation tree."""
+    if b.radius < 2:
+        raise ValueError("ball too small")
     gens = params.diagram.generators
     ws = _domain(b, b.radius - 2)
     worst = Fraction(0) if params.exact else 0.0

@@ -149,6 +149,9 @@ def test_error_exits(capsys, diagram_a_file, tmp_path):
     assert main(["verify", "--suite", "action", "--diagram", diagram_a_file,
                  "--radius", "0"]) == 1
     assert "ball too small" in capsys.readouterr().err
+    assert main(["verify", "--suite", "cliq", "--diagram", diagram_a_file,
+                 "--radius", "1"]) == 1
+    assert "ball too small" in capsys.readouterr().err
 
 
 def test_out_file(capsys, diagram_a_file, tmp_path):

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from rahecke.coxeter import CoxeterDiagram, DiagramError, parse_diagram
 from rahecke.enumeration import ball
+from test_enumeration import diagrams
 
 
 @pytest.fixture(scope="module")
@@ -254,3 +255,21 @@ def test_meet_is_greatest_lower_bound(diagram_a):
             for x in elems:
                 if d.starts_with(x, v) and d.starts_with(x, w):
                     assert d.starts_with(x, m)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(diagrams(max_rank=5), st.data())
+def test_heap_layers_match_normal_forms(d, data):
+    """Heap layers are a canonical key: word -> layers -> word is the
+    identity, and left-multiplying the layers by s gives the layers and the
+    canonical word of s.w, flagged exactly when s is a left descent of w."""
+    raw = tuple(data.draw(st.lists(st.sampled_from(d.generators), max_size=10)))
+    w = d.normal_form(raw)
+    layers = d.heap(raw)
+    assert layers == d.heap(w)
+    assert d.heap_word(layers) == w
+    for s in d.generators:
+        slayers, below = d.heap_lmul(layers, s)
+        assert d.heap_word(slayers) == d.normal_form((s,) + w)
+        assert slayers == d.heap((s,) + w)
+        assert below == (s in d.left_descents(w))

@@ -1,4 +1,6 @@
 import hashlib
+import math
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -13,6 +15,7 @@ from rahecke.enumeration import (Ball, BallCapExceeded, NormalFormAutomaton,
                                  ball, connected_diagram_corpus, kappa, prefixes,
                                  restricted_sphere_series,
                                  restricted_sphere_weight, sphere_weight)
+from rahecke.growth import cliques
 
 
 @pytest.fixture(scope="module")
@@ -245,21 +248,6 @@ def test_kappa(diagram_a):
         assert prefixes(d, w) == direct
 
 
-def test_kappa_polynomial_bound(diagram_a):
-    d = diagram_a
-    b = ball(d, 10)
-    c_fit = Fraction(0)
-    profs = []
-    for w in b.words:
-        prof = [kappa(d, w, l) for l in range(len(w) + 1)]
-        profs.append(prof)
-        for l, cnt in enumerate(prof):
-            c_fit = max(c_fit, Fraction(cnt, max(l, 1)))
-    for prof in profs:
-        for l, cnt in enumerate(prof):
-            assert cnt <= c_fit * max(l, 1)
-
-
 def test_automaton_counts_match_balls():
     for d in connected_diagram_corpus(4):
         aut = NormalFormAutomaton(d)
@@ -347,6 +335,20 @@ def diagrams(draw, max_rank=5):
 
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+@PROPERTY_SETTINGS
+@given(diagrams(), st.integers(0, 5))
+def test_kappa_polynomial_bound(d, radius):
+    """kappa_w(l) <= C(l + omega - 1, omega - 1), omega the clique number.
+
+    The prefixes of w are the order ideals of its heap; incomparable pieces
+    commute, so the heap is a union of omega chains (Dilworth), and an ideal
+    is fixed by how many pieces it takes from each chain."""
+    omega = max(len(c) for c in cliques(d))
+    for w in ball(d, radius).words:
+        for l, count in Counter(len(v) for v in prefixes(d, w)).items():
+            assert count <= math.comb(l + omega - 1, omega - 1)
 
 
 @PROPERTY_SETTINGS

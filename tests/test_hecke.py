@@ -2,13 +2,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rahecke import enumeration
 from rahecke.coxeter import CoxeterDiagram
 from rahecke.enumeration import ball
 from rahecke.hecke import (HeckeElement, MultiParameter,
                            central_projection_partial, char_value,
                            cliq_decomposition, flip_parameters,
                            parse_element_literal, rational_sqrt)
+from test_enumeration import diagrams
 
 
 @pytest.fixture(scope="module")
@@ -235,3 +239,65 @@ def test_associativity_big_sample(params_quarter, diagram_a):
         y = rand_element(params_quarter, b, rng)
         z = rand_element(params_quarter, b, rng)
         assert (x * y) * z == x * (y * z)
+
+
+def _left_letter(params, s, state):
+    """The one-letter rule on canonical words: the product's reference."""
+    d = params.diagram
+    p = params.p(s)
+    out = {}
+    for w, c in state.items():
+        sw = d.normal_form((s,) + w)
+        out[sw] = out.get(sw, 0) + c
+        if len(sw) < len(w):  # s <= w
+            if p != 0:
+                out[w] = out.get(w, 0) + c * p
+    return {w: c for w, c in out.items() if c != 0}
+
+
+def _word_product(x, y):
+    total = {}
+    for v, cv in x.coeffs.items():
+        state = dict(y.coeffs)
+        for s in reversed(v):
+            state = _left_letter(x.params, s, state)
+        for w, c in state.items():
+            total[w] = total.get(w, 0) + cv * c
+    return {w: c for w, c in total.items() if c != 0}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(diagrams(max_rank=5), st.booleans(), st.data())
+def test_product_matches_word_rule(d, exact, data):
+    """The heap-layer product has the coefficients and the key order of the
+    one-letter rule on canonical words, exactly in both modes."""
+    if exact:
+        roots = [Fraction(1), Fraction(1, 2), Fraction(2), Fraction(3, 2), Fraction(1, 3)]
+        params = MultiParameter.from_roots(
+            d, {s: data.draw(st.sampled_from(roots)) for s in d.generators})
+    else:
+        params = MultiParameter.floating(
+            d, {s: data.draw(st.sampled_from([0.3, 0.5, 1.0, 1.7, 2.5])) for s in d.generators})
+    words = st.lists(st.sampled_from(d.generators), max_size=6)
+
+    def element():
+        out = HeckeElement.zero(params)
+        for _ in range(data.draw(st.integers(1, 4))):
+            c = Fraction(data.draw(st.integers(-5, 5)) or 1, data.draw(st.integers(1, 4)))
+            out = out + (c if exact else float(c) * 1.1) * HeckeElement.basis(
+                params, data.draw(words))
+        return out
+
+    x, y = element(), element()
+    assert list((x * y).coeffs.items()) == list(_word_product(x, y).items())
+
+
+def test_product_builds_no_ball(params_quarter, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Hecke product built a ball")
+
+    monkeypatch.setattr(enumeration, "ball", refuse)
+    monkeypatch.setattr(enumeration.Ball, "__init__", refuse)
+    x = parse_element_literal(params_quarter, "T(e) - 3/2*T(acb) + T(cbca)")
+    y = parse_element_literal(params_quarter, "2*T(bcac) + T(ca)")
+    assert (x * y) * x == x * (y * x)

@@ -357,7 +357,8 @@ def test_cliq_sweep_matches_words(diagram_a, broken, monkeypatch):
     worst = max(l2rep.verify_cliq_identity(params, w, b) for w in words)
     assert (worst != 0) == broken
     assert l2rep.verify_cliq_sweep(params, b) == (len(words), worst)
-    assert l2rep.verify_cliq_sweep(params, ball(diagram_a, 1)) == (0, 0)
+    with pytest.raises(ValueError, match="ball too small"):
+        l2rep.verify_cliq_sweep(params, ball(diagram_a, 1))
 
 
 def test_corollary_split(params, diagram_a):
