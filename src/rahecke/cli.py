@@ -9,6 +9,7 @@ produce byte-identical output.  Exit codes: 0 success, 1 validation error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -17,7 +18,7 @@ from . import acceptance, growth, l2rep, radial
 from .coxeter import CoxeterDiagram, DiagramError, parse_diagram
 from .enumeration import ball
 from .hecke import (MultiParameter, central_projection_partial, char_value,
-                    parse_element_literal)
+                    parse_element_literal, parse_rational)
 
 
 def _encode(obj):
@@ -60,7 +61,7 @@ def _parse_q(diagram: CoxeterDiagram, text: str) -> dict[str, Fraction]:
             raise DiagramError(f"bad parameter assignment {item!r}")
         key, val = item.split("=", 1)
         key = key.strip()
-        value = Fraction(val.strip())
+        value = parse_rational(val)
         if key == "all":
             for s in diagram.generators:
                 out[s] = value
@@ -247,7 +248,7 @@ def cmd_verify(args) -> dict:
     elif args.suite == "haagerup":
         out = []
         for l in range(1, args.max_length + 1):
-            r = l2rep.haagerup_ratio(d, float(Fraction(args.qscalar)), l, n,
+            r = l2rep.haagerup_ratio(d, float(parse_rational(args.qscalar)), l, n,
                                      args.trials, seed=args.seed)
             out.append({"l": l, "max_ratio": r["max_ratio"]})
         doc["results"] = out
@@ -255,7 +256,7 @@ def cmd_verify(args) -> dict:
     elif args.suite == "qop":
         b = ball(d, n)
         u = d.parse_element(args.word) if args.word else ()
-        op, tail, cfit = l2rep.q_operator(d, u, Fraction(args.qscalar), b, args.cutoff)
+        op, tail, cfit = l2rep.q_operator(d, u, parse_rational(args.qscalar), b, args.cutoff)
         doc["u"] = d.format_element(u)
         doc["cutoff"] = args.cutoff
         doc["tail_bound"] = tail
@@ -281,7 +282,10 @@ def cmd_report(args) -> tuple[dict, int]:
     return doc, (0 if doc["all_passed"] else 1)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; ``set_defaults(fn=...)`` binds the
+    handlers when it is built."""
     parser = argparse.ArgumentParser(
         prog="rahecke",
         description="Simplicity of right-angled multi-parameter Hecke "

@@ -8,8 +8,10 @@ with the empty clique contributing 1.  Along the ray t -> t*q, with
 q_s = a_s / b_s, the clique sum over the common denominator
 prod_s (b_s + a_s t) is an integer polynomial, and W(t*q) is a rational
 function of t whose reduced numerator N is kept as primitive integers with
-N(0) > 0; the growth exponent rho(q) is the reciprocal of the smallest
-positive root t0 of N (and 0 when N has no positive root, i.e. W is finite).
+N(0) > 0: the sum divided by its gcd with the denominator, which is the
+product of the denominator's linear factors that divide it.  The growth
+exponent rho(q) is the reciprocal of the smallest positive root t0 of N (and
+0 when N has no positive root, i.e. W is finite).
 Since the series has nonnegative coefficients, its radius of convergence is
 t0, so
 
@@ -81,27 +83,33 @@ def _ray_fraction(diagram: CoxeterDiagram, qq: Mapping[str, Fraction]
     """Integer (num, den) with D(t*q) = num(t) / den(t): with q_s = a_s / b_s,
     den = prod_s (b_s + a_s t) and num is the clique sum over it,
     sum_G prod_{s in G} (-a_s t) prod_{s not in G} (b_s + a_s t), not reduced."""
-    inside = {s: [0, -qq[s].numerator] for s in diagram.generators}
-    outside = {s: [qq[s].denominator, qq[s].numerator] for s in diagram.generators}
-    num: polys.Poly = []
-    for clique in cliques(diagram):
-        term = [1]
-        for s in diagram.generators:
-            term = polys.mul(term, inside[s] if s in clique else outside[s])
-        num = polys.add(num, term)
-    den = [1]
+    # The cliques of gens[:i] with their products, grown one generator at a
+    # time (a shared prefix is multiplied once); the empty one ends as den.
+    partial: list[tuple[tuple[str, ...], polys.Poly]] = [((), [1])]
     for s in diagram.generators:
-        den = polys.mul(den, outside[s])
-    return num, den
+        outside = [qq[s].denominator, qq[s].numerator]
+        grown = []
+        for clique, term in partial:
+            grown.append((clique, polys.mul(term, outside)))
+            if all(diagram.commutes(s, t) for t in clique):
+                grown.append((clique + (s,), polys.mul(term, [0, -qq[s].numerator])))
+        partial = grown
+    num: polys.Poly = []
+    for _, term in partial:
+        num = polys.add(num, term)
+    return num, partial[0][1]
 
 
 def ray_numerator(diagram: CoxeterDiagram, q: Mapping[str, Fraction]) -> polys.Poly:
     """Reduced numerator N(t) of D(t*q): primitive integers with N(0) > 0."""
     qq = _check_positive_rational(diagram, q)
-    num, den = _ray_fraction(diagram, qq)
-    g = polys.gcd_poly(num, den)
-    if polys.degree(g) >= 1:
-        num = polys.exact_div(num, g)
+    num, _ = _ray_fraction(diagram, qq)
+    # den's factors b_s + a_s t are primitive with positive leads: those that
+    # divide num, once per generator, multiply to gcd(num, den) (Gauss).
+    for s in diagram.generators:
+        a, b = qq[s].numerator, qq[s].denominator
+        if polys._sign(num, -b, a) == 0:
+            num = polys.exact_div(num, [b, a])
     num = polys.primitive(num)
     if num[0] <= 0:
         raise RuntimeError("cleared numerator is not positive at 0; invalid input")
@@ -141,7 +149,7 @@ def _ray_analysis(diagram: CoxeterDiagram, qq: Mapping[str, Fraction], bracket: 
     inside = polys.count_roots(chain, Fraction(0), Fraction(1))
     if inside == 0:
         membership = "Interior"
-    elif inside == 1 and polys.evaluate(f, Fraction(1)) == 0:
+    elif inside == 1 and polys.evaluate(f, 1) == 0:
         membership = "Boundary"
     else:
         membership = "Exterior"

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from . import enumeration, growth
-from .coxeter import CoxeterDiagram, Word
+from .coxeter import CoxeterDiagram, DiagramError, Word
 
 
 def rational_sqrt(x: Fraction) -> Fraction | None:
@@ -350,6 +350,14 @@ def cliq_decomposition(params: MultiParameter, w: Sequence[str]
     return out
 
 
+def parse_rational(text: str) -> Fraction:
+    """A rational such as '3/4'; DiagramError names a malformed one, 1/0 included."""
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        raise DiagramError(f"bad rational {text!r}") from None
+
+
 def parse_element_literal(params: MultiParameter, text: str) -> HeckeElement:
     """Parse literals like ``1*T(e) - 3/2*T(a) + T(ab)``."""
     d = params.diagram
@@ -382,6 +390,6 @@ def parse_element_literal(params: MultiParameter, text: str) -> HeckeElement:
         if not (basis_text.startswith("T(") and basis_text.endswith(")")):
             raise ValueError(f"bad basis factor in {term!r}; expected T(word)")
         word = d.parse_element(basis_text[2:-1])
-        coef = Fraction(coef_text) if params.exact else float(Fraction(coef_text))
+        coef = parse_rational(coef_text) if params.exact else float(parse_rational(coef_text))
         acc = acc + (sgn * coef) * HeckeElement.basis(params, word)
     return acc

@@ -32,6 +32,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
+from operator import iadd
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -662,11 +664,13 @@ def sphere_passes(action: BallAction, l: int):
     for c, u, i in zip(live.tolist(), parent[live].tolist(), b.plast[live].tolist()):
         children.setdefault(u, []).append((c, i))
 
+    # Every walk returns a fresh array, so the children's terms are added in
+    # place into the first: reduce(iadd, ...).
     def forward(coeffs: np.ndarray, vec: np.ndarray) -> np.ndarray:
         def walk(u: int, k: int) -> np.ndarray:
             if k == l:
                 return coeffs[u - size[l]] * vec
-            return sum(blocks[k][i] @ walk(c, k + 1) for c, i in children[u])
+            return reduce(iadd, (blocks[k][i] @ walk(c, k + 1) for c, i in children[u]))
 
         return walk(0, 0)
 
@@ -674,7 +678,8 @@ def sphere_passes(action: BallAction, l: int):
         def walk(u: int, k: int, v: np.ndarray) -> np.ndarray:
             if k == l:
                 return coeffs[u - size[l]] * v
-            return sum(walk(c, k + 1, transposed[k][i] @ v) for c, i in children[u])
+            return reduce(iadd, (walk(c, k + 1, transposed[k][i] @ v)
+                                 for c, i in children[u]))
 
         return walk(0, 0, vec)
 
@@ -719,6 +724,8 @@ def haagerup_ratio(d: CoxeterDiagram, q: float, l: int, n: int,
     ratios and their maximum, a lower bound for the best constant in the
     linear-in-l bound on sphere-supported operators.
     """
+    if q <= 0:
+        raise ValueError("q must be positive")
     if l < 1:
         raise ValueError("l must be >= 1")
     if n < l + 2:

@@ -10,7 +10,8 @@ Horner evaluation.
 
 ``isolate_smallest_positive_root`` is the one bisection routine.  It runs in
 two phases: Sturm counts until the bracket isolates the root, then the sign
-of the polynomial alone.
+of the polynomial alone.  Both phases keep the bracket as integers over one
+power of 2 and evaluate one new point per step.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ def mul(p: Poly, q: Poly) -> Poly:
     return trim(out)
 
 
-def evaluate(p: Poly, x: Fraction) -> Fraction:
-    acc = Fraction(0)
+def evaluate(p: Poly, x: Fraction | int) -> Fraction | int:
+    acc = 0
     for c in reversed(p):
         acc = acc * x + c
     return acc
@@ -151,10 +152,14 @@ def _sign(p: Poly, a: int, b: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def sign_variations(chain: list[Poly], x: Fraction) -> int:
-    a, b = x.numerator, x.denominator
+def _variations(chain: list[Poly], a: int, b: int) -> int:
+    """Sign variations of the chain at a/b, b > 0, zeros skipped."""
     signs = [s for s in (_sign(p, a, b) for p in chain) if s]
     return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
+
+
+def sign_variations(chain: list[Poly], x: Fraction) -> int:
+    return _variations(chain, x.numerator, x.denominator)
 
 
 def count_roots(chain: list[Poly], a: Fraction, b: Fraction) -> int:
@@ -188,38 +193,43 @@ def isolate_smallest_positive_root(chain: list[Poly]
     """The bisection behind ``smallest_positive_root``, given the Sturm chain
     of the squarefree part (whose head must not vanish at 0).
 
+    The bracket (lo, hi] is kept as lo = a/d and hi = b/d, d a power of 2.
     Phase 1 bisects on Sturm counts until (lo, hi] holds exactly one root and
-    lo > 0.  From then on the root lies in (lo, mid] exactly when f(mid) = 0
-    or sign f(mid) != sign f(lo), so phase 2 evaluates f alone, at dyadic
-    points kept as integer numerators over a common power of 2.  Both phases
-    test the same predicate, so the brackets are those of a Sturm-count
-    bisection.
+    lo > 0; it carries the variation counts at lo and hi, so each step
+    evaluates the chain at the midpoint alone.  From then on the root lies
+    in (lo, mid] exactly when f(mid) = 0 or sign f(mid) != sign f(lo), so
+    phase 2 evaluates f alone.  Both phases test the same predicate, so the
+    brackets are those of a Sturm-count bisection.
     """
-    hi = Fraction(1)
+    b = 1
     bound = cauchy_bound(chain[0])
-    while hi < bound:
-        hi *= 2
-    lo = Fraction(0)
-    if count_roots(chain, lo, hi) == 0:
+    while b < bound:
+        b *= 2
+    a, d = 0, 1
+    v_lo, v_hi = _variations(chain, a, d), _variations(chain, b, d)
+    if v_lo == v_hi:
         return None
-    while count_roots(chain, lo, hi) != 1 or lo == 0:
-        mid = (lo + hi) / 2
-        if _sign(chain[0], mid.numerator, mid.denominator) == 0:
-            # mid is a rational root; it is the smallest in (lo, hi] unless
-            # the deflated polynomial still has one strictly below it.
-            f = exact_div(chain[0], [-mid.numerator, mid.denominator])
-            chain = sturm_chain(f)
-            if count_roots(chain, lo, mid) == 0:
-                return (mid, mid)
-            hi = mid
-        elif count_roots(chain, lo, mid) >= 1:
-            hi = mid
+    while v_lo - v_hi != 1 or a == 0:
+        a, b, d = 2 * a, 2 * b, 2 * d
+        m = (a + b) // 2
+        if _sign(chain[0], m, d) == 0:
+            # m/d is a rational root; it is the smallest in (lo, hi] unless
+            # the deflated polynomial still has one strictly below it.  Only
+            # the reduced factor is primitive, so only it divides exactly.
+            g = gcd(m, d)
+            chain = sturm_chain(exact_div(chain[0], [-(m // g), d // g]))
+            v_lo, v_hi = _variations(chain, a, d), _variations(chain, m, d)
+            if v_lo == v_hi:
+                return (Fraction(m, d), Fraction(m, d))
+            b = m
+            continue
+        v_mid = _variations(chain, m, d)
+        if v_lo - v_mid >= 1:
+            b, v_hi = m, v_mid
         else:
-            lo = mid
-    # Phase 2: lo = a/d and hi = b/d with d a power of 2.
+            a, v_lo = m, v_mid
+    # Phase 2: the sign of f alone.
     f = chain[0]
-    d = max(lo.denominator, hi.denominator)
-    a, b = int(lo * d), int(hi * d)
     s_lo = _sign(f, a, d)
     while (b - a) * BISECTION_WIDTH.denominator > BISECTION_WIDTH.numerator * d:
         a, b, d = 2 * a, 2 * b, 2 * d

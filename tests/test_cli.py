@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from rahecke.cli import main
+from rahecke.cli import build_parser, main
 
 
 @pytest.fixture()
@@ -154,6 +154,36 @@ def test_error_exits(capsys, diagram_a_file, tmp_path):
     assert "ball too small" in capsys.readouterr().err
 
 
+# Each command given a rational with a zero denominator: a validation error.
+ZERO_DENOMINATOR_CASES = {
+    "classify": ["classify", "--q", "all=1/0"],
+    "growth": ["growth", "--q", "all=1/0"],
+    "eproj": ["eproj", "--q", "all=1/0", "--epsilon", "all=+1", "--cutoff", "2"],
+    "char": ["char", "--q", "all=1/0", "--epsilon", "a=-1", "--element", "1*T(a)"],
+    "verify_positivity": ["verify", "--suite", "positivity", "--q", "all=1/0"],
+    "verify_haagerup": ["verify", "--suite", "haagerup", "--qscalar", "1/0"],
+    "verify_qop": ["verify", "--suite", "qop", "--qscalar", "1/0"],
+    "mul": ["mul", "--q", "all=1/4", "--left", "1/0*T(a)", "--right", "T(a)"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_DENOMINATOR_CASES))
+def test_zero_denominator_exits_1(capsys, diagram_a_file, name):
+    assert main(ZERO_DENOMINATOR_CASES[name] + ["--diagram", diagram_a_file]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'1/0'" in captured.err
+
+
+@pytest.mark.parametrize("qscalar", ["0", "-1"])
+def test_haagerup_needs_positive_q(capsys, diagram_a_file, qscalar):
+    assert main(["verify", "--suite", "haagerup", "--diagram", diagram_a_file,
+                 f"--qscalar={qscalar}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "q must be positive" in captured.err
+
+
 def test_out_file(capsys, diagram_a_file, tmp_path):
     out = tmp_path / "report.json"
     code = main(["nf", "--diagram", diagram_a_file, "--word", "ba", "--out", str(out)])
@@ -204,3 +234,26 @@ def golden_argv(name, tmp_path):
 def test_golden_output(capsys, tmp_path, name):
     assert main(golden_argv(name, tmp_path)) == 0
     assert capsys.readouterr().out == (GOLDEN_DIR / f"{name}.json").read_text()
+
+
+def test_reused_parser_leaks_no_state(capsys, tmp_path):
+    """One process, one parser: classify between other commands and a
+    failed one still prints the golden report."""
+    assert build_parser() is build_parser()
+    classify = golden_argv("classify_A", tmp_path)
+    path = classify[classify.index("--diagram") + 1]
+    others = [(["verify", "--suite", "cliq", "--diagram", path, "--q", "all=1/4",
+                "--radius", "3"], 0),
+              (["classify", "--diagram", path, "--q", "all=1/0"], 1),
+              (["classify", "--diagram", path], 1)]
+
+    def classify_output():
+        assert main(classify) == 0
+        return capsys.readouterr().out
+
+    outputs = [classify_output()]
+    for argv, code in others:
+        assert main(argv) == code
+        capsys.readouterr()
+        outputs.append(classify_output())
+    assert outputs == [(GOLDEN_DIR / "classify_A.json").read_text()] * len(outputs)

@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rahecke.coxeter import CoxeterDiagram
@@ -286,6 +286,40 @@ def test_smallest_positive_root_hits_dyadic_roots(g, a, j):
     assert polys.smallest_positive_root(p) == (r, r)
 
 
+def _sturm_bisection(chain):
+    """Reference for isolate_smallest_positive_root: bisect (0, 2^k] with
+    Fraction midpoints and two Sturm counts per step until (lo, hi] holds
+    one root, lo > 0 and hi - lo <= WIDTH; a midpoint root deflates."""
+    hi = Fraction(1)
+    while hi < polys.cauchy_bound(chain[0]):
+        hi *= 2
+    lo = Fraction(0)
+    if polys.count_roots(chain, lo, hi) == 0:
+        return None
+    while polys.count_roots(chain, lo, hi) != 1 or lo == 0 or hi - lo > WIDTH:
+        mid = (lo + hi) / 2
+        if polys.evaluate(chain[0], mid) == 0:
+            f = polys.exact_div(chain[0], [-mid.numerator, mid.denominator])
+            chain = polys.sturm_chain(f)
+            if polys.count_roots(chain, lo, mid) == 0:
+                return (mid, mid)
+            hi = mid
+        elif polys.count_roots(chain, lo, mid) >= 1:
+            hi = mid
+        else:
+            lo = mid
+    return (lo, hi)
+
+
+@st.composite
+def dyadic_root_polys(draw):
+    """g * (2^j t - a) with g positive: the dyadic root a / 2^j is the only
+    positive one, as in test_smallest_positive_root_hits_dyadic_roots."""
+    g = draw(int_polys(positive=True))
+    r = Fraction(draw(st.integers(1, 2 ** 20)), 2 ** draw(st.integers(0, 40)))
+    return polys.mul(g, [-r.numerator, r.denominator])
+
+
 @st.composite
 def polys_with_known_roots(draw):
     """(p, roots): p = c * prod (b_i t - a_i) * (c0 + c1 t^k), with c of
@@ -314,6 +348,23 @@ def test_sturm_counts_known_roots(p_roots, a, b):
     lo, hi = min(a, b), max(a, b)
     chain = polys.sturm_chain(polys.squarefree_part(p))
     assert polys.count_roots(chain, lo, hi) == sum(1 for r in roots if lo < r <= hi)
+
+
+BISECTION_CASES = {
+    "int_polys": int_polys(),
+    "known_roots": polys_with_known_roots().map(lambda p_roots: p_roots[0]),
+    "dyadic_roots": dyadic_root_polys(),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BISECTION_CASES))
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_bisection_is_the_sturm_count_bisection(kind, data):
+    p = data.draw(BISECTION_CASES[kind])
+    assume(p[0] != 0)
+    chain = polys.sturm_chain(polys.squarefree_part(p))
+    assert polys.isolate_smallest_positive_root(chain) == _sturm_bisection(chain)
 
 
 def test_sturm_count_keeps_signs_through_a_negative_lead():
@@ -390,3 +441,16 @@ def test_series_matches_automaton(d, data):
          for s in d.generators}
     sums = NormalFormAutomaton(d).sphere_series([q[s] for s in d.generators], 8)
     assert growth.series_coefficients(d, q, 9) == sums
+
+
+@PROPERTY_SETTINGS
+@given(irreducible_diagrams(), st.data())
+def test_ray_numerator_divides_out_the_gcd(d, data):
+    """Dividing num by den's linear factors one generator at a time is
+    dividing by gcd(num, den); q_s = 1 and repeated q_s repeat a factor."""
+    q = {s: data.draw(st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(1),
+                                       Fraction(2), Fraction(3)]))
+         for s in d.generators}
+    num, den = growth._ray_fraction(d, q)
+    reduced = polys.exact_div(num, polys.gcd_poly(num, den))
+    assert growth.ray_numerator(d, q) == polys.primitive(reduced)
