@@ -137,9 +137,8 @@ def criterion_2_growth_oracle(lmax: int = 12, bfs_budget: int = 250_000) -> Crit
         # direct BFS cross-check as far as the budget allows
         radius = 0
         size = 1
-        sizes = [1]
         while radius < lmax:
-            nxt = aut.sphere_counts(radius + 1)[radius + 1]
+            nxt = counts[radius + 1]
             if size + nxt > bfs_budget:
                 break
             size += nxt

@@ -141,7 +141,7 @@ def cmd_growth(args) -> dict:
         "t0": _interval_doc(report.t0),
         "rho": _interval_doc(report.rho),
         "rho_float": report.rho_float(),
-        "membership": growth.region_membership(d, qmap),
+        "membership": report.membership,
     }
 
 

@@ -5,8 +5,11 @@ with the symmetric relation of commuting pairs (exponent 2); all other pairs
 of distinct generators have exponent infinity.  Group elements are handled as
 canonical words: the ShortLex-least reduced word under the input generator
 order.  Two reduced words represent the same element exactly when they differ
-by swaps of adjacent commuting letters, so the canonical word is computable by
-cancellation followed by a greedy lexicographic linearization.
+by swaps of adjacent commuting letters, so an element is its heap of pieces
+(Cartier-Foata; Viennot, "Heaps of pieces I"): letters are added one at a time
+on the left, a letter equal to an unshielded piece cancels it, and the
+canonical word is the greedy lexicographic reading of the heap.  Normal forms,
+left strips and the weak order all run on the heap.
 """
 
 from __future__ import annotations
@@ -61,14 +64,10 @@ class CoxeterDiagram:
             pairs.add((s, t))
             pairs.add((t, s))
         self._commuting = frozenset(pairs)
-        # noncommuting[s] = letters that block s from moving past them,
-        # including s itself (ss is a cancellation, never a free swap).
-        self._noncomm: dict[str, frozenset[str]] = {
-            s: frozenset({s} | {t for t in gens if t != s and (s, t) not in pairs})
-            for s in gens
-        }
-        # the same sets as bitmasks over generator indices
-        self._conflict = {s: sum(1 << self._gidx[t] for t in self._noncomm[s]) for s in gens}
+        # conflict[s] = bitmask of the letters that block s from moving past
+        # them, s itself included (ss is a cancellation, never a free swap).
+        self._conflict = {s: sum(1 << i for i, t in enumerate(gens) if (s, t) not in pairs)
+                          for s in gens}
 
     # -- basic structure ---------------------------------------------------
 
@@ -114,29 +113,6 @@ class CoxeterDiagram:
 
     # -- canonical words ---------------------------------------------------
 
-    def _reduce(self, letters: list[str]) -> list[str]:
-        # Remove a pair of equal letters whenever the letters strictly
-        # between them all commute with it; repeat until stable.
-        changed = True
-        while changed:
-            changed = False
-            n = len(letters)
-            for i in range(n):
-                x = letters[i]
-                blocked = False
-                for j in range(i + 1, n):
-                    y = letters[j]
-                    if y == x and not blocked:
-                        del letters[j]
-                        del letters[i]
-                        changed = True
-                        break
-                    if y in self._noncomm[x]:
-                        blocked = True
-                if changed:
-                    break
-        return letters
-
     def _linearize(self, letters: Sequence[str]) -> Word:
         # Greedy ShortLex: repeatedly emit the smallest letter that commutes
         # with everything before it.  On reduced input this yields the
@@ -158,9 +134,9 @@ class CoxeterDiagram:
 
     def normal_form(self, word: Iterable[str]) -> Word:
         """ShortLex-least reduced word of the element spelled by ``word``."""
-        letters = list(word)
+        letters = tuple(word)
         self._check_letters(letters)
-        return self._linearize(self._reduce(letters))
+        return self.heap_word(self.heap(letters))
 
     # -- group operations --------------------------------------------------
 
@@ -173,42 +149,29 @@ class CoxeterDiagram:
         self._check_letters(w)
         return self._linearize(tuple(reversed(w)))
 
+    def _descents(self, letters: Iterable[str]) -> list[str]:
+        # Letters of a reduced word that no earlier letter shields.
+        gidx, conflict = self._gidx, self._conflict
+        found = shield = 0
+        for x in letters:
+            if not shield >> gidx[x] & 1:
+                found |= 1 << gidx[x]
+            shield |= conflict[x]
+        return [s for i, s in enumerate(self.generators) if found >> i & 1]
+
     def left_descents(self, word: Sequence[str]) -> list[str]:
         """Letters s with s <= w, in generator order.  ``word`` must be reduced."""
-        found: set[str] = set()
-        shield: set[str] = set()
-        for x in word:
-            if x not in shield:
-                found.add(x)
-            shield |= self._noncomm[x]
-        return sorted(found, key=self._gidx.__getitem__)
+        return self._descents(word)
 
     def right_descents(self, word: Sequence[str]) -> list[str]:
-        found: set[str] = set()
-        shield: set[str] = set()
-        for x in reversed(word):
-            if x not in shield:
-                found.add(x)
-            shield |= self._noncomm[x]
-        return sorted(found, key=self._gidx.__getitem__)
-
-    def _unshielded(self, s: str, word: Sequence[str]) -> int:
-        """Position of the first s in ``word`` that commutes with every letter
-        before it, or -1 when there is none (s is a left descent of a reduced
-        word iff there is one).  A letter not commuting with s shields every
-        later s."""
-        blockers = self._noncomm[s]
-        for i, x in enumerate(word):
-            if x in blockers:
-                return i if x == s else -1
-        return -1
+        return self._descents(reversed(word))
 
     def left_strip(self, s: str, word: Sequence[str]) -> Word:
         """Canonical word of ``s * word`` when s is a left descent of ``word``."""
-        i = self._unshielded(s, word)
-        if i < 0:
+        layers, below = self.heap_lmul(self.heap(word), s)
+        if not below:
             raise ValueError(f"{s!r} is not a left descent of {word!r}")
-        return self._linearize(tuple(word[:i]) + tuple(word[i + 1:]))
+        return self.heap_word(layers)
 
     # -- heaps of pieces ---------------------------------------------------
     # An element is its heap (Cartier-Foata; Viennot, "Heaps of pieces I"),
@@ -247,16 +210,13 @@ class CoxeterDiagram:
     def starts_with(self, v: Sequence[str], w: Sequence[str]) -> bool:
         """The order v <= w, i.e. |v^-1 w| == |w| - |v|."""
         v = self.normal_form(v)
-        w = self.normal_form(w)
-        if len(v) > len(w):
-            return False
+        self._check_letters(w)
         # Strip the letters of v off the front of w one descent at a time.
-        cur = w
+        layers = self.heap(w)
         for t in v:
-            pos = self._unshielded(t, cur)
-            if pos < 0:
+            layers, below = self.heap_lmul(layers, t)
+            if not below:
                 return False
-            cur = cur[:pos] + cur[pos + 1:]
         return True
 
     def meet(self, v: Sequence[str], w: Sequence[str]) -> Word:

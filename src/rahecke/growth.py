@@ -126,6 +126,7 @@ class GrowthReport:
     cleared_polynomial: list
     t0: tuple[Fraction, Fraction] | None   # None means +infinity (finite group)
     rho: tuple[Fraction, Fraction]
+    membership: str  # 'Interior' | 'Boundary' | 'Exterior', as region_membership
 
     def rho_float(self) -> float:
         return float((self.rho[0] + self.rho[1]) / 2)
@@ -165,9 +166,10 @@ def _rho(t0: Bracket | None) -> Bracket:
 
 
 def pole_and_rho(diagram: CoxeterDiagram, q: Mapping[str, Fraction]) -> GrowthReport:
-    """Isolate the smallest positive pole t0 of t -> W(t*q) and rho = 1/t0."""
+    """Isolate the smallest positive pole t0 of t -> W(t*q) and rho = 1/t0;
+    the membership comes from the same ray analysis."""
     qq = _check_positive_rational(diagram, q)
-    _, t0, num = _ray_analysis(diagram, qq, bracket=True)
+    membership, t0, num = _ray_analysis(diagram, qq, bracket=True)
     return GrowthReport(
         diagram=diagram,
         q=dict(qq),
@@ -175,6 +177,7 @@ def pole_and_rho(diagram: CoxeterDiagram, q: Mapping[str, Fraction]) -> GrowthRe
         cleared_polynomial=[Fraction(c, num[0]) for c in num],
         t0=t0,
         rho=_rho(t0),
+        membership=membership,
     )
 
 

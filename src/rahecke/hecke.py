@@ -37,20 +37,27 @@ def rational_sqrt(x: Fraction) -> Fraction | None:
     return None
 
 
+def _positive(diagram: CoxeterDiagram, q: Mapping[str, object], convert) -> dict:
+    """convert(q_s) for every generator s, refused by name unless positive."""
+    out = {}
+    for s in diagram.generators:
+        if s not in q:
+            raise ValueError(f"missing parameter for generator {s!r}")
+        out[s] = convert(q[s])
+        if out[s] <= 0:
+            raise ValueError(f"parameter q[{s!r}] must be positive")
+    return out
+
+
 class MultiParameter:
     """Per-generator deformation parameters with optional exact square roots."""
 
     def __init__(self, diagram: CoxeterDiagram, q: Mapping[str, object],
                  roots: Mapping[str, object] | None, exact: bool):
         self.diagram = diagram
-        self.q = dict(q)
+        self.q = _positive(diagram, q, lambda v: v)
         self.roots = dict(roots) if roots is not None else None
         self.exact = exact
-        for s in diagram.generators:
-            if s not in self.q:
-                raise ValueError(f"missing parameter for generator {s!r}")
-            if self.q[s] <= 0:
-                raise ValueError(f"parameter q[{s!r}] must be positive")
         self._p = {s: self._compute_p(s) for s in diagram.generators}
 
     # -- constructors --------------------------------------------------------
@@ -58,18 +65,15 @@ class MultiParameter:
     @classmethod
     def exact_squares(cls, diagram: CoxeterDiagram, q: Mapping[str, Fraction]) -> "MultiParameter":
         """Exact mode; every q_s must be the square of a rational."""
+        qq = _positive(diagram, q, Fraction)
         roots = {}
-        qq = {}
-        for s in diagram.generators:
-            val = Fraction(q[s])
-            r = rational_sqrt(val)
-            if r is None:
+        for s, val in qq.items():
+            roots[s] = rational_sqrt(val)
+            if roots[s] is None:
                 raise ValueError(
                     f"q[{s!r}] = {val} is not a square of a rational; "
                     "use float mode for such parameters"
                 )
-            qq[s] = val
-            roots[s] = r
         return cls(diagram, qq, roots, exact=True)
 
     @classmethod
@@ -79,7 +83,7 @@ class MultiParameter:
 
     @classmethod
     def floating(cls, diagram: CoxeterDiagram, q: Mapping[str, float]) -> "MultiParameter":
-        qq = {s: float(q[s]) for s in diagram.generators}
+        qq = _positive(diagram, q, float)
         return cls(diagram, qq, {s: math.sqrt(v) for s, v in qq.items()}, exact=False)
 
     @classmethod
@@ -324,11 +328,9 @@ def cliq_decomposition(params: MultiParameter, w: Sequence[str]
     for wp in sorted(enumeration.prefixes(d, word), key=lambda u: (len(u), u)):
         u = d.multiply(d.inverse(wp), word)
         rdesc_wp = set(d.right_descents(wp))
-        descents = d.left_descents(u)
-        # cliques inside the left descents of u (descents pairwise commute
-        # only when the diagram says so)
-        def extend(base: tuple[str, ...], cands: list[str]) -> None:
-            gamma = base
+        # Gamma runs over the subsets of the left descents of u, which pairwise
+        # commute (u is reduced), so each s in Gamma strips off what is left.
+        def extend(gamma: tuple[str, ...], cands: list[str]) -> None:
             movers = [
                 t for t in d.generators
                 if all(d.commutes(s, t) for s in gamma) and t not in gamma
@@ -337,16 +339,13 @@ def cliq_decomposition(params: MultiParameter, w: Sequence[str]
                 wpp = u
                 coeff = Fraction(1) if params.exact else 1.0
                 for s in gamma:
-                    wpp = d.left_strip(s, wpp) if s in d.left_descents(wpp) else None
-                    if wpp is None:
-                        break
+                    wpp = d.left_strip(s, wpp)
                     coeff = coeff * params.p(s)
-                if wpp is not None:
-                    out.append((wp, gamma, wpp, coeff))
+                out.append((wp, gamma, wpp, coeff))
             for i, s in enumerate(cands):
-                extend(base + (s,), [t for t in cands[i + 1:] if d.commutes(s, t)])
+                extend(gamma + (s,), cands[i + 1:])
 
-        extend((), descents)
+        extend((), d.left_descents(u))
     return out
 
 

@@ -184,6 +184,17 @@ def test_haagerup_needs_positive_q(capsys, diagram_a_file, qscalar):
     assert "q must be positive" in captured.err
 
 
+@pytest.mark.parametrize("mode,q", [("float", "all=-1"), ("exact", "all=-1/4"),
+                                    ("float", "a=1,b=0,c=1")])
+def test_mul_needs_positive_q(capsys, diagram_a_file, mode, q):
+    assert main(["mul", "--diagram", diagram_a_file, "--mode", mode, "--q", q,
+                 "--left", "T(a)", "--right", "T(a)"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    bad = "a" if "all" in q else "b"
+    assert captured.err == f"error: parameter q[{bad!r}] must be positive\n"
+
+
 def test_out_file(capsys, diagram_a_file, tmp_path):
     out = tmp_path / "report.json"
     code = main(["nf", "--diagram", diagram_a_file, "--word", "ba", "--out", str(out)])

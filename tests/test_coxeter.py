@@ -273,3 +273,97 @@ def test_heap_layers_match_normal_forms(d, data):
         assert d.heap_word(slayers) == d.normal_form((s,) + w)
         assert slayers == d.heap((s,) + w)
         assert below == (s in d.left_descents(w))
+
+
+# -- the word rule, kept as the heap engine's oracle ---------------------------
+
+
+def _blockers(d, s):
+    """Letters that s cannot move past: s itself and its non-commuting ones."""
+    return {t for t in d.generators if not d.commutes(s, t)}
+
+
+def _word_nf(d, word):
+    """Cancel a pair of equal letters whenever the letters strictly between
+    them all commute with it, restarting after every cancellation; then emit
+    the smallest letter that commutes with everything before it, greedily."""
+    letters = list(word)
+    changed = True
+    while changed:
+        changed = False
+        for i, x in enumerate(letters):
+            blocked = False
+            for j in range(i + 1, len(letters)):
+                if letters[j] == x and not blocked:
+                    del letters[j], letters[i]
+                    changed = True
+                    break
+                blocked = blocked or letters[j] in _blockers(d, x)
+            if changed:
+                break
+    out = []
+    while letters:
+        best, shield = None, set()
+        for i, x in enumerate(letters):
+            if x not in shield and (best is None or d.gen_index(x) < d.gen_index(letters[best])):
+                best = i
+            shield |= _blockers(d, x)
+        out.append(letters.pop(best))
+    return tuple(out)
+
+
+def _unshielded(d, s, word):
+    """Position of the first s in ``word`` that commutes with every letter
+    before it, or -1 when a letter not commuting with s comes first."""
+    for i, x in enumerate(word):
+        if x in _blockers(d, s):
+            return i if x == s else -1
+    return -1
+
+
+def _word_strip(d, s, word):
+    i = _unshielded(d, s, word)
+    return None if i < 0 else _word_nf(d, word[:i] + word[i + 1:])
+
+
+def _word_starts_with(d, v, w):
+    cur = _word_nf(d, w)
+    for t in _word_nf(d, v):
+        i = _unshielded(d, t, cur)
+        if i < 0:
+            return False
+        cur = cur[:i] + cur[i + 1:]
+    return True
+
+
+def _word_descents(d, word):
+    found, shield = set(), set()
+    for x in word:
+        if x not in shield:
+            found.add(x)
+        shield |= _blockers(d, x)
+    return sorted(found, key=d.gen_index)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(diagrams(max_rank=5), st.data())
+def test_heap_engine_matches_word_rule(d, data):
+    """Normal forms, descents, left strips and the weak order of the heap
+    engine agree with the word rule on unreduced random words."""
+    words = st.lists(st.sampled_from(d.generators), max_size=8).map(tuple)
+    raw, other = data.draw(words), data.draw(words)
+    w = _word_nf(d, raw)
+    assert d.normal_form(raw) == w
+    assert d.left_descents(w) == _word_descents(d, w)
+    assert d.right_descents(w) == _word_descents(d, w[::-1])
+    for s in d.generators:
+        stripped = _word_strip(d, s, w)
+        if stripped is None:
+            with pytest.raises(ValueError):
+                d.left_strip(s, w)
+        else:
+            assert d.left_strip(s, w) == stripped
+    # a random v is rarely below w; a prefix of w, or one letter more, often is
+    k = data.draw(st.integers(0, len(w)))
+    for v in (other, w[:k], w[:k] + other[:1], other + raw):
+        assert d.starts_with(v, raw) == _word_starts_with(d, v, raw)

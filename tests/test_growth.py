@@ -78,12 +78,17 @@ def test_pole_and_rho(diagram_a, free3, pentagon):
 
 def test_region_membership(diagram_a, free3):
     dinf = CoxeterDiagram(["a", "b"])
-    assert growth.region_membership(free3, q_const(free3, Fraction(1, 4))) == "Interior"
-    assert growth.region_membership(dinf, q_const(dinf, 1)) == "Boundary"
-    assert growth.region_membership(diagram_a, q_const(diagram_a, 1)) == "Exterior"
-    assert growth.region_membership(free3, q_const(free3, Fraction(1, 2))) == "Boundary"
-    # mixed-parameter boundary for the infinite dihedral group: q_a q_b = 1
-    assert growth.region_membership(dinf, {"a": Fraction(1, 4), "b": Fraction(4)}) == "Boundary"
+    cases = [
+        (free3, q_const(free3, Fraction(1, 4)), "Interior"),
+        (dinf, q_const(dinf, 1), "Boundary"),
+        (diagram_a, q_const(diagram_a, 1), "Exterior"),
+        (free3, q_const(free3, Fraction(1, 2)), "Boundary"),
+        # mixed-parameter boundary for the infinite dihedral group: q_a q_b = 1
+        (dinf, {"a": Fraction(1, 4), "b": Fraction(4)}, "Boundary"),
+    ]
+    for d, q, membership in cases:
+        assert growth.region_membership(d, q) == membership
+        assert growth.pole_and_rho(d, q).membership == membership
 
 
 def test_growth_value(free3):

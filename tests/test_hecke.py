@@ -219,6 +219,51 @@ def test_cliq_decomposition(params_quarter, diagram_a):
         assert len(wp) + len(gamma) + len(wpp) == 4
 
 
+def _nested_cliq_decomposition(params, w):
+    """The clique decomposition as first written: candidates filtered by
+    commutation, and a strip that may fail; the reference for the term order."""
+    d = params.diagram
+    word = d.normal_form(w)
+    out = []
+    for wp in sorted(enumeration.prefixes(d, word), key=lambda u: (len(u), u)):
+        u = d.multiply(d.inverse(wp), word)
+        rdesc_wp = set(d.right_descents(wp))
+
+        def extend(gamma, cands):
+            movers = [t for t in d.generators
+                      if all(d.commutes(s, t) for s in gamma) and t not in gamma]
+            if all(t not in rdesc_wp for t in movers):
+                wpp, coeff = u, Fraction(1) if params.exact else 1.0
+                for s in gamma:
+                    wpp = d.left_strip(s, wpp) if s in d.left_descents(wpp) else None
+                    if wpp is None:
+                        break
+                    coeff = coeff * params.p(s)
+                if wpp is not None:
+                    out.append((wp, gamma, wpp, coeff))
+            for i, s in enumerate(cands):
+                extend(gamma + (s,), [t for t in cands[i + 1:] if d.commutes(s, t)])
+
+        extend((), d.left_descents(u))
+    return out
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(diagrams(max_rank=5), st.booleans(), st.data())
+def test_cliq_decomposition_matches_nested_filter(d, exact, data):
+    """The same terms in the same order as the filtered nested recursion."""
+    if exact:
+        params = MultiParameter.from_roots(d, {s: data.draw(st.sampled_from(
+            [Fraction(1), Fraction(1, 2), Fraction(3, 2)])) for s in d.generators})
+    else:
+        params = MultiParameter.floating(d, {s: 0.3 for s in d.generators})
+    # ball order ends with the longest words; small draws count from there
+    b = ball(d, 6)
+    word = b.words[len(b) - 1 - data.draw(st.integers(0, len(b) - 1))]
+    word += tuple(data.draw(st.lists(st.sampled_from(d.generators), max_size=2)))
+    assert cliq_decomposition(params, word) == _nested_cliq_decomposition(params, word)
+
+
 def test_parse_element_literal(params_quarter):
     x = parse_element_literal(params_quarter, "1*T(e) - 3/2*T(a)")
     ta = HeckeElement.basis(params_quarter, "a")
