@@ -39,14 +39,16 @@ SignPattern = tuple[int, ...]
 Bracket = tuple[Fraction, Fraction]
 
 
-def _check_positive_rational(diagram: CoxeterDiagram, q: Mapping[str, Fraction]) -> dict[str, Fraction]:
+def positive_parameters(diagram: CoxeterDiagram, q: Mapping[str, object],
+                        convert=Fraction) -> dict:
+    """convert(q_s) for every generator s, refused by name unless positive."""
     out = {}
     for s in diagram.generators:
         if s not in q:
             raise ValueError(f"missing parameter for generator {s!r}")
-        val = Fraction(q[s])
+        val = convert(q[s])
         if val <= 0:
-            raise ValueError(f"parameter q[{s!r}] = {val} must be positive")
+            raise ValueError(f"parameter q[{s!r}] must be positive")
         out[s] = val
     return out
 
@@ -67,7 +69,7 @@ def cliques(diagram: CoxeterDiagram) -> list[tuple[str, ...]]:
 
 def growth_reciprocal(diagram: CoxeterDiagram, q: Mapping[str, Fraction]) -> Fraction:
     """D(q) = 1/W(q), exactly: the ray fraction at t = 1."""
-    num, den = _ray_fraction(diagram, _check_positive_rational(diagram, q))
+    num, den = _ray_fraction(diagram, positive_parameters(diagram, q))
     return Fraction(sum(num), sum(den))
 
 
@@ -102,7 +104,7 @@ def _ray_fraction(diagram: CoxeterDiagram, qq: Mapping[str, Fraction]
 
 def ray_numerator(diagram: CoxeterDiagram, q: Mapping[str, Fraction]) -> polys.Poly:
     """Reduced numerator N(t) of D(t*q): primitive integers with N(0) > 0."""
-    qq = _check_positive_rational(diagram, q)
+    qq = positive_parameters(diagram, q)
     num, _ = _ray_fraction(diagram, qq)
     # den's factors b_s + a_s t are primitive with positive leads: those that
     # divide num, once per generator, multiply to gcd(num, den) (Gauss).
@@ -168,7 +170,7 @@ def _rho(t0: Bracket | None) -> Bracket:
 def pole_and_rho(diagram: CoxeterDiagram, q: Mapping[str, Fraction]) -> GrowthReport:
     """Isolate the smallest positive pole t0 of t -> W(t*q) and rho = 1/t0;
     the membership comes from the same ray analysis."""
-    qq = _check_positive_rational(diagram, q)
+    qq = positive_parameters(diagram, q)
     membership, t0, num = _ray_analysis(diagram, qq, bracket=True)
     return GrowthReport(
         diagram=diagram,
@@ -185,7 +187,7 @@ def region_membership(diagram: CoxeterDiagram, q: Mapping[str, Fraction]) -> str
     """Position of q relative to the positive part of the convergence region:
     'Interior' (rho < 1), 'Boundary' (rho = 1) or 'Exterior' (rho > 1).
     Decided by Sturm counts alone; no bisection."""
-    qq = _check_positive_rational(diagram, q)
+    qq = positive_parameters(diagram, q)
     return _ray_analysis(diagram, qq, bracket=False)[0]
 
 
@@ -220,7 +222,7 @@ def classify_simplicity(diagram: CoxeterDiagram, q: Mapping[str, Fraction]) -> V
     infinite-rank case is always simple and is not computed here."""
     if not diagram.is_irreducible():
         return Verdict(status="NotApplicable", reason="diagram is reducible")
-    qq = _check_positive_rational(diagram, q)
+    qq = positive_parameters(diagram, q)
     witnesses: list[SignPattern] = []
     boundary: list[SignPattern] = []
     per_flip: dict[SignPattern, dict] = {}
@@ -260,7 +262,7 @@ def series_coefficients(diagram: CoxeterDiagram, q: Mapping[str, Fraction],
     """Taylor coefficients of t -> W(t*q) = den(t) / num(t): the weighted sphere
     sums a_l(q), from num * W = den term by term.  Oracle counterpart of
     enumeration.sphere_weight."""
-    qq = _check_positive_rational(diagram, q)
+    qq = positive_parameters(diagram, q)
     num, den = _ray_fraction(diagram, qq)
     out: list[Fraction] = []
     for n in range(nterms):

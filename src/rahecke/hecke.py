@@ -12,7 +12,10 @@ product the terms are keyed by heap layers, on which a letter is one scan
 (``CoxeterDiagram.heap_lmul``); words are read and written only at the
 product's edges.  In exact mode every q_s must be the square of a rational, so
 p_s, character values, and the coefficients of the central-projection partial
-sums all stay rational.
+sums all stay rational.  Exact products run on Python integers over one
+denominator: each factor's coefficients become numerators over their least
+common denominator, the walk scales T_s by the denominator of p_s, and one
+``Fraction`` per output key is built at the end.
 """
 
 from __future__ import annotations
@@ -37,16 +40,12 @@ def rational_sqrt(x: Fraction) -> Fraction | None:
     return None
 
 
-def _positive(diagram: CoxeterDiagram, q: Mapping[str, object], convert) -> dict:
-    """convert(q_s) for every generator s, refused by name unless positive."""
-    out = {}
-    for s in diagram.generators:
-        if s not in q:
-            raise ValueError(f"missing parameter for generator {s!r}")
-        out[s] = convert(q[s])
-        if out[s] <= 0:
-            raise ValueError(f"parameter q[{s!r}] must be positive")
-    return out
+def _over_lcm(coeffs: Iterable) -> tuple[list[int], int]:
+    """Rational coefficients as integer numerators over their least common
+    denominator."""
+    coeffs = list(coeffs)
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 class MultiParameter:
@@ -55,17 +54,20 @@ class MultiParameter:
     def __init__(self, diagram: CoxeterDiagram, q: Mapping[str, object],
                  roots: Mapping[str, object] | None, exact: bool):
         self.diagram = diagram
-        self.q = _positive(diagram, q, lambda v: v)
+        self.q = growth.positive_parameters(diagram, q, Fraction if exact else float)
         self.roots = dict(roots) if roots is not None else None
         self.exact = exact
         self._p = {s: self._compute_p(s) for s in diagram.generators}
+        # p_s = pn_s / pd_s in lowest terms; float mode keeps pd_s = 1
+        self._p_parts = {s: (p.numerator, p.denominator) if exact else (p, 1)
+                         for s, p in self._p.items()}
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def exact_squares(cls, diagram: CoxeterDiagram, q: Mapping[str, Fraction]) -> "MultiParameter":
         """Exact mode; every q_s must be the square of a rational."""
-        qq = _positive(diagram, q, Fraction)
+        qq = growth.positive_parameters(diagram, q)
         roots = {}
         for s, val in qq.items():
             roots[s] = rational_sqrt(val)
@@ -83,7 +85,7 @@ class MultiParameter:
 
     @classmethod
     def floating(cls, diagram: CoxeterDiagram, q: Mapping[str, float]) -> "MultiParameter":
-        qq = _positive(diagram, q, float)
+        qq = growth.positive_parameters(diagram, q, float)
         return cls(diagram, qq, {s: math.sqrt(v) for s, v in qq.items()}, exact=False)
 
     @classmethod
@@ -221,25 +223,44 @@ class HeckeElement:
         if not isinstance(other, HeckeElement):
             return self.scaled(other)
         self._require_same(other)
-        d, p = self.diagram, self.params.p
-        right = {d.heap(w): c for w, c in other.coeffs.items()}
+        d, exact, parts = self.diagram, self.params.exact, self.params._p_parts
+        # With p_s = pn_s / pd_s the walk applies T'_s = pd_s T_s: c pd_s goes
+        # to s.w and c pn_s to w when s <= w, so a left term v lands on
+        # pd(v) T_v y, pd(v) the product of pd_s over its letters.  Exact
+        # coefficients run as integers over each factor's common denominator,
+        # a left term is pre-scaled by big / pd(v), and every output key meets
+        # the one denominator big dx dy.  Float mode has pd_s = 1.
+        if exact:
+            left, dx = _over_lcm(self.coeffs.values())
+            right, dy = _over_lcm(other.coeffs.values())
+        else:
+            left, dx = self.coeffs.values(), 1
+            right, dy = other.coeffs.values(), 1
+        pds = [math.prod(parts[s][1] for s in v) for v in self.coeffs]
+        big = math.lcm(*pds)
+        start = {d.heap(w): c for w, c in zip(other.coeffs, right)}
         total: dict[tuple[int, ...], object] = {}
-        for v, cv in self.coeffs.items():
-            state = right
+        for v, cv, pdv in zip(self.coeffs, left, pds):
+            state = start
             for s in reversed(v):
-                ps = p(s)
+                pn, pd = parts[s]
                 out: dict[tuple[int, ...], object] = {}
                 for key, c in state.items():
                     skey, below = d.heap_lmul(key, s)
                     old = out.get(skey)
-                    out[skey] = c if old is None else old + c
-                    if below and ps != 0:
+                    out[skey] = c * pd if old is None else old + c * pd
+                    if below and pn != 0:
                         old = out.get(key)
-                        out[key] = c * ps if old is None else old + c * ps
+                        out[key] = c * pn if old is None else old + c * pn
                 state = {key: c for key, c in out.items() if c != 0}
+            cv = cv * (big // pdv)
             for key, c in state.items():
                 old = total.get(key)
                 total[key] = cv * c if old is None else old + cv * c
+        if exact:
+            den = big * dx * dy
+            return HeckeElement(self.params, {d.heap_word(key): Fraction(n, den)
+                                              for key, n in total.items() if n != 0})
         return HeckeElement(self.params, {d.heap_word(key): c for key, c in total.items()
                                           if c != 0})
 
@@ -258,11 +279,20 @@ class HeckeElement:
         return self.coeffs.get((), zero)
 
     def inner(self, other: "HeckeElement"):
-        """<x, y> = tau(y* x)."""
-        return (other.adjoint() * self).trace()
+        """<x, y> = tau(y* x) = sum_w x_w conj(y_w): the T_w are orthonormal."""
+        self._require_same(other)
+        acc = Fraction(0) if self.params.exact else 0.0
+        for w, c in self.coeffs.items():
+            cy = other.coeffs.get(w)
+            if cy is not None:
+                acc = acc + (cy.conjugate() if isinstance(cy, complex) else cy) * c
+        return acc
 
     def norm2_sq(self):
-        acc = Fraction(0) if self.params.exact else 0.0
+        if self.params.exact:
+            nums, den = _over_lcm(self.coeffs.values())
+            return Fraction(sum(n * n for n in nums), den * den)
+        acc = 0.0
         for c in self.coeffs.values():
             acc = acc + (c * c.conjugate() if isinstance(c, complex) else c * c)
         return acc

@@ -195,6 +195,18 @@ def test_mul_needs_positive_q(capsys, diagram_a_file, mode, q):
     assert captured.err == f"error: parameter q[{bad!r}] must be positive\n"
 
 
+def test_classify_and_mul_refuse_q_alike(capsys, diagram_a_file):
+    """One positivity check: the classifier and the Hecke product print the
+    same line for the same bad parameter."""
+    errors = []
+    for cmd in (["classify"], ["mul", "--left", "T(a)", "--right", "T(a)"]):
+        assert main(cmd + ["--diagram", diagram_a_file, "--q", "all=-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert errors == ["error: parameter q['a'] must be positive\n"] * 2
+
+
 def test_out_file(capsys, diagram_a_file, tmp_path):
     out = tmp_path / "report.json"
     code = main(["nf", "--diagram", diagram_a_file, "--word", "ba", "--out", str(out)])

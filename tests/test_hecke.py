@@ -311,30 +311,64 @@ def _word_product(x, y):
     return {w: c for w, c in total.items() if c != 0}
 
 
+def _drawn_params(d, exact, data):
+    """Exact roots give p_s with coprime denominators (p = -5/6 at 2/3, -24/35
+    at 5/7) and p_s = 0 at the root 1."""
+    if exact:
+        roots = [Fraction(1), Fraction(1, 2), Fraction(2), Fraction(3, 2), Fraction(1, 3),
+                 Fraction(2, 3), Fraction(5, 7)]
+        return MultiParameter.from_roots(
+            d, {s: data.draw(st.sampled_from(roots)) for s in d.generators})
+    return MultiParameter.floating(
+        d, {s: data.draw(st.sampled_from([0.3, 0.5, 1.0, 1.7, 2.5])) for s in d.generators})
+
+
+def _drawn_element(params, data):
+    words = st.lists(st.sampled_from(params.diagram.generators), max_size=6)
+    out = HeckeElement.zero(params)
+    for _ in range(data.draw(st.integers(1, 4))):
+        c = Fraction(data.draw(st.integers(-5, 5)) or 1, data.draw(st.integers(1, 4)))
+        out = out + (c if params.exact else float(c) * 1.1) * HeckeElement.basis(
+            params, data.draw(words))
+    return out
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(diagrams(max_rank=5), st.booleans(), st.data())
 def test_product_matches_word_rule(d, exact, data):
     """The heap-layer product has the coefficients and the key order of the
     one-letter rule on canonical words, exactly in both modes."""
-    if exact:
-        roots = [Fraction(1), Fraction(1, 2), Fraction(2), Fraction(3, 2), Fraction(1, 3)]
-        params = MultiParameter.from_roots(
-            d, {s: data.draw(st.sampled_from(roots)) for s in d.generators})
-    else:
-        params = MultiParameter.floating(
-            d, {s: data.draw(st.sampled_from([0.3, 0.5, 1.0, 1.7, 2.5])) for s in d.generators})
-    words = st.lists(st.sampled_from(d.generators), max_size=6)
-
-    def element():
-        out = HeckeElement.zero(params)
-        for _ in range(data.draw(st.integers(1, 4))):
-            c = Fraction(data.draw(st.integers(-5, 5)) or 1, data.draw(st.integers(1, 4)))
-            out = out + (c if exact else float(c) * 1.1) * HeckeElement.basis(
-                params, data.draw(words))
-        return out
-
-    x, y = element(), element()
+    params = _drawn_params(d, exact, data)
+    x, y = _drawn_element(params, data), _drawn_element(params, data)
     assert list((x * y).coeffs.items()) == list(_word_product(x, y).items())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(diagrams(max_rank=5), st.booleans(), st.data())
+def test_inner_is_trace_of_product(d, exact, data):
+    """<x, y> read off the coefficients is tau(y* x), exactly in exact mode."""
+    params = _drawn_params(d, exact, data)
+    x = _drawn_element(params, data)
+    y = x if data.draw(st.booleans()) else _drawn_element(params, data)
+    oracle = (y.adjoint() * x).trace()
+    if exact:
+        assert x.inner(y) == oracle
+    else:
+        assert x.inner(y) == pytest.approx(oracle, rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(diagrams(max_rank=5), st.booleans(), st.data())
+def test_norm2_sq_is_sum_of_squares(d, exact, data):
+    """Exact: the integer sum over one denominator is the Fraction sum of
+    squares.  Float: the left-to-right sum of squares, bit for bit."""
+    params = _drawn_params(d, exact, data)
+    x = _drawn_element(params, data) * _drawn_element(params, data)
+    acc = Fraction(0) if exact else 0.0
+    for c in x.coeffs.values():
+        acc = acc + c * c
+    assert x.norm2_sq() == acc
+    assert type(x.norm2_sq()) is type(acc)
 
 
 def test_product_builds_no_ball(params_quarter, monkeypatch):
