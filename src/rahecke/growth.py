@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iproduct
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from . import polys
 from .coxeter import CoxeterDiagram
@@ -50,20 +50,6 @@ def positive_parameters(diagram: CoxeterDiagram, q: Mapping[str, object],
         if val <= 0:
             raise ValueError(f"parameter q[{s!r}] must be positive")
         out[s] = val
-    return out
-
-
-def cliques(diagram: CoxeterDiagram) -> list[tuple[str, ...]]:
-    """All cliques of the commuting graph, the empty clique included."""
-    gens = diagram.generators
-    out: list[tuple[str, ...]] = []
-
-    def extend(base: tuple[str, ...], candidates: Sequence[str]) -> None:
-        out.append(base)
-        for i, s in enumerate(candidates):
-            extend(base + (s,), [t for t in candidates[i + 1:] if diagram.commutes(s, t)])
-
-    extend((), gens)
     return out
 
 
@@ -89,16 +75,18 @@ def _ray_fraction(diagram: CoxeterDiagram, qq: Mapping[str, Fraction]
     # time (a shared prefix is multiplied once); the empty one ends as den.
     partial: list[tuple[tuple[str, ...], polys.Poly]] = [((), [1])]
     for s in diagram.generators:
-        outside = [qq[s].denominator, qq[s].numerator]
+        a, b = qq[s].numerator, qq[s].denominator
         grown = []
         for clique, term in partial:
-            grown.append((clique, polys.mul(term, outside)))
+            # term * (b + a t) and term * (-a t), coefficient by coefficient.
+            grown.append((clique, [b * term[0]]
+                          + [b * c + a * c_low for c, c_low in zip(term[1:], term)]
+                          + [a * term[-1]]))
             if all(diagram.commutes(s, t) for t in clique):
-                grown.append((clique + (s,), polys.mul(term, [0, -qq[s].numerator])))
+                grown.append((clique + (s,), [0] + [-a * c for c in term]))
         partial = grown
-    num: polys.Poly = []
-    for _, term in partial:
-        num = polys.add(num, term)
+    # Every term has degree rank (its lead is a product of nonzero a_s).
+    num = polys.trim([sum(column) for column in zip(*(term for _, term in partial))])
     return num, partial[0][1]
 
 

@@ -313,7 +313,10 @@ def q_operator(d: CoxeterDiagram, u: Sequence[str], q: Fraction, b: Ball,
         for l, cnt in counts.items():
             c_fit = max(c_fit, Fraction(cnt, max(l, 1) ** exponent))
         diag.append(sum((powers[l] * hit for l, hit in hits.items()), Fraction(0)))
-    # rigorous geometric majorant of the tail sum
+    # Tail past the cutoff with the constant c_fit fitted on this ball: it
+    # bounds the true tail only if no prefix count outside the ball exceeds
+    # c_fit * l^exponent, which nothing here checks.  Below ratio 1 the sum
+    # is geometric; otherwise it is cut off below 1e-30 and doubled.
     tail = Fraction(0)
     l = cutoff + 1
     ratio = q * Fraction((l + 1) ** exponent, l ** exponent)

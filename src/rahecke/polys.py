@@ -1,5 +1,5 @@
 """Dense univariate integer polynomials, with Sturm-based real-root counting
-and exact bisection.
+and exact root isolation.
 
 Polynomials are lists of ints, lowest degree first, with no trailing zeros
 (the zero polynomial is the empty list).  Division is by pseudo-remainders
@@ -8,10 +8,13 @@ and keeps its sign; gcds and Sturm chains are primitive remainder sequences
 (W. S. Brown, J. ACM 18, 1971).  Every sign is taken at x = a/b by integer
 Horner evaluation.
 
-``isolate_smallest_positive_root`` is the one bisection routine.  It runs in
-two phases: Sturm counts until the bracket isolates the root, then the sign
-of the polynomial alone.  Both phases keep the bracket as integers over one
-power of 2 and evaluate one new point per step.
+``isolate_smallest_positive_root`` is the one isolation routine.  It runs in
+two phases, both on integers over one power of 2.  Phase 1 bisects on Sturm
+counts until the bracket isolates the root.  Phase 2 does not bisect: the
+bracket that bisecting on the sign of the polynomial would end in is a cell
+of a dyadic grid known in advance, so a Newton guess (floats, then one or two
+integer steps) names the cell and two exact signs at its ends certify it;
+bisection over the cells is left for a guess that a sign refutes.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from math import gcd
 Poly = list[int]
 
 # Width of every isolating interval that smallest_positive_root returns.
-BISECTION_WIDTH = Fraction(1, 2 ** 64)
+BISECTION_BITS = 64
+BISECTION_WIDTH = Fraction(1, 2 ** BISECTION_BITS)
 
 
 def trim(p: Poly) -> Poly:
@@ -33,12 +37,6 @@ def trim(p: Poly) -> Poly:
 
 def degree(p: Poly) -> int:
     return len(p) - 1
-
-
-def add(p: Poly, q: Poly) -> Poly:
-    n = max(len(p), len(q))
-    return trim([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
-                 for i in range(n)])
 
 
 def mul(p: Poly, q: Poly) -> Poly:
@@ -190,7 +188,7 @@ def smallest_positive_root(p: Poly) -> tuple[Fraction, Fraction] | None:
 
 def isolate_smallest_positive_root(chain: list[Poly]
                                    ) -> tuple[Fraction, Fraction] | None:
-    """The bisection behind ``smallest_positive_root``, given the Sturm chain
+    """The isolation behind ``smallest_positive_root``, given the Sturm chain
     of the squarefree part (whose head must not vanish at 0).
 
     The bracket (lo, hi] is kept as lo = a/d and hi = b/d, d a power of 2.
@@ -198,8 +196,9 @@ def isolate_smallest_positive_root(chain: list[Poly]
     lo > 0; it carries the variation counts at lo and hi, so each step
     evaluates the chain at the midpoint alone.  From then on the root lies
     in (lo, mid] exactly when f(mid) = 0 or sign f(mid) != sign f(lo), so
-    phase 2 evaluates f alone.  Both phases test the same predicate, so the
-    brackets are those of a Sturm-count bisection.
+    phase 2 (``_refine``) needs the sign of f alone; it returns the bracket
+    that bisecting on that sign ends in, so the brackets are those of a
+    Sturm-count bisection.
     """
     b = 1
     bound = cauchy_bound(chain[0])
@@ -228,17 +227,117 @@ def isolate_smallest_positive_root(chain: list[Poly]
             b, v_hi = m, v_mid
         else:
             a, v_lo = m, v_mid
-    # Phase 2: the sign of f alone.
-    f = chain[0]
-    s_lo = _sign(f, a, d)
-    while (b - a) * BISECTION_WIDTH.denominator > BISECTION_WIDTH.numerator * d:
-        a, b, d = 2 * a, 2 * b, 2 * d
-        m = (a + b) // 2
-        s = _sign(f, m, d)
+    return _refine(chain[0], a, b, d)
+
+
+def _refine(f: Poly, a: int, b: int, d: int) -> tuple[Fraction, Fraction]:
+    """Phase 2: the root t0 of f in (a/d, b/d), bracketed on the final grid.
+
+    Requires the phase-1 bracket: d a power of 2, a > 0, f squarefree with
+    exactly one root in (a/d, b/d) and none in (0, a/d].  So f has the sign
+    of f(0) on (0, t0) and the other sign on (t0, b/d].
+
+    Bisecting on that sign keeps w = b - a and doubles d at every step until
+    w/d <= BISECTION_WIDTH.  It therefore ends in the cell
+    ((A + w j)/D, (A + w (j+1))/D) that holds t0, where D = d 2^K, A = a 2^K
+    and K is the least k >= 0 with w 2^BISECTION_BITS <= d 2^k; or at
+    (t0, t0) when t0 is a point of that grid, for then it is a midpoint on
+    the way.  Here j is guessed by Newton (``_newton_cell``) and certified by
+    the exact signs at the guessed cell's two ends.  A sign that disagrees
+    narrows the bracket (lo, hi) on j, and bisection on j finishes the
+    search, so at most K + 2 signs are taken.
+    """
+    w = b - a
+    k = max(0, (w - 1).bit_length() + BISECTION_BITS - (d.bit_length() - 1))
+    big_a, big_d = a << k, d << k
+    s_lo = 1 if f[0] > 0 else -1
+    lo, hi = 0, 1 << k
+    guesses: list[int] = []
+    if hi > 1:
+        j = _newton_cell(f, a, b, d, k, s_lo)
+        guesses = [j, j + 1]
+    while hi - lo > 1:
+        j = guesses.pop(0) if guesses else (lo + hi) // 2
+        if not lo < j < hi:
+            continue
+        s = _sign(f, big_a + w * j, big_d)
         if s == 0:
-            return (Fraction(m, d), Fraction(m, d))
-        if s != s_lo:
-            b = m
+            r = Fraction(big_a + w * j, big_d)
+            return (r, r)
+        if s == s_lo:
+            lo = j
         else:
-            a = m
-    return (Fraction(a, d), Fraction(b, d))
+            hi, guesses = j, []
+    return (Fraction(big_a + w * lo, big_d), Fraction(big_a + w * hi, big_d))
+
+
+# Newton runs on a grid 2^_GUARD_BITS times finer than the final one, so its
+# cell is wrong only when t0 lies within about one unit of that finer grid
+# from a cell end.
+_GUARD_BITS = 16
+# An integer Newton step of size s leaves an error of about (s/D)^2 (times
+# f''/2f'); a second step is taken when s/D > 2^-_SECOND_STEP_BITS.
+_SECOND_STEP_BITS = 32
+
+
+def _newton_cell(f: Poly, a: int, b: int, d: int, k: int, s_lo: int) -> int:
+    """``_refine``'s guess of j: the cell of the Newton estimate of t0.  The
+    float start (the bracket's midpoint when floats overflow) is moved by one
+    or two integer Newton steps on the grid 1/(D 2^_GUARD_BITS)."""
+    shift = k + _GUARD_BITS
+    grid = d << shift
+    x = _float_root(f, a, b, d, s_lo)
+    if x is None:
+        p = (a + b) << (shift - 1)
+    else:
+        num, den = x.as_integer_ratio()
+        p = num * grid // den
+    step = _newton_step(f, p, grid)
+    p -= step
+    if abs(step) << _SECOND_STEP_BITS > grid:
+        p = min(max(p, a << shift), b << shift)
+        p -= _newton_step(f, p, grid)
+    return (p - (a << shift)) // ((b - a) << _GUARD_BITS)
+
+
+def _newton_step(f: Poly, p: int, d: int) -> int:
+    """F(p) // F'(p) for F(P) = d^n f(P/d), or 0 when F'(p) = 0: p minus it
+    is the Newton step towards a root of f on the grid 1/d."""
+    acc = dacc = 0
+    dp = 1
+    for c in reversed(f):
+        dacc = dacc * p + acc
+        acc = acc * p + c * dp
+        dp *= d
+    return acc // dacc if dacc else 0
+
+
+def _float_root(f: Poly, a: int, b: int, d: int, s_lo: int) -> float | None:
+    """Safeguarded float Newton for the root of f in (a/d, b/d), where f has
+    the sign s_lo below the root: a step that would leave the bracket is
+    replaced by a bisection step.  None when the coefficients or the bracket
+    exceed float range."""
+    try:
+        cs = [float(c) for c in reversed(f)]
+        lo, hi = a / d, b / d
+    except OverflowError:
+        return None
+    x = (lo + hi) / 2
+    for _ in range(100):
+        v = dv = 0.0
+        for c in cs:
+            dv = dv * x + v
+            v = v * x + c
+        if v == 0:
+            return x
+        if (v > 0) == (s_lo > 0):
+            lo = x
+        else:
+            hi = x
+        nx = x - v / dv if dv else x
+        if not lo < nx < hi:
+            nx = (lo + hi) / 2
+        if abs(nx - x) <= x * 2 ** -50:
+            return nx
+        x = nx
+    return x

@@ -222,10 +222,17 @@ GOLDEN_DIAGRAMS = {
     "free3": '{"generators": ["a", "b", "c"], "commuting": []}',
     "pentagon": '{"generators": ["a", "b", "c", "d", "e"], "commuting": '
                 '[["a", "b"], ["b", "c"], ["c", "d"], ["d", "e"], ["e", "a"]]}',
+    # Every pair commutes except neighbours on the path a-b-c-d-e-f.
+    "rank6": '{"generators": ["a", "b", "c", "d", "e", "f"], "commuting": '
+             '[["a", "c"], ["a", "d"], ["a", "e"], ["a", "f"], ["b", "d"], ["b", "e"], '
+             '["b", "f"], ["c", "e"], ["c", "f"], ["d", "f"]]}',
 }
 GOLDEN_CASES = {
     "classify_A": ["classify", "--diagram", "A", "--q", "a=1/4,b=4,c=1"],
     "classify_pentagon": ["classify", "--diagram", "pentagon", "--q", "all=1"],
+    # q_c = 1: flips that differ only at c share one analysis.
+    "classify_rank6": ["classify", "--diagram", "rank6",
+                       "--q", "a=1/4,b=2/5,c=1,d=3/2,e=9/4,f=4"],
     "growth_pentagon": ["growth", "--diagram", "pentagon",
                         "--q", "a=1/4,b=1,c=2,d=1,e=1/2"],
     "ball_A": ["ball", "--diagram", "A", "--radius", "4", "--elements"],

@@ -15,7 +15,19 @@ from rahecke.enumeration import (Ball, BallCapExceeded, NormalFormAutomaton,
                                  ball, connected_diagram_corpus, kappa, prefixes,
                                  restricted_sphere_series,
                                  restricted_sphere_weight, sphere_weight)
-from rahecke.growth import cliques
+
+
+def cliques(diagram):
+    """All cliques of the commuting graph, the empty clique included."""
+    out = []
+
+    def extend(base, candidates):
+        out.append(base)
+        for i, s in enumerate(candidates):
+            extend(base + (s,), [t for t in candidates[i + 1:] if diagram.commutes(s, t)])
+
+    extend((), diagram.generators)
+    return out
 
 
 @pytest.fixture(scope="module")

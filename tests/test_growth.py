@@ -250,6 +250,36 @@ def test_per_flip_unchanged_on_corpus():
     assert h.hexdigest() == PER_FLIP_DIGEST
 
 
+def test_refinement_takes_few_signs(monkeypatch):
+    """Phase 2 certifies its Newton guess with the signs at the two ends of
+    one cell: about 2 exact signs per ray over the rank <= 5 corpus at
+    FLIP_VECTORS, where bisecting to width 2^-64 took about 63."""
+    sign, refine = polys._sign, polys._refine
+    per_ray = []  # signs taken by each _refine call
+    inside = [False]
+
+    def counting_sign(*args):
+        if inside[0]:
+            per_ray[-1] += 1
+        return sign(*args)
+
+    def counting_refine(*args):
+        per_ray.append(0)
+        inside[0] = True
+        try:
+            return refine(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(polys, "_sign", counting_sign)
+    monkeypatch.setattr(polys, "_refine", counting_refine)
+    for d in connected_diagram_corpus(5):
+        for vec in FLIP_VECTORS:
+            growth.classify_simplicity(d, dict(zip(d.generators, vec)))
+    assert len(per_ray) > 900
+    assert sum(per_ray) / len(per_ray) <= 4
+
+
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 WIDTH = Fraction(1, 2 ** 64)
 
@@ -355,10 +385,56 @@ def test_sturm_counts_known_roots(p_roots, a, b):
     assert polys.count_roots(chain, lo, hi) == sum(1 for r in roots if lo < r <= hi)
 
 
+@st.composite
+def close_root_polys(draw):
+    """g * (m t - n) * (m 2^e t - n 2^e - 1), g positive: the two positive
+    roots n/m and n/m + 1/(m 2^e) lie closer than 2^-64, so phase 1, unless
+    it hits n/m, ends on a grid finer than 2^-64."""
+    g = draw(int_polys(positive=True))
+    n, m = draw(st.integers(1, 2 ** 20)), draw(st.integers(1, 99))
+    e = draw(st.integers(65, 90))
+    return polys.mul(polys.mul(g, [-n, m]), [-(n << e) - 1, m << e])
+
+
+@st.composite
+def grid_root_polys(draw):
+    """g * (2^64 t - N) with N odd and g positive: the one positive root is a
+    point of the final grid (the multiples of 2^-64); phase 2 finds it
+    unless it is so small that phase 1 already reaches that grid."""
+    g = draw(int_polys(positive=True))
+    n = 2 * draw(st.integers(0, 2 ** 65)) + 1
+    return polys.mul(g, [-n, 1 << 64])
+
+
+@st.composite
+def near_grid_root_polys(draw):
+    """g * (m 2^e t - (N m 2^(e-64) + s)), g positive, s = +-1: the one
+    positive root lies 1/(m 2^e) <= 2^-80 below or above the grid point
+    N/2^64, where a Newton guess may name the neighbouring cell."""
+    g = draw(int_polys(positive=True))
+    n, m = draw(st.integers(1, 2 ** 66)), draw(st.integers(1, 99))
+    e, s = draw(st.integers(80, 100)), draw(st.sampled_from([1, -1]))
+    return polys.mul(g, [-((n * m) << (e - 64)) - s, m << e])
+
+
+@st.composite
+def huge_coefficient_polys(draw):
+    """(m t - n) * g with g = 2^1100 c + e coefficientwise (c, e positive):
+    the coefficients stay beyond float range after the gcd is divided out."""
+    cs = draw(int_polys(positive=True))
+    es = draw(st.lists(st.integers(1, 9), min_size=len(cs), max_size=len(cs)))
+    n, m = draw(st.integers(1, 2 ** 20)), draw(st.integers(1, 99))
+    return polys.mul([(c << 1100) + e for c, e in zip(cs, es)], [-n, m])
+
+
 BISECTION_CASES = {
     "int_polys": int_polys(),
     "known_roots": polys_with_known_roots().map(lambda p_roots: p_roots[0]),
     "dyadic_roots": dyadic_root_polys(),
+    "close_roots": close_root_polys(),
+    "grid_root": grid_root_polys(),
+    "near_grid_root": near_grid_root_polys(),
+    "huge_coefficients": huge_coefficient_polys(),
 }
 
 
