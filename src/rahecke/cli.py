@@ -246,6 +246,8 @@ def cmd_verify(args) -> dict:
         doc["word"] = d.format_element(word)
         doc["window"] = [lo, hi]
     elif args.suite == "haagerup":
+        if args.max_length < 1:
+            raise ValueError("--max-length must be >= 1")
         out = []
         for l in range(1, args.max_length + 1):
             r = l2rep.haagerup_ratio(d, float(parse_rational(args.qscalar)), l, n,

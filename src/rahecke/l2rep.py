@@ -20,20 +20,20 @@ norms computed from compressions are certified lower bounds of the operator
 norms; spectra of compressions of self-adjoint operators with spectrum in
 [c, C] stay in [c, C].
 
-The fast engine for large balls (``BallAction``, ``sphere_passes``) applies
-an x supported on the l-sphere as the compression P_n x P_{n-l}: x moves
-B_{n-l} into B_n, so these columns are exact and the sampled norms are lower
-bounds too, up to float64 rounding.  It works on the ball's integer tables
-only: the ball's generation tree, cut at depth l, is the trie of the sphere
-words, and no word tuple is built.
+The fast engine for large balls (``SpherePattern``) applies an x supported
+on the l-sphere as the compression P_n x P_{n-l}: x moves B_{n-l} into B_n,
+so these columns are exact and the sampled norms are lower bounds too, up to
+float64 rounding.  The entries <delta_u, T_w delta_v> are built once per
+(ball, p, l) from the ball's integer tables, by left extension of the sphere
+words, and no word tuple is built; each batch of coefficient vectors is then
+one block-diagonal sparse matrix, and a power iteration is one product with
+it and one with its transpose.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import reduce
-from operator import iadd
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -334,14 +334,6 @@ def q_operator(d: CoxeterDiagram, u: Sequence[str], q: Fraction, b: Ball,
     return op, float(tail), c_fit
 
 
-def op_norm(x: TruncatedOperator) -> float:
-    """Norm of the compression matrix, a certified lower bound on the
-    operator norm (dense; balls above DENSE_LIMIT are refused)."""
-    if len(x.ball) > DENSE_LIMIT:
-        raise ValueError("ball too large for a dense norm")
-    return float(np.linalg.norm(x.to_dense(), 2))
-
-
 def spectrum_bounds(x: TruncatedOperator, tol: float = 1e-9) -> tuple[float, float]:
     """(min, max) eigenvalue of a self-adjoint compression."""
     n = len(x.ball)
@@ -607,114 +599,99 @@ def verify_corollary_split(params: MultiParameter, g: Sequence[str], power: int,
 # -- fast engine for large balls ---------------------------------------------
 
 
-class BallAction:
-    """Generator actions T_s on a ball as sparse float64 matrices.
+class SpherePattern:
+    """The entries <delta_u, T_w delta_v> of the compressions P_n T_w P_{n-l}
+    for w on the l-sphere (n the ball radius), held once per (ball, p, l) as
+    triples (u, v, w, val) sorted by u, in CSR form: ``indptr`` over the rows
+    u of B_n, ``indices`` the columns v of B_{n-l}, ``w`` the sphere index of
+    w (ball order) and ``val`` the entry.  A (u, v) pair may repeat.
 
-    Row v of T_s holds the coefficient 1 at column s*v (when s*v stays in the
-    ball) and p_s at column v on the descent set.  T_s maps B_m into B_{m+1},
-    so its leading block of |B_{m+1}| rows and |B_m| columns is T_s on B_m
-    exactly, with nothing truncated.
+    The triples are built by left extension: w = s w' with s the smallest
+    left descent of w (the first letter of its canonical word), so
+    T_w = T_s T_{w'}, and the one-letter rule
+    T_s delta_u = delta_{su} + p [s <= u] delta_u, with one p for every
+    generator, runs on every triple of w' at once.  |u| <= n - l + |w'| < n,
+    so su stays in the ball and nothing is truncated.
     """
 
-    def __init__(self, b: Ball, p_values: Mapping[str, float]):
+    def __init__(self, b: Ball, p: float, l: int):
+        n, start = b.radius, b.sphere_start
+        if not 0 <= l <= n or start[l] == start[l + 1]:
+            raise ValueError("need a nonempty sphere of length <= the ball radius")
+        self.shape = (len(b), start[n - l + 1])
+        # the triples of T_e on B_{n-l}, grouped by w (here, all w = e)
+        u = np.arange(self.shape[1])
+        v, w, val = u, np.zeros_like(u), np.ones(len(u))
+        for k in range(1, l + 1):
+            ws = np.arange(start[k], start[k + 1])
+            s = b.ldesc[:, ws].argmax(axis=0)
+            parent = b.lmul[s, ws] - start[k - 1]
+            # the rows of each w's left parent, gathered in sphere order
+            counts = np.bincount(w, minlength=start[k] - start[k - 1])
+            reps = counts[parent]
+            w = np.repeat(np.arange(len(ws)), reps)
+            rows = np.arange(len(w)) + np.repeat(
+                np.cumsum(counts)[parent] - np.cumsum(reps), reps)
+            s, u, v, val = s[w], u[rows], v[rows], val[rows]
+            # each row gives delta_{su}, then p delta_u when s <= u
+            down = b.ldesc[s, u] & (p != 0)
+            twice = 1 + down
+            at = (np.cumsum(twice) - 1)[down]
+            below = u[down]
+            u, v, w, val = (np.repeat(x, twice) for x in (b.lmul[s, u], v, w, val))
+            u[at] = below
+            val[at] *= p
+        order = np.argsort(u, kind="stable")
+        self.indptr = np.r_[0, np.cumsum(np.bincount(u, minlength=self.shape[0]))]
+        self.indices, self.w, self.val = v[order], w[order], val[order]
+
+    def matrix(self, coeffs: np.ndarray):
+        """The block-diagonal CSR matrix whose j-th block is
+        P_n x_j P_{n-l} for x_j = sum_w coeffs[w, j] T_w over the l-sphere."""
         import scipy.sparse as sparse
 
-        self.ball = b
-        n = len(b)
-        self.p = [float(p_values[s]) for s in b.diagram.generators]
-        self.mats = []
-        for i, p in enumerate(self.p):
-            jump = np.nonzero(b.lmul[i] >= 0)[0]
-            desc = np.nonzero(b.ldesc[i])[0] if p else jump[:0]
-            self.mats.append(sparse.csr_matrix(
-                (np.r_[np.ones(len(jump)), np.full(len(desc), p)],
-                 (np.r_[jump, desc], np.r_[b.lmul[i][jump], desc])), shape=(n, n)))
+        batch, (rows, cols), nnz = coeffs.shape[1], self.shape, len(self.val)
+        offsets = np.arange(batch)[:, None]
+        return sparse.csr_matrix(
+            ((np.take(coeffs.T, self.w, axis=1) * self.val).ravel(),
+             (self.indices + cols * offsets).ravel(),
+             np.r_[(self.indptr[:-1] + nnz * offsets).ravel(), batch * nnz]),
+            shape=(batch * rows, batch * cols))
 
 
-def sphere_passes(action: BallAction, l: int):
-    """``(forward, backward)`` for x = sum_w c_w T_w over the l-sphere:
-    ``forward(coeffs, vec)`` applies the compression P_n x P_{n-l} (n the
-    ball radius) to vectors on B_{n-l}, the first |B_{n-l}| ball elements,
-    and ``backward`` applies its transpose.  ``coeffs`` holds one entry, or
-    one row for a batch of columns, per element of the l-sphere, in ball
-    order.
-
-    Both passes walk the ball's generation tree to depth l: the children of
-    u are its canonical extensions u*t, so the tree is the trie of the sphere
-    words once the elements with no extension to length l are pruned.
-    Forward is the Horner recursion; its edge for s at depth k is the block of
-    T_s from B_{n-k} into B_{n-k+1}, so no intermediate vector leaves the
-    ball and nothing is truncated.  Backward runs the same edges transposed
-    from the root and collects at the leaves (the transposition principle;
-    T_s is self-adjoint, so the transpose needs no second tree).
-    """
-    b, n = action.ball, action.ball.radius
-    size, parent = b.sphere_start, b.parent
-    if not 0 <= l <= n or size[l] == size[l + 1]:
-        raise ValueError("need a nonempty sphere of length <= the ball radius")
-    # blocks[k][i]: T_i from B_{n-k-1} into B_{n-k}, where |B_m| = size[m + 1]
-    blocks = [[m[:size[n - k + 1], :size[n - k]] for m in action.mats]
-              for k in range(l)]
-    transposed = [[m.T for m in row] for row in blocks]
-    # live: the elements of B_l with a descendant on the l-sphere; a parent
-    # precedes its children, which are contiguous and in letter order
-    alive = np.zeros(size[l + 1], dtype=bool)
-    alive[size[l]:] = True
-    for k in range(l, 0, -1):
-        alive[parent[size[k]:size[k + 1]][alive[size[k]:size[k + 1]]]] = True
-    live = np.nonzero(alive)[0][1:]  # the root is its own parent: skip it
-    children: dict[int, list[tuple[int, int]]] = {}
-    for c, u, i in zip(live.tolist(), parent[live].tolist(), b.plast[live].tolist()):
-        children.setdefault(u, []).append((c, i))
-
-    # Every walk returns a fresh array, so the children's terms are added in
-    # place into the first: reduce(iadd, ...).
-    def forward(coeffs: np.ndarray, vec: np.ndarray) -> np.ndarray:
-        def walk(u: int, k: int) -> np.ndarray:
-            if k == l:
-                return coeffs[u - size[l]] * vec
-            return reduce(iadd, (blocks[k][i] @ walk(c, k + 1) for c, i in children[u]))
-
-        return walk(0, 0)
-
-    def backward(coeffs: np.ndarray, vec: np.ndarray) -> np.ndarray:
-        def walk(u: int, k: int, v: np.ndarray) -> np.ndarray:
-            if k == l:
-                return coeffs[u - size[l]] * v
-            return reduce(iadd, (walk(c, k + 1, transposed[k][i] @ v)
-                                 for c, i in children[u]))
-
-        return walk(0, 0, vec)
-
-    return forward, backward
-
-
-def sphere_operator_norms(action: BallAction, l: int, coeff_matrix: np.ndarray,
+def sphere_operator_norms(pattern: SpherePattern, coeff_matrix: np.ndarray,
                           iters: int = 12, seed: int = 0) -> np.ndarray:
     """Lower-bound estimates of || sum_w c_w T_w || over the l-sphere for a
     batch of coefficient vectors (columns of ``coeff_matrix``, one row per
     sphere element in ball order), by power iteration on X^T X for the
-    compression X = P_n x P_{n-l} of ``sphere_passes``.  Every
-    ||X v|| / ||v|| is a lower bound on ||X||, so on the operator norm, up
-    to float64 rounding; the running maximum over the iterations is reported
-    per column.
+    compression X = P_n x P_{n-l} of ``pattern``.  Every ||X v|| / ||v|| is
+    a lower bound on ||X||, so on the operator norm, up to float64 rounding;
+    the running maximum over the iterations is reported per column.  Each
+    iteration is one product with the batch's block-diagonal matrix and one
+    with its transpose.
     """
-    forward, backward = sphere_passes(action, l)
-    b = action.ball
+    batch, (rows, cols) = coeff_matrix.shape[1], pattern.shape
+    m = pattern.matrix(coeff_matrix)
+    mt = m.T
     rng = np.random.default_rng(seed)
-    vec = rng.standard_normal((b.sphere_start[b.radius - l + 1], coeff_matrix.shape[1]))
-    vec /= np.linalg.norm(vec, axis=0)
-    est = np.zeros(coeff_matrix.shape[1])
+    # one row per column of the batch, so each block's vector is contiguous
+    vec = np.ascontiguousarray(rng.standard_normal((cols, batch)).T)
+    vec /= _row_norms(vec)[:, None]
+    est = np.zeros(batch)
     for _ in range(iters):
-        img = forward(coeff_matrix, vec)
-        nrm = np.linalg.norm(img, axis=0)
-        base = np.linalg.norm(vec, axis=0)
+        img = (m @ vec.ravel()).reshape(batch, rows)
+        nrm = _row_norms(img)
+        base = _row_norms(vec)
         est = np.maximum(est, np.where(base > 0, nrm / np.maximum(base, 1e-30), 0.0))
         if not nrm.any():
             break
-        vec = backward(coeff_matrix, img)
-        vec /= np.maximum(np.linalg.norm(vec, axis=0), 1e-30)
+        vec = (mt @ img.ravel()).reshape(batch, cols)
+        vec /= np.maximum(_row_norms(vec), 1e-30)[:, None]
     return est
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("ij,ij->i", x, x))
 
 
 def haagerup_ratio(d: CoxeterDiagram, q: float, l: int, n: int,
@@ -723,9 +700,10 @@ def haagerup_ratio(d: CoxeterDiagram, q: float, l: int, n: int,
 
     Coefficients are seeded standard normals.  Each ||x|| is a power
     iteration lower bound on the norm of the compression P_n x P_{n-l}
-    (``sphere_operator_norms``), batched over samples.  Returns per-trial
-    ratios and their maximum, a lower bound for the best constant in the
-    linear-in-l bound on sphere-supported operators.
+    (``sphere_operator_norms``), batched over samples on one
+    ``SpherePattern``.  Returns per-trial ratios and their maximum, a lower
+    bound for the best constant in the linear-in-l bound on
+    sphere-supported operators.
     """
     if q <= 0:
         raise ValueError("q must be positive")
@@ -733,15 +711,16 @@ def haagerup_ratio(d: CoxeterDiagram, q: float, l: int, n: int,
         raise ValueError("l must be >= 1")
     if n < l + 2:
         raise ValueError("need n >= l + 2")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     b = ball(d, n)
-    p = (q - 1.0) / math.sqrt(q)
-    action = BallAction(b, {s: p for s in d.generators})
+    pattern = SpherePattern(b, (q - 1.0) / math.sqrt(q), l)
     rng = np.random.default_rng(seed)
     samples = rng.standard_normal((b.sphere_sizes()[l], trials))
     ratios: list[float] = []
     for lo in range(0, trials, HAAGERUP_BATCH):
         chunk = samples[:, lo:lo + HAAGERUP_BATCH]
-        tops = sphere_operator_norms(action, l, chunk, iters=iters, seed=seed)
+        tops = sphere_operator_norms(pattern, chunk, iters=iters, seed=seed)
         l2s = np.linalg.norm(chunk, axis=0)
         ratios.extend((tops / (l * l2s)).tolist())
     return {"l": l, "n": n, "q": float(q), "trials": trials,

@@ -243,32 +243,36 @@ def _refine(f: Poly, a: int, b: int, d: int) -> tuple[Fraction, Fraction]:
     and K is the least k >= 0 with w 2^BISECTION_BITS <= d 2^k; or at
     (t0, t0) when t0 is a point of that grid, for then it is a midpoint on
     the way.  Here j is guessed by Newton (``_newton_cell``) and certified by
-    the exact signs at the guessed cell's two ends.  A sign that disagrees
-    narrows the bracket (lo, hi) on j, and bisection on j finishes the
-    search, so at most K + 2 signs are taken.
+    the exact signs at the guessed cell's two ends.  Every sign narrows the
+    bracket (lo, hi) on j.  The first _GUIDED_PROBES signs step from the
+    guess towards t0, one grid point at a time, so a guess that names a
+    neighbouring cell costs one sign more; then bisection on j finishes the
+    search, so at most K + _GUIDED_PROBES signs are taken.
     """
     w = b - a
     k = max(0, (w - 1).bit_length() + BISECTION_BITS - (d.bit_length() - 1))
     big_a, big_d = a << k, d << k
     s_lo = 1 if f[0] > 0 else -1
     lo, hi = 0, 1 << k
-    guesses: list[int] = []
-    if hi > 1:
-        j = _newton_cell(f, a, b, d, k, s_lo)
-        guesses = [j, j + 1]
+    j = _newton_cell(f, a, b, d, k, s_lo) if hi > 1 else 0
+    probes = 0
     while hi - lo > 1:
-        j = guesses.pop(0) if guesses else (lo + hi) // 2
-        if not lo < j < hi:
-            continue
+        j = min(max(j, lo + 1), hi - 1) if probes < _GUIDED_PROBES else (lo + hi) // 2
+        probes += 1
         s = _sign(f, big_a + w * j, big_d)
         if s == 0:
             r = Fraction(big_a + w * j, big_d)
             return (r, r)
         if s == s_lo:
-            lo = j
+            lo, j = j, j + 1
         else:
-            hi, guesses = j, []
+            hi, j = j, j - 1
     return (Fraction(big_a + w * lo, big_d), Fraction(big_a + w * hi, big_d))
+
+
+# The guided probes of ``_refine``: the guessed cell's two ends and one
+# neighbour's far end.
+_GUIDED_PROBES = 3
 
 
 # Newton runs on a grid 2^_GUARD_BITS times finer than the final one, so its

@@ -184,6 +184,57 @@ def test_haagerup_needs_positive_q(capsys, diagram_a_file, qscalar):
     assert "q must be positive" in captured.err
 
 
+# `verify --suite haagerup` max_ratios recorded from the trie walk that the
+# sphere pattern replaced; the summation order changed, so they agree to
+# rounding, not bit for bit.
+HAAGERUP_PINNED = {
+    "pentagon": (["--qscalar", "7/10", "--radius", "8", "--trials", "10"],
+                 [1.873162022628107, 1.0655536762703153, 0.6011243172092271,
+                  0.380173530261689]),
+    "A": ([], [1.7907073014505188, 0.9906347640454813, 0.6670391143847954,
+               0.4333761849707729]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAAGERUP_PINNED))
+def test_haagerup_max_ratios_pinned(capsys, tmp_path, diagram_a_file, name):
+    if name == "pentagon":
+        path = tmp_path / "pentagon.json"
+        path.write_text('{"generators": ["a", "b", "c", "d", "e"], "commuting": '
+                        '[["a", "b"], ["b", "c"], ["c", "d"], ["d", "e"], ["e", "a"]]}')
+    else:
+        path = diagram_a_file
+    argv, pinned = HAAGERUP_PINNED[name]
+    code, doc = run(capsys, ["verify", "--suite", "haagerup", "--diagram", str(path)] + argv)
+    assert code == 0
+    got = [r["max_ratio"] for r in doc["results"]]
+    assert len(got) == len(pinned)
+    for x, y in zip(got, pinned):
+        assert abs(x - y) <= 1e-12 * y
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--trials", "0"], "trials must be >= 1"),
+    (["--trials", "-1"], "trials must be >= 1"),
+    (["--max-length", "0"], "--max-length must be >= 1"),
+], ids=["trials-0", "trials-negative", "max-length-0"])
+def test_haagerup_bad_arguments_exit_1(capsys, diagram_a_file, flags, message):
+    assert main(["verify", "--suite", "haagerup", "--diagram", diagram_a_file] + flags) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_haagerup_refuses_an_empty_sphere(capsys, tmp_path):
+    path = tmp_path / "z2xz2.json"
+    path.write_text('{"generators": ["a", "b"], "commuting": [["a", "b"]]}')
+    assert main(["verify", "--suite", "haagerup", "--diagram", str(path),
+                 "--max-length", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "need a nonempty sphere" in captured.err
+
+
 @pytest.mark.parametrize("mode,q", [("float", "all=-1"), ("exact", "all=-1/4"),
                                     ("float", "a=1,b=0,c=1")])
 def test_mul_needs_positive_q(capsys, diagram_a_file, mode, q):

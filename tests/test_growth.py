@@ -1,6 +1,8 @@
+import contextlib
 import hashlib
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -250,12 +252,12 @@ def test_per_flip_unchanged_on_corpus():
     assert h.hexdigest() == PER_FLIP_DIGEST
 
 
-def test_refinement_takes_few_signs(monkeypatch):
-    """Phase 2 certifies its Newton guess with the signs at the two ends of
-    one cell: about 2 exact signs per ray over the rank <= 5 corpus at
-    FLIP_VECTORS, where bisecting to width 2^-64 took about 63."""
+@contextlib.contextmanager
+def _signs_per_refine():
+    """Count the exact signs each ``polys._refine`` call takes: the yielded
+    list gets one entry per call."""
     sign, refine = polys._sign, polys._refine
-    per_ray = []  # signs taken by each _refine call
+    per_ray: list[int] = []
     inside = [False]
 
     def counting_sign(*args):
@@ -271,11 +273,19 @@ def test_refinement_takes_few_signs(monkeypatch):
         finally:
             inside[0] = False
 
-    monkeypatch.setattr(polys, "_sign", counting_sign)
-    monkeypatch.setattr(polys, "_refine", counting_refine)
-    for d in connected_diagram_corpus(5):
-        for vec in FLIP_VECTORS:
-            growth.classify_simplicity(d, dict(zip(d.generators, vec)))
+    with mock.patch.object(polys, "_sign", counting_sign), \
+            mock.patch.object(polys, "_refine", counting_refine):
+        yield per_ray
+
+
+def test_refinement_takes_few_signs():
+    """Phase 2 certifies its Newton guess with the signs at the two ends of
+    one cell: about 2 exact signs per ray over the rank <= 5 corpus at
+    FLIP_VECTORS, where bisecting to width 2^-64 took about 63."""
+    with _signs_per_refine() as per_ray:
+        for d in connected_diagram_corpus(5):
+            for vec in FLIP_VECTORS:
+                growth.classify_simplicity(d, dict(zip(d.generators, vec)))
     assert len(per_ray) > 900
     assert sum(per_ray) / len(per_ray) <= 4
 
@@ -415,6 +425,17 @@ def near_grid_root_polys(draw):
     n, m = draw(st.integers(1, 2 ** 66)), draw(st.integers(1, 99))
     e, s = draw(st.integers(80, 100)), draw(st.sampled_from([1, -1]))
     return polys.mul(g, [-((n * m) << (e - 64)) - s, m << e])
+
+
+@PROPERTY_SETTINGS
+@given(near_grid_root_polys())
+def test_near_grid_root_refinement_probes_the_neighbour_cell(p):
+    """A root within 2^-80 of a grid point may make Newton name the
+    neighbouring cell; the probe of that cell keeps phase 2 at <= 4 signs."""
+    chain = polys.sturm_chain(polys.squarefree_part(p))
+    with _signs_per_refine() as per_ray:
+        polys.isolate_smallest_positive_root(chain)
+    assert all(n <= 4 for n in per_ray)
 
 
 @st.composite

@@ -4,6 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -383,6 +384,14 @@ def test_q_operator(diagram_a):
         l2rep.q_operator(diagram_a, (), Fraction(3, 2), b5, 4)
 
 
+def op_norm(x: l2rep.TruncatedOperator) -> float:
+    """Norm of the compression matrix, a certified lower bound on the
+    operator norm (dense; balls above DENSE_LIMIT are refused)."""
+    if len(x.ball) > l2rep.DENSE_LIMIT:
+        raise ValueError("ball too large for a dense norm")
+    return float(np.linalg.norm(x.to_dense(), 2))
+
+
 def test_spectrum_single_generator():
     single = CoxeterDiagram(["a"])
     params = MultiParameter.exact_squares(single, {"a": Fraction(1, 4)})
@@ -390,7 +399,7 @@ def test_spectrum_single_generator():
     ta = l2rep.rep_hecke(HeckeElement.basis(params, "a"), b)
     lo, hi = l2rep.spectrum_bounds(ta)
     assert abs(lo + 2) < 1e-12 and abs(hi - 0.5) < 1e-12
-    assert abs(l2rep.op_norm(ta) - 2) < 1e-9
+    assert abs(op_norm(ta) - 2) < 1e-9
 
 
 def test_spectrum_requires_selfadjoint(params, b6):
@@ -405,14 +414,14 @@ def test_dense_limit_refused():
     assert len(big) > l2rep.DENSE_LIMIT
     ident = l2rep.TruncatedOperator.identity(big)
     with pytest.raises(ValueError):
-        l2rep.op_norm(ident)
+        op_norm(ident)
     with pytest.raises(ValueError):
         l2rep.spectrum_bounds(ident)
 
 
 def test_op_norm_monotone_in_radius(params, diagram_a):
     a = HeckeElement.basis(params, "ac")
-    norms = [l2rep.op_norm(l2rep.rep_hecke(a, ball(diagram_a, n))) for n in (3, 4, 5, 6)]
+    norms = [op_norm(l2rep.rep_hecke(a, ball(diagram_a, n))) for n in (3, 4, 5, 6)]
     for x, y in zip(norms, norms[1:]):
         assert y >= x - 1e-9
 
@@ -447,10 +456,10 @@ def test_haagerup_single_letter(diagram_a):
     # inequality bounds the ratio by max ||T_s|| * sqrt(3) = 2 sqrt(3)
     assert 0 < out["max_ratio"] <= 2 * math.sqrt(3) + 1e-6
     b = ball(diagram_a, 6)
-    act = l2rep.BallAction(b, {s: (0.25 - 1) / 0.5 for s in diagram_a.generators})
+    pattern = l2rep.SpherePattern(b, (0.25 - 1) / 0.5, 1)
     onehot = np.zeros((b.sphere_sizes()[1], 1))
     onehot[b.index[("a",)] - b.sphere_start[1]] = 1.0
-    norm = l2rep.sphere_operator_norms(act, 1, onehot, iters=60)[0]
+    norm = l2rep.sphere_operator_norms(pattern, onehot, iters=60)[0]
     assert abs(norm - 2.0) < 1e-3
 
 
@@ -460,9 +469,65 @@ def test_haagerup_builds_no_words():
     assert "words" not in ball(d, 5).__dict__
 
 
+@pytest.mark.parametrize("l,trials,message", [(0, 1, "l must be >= 1"),
+                                              (1, 0, "trials must be >= 1"),
+                                              (1, -1, "trials must be >= 1")],
+                         ids=["l-0", "trials-0", "trials-negative"])
+def test_haagerup_refuses_bad_arguments(diagram_a, l, trials, message):
+    with pytest.raises(ValueError, match=message):
+        l2rep.haagerup_ratio(diagram_a, 0.5, l, 6, trials)
+
+
+def test_sphere_pattern_refuses_an_empty_sphere():
+    d = CoxeterDiagram(["a", "b"], [["a", "b"]])  # four elements, spheres 1, 2, 1
+    with pytest.raises(ValueError, match="need a nonempty sphere"):
+        l2rep.SpherePattern(ball(d, 5), 0.5, 3)
+    with pytest.raises(ValueError, match="need a nonempty sphere"):
+        l2rep.haagerup_ratio(d, 0.5, 3, 5, 2)
+
+
+def _trie_passes(b, p, l):
+    """The trie walk that ``SpherePattern`` replaced, kept as its oracle:
+    ``(forward, backward)`` for x = sum_w c_w T_w over the l-sphere on
+    vectors over B_{n-l} and B_n.  The ball's generation tree, cut at depth
+    l and pruned of elements with no extension to length l, is the trie of
+    the sphere words.  Forward is the Horner recursion; its edge for s at
+    depth k is the block of T_s from B_{n-k-1} into B_{n-k}.  Backward runs
+    the same edges transposed from the root and collects at the leaves."""
+    n, size, parent = b.radius, b.sphere_start, b.parent
+    blocks = []
+    for i in range(b.diagram.rank):
+        jump = np.nonzero(b.lmul[i] >= 0)[0]
+        desc = np.nonzero(b.ldesc[i])[0] if p else jump[:0]
+        t_s = sparse.csr_matrix((np.r_[np.ones(len(jump)), np.full(len(desc), p)],
+                                 (np.r_[jump, desc], np.r_[b.lmul[i][jump], desc])),
+                                shape=(len(b), len(b)))
+        blocks.append([t_s[:size[n - k + 1], :size[n - k]] for k in range(l)])
+    alive = np.zeros(size[l + 1], dtype=bool)
+    alive[size[l]:] = True
+    for k in range(l, 0, -1):
+        alive[parent[size[k]:size[k + 1]][alive[size[k]:size[k + 1]]]] = True
+    children: dict[int, list[tuple[int, int]]] = {}
+    for c in np.nonzero(alive)[0][1:].tolist():  # the root is its own parent
+        children.setdefault(int(parent[c]), []).append((c, int(b.plast[c])))
+
+    def forward(coeffs, vec, u=0, k=0):
+        if k == l:
+            return coeffs[u - size[l]] * vec
+        return sum(blocks[i][k] @ forward(coeffs, vec, c, k + 1) for c, i in children[u])
+
+    def backward(coeffs, vec, u=0, k=0):
+        if k == l:
+            return coeffs[u - size[l]] * vec
+        return sum(backward(coeffs, blocks[i][k].T @ vec, c, k + 1) for c, i in children[u])
+
+    return forward, backward
+
+
 def _sphere_case(d, q, n, l, c_seed):
-    """(action, coefficients, dense P_n x P_{n-l}) for a random x on the
-    l-sphere; the dense block comes from the exact ``rep_hecke``."""
+    """(ball, p, coefficients, dense P_n x P_{n-l}) for a random x on the
+    l-sphere at q_s = q for every s; the dense block comes from the exact
+    ``rep_hecke``."""
     pf = MultiParameter.floating(d, {s: q for s in d.generators})
     b = ball(d, n)
     c = np.random.default_rng(c_seed).standard_normal(b.sphere_sizes()[l])
@@ -470,28 +535,39 @@ def _sphere_case(d, q, n, l, c_seed):
     for v, cw in zip(b.sphere(l), c):
         x = x + float(cw) * HeckeElement.basis(pf, b.words[v])
     dense = l2rep.rep_hecke(x, b).to_dense()[:, :b.sphere_start[n - l + 1]]
-    act = l2rep.BallAction(b, {s: pf.p(s) for s in d.generators})
-    return act, c, dense
+    return b, pf.p(d.generators[0]), c, dense
+
+
+def _relative(x, y):
+    return np.abs(x - y).max() / max(np.abs(y).max(), 1e-300)
 
 
 def _check_sphere_passes(d, q, n, l, c_seed):
-    """The forward pass is exactly P_n x P_{n-l}, the backward pass its
-    transpose, and the power-iteration norm a lower bound on its norm."""
-    act, c, dense = _sphere_case(d, q, n, l, c_seed)
-    forward, backward = l2rep.sphere_passes(act, l)
-    fwd = forward(c, np.eye(dense.shape[1]))
-    assert np.abs(fwd - dense).max() <= 1e-9
-    assert np.abs(backward(c, np.eye(dense.shape[0])) - fwd.T).max() <= 1e-9
-    est = l2rep.sphere_operator_norms(act, l, c[:, None], iters=20)[0]
+    """The pattern's forward pass is exactly P_n x P_{n-l} and its backward
+    pass the transpose, as the dense compression and the trie give them,
+    and the power-iteration norm is a lower bound on its norm."""
+    b, p, c, dense = _sphere_case(d, q, n, l, c_seed)
+    pattern = l2rep.SpherePattern(b, p, l)
+    m = pattern.matrix(c[:, None])
+    fwd, bwd = m @ np.eye(m.shape[1]), m.T @ np.eye(m.shape[0])
+    forward, backward = _trie_passes(b, p, l)
+    assert _relative(fwd, dense) <= 1e-12
+    assert _relative(fwd, forward(c, np.eye(dense.shape[1]))) <= 1e-12
+    assert _relative(bwd, dense.T) <= 1e-12
+    assert _relative(bwd, backward(c, np.eye(dense.shape[0]))) <= 1e-12
+    est = l2rep.sphere_operator_norms(pattern, c[:, None], iters=20)[0]
     assert est <= float(np.linalg.norm(dense, 2)) * (1 + 1e-9)
 
 
 def test_fast_norm_matches_dense(diagram_a):
-    act, c, dense = _sphere_case(diagram_a, 0.49, 7, 2, 9)
-    fast = l2rep.sphere_operator_norms(act, 2, c[:, None], iters=60)[0]
+    b, p, c, dense = _sphere_case(diagram_a, 0.49, 7, 2, 9)
+    pattern = l2rep.SpherePattern(b, p, 2)
+    # a batch of x and 2x: each column runs on its own block
+    fast = l2rep.sphere_operator_norms(pattern, np.c_[c, 2 * c], iters=60)
     exact = float(np.linalg.norm(dense, 2))
-    assert fast <= exact + 1e-6
-    assert fast >= exact * 0.98
+    for scale, norm in zip((1, 2), fast):
+        assert norm <= scale * exact + 1e-6
+        assert norm >= scale * exact * 0.98
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -500,7 +576,7 @@ def test_sphere_passes_match_rep_hecke(d, data):
     n = data.draw(st.integers(3, 6))
     l = data.draw(st.integers(1, n - 2))
     assume(ball(d, n).sphere_sizes()[l] > 0)
-    q = data.draw(st.floats(0.2, 0.95))
+    q = data.draw(st.one_of(st.just(1.0), st.floats(0.2, 0.95)))
     _check_sphere_passes(d, q, n, l, data.draw(st.integers(0, 2 ** 16)))
 
 
@@ -508,4 +584,5 @@ def test_sphere_passes_match_rep_hecke(d, data):
 def test_sphere_passes_prune_dead_ends(n, l):
     # c commutes with a and b and comes last, so no canonical word extends c
     d = CoxeterDiagram(["a", "b", "c"], [["a", "c"], ["b", "c"]])
-    _check_sphere_passes(d, 0.6, n, l, n + l)
+    for q in (0.6, 1.0):
+        _check_sphere_passes(d, q, n, l, n + l)
