@@ -487,10 +487,8 @@ def criterion_8_haagerup(trials: int = 50, seed: int = 0, iters: int = 5) -> Cri
     fitted = {}
     sphere_norms = {}
     for n in (10, 11):
-        per_l = {}
-        for l in range(1, 7):
-            out = l2rep.haagerup_ratio(pent, 0.7, l, n, trials, seed=seed, iters=iters)
-            per_l[l] = out["max_ratio"]
+        per_l = {out["l"]: out["max_ratio"]
+                 for out in l2rep.haagerup_ratio(pent, 0.7, 6, n, trials, seed=seed, iters=iters)}
         fitted[n] = max(per_l.values())
         sphere_norms[n] = {l: per_l[l] * l for l in per_l}
         details[f"max_ratio n={n}"] = {l: round(v, 4) for l, v in per_l.items()}

@@ -248,11 +248,9 @@ def cmd_verify(args) -> dict:
     elif args.suite == "haagerup":
         if args.max_length < 1:
             raise ValueError("--max-length must be >= 1")
-        out = []
-        for l in range(1, args.max_length + 1):
-            r = l2rep.haagerup_ratio(d, float(parse_rational(args.qscalar)), l, n,
-                                     args.trials, seed=args.seed)
-            out.append({"l": l, "max_ratio": r["max_ratio"]})
+        out = [{"l": r["l"], "max_ratio": r["max_ratio"]}
+               for r in l2rep.haagerup_ratio(d, float(parse_rational(args.qscalar)),
+                                             args.max_length, n, args.trials, seed=args.seed)]
         doc["results"] = out
         doc["fitted_C"] = max(r["max_ratio"] for r in out)
     elif args.suite == "qop":

@@ -116,10 +116,9 @@ class Ball:
                 su = row[self.parent[lo:hi]]
                 row[lo:hi] = np.where(su >= 0, rmul[su, self.plast[lo:hi]], -1)
         self.lmul = lmul
-        self.ldesc = np.zeros((k, n), dtype=bool)
-        for i in range(k):
-            valid = lmul[i] >= 0
-            self.ldesc[i, valid] = self.length[lmul[i, valid]] < self.length[valid]
+        # |s*v| = |v| -+ 1 and the ball is sorted by length, so s is a left
+        # descent of v iff s*v comes before v (-1 marks ascents out of the ball)
+        self.ldesc = (lmul >= 0) & (lmul < np.arange(n))
 
     @functools.cached_property
     def words(self) -> list[Word]:
@@ -292,11 +291,6 @@ def prefixes(diagram: CoxeterDiagram, w: Sequence[str]) -> frozenset[Word]:
         return memo[u]
 
     return rec(word)
-
-
-def kappa(diagram: CoxeterDiagram, w: Sequence[str], l: int) -> int:
-    """kappa_w(l) = #{v <= w with |v| = l}."""
-    return sum(1 for p in prefixes(diagram, w) if len(p) == l)
 
 
 class NormalFormAutomaton:

@@ -20,14 +20,14 @@ norms computed from compressions are certified lower bounds of the operator
 norms; spectra of compressions of self-adjoint operators with spectrum in
 [c, C] stay in [c, C].
 
-The fast engine for large balls (``SpherePattern``) applies an x supported
-on the l-sphere as the compression P_n x P_{n-l}: x moves B_{n-l} into B_n,
-so these columns are exact and the sampled norms are lower bounds too, up to
-float64 rounding.  The entries <delta_u, T_w delta_v> are built once per
-(ball, p, l) from the ball's integer tables, by left extension of the sphere
-words, and no word tuple is built; each batch of coefficient vectors is then
-one block-diagonal sparse matrix, and a power iteration is one product with
-it and one with its transpose.
+The fast engine for large balls (``sphere_patterns``) applies an x
+supported on the l-sphere as the compression P_n x P_{n-l}: x moves B_{n-l}
+into B_n, so these columns are exact and the sampled norms are lower bounds
+too, up to float64 rounding.  One pass of left extension of the sphere words
+on the ball's integer tables builds the entries <delta_u, T_w delta_v> of
+every length in turn, with no word tuple; each batch of coefficient vectors
+is then one block-diagonal sparse matrix, and a power iteration is one
+product with it and, but for the last, one with its transpose.
 """
 
 from __future__ import annotations
@@ -600,50 +600,17 @@ def verify_corollary_split(params: MultiParameter, g: Sequence[str], power: int,
 
 
 class SpherePattern:
-    """The entries <delta_u, T_w delta_v> of the compressions P_n T_w P_{n-l}
-    for w on the l-sphere (n the ball radius), held once per (ball, p, l) as
-    triples (u, v, w, val) sorted by u, in CSR form: ``indptr`` over the rows
-    u of B_n, ``indices`` the columns v of B_{n-l}, ``w`` the sphere index of
-    w (ball order) and ``val`` the entry.  A (u, v) pair may repeat.
+    """The entries <delta_u, T_w delta_v> of P_n T_w P_{n-l} for w on the
+    l-sphere (n the ball radius), made by ``sphere_patterns``: the triples
+    (u, v, w, val) stably sorted by u, in CSR form (``indptr`` over the rows
+    u of B_n, ``indices`` the columns v of B_{n-l}, int32), with ``w`` the
+    sphere index of w in ball order.  A (u, v) pair may repeat."""
 
-    The triples are built by left extension: w = s w' with s the smallest
-    left descent of w (the first letter of its canonical word), so
-    T_w = T_s T_{w'}, and the one-letter rule
-    T_s delta_u = delta_{su} + p [s <= u] delta_u, with one p for every
-    generator, runs on every triple of w' at once.  |u| <= n - l + |w'| < n,
-    so su stays in the ball and nothing is truncated.
-    """
-
-    def __init__(self, b: Ball, p: float, l: int):
-        n, start = b.radius, b.sphere_start
-        if not 0 <= l <= n or start[l] == start[l + 1]:
-            raise ValueError("need a nonempty sphere of length <= the ball radius")
-        self.shape = (len(b), start[n - l + 1])
-        # the triples of T_e on B_{n-l}, grouped by w (here, all w = e)
-        u = np.arange(self.shape[1])
-        v, w, val = u, np.zeros_like(u), np.ones(len(u))
-        for k in range(1, l + 1):
-            ws = np.arange(start[k], start[k + 1])
-            s = b.ldesc[:, ws].argmax(axis=0)
-            parent = b.lmul[s, ws] - start[k - 1]
-            # the rows of each w's left parent, gathered in sphere order
-            counts = np.bincount(w, minlength=start[k] - start[k - 1])
-            reps = counts[parent]
-            w = np.repeat(np.arange(len(ws)), reps)
-            rows = np.arange(len(w)) + np.repeat(
-                np.cumsum(counts)[parent] - np.cumsum(reps), reps)
-            s, u, v, val = s[w], u[rows], v[rows], val[rows]
-            # each row gives delta_{su}, then p delta_u when s <= u
-            down = b.ldesc[s, u] & (p != 0)
-            twice = 1 + down
-            at = (np.cumsum(twice) - 1)[down]
-            below = u[down]
-            u, v, w, val = (np.repeat(x, twice) for x in (b.lmul[s, u], v, w, val))
-            u[at] = below
-            val[at] *= p
+    def __init__(self, shape: tuple[int, int], u, v, w, val):
+        self.shape = shape
         order = np.argsort(u, kind="stable")
-        self.indptr = np.r_[0, np.cumsum(np.bincount(u, minlength=self.shape[0]))]
-        self.indices, self.w, self.val = v[order], w[order], val[order]
+        self.indptr = np.r_[0, np.cumsum(np.bincount(u, minlength=shape[0]))].astype(np.int32)
+        self.indices, self.w, self.val = v[order].astype(np.int32), w[order], val[order]
 
     def matrix(self, coeffs: np.ndarray):
         """The block-diagonal CSR matrix whose j-th block is
@@ -651,12 +618,52 @@ class SpherePattern:
         import scipy.sparse as sparse
 
         batch, (rows, cols), nnz = coeffs.shape[1], self.shape, len(self.val)
-        offsets = np.arange(batch)[:, None]
+        # int32 indices while they fit: scipy takes them without a scan or a copy
+        offsets = np.arange(batch, dtype=np.int32 if batch * nnz < 2**31 else np.int64)[:, None]
+        data = np.take(coeffs.T, self.w, axis=1)
+        data *= self.val
         return sparse.csr_matrix(
-            ((np.take(coeffs.T, self.w, axis=1) * self.val).ravel(),
-             (self.indices + cols * offsets).ravel(),
+            (data.ravel(), (self.indices + cols * offsets).ravel(),
              np.r_[(self.indptr[:-1] + nnz * offsets).ravel(), batch * nnz]),
             shape=(batch * rows, batch * cols))
+
+
+def sphere_patterns(b: Ball, p: float, max_length: int):
+    """Yield the ``SpherePattern`` of each length l = 1..max_length in turn
+    (the spheres must be nonempty), all from one pass of left extension.
+
+    w = s w' with s the first letter of w's canonical word, so
+    T_w = T_s T_{w'}, and the one-letter rule T_s delta_u = delta_{su} +
+    p [s <= u] delta_u (one p for every generator) runs on every triple of
+    w' at once.  Stage 0 is T_e on B_{n-1}; stage k extends the triples of
+    stage k - 1 with v in B_{n-k}, whose |u| <= |v| + k - 1 < n, so su stays
+    in the ball.  Each length thus gets the triples, in their order, of its
+    own extension from B_{n-l}."""
+    n, start = b.radius, b.sphere_start
+    u = np.arange(start[n])
+    v, w, val = u, np.zeros_like(u), np.ones(len(u))
+    for k in range(1, max_length + 1):
+        keep = v < start[n - k + 1]  # v in B_{n-k}
+        u, v, w, val = u[keep], v[keep], w[keep], val[keep]
+        ws = np.arange(start[k], start[k + 1])
+        s = b.ldesc[:, ws].argmax(axis=0)
+        parent = b.lmul[s, ws] - start[k - 1]
+        # the rows of each w's left parent, gathered in sphere order
+        counts = np.bincount(w, minlength=start[k] - start[k - 1])
+        reps = counts[parent]
+        w = np.repeat(np.arange(len(ws)), reps)
+        rows = np.arange(len(w)) + np.repeat(
+            np.cumsum(counts)[parent] - np.cumsum(reps), reps)
+        s, u, v, val = s[w], u[rows], v[rows], val[rows]
+        # each row gives delta_{su}, then p delta_u when s <= u
+        down = b.ldesc[s, u] & (p != 0)
+        twice = 1 + down
+        at = (np.cumsum(twice) - 1)[down]
+        below = u[down]
+        u, v, w, val = (np.repeat(x, twice) for x in (b.lmul[s, u], v, w, val))
+        u[at] = below
+        val[at] *= p
+        yield SpherePattern((len(b), start[n - k + 1]), u, v, w, val)
 
 
 def sphere_operator_norms(pattern: SpherePattern, coeff_matrix: np.ndarray,
@@ -667,8 +674,8 @@ def sphere_operator_norms(pattern: SpherePattern, coeff_matrix: np.ndarray,
     compression X = P_n x P_{n-l} of ``pattern``.  Every ||X v|| / ||v|| is
     a lower bound on ||X||, so on the operator norm, up to float64 rounding;
     the running maximum over the iterations is reported per column.  Each
-    iteration is one product with the batch's block-diagonal matrix and one
-    with its transpose.
+    iteration is one product with the batch's block-diagonal matrix and,
+    except the last, one with its transpose.
     """
     batch, (rows, cols) = coeff_matrix.shape[1], pattern.shape
     m = pattern.matrix(coeff_matrix)
@@ -678,12 +685,12 @@ def sphere_operator_norms(pattern: SpherePattern, coeff_matrix: np.ndarray,
     vec = np.ascontiguousarray(rng.standard_normal((cols, batch)).T)
     vec /= _row_norms(vec)[:, None]
     est = np.zeros(batch)
-    for _ in range(iters):
+    for it in range(iters):
         img = (m @ vec.ravel()).reshape(batch, rows)
         nrm = _row_norms(img)
         base = _row_norms(vec)
         est = np.maximum(est, np.where(base > 0, nrm / np.maximum(base, 1e-30), 0.0))
-        if not nrm.any():
+        if it == iters - 1 or not nrm.any():
             break
         vec = (mt @ img.ravel()).reshape(batch, cols)
         vec /= np.maximum(_row_norms(vec), 1e-30)[:, None]
@@ -694,34 +701,35 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", x, x))
 
 
-def haagerup_ratio(d: CoxeterDiagram, q: float, l: int, n: int,
-                   trials: int, seed: int = 0, iters: int = 8) -> dict:
-    """Sampled ratios ||x|| / (l ||x||_2) for x supported on the l-sphere.
-
-    Coefficients are seeded standard normals.  Each ||x|| is a power
-    iteration lower bound on the norm of the compression P_n x P_{n-l}
-    (``sphere_operator_norms``), batched over samples on one
-    ``SpherePattern``.  Returns per-trial ratios and their maximum, a lower
-    bound for the best constant in the linear-in-l bound on
-    sphere-supported operators.
-    """
+def haagerup_ratio(d: CoxeterDiagram, q: float, max_length: int, n: int,
+                   trials: int, seed: int = 0, iters: int = 8) -> list[dict]:
+    """Sampled ratios ||x|| / (l ||x||_2) for x on the l-sphere, one dict per
+    l = 1..max_length: the per-trial ratios and their maximum, a lower bound
+    for the best constant in the linear-in-l bound on sphere-supported
+    operators.  Coefficients are standard normals drawn from ``seed`` anew
+    for each l; each ||x|| is a power-iteration lower bound on the norm of
+    P_n x P_{n-l} (``sphere_operator_norms``) on the l-th pattern of one
+    ``sphere_patterns`` pass, which runs only after every check passed."""
     if q <= 0:
         raise ValueError("q must be positive")
-    if l < 1:
+    if max_length < 1:
         raise ValueError("l must be >= 1")
-    if n < l + 2:
+    if n < max_length + 2:
         raise ValueError("need n >= l + 2")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     b = ball(d, n)
-    pattern = SpherePattern(b, (q - 1.0) / math.sqrt(q), l)
-    rng = np.random.default_rng(seed)
-    samples = rng.standard_normal((b.sphere_sizes()[l], trials))
-    ratios: list[float] = []
-    for lo in range(0, trials, HAAGERUP_BATCH):
-        chunk = samples[:, lo:lo + HAAGERUP_BATCH]
-        tops = sphere_operator_norms(pattern, chunk, iters=iters, seed=seed)
-        l2s = np.linalg.norm(chunk, axis=0)
-        ratios.extend((tops / (l * l2s)).tolist())
-    return {"l": l, "n": n, "q": float(q), "trials": trials,
-            "ratios": ratios, "max_ratio": max(ratios)}
+    if b.sphere_sizes()[max_length] == 0:
+        raise ValueError("need a nonempty sphere of length <= the ball radius")
+    out = []
+    for l, pattern in enumerate(sphere_patterns(b, (q - 1.0) / math.sqrt(q), max_length), 1):
+        samples = np.random.default_rng(seed).standard_normal((b.sphere_sizes()[l], trials))
+        ratios: list[float] = []
+        for lo in range(0, trials, HAAGERUP_BATCH):
+            chunk = samples[:, lo:lo + HAAGERUP_BATCH]
+            tops = sphere_operator_norms(pattern, chunk, iters=iters, seed=seed)
+            l2s = np.linalg.norm(chunk, axis=0)
+            ratios.extend((tops / (l * l2s)).tolist())
+        out.append({"l": l, "n": n, "q": float(q), "trials": trials,
+                    "ratios": ratios, "max_ratio": max(ratios)})
+    return out

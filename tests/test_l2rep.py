@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 from unittest import mock
@@ -451,12 +452,12 @@ def test_exact_psd():
 
 def test_haagerup_single_letter(diagram_a):
     # x = T_a at q = 1/4: ||x|| = 2, ||x||_2 = 1, l = 1
-    out = l2rep.haagerup_ratio(diagram_a, 0.25, 1, 6, 1, seed=0, iters=40)
+    (out,) = l2rep.haagerup_ratio(diagram_a, 0.25, 1, 6, 1, seed=0, iters=40)
     # the sample is a random combination of the three letters; the triangle
     # inequality bounds the ratio by max ||T_s|| * sqrt(3) = 2 sqrt(3)
     assert 0 < out["max_ratio"] <= 2 * math.sqrt(3) + 1e-6
     b = ball(diagram_a, 6)
-    pattern = l2rep.SpherePattern(b, (0.25 - 1) / 0.5, 1)
+    pattern = _pattern(b, (0.25 - 1) / 0.5, 1)
     onehot = np.zeros((b.sphere_sizes()[1], 1))
     onehot[b.index[("a",)] - b.sphere_start[1]] = 1.0
     norm = l2rep.sphere_operator_norms(pattern, onehot, iters=60)[0]
@@ -479,15 +480,26 @@ def test_haagerup_refuses_bad_arguments(diagram_a, l, trials, message):
 
 
 def test_sphere_pattern_refuses_an_empty_sphere():
+    """The radius and the max_length-sphere are checked before any pattern
+    is built."""
     d = CoxeterDiagram(["a", "b"], [["a", "b"]])  # four elements, spheres 1, 2, 1
-    with pytest.raises(ValueError, match="need a nonempty sphere"):
-        l2rep.SpherePattern(ball(d, 5), 0.5, 3)
-    with pytest.raises(ValueError, match="need a nonempty sphere"):
-        l2rep.haagerup_ratio(d, 0.5, 3, 5, 2)
+    with mock.patch.object(l2rep, "sphere_patterns") as built:
+        with pytest.raises(ValueError, match="need a nonempty sphere"):
+            l2rep.haagerup_ratio(d, 0.5, 3, 5, 2)
+        with pytest.raises(ValueError, match=r"need n >= l \+ 2"):
+            l2rep.haagerup_ratio(d, 0.5, 4, 5, 2)
+    built.assert_not_called()
+
+
+def _pattern(b, p, l):
+    """The l-sphere's pattern, the last one of the chain up to l."""
+    *_, pattern = l2rep.sphere_patterns(b, p, l)
+    assert pattern.shape == (len(b), b.sphere_start[b.radius - l + 1])
+    return pattern
 
 
 def _trie_passes(b, p, l):
-    """The trie walk that ``SpherePattern`` replaced, kept as its oracle:
+    """The trie walk that ``sphere_patterns`` replaced, kept as its oracle:
     ``(forward, backward)`` for x = sum_w c_w T_w over the l-sphere on
     vectors over B_{n-l} and B_n.  The ball's generation tree, cut at depth
     l and pruned of elements with no extension to length l, is the trie of
@@ -543,25 +555,30 @@ def _relative(x, y):
 
 
 def _check_sphere_passes(d, q, n, l, c_seed):
-    """The pattern's forward pass is exactly P_n x P_{n-l} and its backward
-    pass the transpose, as the dense compression and the trie give them,
-    and the power-iteration norm is a lower bound on its norm."""
+    """Every pattern of the chain up to l gives forward and backward passes
+    equal to the trie's; the l-th is exactly P_n x P_{n-l} and its
+    transpose, as the dense compression gives them, and the power-iteration
+    norm is a lower bound on its norm."""
     b, p, c, dense = _sphere_case(d, q, n, l, c_seed)
-    pattern = l2rep.SpherePattern(b, p, l)
-    m = pattern.matrix(c[:, None])
-    fwd, bwd = m @ np.eye(m.shape[1]), m.T @ np.eye(m.shape[0])
-    forward, backward = _trie_passes(b, p, l)
+    rng = np.random.default_rng(c_seed)
+    for k, pattern in enumerate(l2rep.sphere_patterns(b, p, l), 1):
+        ck = c if k == l else rng.standard_normal(b.sphere_sizes()[k])
+        m = pattern.matrix(ck[:, None])
+        assert m.shape == (len(b), b.sphere_start[n - k + 1])
+        fwd, bwd = m @ np.eye(m.shape[1]), m.T @ np.eye(m.shape[0])
+        forward, backward = _trie_passes(b, p, k)
+        assert _relative(fwd, forward(ck, np.eye(m.shape[1]))) <= 1e-12
+        assert _relative(bwd, backward(ck, np.eye(m.shape[0]))) <= 1e-12
+    assert k == l
     assert _relative(fwd, dense) <= 1e-12
-    assert _relative(fwd, forward(c, np.eye(dense.shape[1]))) <= 1e-12
     assert _relative(bwd, dense.T) <= 1e-12
-    assert _relative(bwd, backward(c, np.eye(dense.shape[0]))) <= 1e-12
     est = l2rep.sphere_operator_norms(pattern, c[:, None], iters=20)[0]
     assert est <= float(np.linalg.norm(dense, 2)) * (1 + 1e-9)
 
 
 def test_fast_norm_matches_dense(diagram_a):
     b, p, c, dense = _sphere_case(diagram_a, 0.49, 7, 2, 9)
-    pattern = l2rep.SpherePattern(b, p, 2)
+    pattern = _pattern(b, p, 2)
     # a batch of x and 2x: each column runs on its own block
     fast = l2rep.sphere_operator_norms(pattern, np.c_[c, 2 * c], iters=60)
     exact = float(np.linalg.norm(dense, 2))
@@ -586,3 +603,61 @@ def test_sphere_passes_prune_dead_ends(n, l):
     d = CoxeterDiagram(["a", "b", "c"], [["a", "c"], ["b", "c"]])
     for q in (0.6, 1.0):
         _check_sphere_passes(d, q, n, l, n + l)
+
+
+@pytest.mark.parametrize("iters", [1, 3, 8])
+def test_power_iteration_skips_the_unread_transposed_product(diagram_a, iters):
+    """Each iteration makes one forward product; every one but the last
+    also makes the transposed product that feeds the next."""
+    b, p, c, _ = _sphere_case(diagram_a, 0.49, 7, 2, 3)
+    pattern = _pattern(b, p, 2)
+    counts = {"forward": 0, "transposed": 0}
+
+    class Counted:
+        def __init__(self, m, key):
+            self.m, self.key = m, key
+
+        def __matmul__(self, x):
+            counts[self.key] += 1
+            return self.m @ x
+
+        @property
+        def T(self):
+            return Counted(self.m.T, "transposed")
+
+    matrix = l2rep.SpherePattern.matrix
+    with mock.patch.object(l2rep.SpherePattern, "matrix",
+                           lambda self, coeffs: Counted(matrix(self, coeffs), "forward")):
+        counted = l2rep.sphere_operator_norms(pattern, np.c_[c, -c], iters=iters)
+    assert counts == {"forward": iters, "transposed": iters - 1}
+    assert counted.tolist() == l2rep.sphere_operator_norms(pattern, np.c_[c, -c],
+                                                           iters=iters).tolist()
+
+
+PENTAGON = CoxeterDiagram(list("abcde"), [["a", "b"], ["b", "c"], ["c", "d"],
+                                          ["d", "e"], ["e", "a"]])
+# The first 16 hex digits of the sha256 of the float.hex strings of every
+# ratio, then every max_ratio, of haagerup_ratio for l = 1..5 (19 trials,
+# seed 0, 8 iterations), recorded when each length still built its own
+# pattern: the chained build keeps every triple and the order of every sum.
+HAAGERUP_RATIO_DIGESTS = {
+    ("A", 7, 0.35): "1f72ffde9f65cc92", ("A", 7, 0.7): "09609020f87ed3d9",
+    ("A", 7, 1.0): "ac5cca1edf5e46af", ("A", 7, 1.6): "d9d9e06738da69c3",
+    ("A", 10, 0.35): "c1ee0f8afee14d72", ("A", 10, 0.7): "7082cb6f0cb1528f",
+    ("A", 10, 1.0): "3250798c073b94fd", ("A", 10, 1.6): "49ff260c77e0e242",
+    ("pentagon", 7, 0.35): "09261909a9eb399d", ("pentagon", 7, 0.7): "18c7b31bcf791952",
+    ("pentagon", 7, 1.0): "3ece4cc21fe75594", ("pentagon", 7, 1.6): "8118bf00abf23031",
+    ("pentagon", 10, 0.35): "7bf3817481849ca5", ("pentagon", 10, 0.7): "ed0e3e9dae4d6f5a",
+    ("pentagon", 10, 1.0): "075c09e8a23e020d", ("pentagon", 10, 1.6): "3dec4567c124521f",
+}
+
+
+@pytest.mark.parametrize("name,n,q", sorted(HAAGERUP_RATIO_DIGESTS),
+                         ids=lambda x: str(x))
+def test_haagerup_ratios_bit_identical(diagram_a, name, n, q):
+    d = PENTAGON if name == "pentagon" else diagram_a
+    out = l2rep.haagerup_ratio(d, q, 5, n, 19)
+    assert [r["l"] for r in out] == [1, 2, 3, 4, 5]
+    hexes = [x.hex() for r in out for x in r["ratios"]] + [r["max_ratio"].hex() for r in out]
+    digest = hashlib.sha256(" ".join(hexes).encode()).hexdigest()[:16]
+    assert digest == HAAGERUP_RATIO_DIGESTS[name, n, q]
