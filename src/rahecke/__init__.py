@@ -3,7 +3,7 @@ C*-algebras, with desk-scale verification of the supporting word-combinatorial
 and operator identities."""
 
 from .coxeter import CoxeterDiagram, DiagramError, parse_diagram
-from .enumeration import Ball, BallCapExceeded, ball, restricted_sphere_weight, sphere_weight
+from .enumeration import Ball, BallCapExceeded, ball, sphere_weight
 from .growth import (GrowthReport, Verdict, character_list, classify_simplicity,
                      growth_reciprocal, pole_and_rho, region_membership)
 from .hecke import (HeckeElement, MultiParameter, central_projection_partial,
@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CoxeterDiagram", "DiagramError", "parse_diagram",
     "Ball", "BallCapExceeded", "ball", "sphere_weight",
-    "restricted_sphere_weight",
     "GrowthReport", "Verdict", "growth_reciprocal", "pole_and_rho",
     "region_membership", "classify_simplicity", "character_list",
     "HeckeElement", "MultiParameter", "central_projection_partial",

@@ -513,8 +513,8 @@ def criterion_9_kappa_qop() -> CriterionResult:
     q = Fraction(1, 2)
     ops = {}
     for cutoff in range(4, 11):
-        op, tail, c_fit = l2rep.q_operator(d, (), q, b10, cutoff)
-        ops[cutoff] = (op, tail)
+        diag, tail, c_fit = l2rep.q_operator(d, (), q, b10, cutoff)
+        ops[cutoff] = (diag, tail)
     # the constant C of kappa_w(l) <= C l^(rank-2) (rank 3 here), fitted on
     # the radius-10 ball, must bound the prefix counts of the radius-12 ball
     details["kappa fitted C (radius 10)"] = str(c_fit)
@@ -526,9 +526,9 @@ def criterion_9_kappa_qop() -> CriterionResult:
     cauchy_ok = True
     monotone_ok = True
     for i in range(4, 10):
-        di = ops[i][0].diag()
+        di = ops[i][0]
         for j in range(i + 1, 11):
-            dj = ops[j][0].diag()
+            dj = ops[j][0]
             gap = max(abs(a - b) for a, b in zip(di, dj))
             cauchy_ok &= (float(gap) <= ops[i][1] + 1e-12)
             monotone_ok &= all(b >= a for a, b in zip(di, dj))

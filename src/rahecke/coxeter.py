@@ -219,22 +219,6 @@ class CoxeterDiagram:
                 return False
         return True
 
-    def meet(self, v: Sequence[str], w: Sequence[str]) -> Word:
-        """Greatest lower bound in the weak right order (always exists)."""
-        v = self.normal_form(v)
-        w = self.normal_form(w)
-        out: list[str] = []
-        while True:
-            dv = set(self.left_descents(v))
-            common = [s for s in self.left_descents(w) if s in dv]
-            if not common:
-                break
-            s = common[0]
-            out.append(s)
-            v = self.left_strip(s, v)
-            w = self.left_strip(s, w)
-        return tuple(out)
-
     def _after(self, w: Word, v: Word) -> Word | None:
         # Least u with w <= v.u (reduced product), or None if no upper bound
         # of {v-prefix, w} exists.  Letters of w are either consumed against a
@@ -301,19 +285,6 @@ class CoxeterDiagram:
     def is_irreducible(self) -> bool:
         """True iff the graph of infinite exponents on the generators is connected."""
         return len(self._infty_components()) == 1
-
-    def components(self) -> list["CoxeterDiagram"]:
-        """Sub-diagrams induced on the connected components of the infinity graph."""
-        out = []
-        for comp in self._infty_components():
-            cset = set(comp)
-            pairs = [
-                (s, t)
-                for (s, t) in self._commuting
-                if s in cset and t in cset and self._gidx[s] < self._gidx[t]
-            ]
-            out.append(CoxeterDiagram(comp, pairs))
-        return out
 
     def covering_closed_path(self) -> Word | None:
         """A closed path in the diagram visiting every generator, or None.

@@ -11,10 +11,9 @@ single swap would make lexicographically smaller, and the third propagates
 older obstructions through a commuting letter.  The automaton is the only
 place that knows this rule.  Everything else follows its integer transition
 table: ``Ball`` generates each sphere from the previous one on arrays and
-keeps only integer tables (word tuples are derived on first read),
-``restricted_sphere_series`` pairs the automaton state with a
-letter-removability set, and ``NormalFormAutomaton.sphere_series`` is the
-exact transfer-matrix oracle for sphere counts and weighted sphere sums.
+keeps only integer tables (word tuples are derived on first read), and
+``NormalFormAutomaton.sphere_series`` is the exact transfer-matrix oracle for
+sphere counts and weighted sphere sums.
 """
 
 from __future__ import annotations
@@ -210,68 +209,6 @@ def sphere_weight(diagram: CoxeterDiagram, q: Mapping[str, Fraction], l: int,
         b = ball(diagram, l)
     weights = b.element_weights(q, l)
     return sum(weights[v] for v in b.sphere(l))
-
-
-def restricted_sphere_weight(diagram: CoxeterDiagram, q: Mapping[str, Fraction],
-                             l: int, g: Sequence[str], b: Ball | None = None):
-    """Sum of q_w over {|w| = l : g <= w^-1}, on ball ids: the inverse of
-    u*t is t*u^-1, so the inverse ids follow the generation tree through
-    ``lmul``."""
-    gw = diagram.normal_form(g)
-    if b is None or b.radius < l:
-        b = ball(diagram, l)
-    sphere = b.sphere(l)
-    inv = np.zeros(sphere.stop, dtype=np.int64)
-    for k in range(1, l + 1):
-        lo, hi = b.sphere_start[k], b.sphere_start[k + 1]
-        inv[lo:hi] = b.lmul[b.plast[lo:hi], inv[b.parent[lo:hi]]]
-    below = b.prefix_mask(gw)[inv[sphere.start:]].tolist()
-    weights = b.element_weights(q, l)[sphere.start:]
-    return sum((x for x, hit in zip(weights, below) if hit), Fraction(0))
-
-
-def restricted_sphere_series(diagram: CoxeterDiagram, q: Mapping[str, Fraction],
-                             g: Sequence[str], lmax: int) -> list:
-    """[S_0, ..., S_lmax] with S_l = sum of q_w over {|w| = l : g <= w^-1},
-    via an exact transfer recursion (no enumeration).
-
-    Elements x with g <= x biject with pairs (g, u), x = g * u of additive
-    length; additivity holds iff appending the canonical word of u to g never
-    cancels, which the letter-removability set R tracks alongside the
-    canonical-word automaton state:  R(w t) = {t} | {s in R(w) : s commutes
-    with t}.  Since q_w = q_{w^-1}, the restricted sum at l is q_g times the
-    weighted count of valid u of length l - |g|.
-    """
-    gword = diagram.normal_form(g)
-    trans = NormalFormAutomaton(diagram).transitions
-    gens = diagram.generators
-    commutes = diagram.commutes
-    zero = Fraction(0)
-    out = [zero] * (lmax + 1)
-    if len(gword) > lmax:
-        return out
-    r_state: frozenset[str] = frozenset()
-    for t in gword:
-        r_state = frozenset({t} | {s for s in r_state if commutes(s, t)})
-    q_g = Fraction(1)
-    for t in gword:
-        q_g *= q[t]
-    # weighted states: (automaton state, R) -> accumulated weight
-    states: dict[tuple[int, frozenset], Fraction] = {(0, r_state): Fraction(1)}
-    out[len(gword)] = q_g
-    for l in range(len(gword) + 1, lmax + 1):
-        new: dict[tuple[int, frozenset], Fraction] = {}
-        for (st, r), weight in states.items():
-            for ti, nst in trans[st]:
-                t = gens[ti]
-                if t in r:
-                    continue
-                nr = frozenset({t} | {s for s in r if commutes(s, t)})
-                key = (nst, nr)
-                new[key] = new.get(key, zero) + weight * q[t]
-        states = new
-        out[l] = q_g * sum(states.values(), zero)
-    return out
 
 
 def prefixes(diagram: CoxeterDiagram, w: Sequence[str]) -> frozenset[Word]:

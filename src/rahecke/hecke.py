@@ -49,13 +49,14 @@ def _over_lcm(coeffs: Iterable) -> tuple[list[int], int]:
 
 
 class MultiParameter:
-    """Per-generator deformation parameters with optional exact square roots."""
+    """Per-generator deformation parameters q_s and their square roots
+    (rational in exact mode, floats in float mode)."""
 
     def __init__(self, diagram: CoxeterDiagram, q: Mapping[str, object],
-                 roots: Mapping[str, object] | None, exact: bool):
+                 roots: Mapping[str, object], exact: bool):
         self.diagram = diagram
         self.q = growth.positive_parameters(diagram, q, Fraction if exact else float)
-        self.roots = dict(roots) if roots is not None else None
+        self.roots = dict(roots)
         self.exact = exact
         self._p = {s: self._compute_p(s) for s in diagram.generators}
         # p_s = pn_s / pd_s in lowest terms; float mode keeps pd_s = 1
@@ -267,11 +268,10 @@ class HeckeElement:
     # -- involution, trace, l2 ------------------------------------------------
 
     def adjoint(self) -> "HeckeElement":
-        out: dict[Word, object] = {}
-        for w, c in self.coeffs.items():
-            wi = self.diagram.inverse(w)
-            out[wi] = out.get(wi, 0) + (c.conjugate() if isinstance(c, complex) else c)
-        return HeckeElement(self.params, out)
+        """x* = sum_w x_w T_{w^-1}: the coefficients are real and inversion
+        is a bijection on canonical words."""
+        inverse = self.diagram.inverse
+        return HeckeElement(self.params, {inverse(w): c for w, c in self.coeffs.items()})
 
     def trace(self):
         """tau(x): the coefficient of T_e."""
@@ -279,13 +279,14 @@ class HeckeElement:
         return self.coeffs.get((), zero)
 
     def inner(self, other: "HeckeElement"):
-        """<x, y> = tau(y* x) = sum_w x_w conj(y_w): the T_w are orthonormal."""
+        """<x, y> = tau(y* x) = sum_w x_w y_w: the T_w are orthonormal and the
+        coefficients real."""
         self._require_same(other)
         acc = Fraction(0) if self.params.exact else 0.0
         for w, c in self.coeffs.items():
             cy = other.coeffs.get(w)
             if cy is not None:
-                acc = acc + (cy.conjugate() if isinstance(cy, complex) else cy) * c
+                acc = acc + cy * c
         return acc
 
     def norm2_sq(self):
@@ -294,7 +295,7 @@ class HeckeElement:
             return Fraction(sum(n * n for n in nums), den * den)
         acc = 0.0
         for c in self.coeffs.values():
-            acc = acc + (c * c.conjugate() if isinstance(c, complex) else c * c)
+            acc = acc + c * c
         return acc
 
 

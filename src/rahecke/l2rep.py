@@ -54,24 +54,6 @@ class TruncatedOperator:
         self.cols = cols
         self.exact = exact
 
-    @classmethod
-    def zero(cls, b: Ball, exact: bool = True) -> "TruncatedOperator":
-        return cls(b, [dict() for _ in range(len(b))], exact)
-
-    @classmethod
-    def identity(cls, b: Ball, exact: bool = True) -> "TruncatedOperator":
-        one = Fraction(1) if exact else 1.0
-        return cls(b, [{v: one} for v in range(len(b))], exact)
-
-    @classmethod
-    def diagonal(cls, b: Ball, values: Sequence, exact: bool = True) -> "TruncatedOperator":
-        return cls(b, [({v: values[v]} if values[v] != 0 else {}) for v in range(len(b))],
-                   exact)
-
-    def diag(self) -> list:
-        zero = Fraction(0) if self.exact else 0.0
-        return [self.cols[v].get(v, zero) for v in range(len(self.ball))]
-
     def __add__(self, other: "TruncatedOperator") -> "TruncatedOperator":
         cols = []
         for c1, c2 in zip(self.cols, other.cols):
@@ -272,10 +254,11 @@ def conjugate_action(d: CoxeterDiagram, word: Sequence[str],
 
 
 def q_operator(d: CoxeterDiagram, u: Sequence[str], q: Fraction, b: Ball,
-               cutoff: int) -> tuple[TruncatedOperator, float, Fraction]:
+               cutoff: int) -> tuple[list[Fraction], float, Fraction]:
     """Partial sum of Q_q^u = sum_{l >= |u|} sum_{|w| = l, u <= w^-1} q^l P_w.
 
-    Returns (diagonal operator, tail bound, fitted prefix-count constant).
+    Q is diagonal on the ball, so it is returned as its diagonal, in ball
+    order: (diagonal entries, tail bound, fitted prefix-count constant).
     The tail bound is C * sum_{l > cutoff} q^l l^(rank-2) with C fitted so
     that every enumerated prefix count kappa_v(l) is at most C*max(l,1)^(rank-2).
     """
@@ -330,8 +313,7 @@ def q_operator(d: CoxeterDiagram, u: Sequence[str], q: Fraction, b: Ball,
             l += 1
             term = q ** l * l ** exponent
         tail *= c_fit * 2
-    op = TruncatedOperator.diagonal(b, diag, exact=True)
-    return op, float(tail), c_fit
+    return diag, float(tail), c_fit
 
 
 def spectrum_bounds(x: TruncatedOperator, tol: float = 1e-9) -> tuple[float, float]:

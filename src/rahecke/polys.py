@@ -24,7 +24,7 @@ from math import gcd
 
 Poly = list[int]
 
-# Width of every isolating interval that smallest_positive_root returns.
+# Width of every isolating interval that isolate_smallest_positive_root returns.
 BISECTION_BITS = 64
 BISECTION_WIDTH = Fraction(1, 2 ** BISECTION_BITS)
 
@@ -37,18 +37,6 @@ def trim(p: Poly) -> Poly:
 
 def degree(p: Poly) -> int:
     return len(p) - 1
-
-
-def mul(p: Poly, q: Poly) -> Poly:
-    if not p or not q:
-        return []
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return trim(out)
 
 
 def evaluate(p: Poly, x: Fraction | int) -> Fraction | int:
@@ -171,25 +159,14 @@ def cauchy_bound(p: Poly) -> Fraction:
     return Fraction(1) + Fraction(max(abs(c) for c in p)) / lead
 
 
-def smallest_positive_root(p: Poly) -> tuple[Fraction, Fraction] | None:
-    """Isolating interval for the smallest positive real root of p.
-
-    Returns dyadic (lo, hi] with lo < root <= hi, hi - lo <= BISECTION_WIDTH
-    and exactly one root of p inside, or (r, r) when the root is hit exactly,
-    or None when p has no positive real root.  Requires p(0) != 0.
-    """
-    f = squarefree_part(p)
-    if degree(f) < 1:
-        return None
-    if evaluate(f, Fraction(0)) == 0:
-        raise ValueError("polynomial vanishes at 0")
-    return isolate_smallest_positive_root(sturm_chain(f))
-
-
 def isolate_smallest_positive_root(chain: list[Poly]
                                    ) -> tuple[Fraction, Fraction] | None:
-    """The isolation behind ``smallest_positive_root``, given the Sturm chain
-    of the squarefree part (whose head must not vanish at 0).
+    """Isolating interval for the smallest positive real root of f, given
+    the Sturm chain of f (squarefree, with f(0) != 0; f is the chain's head).
+
+    Returns dyadic (lo, hi] with lo < root <= hi, hi - lo <= BISECTION_WIDTH
+    and exactly one root of f inside, or (r, r) when the root is hit exactly,
+    or None when f has no positive real root.
 
     The bracket (lo, hi] is kept as lo = a/d and hi = b/d, d a power of 2.
     Phase 1 bisects on Sturm counts until (lo, hi] holds exactly one root and

@@ -10,8 +10,10 @@ automaton's transfer recursion gives exactly on any right-angled diagram:
 * ``eigen_residuals_sq``: by the one-letter rule and
   chi_s^2 - p_s chi_s - 1 = 0, T_s E^(i) - chi_s E^(i) lives on the edge
   sphere |w| = i, at the w with s not below w, and its squared norm is
-  (1 + |q_eps|_s) / W^2 * (a_i - r_{s,i}), with a_i the weighted sphere sum
-  at |q_eps| and r_{s,i} its restriction to {w : s <= w}.
+  (1 + |q_eps|_s) / W^2 * d_i, with d_i the weighted sphere sum at |q_eps|
+  over {|w| = i : s not below w}.  The words of length i with s <= w are
+  s u for the u of length i - 1 with s not below u, so with a_i the whole
+  weighted sphere sum, d_i = a_i - q_s d_{i-1} and d_0 = 1.
 
 In a free product of k involutions at one parameter q the sphere sums
 h_l = sum_{|w|=l} T_w also satisfy the three-term recursion
@@ -32,7 +34,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import growth
-from .enumeration import NormalFormAutomaton, restricted_sphere_series
+from .enumeration import NormalFormAutomaton
 from .hecke import MultiParameter
 
 
@@ -158,12 +160,16 @@ def cross_pattern_inner(params: MultiParameter, eps1: Sequence[int],
 def eigen_residuals_sq(params: MultiParameter, eps: Sequence[int], s: str,
                        cutoff: int) -> list[Fraction]:
     """[||T_s E^(i) - chi_eps(T_s) E^(i)||_2^2 for i = 0..cutoff], exactly,
-    as (1 + |q_eps|_s) / W^2 * (a_i - r_{s,i}) from one pass of each series.
-    Refuses flips whose |q_eps| is not strictly inside the region."""
+    as (1 + |q_eps|_s) / W^2 * d_i, d_i = a_i - q_s d_{i-1} on one pass of
+    the sphere series a_i.  Refuses flips whose |q_eps| is not strictly
+    inside the region."""
     d = params.diagram
     q = params.abs_flip(eps)
     w_value = growth.growth_value(d, q)
     a = NormalFormAutomaton(d).sphere_series([q[t] for t in d.generators], cutoff)
-    r = restricted_sphere_series(d, q, (s,), cutoff)
     scale = (1 + q[s]) / (w_value * w_value)
-    return [scale * (ai - ri) for ai, ri in zip(a, r)]
+    out, di = [], Fraction(0)
+    for ai in a:
+        di = ai - q[s] * di
+        out.append(scale * di)
+    return out

@@ -298,6 +298,8 @@ GOLDEN_CASES = {
                            "--q", "a=1/4,b=1/9,c=4", "--radius", "6"],
     "verify_positivity_A": ["verify", "--suite", "positivity", "--diagram", "A",
                             "--q", "all=1/4", "--radius", "4", "--word", "a"],
+    "verify_qop_A": ["verify", "--suite", "qop", "--diagram", "A",
+                     "--radius", "6", "--word", "a", "--cutoff", "5"],
 }
 GOLDEN_DIR = Path(__file__).parent / "golden" / "cli"
 

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from rahecke.coxeter import CoxeterDiagram, DiagramError, parse_diagram
 from rahecke.enumeration import ball
-from test_enumeration import diagrams
+from test_enumeration import components, diagrams
 
 
 @pytest.fixture(scope="module")
@@ -75,9 +75,7 @@ def test_join_meet_examples(diagram_a):
     d = diagram_a
     assert d.join("a", "b") == ("a", "b")
     assert d.join("a", "c") is None
-    assert d.meet("ab", "ab") == ("a", "b")
     assert d.join("ab", "ab") == ("a", "b")
-    assert d.meet("ab", "ac") == ("a",)
 
 
 def test_centralizes(diagram_a):
@@ -94,7 +92,7 @@ def test_irreducible_components(diagram_a):
                             [["a", "b"], ["a", "c"], ["a", "d"],
                              ["b", "c"], ["b", "d"], ["c", "d"]])
     assert not square.is_irreducible()
-    comps = square.components()
+    comps = components(square)
     assert sorted(c.generators for c in comps) == [("a",), ("b",), ("c",), ("d",)]
 
 
@@ -118,7 +116,7 @@ def test_components_exhaustive_small():
         for (s, t) in infty:
             parent[find(s)] = find(t)
         classes = {tuple(sorted(y for y in names if find(y) == find(x))) for x in names}
-        got = {tuple(sorted(c.generators)) for c in d.components()}
+        got = {tuple(sorted(c.generators)) for c in components(d)}
         assert got == classes
 
 
@@ -242,19 +240,6 @@ def test_join_against_brute_force(gens, commuting, rad):
                 # least: every upper bound of {v, w} lies above the join
                 above = pool.prefix_mask(got)
                 assert not (common & ~above).any()
-
-
-def test_meet_is_greatest_lower_bound(diagram_a):
-    d = diagram_a
-    b = ball(d, 4)
-    elems = [b.words[v] for v in range(len(b))]
-    for v in elems:
-        for w in elems:
-            m = d.meet(v, w)
-            assert d.starts_with(m, v) and d.starts_with(m, w)
-            for x in elems:
-                if d.starts_with(x, v) and d.starts_with(x, w):
-                    assert d.starts_with(x, m)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -12,9 +12,7 @@ from hypothesis import strategies as st
 from rahecke import enumeration
 from rahecke.coxeter import CoxeterDiagram
 from rahecke.enumeration import (Ball, BallCapExceeded, NormalFormAutomaton,
-                                 ball, connected_diagram_corpus, prefixes,
-                                 restricted_sphere_series,
-                                 restricted_sphere_weight, sphere_weight)
+                                 ball, connected_diagram_corpus, prefixes, sphere_weight)
 
 
 def cliques(diagram):
@@ -28,6 +26,13 @@ def cliques(diagram):
 
     extend((), diagram.generators)
     return out
+
+
+def components(diagram):
+    """Sub-diagrams induced on the connected components of the infinity graph."""
+    return [CoxeterDiagram(comp, [(s, t) for i, s in enumerate(comp) for t in comp[i + 1:]
+                                  if diagram.commutes(s, t)])
+            for comp in diagram._infty_components()]
 
 
 @pytest.fixture(scope="module")
@@ -186,26 +191,9 @@ def test_submultiplicativity(diagram_a):
                 assert a[l + m] <= a[l] * a[m]
 
 
-def test_restricted_sphere_weight(diagram_a):
-    d = diagram_a
-    g = ("a", "c", "b", "c")
-    q1 = q_const(d, 1)
-    assert restricted_sphere_weight(d, q1, 2, g) == 0  # shorter than g
-    assert restricted_sphere_weight(d, q1, 4, g) == 1  # only w = g^{-1}
-    # independent double loop at l = 6
-    b = ball(d, 6)
-    count = 0
-    for v in b.sphere(6):
-        inv = d.inverse(b.words[v])
-        if len(d.multiply(d.inverse(g), inv)) == len(inv) - len(g):
-            count += 1
-    assert restricted_sphere_weight(d, q1, 6, g) == count
-
-
 def test_sphere_weights_build_no_words(diagram_a):
     b = Ball(diagram_a, 6)
     q = {"a": Fraction(1, 2), "b": Fraction(3), "c": Fraction(1, 5)}
-    restricted_sphere_weight(diagram_a, q, 6, ("a", "c"), b)
     sphere_weight(diagram_a, q, 6, b)
     assert "words" not in b.__dict__ and "index" not in b.__dict__
 
@@ -215,33 +203,6 @@ def test_element_weights_stop_at_the_sphere(diagram_a):
     q = {"a": Fraction(1, 2), "b": Fraction(3), "c": Fraction(1, 5)}
     for l in range(7):
         assert b.element_weights(q, l) == [_prod(q, w) for w in b.words[:b.sphere_start[l + 1]]]
-
-
-def test_restricted_series_matches_enumeration(diagram_a):
-    d = diagram_a
-    g = ("a", "c", "b", "c")
-    for q in (q_const(d, 1), {"a": Fraction(1, 2), "b": Fraction(2), "c": Fraction(1, 3)}):
-        series = restricted_sphere_series(d, q, g, 8)
-        for l in range(9):
-            assert series[l] == restricted_sphere_weight(d, q, l, g)
-
-
-def test_restricted_full_root_gap(diagram_a):
-    """l-th roots of the restricted and full sphere weights converge to the
-    same growth rate; at l = 60 the gap is below 5% (at l = 20 it is still
-    about 11% for this configuration)."""
-    d = diagram_a
-    q1 = q_const(d, 1)
-    g = ("a", "c", "b", "c")
-    aut = NormalFormAutomaton(d)
-    full = aut.sphere_series([Fraction(1)] * 3, 60)
-    restr = restricted_sphere_series(d, q1, g, 60)
-    l = 60
-    ratio = (float(restr[l]) ** (1 / l)) / (float(full[l]) ** (1 / l))
-    assert abs(ratio - 1) < 0.05
-    l = 20
-    ratio20 = (float(restr[l]) ** (1 / l)) / (float(full[l]) ** (1 / l))
-    assert 0.05 < abs(ratio20 - 1) < 0.15
 
 
 def kappa(diagram, w, l):
@@ -298,7 +259,7 @@ def test_component_count_convolution():
     d = CoxeterDiagram(list("abcd"),
                        [["a", "b"], ["a", "c"], ["a", "d"], ["b", "c"], ["b", "d"]])
     # infinity edges: only c-d; components {a}, {b}, {c,d}
-    comps = d.components()
+    comps = components(d)
     assert sorted(len(c.generators) for c in comps) == [1, 1, 2]
     full = ball(d, 5).sphere_sizes()
     parts = [ball(c, 5).sphere_sizes() for c in comps]
@@ -384,15 +345,3 @@ def test_ball_words_are_distinct_normal_forms(d, radius):
     gidx = {s: i for i, s in enumerate(d.generators)}
     assert Ball(d, radius).words == sorted(
         forms, key=lambda w: (len(w), [gidx[s] for s in w]))
-
-
-@PROPERTY_SETTINGS
-@given(diagrams(), st.data())
-def test_restricted_series_matches_weight(d, data):
-    g = data.draw(st.lists(st.sampled_from(d.generators), max_size=4))
-    q = {s: Fraction(data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5)))
-         for s in d.generators}
-    lmax = 5
-    series = restricted_sphere_series(d, q, g, lmax)
-    b = ball(d, lmax)
-    assert series == [restricted_sphere_weight(d, q, l, g, b) for l in range(lmax + 1)]

@@ -11,6 +11,29 @@ from hypothesis import strategies as st
 from rahecke.coxeter import CoxeterDiagram
 from rahecke.enumeration import NormalFormAutomaton, connected_diagram_corpus
 from rahecke import growth, polys
+from test_enumeration import components
+
+
+def mul(p, q):
+    """The product of two integer polynomials."""
+    if not p or not q:
+        return []
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return polys.trim(out)
+
+
+def smallest_positive_root(p):
+    """Isolating interval for the smallest positive root of any p with
+    p(0) != 0, through its squarefree part."""
+    f = polys.squarefree_part(p)
+    if polys.degree(f) < 1:
+        return None
+    if polys.evaluate(f, Fraction(0)) == 0:
+        raise ValueError("polynomial vanishes at 0")
+    return polys.isolate_smallest_positive_root(polys.sturm_chain(f))
 
 
 def q_const(d, v):
@@ -198,7 +221,7 @@ def test_product_rule_reducible():
     q = {"a": Fraction(1, 2), "b": Fraction(3), "c": Fraction(1, 5), "d": Fraction(2)}
     total = growth.growth_reciprocal(d, q)
     prod = Fraction(1)
-    for comp in d.components():
+    for comp in components(d):
         prod *= growth.growth_reciprocal(comp, {s: q[s] for s in comp.generators})
     assert total == prod
 
@@ -206,13 +229,13 @@ def test_product_rule_reducible():
 def test_smallest_positive_root_edge_cases():
     # exact rational root found exactly
     f = [1, -3, 2]  # (1-t)(1-2t)
-    lo, hi = polys.smallest_positive_root(f)
+    lo, hi = smallest_positive_root(f)
     assert lo == hi == Fraction(1, 2)
     # no positive root
-    assert polys.smallest_positive_root([1, 0, 1]) is None
+    assert smallest_positive_root([1, 0, 1]) is None
     # repeated roots are handled through the squarefree part
-    g = polys.mul(f, f)
-    lo, hi = polys.smallest_positive_root(g)
+    g = mul(f, f)
+    lo, hi = smallest_positive_root(g)
     assert lo == hi == Fraction(1, 2)
 
 
@@ -309,7 +332,7 @@ def int_polys(draw, positive=False):
 @given(int_polys())
 def test_smallest_positive_root_isolates(p):
     chain = polys.sturm_chain(polys.squarefree_part(p))
-    bracket = polys.smallest_positive_root(p)
+    bracket = smallest_positive_root(p)
     if bracket is None:
         assert polys.count_roots(chain, Fraction(0), polys.cauchy_bound(p)) == 0
         return
@@ -327,8 +350,8 @@ def test_smallest_positive_root_isolates(p):
 @given(int_polys(positive=True), st.integers(1, 2 ** 20), st.integers(0, 40))
 def test_smallest_positive_root_hits_dyadic_roots(g, a, j):
     r = Fraction(a, 2 ** j)
-    p = polys.mul(g, [-r.numerator, r.denominator])
-    assert polys.smallest_positive_root(p) == (r, r)
+    p = mul(g, [-r.numerator, r.denominator])
+    assert smallest_positive_root(p) == (r, r)
 
 
 def _sturm_bisection(chain):
@@ -362,7 +385,7 @@ def dyadic_root_polys(draw):
     positive one, as in test_smallest_positive_root_hits_dyadic_roots."""
     g = draw(int_polys(positive=True))
     r = Fraction(draw(st.integers(1, 2 ** 20)), 2 ** draw(st.integers(0, 40)))
-    return polys.mul(g, [-r.numerator, r.denominator])
+    return mul(g, [-r.numerator, r.denominator])
 
 
 @st.composite
@@ -378,10 +401,10 @@ def polys_with_known_roots(draw):
     c = draw(st.integers(1, 5)) * draw(st.sampled_from([1, -1]))
     p = [c]
     for r in roots:
-        p = polys.mul(p, [-r.numerator, r.denominator])
+        p = mul(p, [-r.numerator, r.denominator])
     c0, c1 = draw(st.integers(1, 9)), draw(st.integers(1, 9))
     gap = [c0] + [0] * (draw(st.sampled_from([2, 4, 6])) - 1) + [c1]
-    return polys.mul(p, gap), set(roots)
+    return mul(p, gap), set(roots)
 
 
 @PROPERTY_SETTINGS
@@ -403,7 +426,7 @@ def close_root_polys(draw):
     g = draw(int_polys(positive=True))
     n, m = draw(st.integers(1, 2 ** 20)), draw(st.integers(1, 99))
     e = draw(st.integers(65, 90))
-    return polys.mul(polys.mul(g, [-n, m]), [-(n << e) - 1, m << e])
+    return mul(mul(g, [-n, m]), [-(n << e) - 1, m << e])
 
 
 @st.composite
@@ -413,7 +436,7 @@ def grid_root_polys(draw):
     unless it is so small that phase 1 already reaches that grid."""
     g = draw(int_polys(positive=True))
     n = 2 * draw(st.integers(0, 2 ** 65)) + 1
-    return polys.mul(g, [-n, 1 << 64])
+    return mul(g, [-n, 1 << 64])
 
 
 @st.composite
@@ -424,7 +447,7 @@ def near_grid_root_polys(draw):
     g = draw(int_polys(positive=True))
     n, m = draw(st.integers(1, 2 ** 66)), draw(st.integers(1, 99))
     e, s = draw(st.integers(80, 100)), draw(st.sampled_from([1, -1]))
-    return polys.mul(g, [-((n * m) << (e - 64)) - s, m << e])
+    return mul(g, [-((n * m) << (e - 64)) - s, m << e])
 
 
 @PROPERTY_SETTINGS
@@ -445,7 +468,7 @@ def huge_coefficient_polys(draw):
     cs = draw(int_polys(positive=True))
     es = draw(st.lists(st.integers(1, 9), min_size=len(cs), max_size=len(cs)))
     n, m = draw(st.integers(1, 2 ** 20)), draw(st.integers(1, 99))
-    return polys.mul([(c << 1100) + e for c, e in zip(cs, es)], [-n, m])
+    return mul([(c << 1100) + e for c, e in zip(cs, es)], [-n, m])
 
 
 @PROPERTY_SETTINGS
