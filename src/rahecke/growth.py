@@ -21,8 +21,10 @@ All decisions are made by exact sign evaluations and Sturm counts; the
 boundary (rho = 1) is the exact condition that 1 is the only root of N in
 (0, 1].  One ray numerator and one Sturm chain per parameter give both the
 membership and, when asked, the bracket of t0 (see polys for the two-phase
-bisection).  The classifier analyses each distinct |q_eps| once; flips that
-differ only at generators with q_s = 1 share the result.
+bisection).  The chain is one remainder sequence of N unless N has a
+repeated root, and its counts at 0 and 1 that give the membership also start
+the bisection at (0, 1] when N has a root there.  The classifier analyses each distinct |q_eps| once; flips that differ only
+at generators with q_s = 1 share the result.
 """
 
 from __future__ import annotations
@@ -71,19 +73,22 @@ def _ray_fraction(diagram: CoxeterDiagram, qq: Mapping[str, Fraction]
     """Integer (num, den) with D(t*q) = num(t) / den(t): with q_s = a_s / b_s,
     den = prod_s (b_s + a_s t) and num is the clique sum over it,
     sum_G prod_{s in G} (-a_s t) prod_{s not in G} (b_s + a_s t), not reduced."""
-    # The cliques of gens[:i] with their products, grown one generator at a
-    # time (a shared prefix is multiplied once); the empty one ends as den.
-    partial: list[tuple[tuple[str, ...], polys.Poly]] = [((), [1])]
-    for s in diagram.generators:
+    # The cliques of gens[:i] (bitmasks) with their products, grown one
+    # generator at a time (a shared prefix is multiplied once); the empty one
+    # ends as den.  A clique takes s unless it meets ``blocked`` by s.
+    gens = diagram.generators
+    partial: list[tuple[int, polys.Poly]] = [(0, [1])]
+    for i, s in enumerate(gens):
         a, b = qq[s].numerator, qq[s].denominator
+        blocked = sum(1 << j for j in range(i) if not diagram.commutes(s, gens[j]))
         grown = []
         for clique, term in partial:
             # term * (b + a t) and term * (-a t), coefficient by coefficient.
             grown.append((clique, [b * term[0]]
                           + [b * c + a * c_low for c, c_low in zip(term[1:], term)]
                           + [a * term[-1]]))
-            if all(diagram.commutes(s, t) for t in clique):
-                grown.append((clique + (s,), [0] + [-a * c for c in term]))
+            if not clique & blocked:
+                grown.append((clique | 1 << i, [0] + [-a * c for c in term]))
         partial = grown
     # Every term has degree rank (its lead is a product of nonzero a_s).
     num = polys.trim([sum(column) for column in zip(*(term for _, term in partial))])
@@ -133,18 +138,18 @@ def _ray_analysis(diagram: CoxeterDiagram, qq: Mapping[str, Fraction], bracket: 
     the only root in (0, 1] is Boundary (rho = 1); anything else has a root
     below 1 and is Exterior (rho > 1)."""
     num = ray_numerator(diagram, qq)
-    f = polys.squarefree_part(num)
-    if polys.degree(f) < 1:
+    if polys.degree(num) < 1:
         return "Interior", None, num
-    chain = polys.sturm_chain(f)
-    inside = polys.count_roots(chain, Fraction(0), Fraction(1))
+    chain = polys.squarefree_sturm_chain(num)
+    counts = polys._variations(chain, 0, 1), polys._variations(chain, 1, 1)
+    inside = counts[0] - counts[1]
     if inside == 0:
         membership = "Interior"
-    elif inside == 1 and polys.evaluate(f, 1) == 0:
+    elif inside == 1 and polys.evaluate(num, 1) == 0:
         membership = "Boundary"
     else:
         membership = "Exterior"
-    t0 = polys.isolate_smallest_positive_root(chain) if bracket else None
+    t0 = polys.isolate_smallest_positive_root(chain, counts) if bracket else None
     return membership, t0, num
 
 
@@ -214,15 +219,20 @@ def classify_simplicity(diagram: CoxeterDiagram, q: Mapping[str, Fraction]) -> V
     witnesses: list[SignPattern] = []
     boundary: list[SignPattern] = []
     per_flip: dict[SignPattern, dict] = {}
-    # Flips with equal |q_eps| (some q_s = 1) share one analysis.
-    analyses: dict[tuple[Fraction, ...], tuple[str, Bracket | None]] = {}
+    # Flips with equal |q_eps| share one analysis: they differ only at
+    # generators with q_s = 1, where the key keeps eps_s = 1.  Each q_s and
+    # 1/q_s (index 0 or 1, as eps_s is 1 or -1) is computed once.
+    gens = diagram.generators
+    pairs = [(qq[s], 1 / qq[s]) for s in gens]
+    analyses: dict[SignPattern, tuple[str, Bracket | None, Bracket]] = {}
     for eps in all_sign_patterns(diagram.rank):
-        qe = flipped_parameter(diagram, qq, eps)
-        key = tuple(qe[s] for s in diagram.generators)
+        key = tuple(1 if pair[0] == 1 else e for pair, e in zip(pairs, eps))
         if key not in analyses:
-            analyses[key] = _ray_analysis(diagram, qe, bracket=True)[:2]
-        membership, t0 = analyses[key]
-        per_flip[eps] = {"membership": membership, "t0": t0, "rho": _rho(t0)}
+            qe = {s: pair[e < 0] for s, pair, e in zip(gens, pairs, key)}
+            membership, t0, _ = _ray_analysis(diagram, qe, bracket=True)
+            analyses[key] = membership, t0, _rho(t0)
+        membership, t0, rho = analyses[key]
+        per_flip[eps] = {"membership": membership, "t0": t0, "rho": rho}
         if membership in ("Interior", "Boundary"):
             witnesses.append(eps)
         if membership == "Boundary":

@@ -5,15 +5,17 @@ Polynomials are lists of ints, lowest degree first, with no trailing zeros
 (the zero polynomial is the empty list).  Division is by pseudo-remainders
 scaled by |lc|^k, so a remainder is a positive multiple of the rational one
 and keeps its sign; gcds and Sturm chains are primitive remainder sequences
-(W. S. Brown, J. ACM 18, 1971).  Every sign is taken at x = a/b by integer
-Horner evaluation.
+(W. S. Brown, J. ACM 18, 1971), so one chain both tests p for squares and
+counts its roots.  Every sign is taken at x = a/b by integer Horner
+evaluation.
 
 ``isolate_smallest_positive_root`` is the one isolation routine.  It runs in
 two phases, both on integers over one power of 2.  Phase 1 bisects on Sturm
-counts until the bracket isolates the root.  Phase 2 does not bisect: the
-bracket that bisecting on the sign of the polynomial would end in is a cell
-of a dyadic grid known in advance, so a Newton guess (floats, then one or two
-integer steps) names the cell and two exact signs at its ends certify it;
+counts, from (0, 1] when the counts at 0 and 1 put a root there, until
+the bracket isolates the root.  Phase 2 does not bisect: the bracket that
+bisecting on the sign of the polynomial would end in is a cell of a dyadic
+grid known in advance, so a Newton guess (floats, then one or two integer
+steps) names the cell and two exact signs at its ends certify it;
 bisection over the cells is left for a guess that a sign refutes.
 """
 
@@ -117,7 +119,8 @@ def squarefree_part(p: Poly) -> Poly:
 def sturm_chain(p: Poly) -> list[Poly]:
     """Sturm chain of a squarefree polynomial, each member primitive: p, p'
     and the negated pseudo-remainders.  Each member is a positive multiple
-    of the rational Sturm chain's, so every sign and Sturm count is too."""
+    of the rational Sturm chain's, so every sign and Sturm count is too.
+    The last member is gcd(p, p') times a constant."""
     chain = [primitive(p), primitive(derivative(p))]
     while chain[-1]:
         rem = prem(chain[-2], chain[-1])
@@ -125,6 +128,13 @@ def sturm_chain(p: Poly) -> list[Poly]:
             break
         chain.append(primitive([-c for c in rem]))
     return [c for c in chain if c]
+
+
+def squarefree_sturm_chain(p: Poly) -> list[Poly]:
+    """``sturm_chain(squarefree_part(p))`` for nonconstant p, from the one
+    remainder sequence of p when p is squarefree (its last member constant)."""
+    chain = sturm_chain(p)
+    return chain if degree(chain[-1]) < 1 else sturm_chain(squarefree_part(p))
 
 
 def _sign(p: Poly, a: int, b: int) -> int:
@@ -144,25 +154,18 @@ def _variations(chain: list[Poly], a: int, b: int) -> int:
     return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
 
 
-def sign_variations(chain: list[Poly], x: Fraction) -> int:
-    return _variations(chain, x.numerator, x.denominator)
-
-
-def count_roots(chain: list[Poly], a: Fraction, b: Fraction) -> int:
-    """Number of distinct real roots in (a, b] for a squarefree chain."""
-    return sign_variations(chain, a) - sign_variations(chain, b)
-
-
 def cauchy_bound(p: Poly) -> Fraction:
     """All real roots of p lie in (-B, B)."""
     lead = abs(p[-1])
     return Fraction(1) + Fraction(max(abs(c) for c in p)) / lead
 
 
-def isolate_smallest_positive_root(chain: list[Poly]
+def isolate_smallest_positive_root(chain: list[Poly],
+                                   counts: tuple[int, int] | None = None
                                    ) -> tuple[Fraction, Fraction] | None:
     """Isolating interval for the smallest positive real root of f, given
-    the Sturm chain of f (squarefree, with f(0) != 0; f is the chain's head).
+    the Sturm chain of f (squarefree, with f(0) != 0; f is the chain's head)
+    and its variation counts (v(0), v(1)), which are taken when not given.
 
     Returns dyadic (lo, hi] with lo < root <= hi, hi - lo <= BISECTION_WIDTH
     and exactly one root of f inside, or (r, r) when the root is hit exactly,
@@ -176,15 +179,30 @@ def isolate_smallest_positive_root(chain: list[Poly]
     phase 2 (``_refine``) needs the sign of f alone; it returns the bracket
     that bisecting on that sign ends in, so the brackets are those of a
     Sturm-count bisection.
+
+    From the Cauchy bound B >= 2 the bisection halves (0, 2^j] down to
+    (0, 1] when f has a root there, so then phase 1 starts at (0, 1]:
+    deflating a midpoint root 2^j > 1 keeps every count in (0, 1], and
+    ``_refine`` cancels the power of 2 the final (a, b, d) differs by.  A
+    root at 1 is deflated as the midpoint of (0, 2] would be.  Otherwise it
+    starts at (0, 2^j], the least with 2^j >= B.
     """
-    b = 1
-    bound = cauchy_bound(chain[0])
-    while b < bound:
-        b *= 2
-    a, d = 0, 1
-    v_lo, v_hi = _variations(chain, a, d), _variations(chain, b, d)
+    if counts is None:
+        counts = _variations(chain, 0, 1), _variations(chain, 1, 1)
+    a, b, d = 0, 1, 1
+    v_lo, v_hi = counts
     if v_lo == v_hi:
-        return None
+        bound = cauchy_bound(chain[0])
+        while b < bound:
+            b *= 2
+        v_hi = _variations(chain, b, d)
+        if v_lo == v_hi:
+            return None
+    elif _sign(chain[0], 1, 1) == 0:
+        chain = sturm_chain(exact_div(chain[0], [-1, 1]))
+        v_lo, v_hi = _variations(chain, 0, 1), _variations(chain, 1, 1)
+        if v_lo == v_hi:
+            return (Fraction(1), Fraction(1))
     while v_lo - v_hi != 1 or a == 0:
         a, b, d = 2 * a, 2 * b, 2 * d
         m = (a + b) // 2

@@ -102,9 +102,6 @@ class RadialModel:
             out.pop()
         return out
 
-    def trace(self, vec: Sequence[Fraction]) -> Fraction:
-        return Fraction(vec[0]) if vec else Fraction(0)
-
     def norm2_sq(self, vec: Sequence[Fraction]) -> Fraction:
         acc = Fraction(0)
         for l, c in enumerate(vec):

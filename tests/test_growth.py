@@ -36,6 +36,12 @@ def smallest_positive_root(p):
     return polys.isolate_smallest_positive_root(polys.sturm_chain(f))
 
 
+def count_roots(chain, a, b):
+    """Number of distinct real roots in (a, b] for a squarefree chain."""
+    return (polys._variations(chain, a.numerator, a.denominator)
+            - polys._variations(chain, b.numerator, b.denominator))
+
+
 def q_const(d, v):
     return {s: Fraction(v) for s in d.generators}
 
@@ -193,7 +199,7 @@ def test_ray_homogeneity(diagram_a):
     chain = polys.sturm_chain(f)
     lo = min(lo1, scaled[0])
     hi = max(hi1, scaled[1])
-    assert polys.count_roots(chain, lo, hi) == 1  # both brackets hold the same root
+    assert count_roots(chain, lo, hi) == 1  # both brackets hold the same root
 
 
 def test_fekete_sandwich(diagram_a):
@@ -264,15 +270,53 @@ FLIP_VECTORS = (
 PER_FLIP_DIGEST = "f5aefd0461ee367bfbd29c3866ffe5bec02bfdb154803ac7b3704ed116474bd1"
 
 
-def test_per_flip_unchanged_on_corpus():
+def _per_flip_digest(cases):
+    """sha256 of the verdict and per_flip of each (label, diagram, q vector)."""
     h = hashlib.sha256()
-    for d in connected_diagram_corpus(5):
-        for vec in FLIP_VECTORS:
-            v = growth.classify_simplicity(d, dict(zip(d.generators, vec)))
-            h.update(f"{d.generators}|{v.status}|{v.witnesses}|{v.boundary_flags}\n".encode())
-            for eps, info in sorted(v.per_flip.items()):
-                h.update(f"{eps}:{info['membership']}:{info['t0']}:{info['rho']}\n".encode())
-    assert h.hexdigest() == PER_FLIP_DIGEST
+    for label, d, vec in cases:
+        v = growth.classify_simplicity(d, dict(zip(d.generators, vec)))
+        h.update(f"{label}|{v.status}|{v.witnesses}|{v.boundary_flags}\n".encode())
+        for eps, info in sorted(v.per_flip.items()):
+            h.update(f"{eps}:{info['membership']}:{info['t0']}:{info['rho']}\n".encode())
+    return h.hexdigest()
+
+
+def test_per_flip_unchanged_on_corpus():
+    cases = ((d.generators, d, vec) for d in connected_diagram_corpus(5) for vec in FLIP_VECTORS)
+    assert _per_flip_digest(cases) == PER_FLIP_DIGEST
+
+
+# Twelve irreducible rank-6 diagrams, each given by its infinity edges (every
+# other pair commutes), and two parameter vectors with some q_s = 1: rank 6 is
+# the largest rank in the benchmark's classify mix.
+RANK6_INFINITY = (
+    "ab bc cd de ef", "ab ac ad ae af", "ab bc cd de ef fa",
+    "ab ac ad ae af bc bd be bf cd ce cf de df ef", "ab bc bd de ef",
+    "ad ae af bd be bf cd ce cf", "ab bc ca cd de ef", "ab bc ca cd de ec ef",
+    "ab ac ad ae af bc cd de ef", "ac ad ae af bc bd be bf ce cf de df",
+    "ab bc cd de ea af", "ab ac bc bd ce df ef",
+)
+RANK6_VECTORS = (
+    (Fraction(1, 9), Fraction(8), Fraction(1), Fraction(1, 7), Fraction(5), Fraction(1, 6)),
+    (Fraction(1), Fraction(1, 5), Fraction(7), Fraction(1), Fraction(1, 8), Fraction(6)),
+)
+# The same digest as PER_FLIP_DIGEST over RANK6_INFINITY at RANK6_VECTORS,
+# recorded before the isolation started at (0, 1].
+RANK6_PER_FLIP_DIGEST = "c06b0b696c02ab011332fff3f85f86d4bad82272ed12a4c027e40a9659da5f16"
+
+
+def _rank6_diagram(infinity):
+    names = "abcdef"
+    edges = {frozenset(e) for e in infinity.split()}
+    return CoxeterDiagram(list(names), [pair for pair in combinations(names, 2)
+                                        if frozenset(pair) not in edges])
+
+
+def test_per_flip_unchanged_at_rank_6():
+    diagrams = [(infinity, _rank6_diagram(infinity)) for infinity in RANK6_INFINITY]
+    assert all(d.is_irreducible() for _, d in diagrams)
+    cases = ((infinity, d, vec) for infinity, d in diagrams for vec in RANK6_VECTORS)
+    assert _per_flip_digest(cases) == RANK6_PER_FLIP_DIGEST
 
 
 @contextlib.contextmanager
@@ -313,6 +357,18 @@ def test_refinement_takes_few_signs():
     assert sum(per_ray) / len(per_ray) <= 4
 
 
+def test_classify_evaluates_few_chains(pentagon):
+    """Each flip's chain is evaluated at 0 and 1 for the membership, and the
+    bisection starts at (0, 1] with those counts: one classify of the
+    pentagon at a mixed q (16 distinct flips) evaluates a chain 67 times,
+    where the bisection from the Cauchy bound took 156."""
+    q = dict(zip(pentagon.generators, (Fraction(1, 4), Fraction(2, 5), Fraction(1),
+                                       Fraction(3, 2), Fraction(9, 4))))
+    with mock.patch.object(polys, "_variations", wraps=polys._variations) as variations:
+        growth.classify_simplicity(pentagon, q)
+    assert variations.call_count == 67
+
+
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 WIDTH = Fraction(1, 2 ** 64)
 
@@ -334,16 +390,16 @@ def test_smallest_positive_root_isolates(p):
     chain = polys.sturm_chain(polys.squarefree_part(p))
     bracket = smallest_positive_root(p)
     if bracket is None:
-        assert polys.count_roots(chain, Fraction(0), polys.cauchy_bound(p)) == 0
+        assert count_roots(chain, Fraction(0), polys.cauchy_bound(p)) == 0
         return
     lo, hi = bracket
     if lo == hi:
         assert polys.evaluate(p, lo) == 0
-        assert polys.count_roots(chain, Fraction(0), lo) == 1
+        assert count_roots(chain, Fraction(0), lo) == 1
         return
     assert 0 < lo < hi and hi - lo <= WIDTH
-    assert polys.count_roots(chain, lo, hi) == 1
-    assert polys.count_roots(chain, Fraction(0), lo) == 0
+    assert count_roots(chain, lo, hi) == 1
+    assert count_roots(chain, Fraction(0), lo) == 0
 
 
 @PROPERTY_SETTINGS
@@ -362,17 +418,17 @@ def _sturm_bisection(chain):
     while hi < polys.cauchy_bound(chain[0]):
         hi *= 2
     lo = Fraction(0)
-    if polys.count_roots(chain, lo, hi) == 0:
+    if count_roots(chain, lo, hi) == 0:
         return None
-    while polys.count_roots(chain, lo, hi) != 1 or lo == 0 or hi - lo > WIDTH:
+    while count_roots(chain, lo, hi) != 1 or lo == 0 or hi - lo > WIDTH:
         mid = (lo + hi) / 2
         if polys.evaluate(chain[0], mid) == 0:
             f = polys.exact_div(chain[0], [-mid.numerator, mid.denominator])
             chain = polys.sturm_chain(f)
-            if polys.count_roots(chain, lo, mid) == 0:
+            if count_roots(chain, lo, mid) == 0:
                 return (mid, mid)
             hi = mid
-        elif polys.count_roots(chain, lo, mid) >= 1:
+        elif count_roots(chain, lo, mid) >= 1:
             hi = mid
         else:
             lo = mid
@@ -415,7 +471,7 @@ def test_sturm_counts_known_roots(p_roots, a, b):
     p, roots = p_roots
     lo, hi = min(a, b), max(a, b)
     chain = polys.sturm_chain(polys.squarefree_part(p))
-    assert polys.count_roots(chain, lo, hi) == sum(1 for r in roots if lo < r <= hi)
+    assert count_roots(chain, lo, hi) == sum(1 for r in roots if lo < r <= hi)
 
 
 @st.composite
@@ -482,8 +538,30 @@ def test_huge_coefficient_refinement_keeps_the_newton_start(p):
     assert all(n <= 4 for n in per_ray)
 
 
+@st.composite
+def root_at_one_polys(draw):
+    """g * (t - 1) * (m t - n), 0 < n <= 2m, g positive: the bisection
+    deflates at the midpoint 1, with the root n/m below, at or above it."""
+    g = draw(int_polys(positive=True))
+    m = draw(st.integers(2, 99))
+    return mul(mul(g, [-1, 1]), [-draw(st.integers(1, 2 * m)), m])
+
+
+@st.composite
+def dyadic_roots_above_one_polys(draw):
+    """g * (t - 2^i) * (m t - n), i >= 1, 0 < n < m, g positive: from the
+    Cauchy bound the bisection deflates the midpoint root 2^i on its way
+    down to (0, 1], where the root n/m lies."""
+    g = draw(int_polys(positive=True))
+    m = draw(st.integers(2, 99))
+    low = [-draw(st.integers(1, m - 1)), m]
+    return mul(mul(g, [-(1 << draw(st.integers(1, 6))), 1]), low)
+
+
 BISECTION_CASES = {
     "int_polys": int_polys(),
+    "root_at_one": root_at_one_polys(),
+    "dyadic_roots_above_one": dyadic_roots_above_one_polys(),
     "known_roots": polys_with_known_roots().map(lambda p_roots: p_roots[0]),
     "dyadic_roots": dyadic_root_polys(),
     "close_roots": close_root_polys(),
@@ -500,13 +578,34 @@ def test_bisection_is_the_sturm_count_bisection(kind, data):
     p = data.draw(BISECTION_CASES[kind])
     assume(p[0] != 0)
     chain = polys.sturm_chain(polys.squarefree_part(p))
-    assert polys.isolate_smallest_positive_root(chain) == _sturm_bisection(chain)
+    expected = _sturm_bisection(chain)
+    assert polys.isolate_smallest_positive_root(chain) == expected
+    # As growth._ray_analysis runs it: with the counts at 0 and 1 handed over.
+    counts = polys._variations(chain, 0, 1), polys._variations(chain, 1, 1)
+    assert polys.isolate_smallest_positive_root(chain, counts) == expected
+
+
+@PROPERTY_SETTINGS
+@given(int_polys(), st.lists(int_polys(), max_size=2))
+def test_one_sequence_chain_is_the_squarefree_chain(p, squared):
+    """squarefree_sturm_chain is sturm_chain(squarefree_part(p)): from p's
+    own sequence when p is squarefree, and by the fallback when squared
+    factors are multiplied in."""
+    for f in squared:
+        p = mul(p, mul(f, f))
+    expected = polys.sturm_chain(polys.squarefree_part(p))
+    assert polys.squarefree_sturm_chain(p) == expected
+    own = polys.sturm_chain(p)
+    if squared:
+        assert polys.degree(own[-1]) > 0  # the fallback is taken
+    elif polys.degree(polys.gcd_poly(p, polys.derivative(p))) < 1:
+        assert own == expected and polys.degree(own[-1]) < 1
 
 
 def test_sturm_count_keeps_signs_through_a_negative_lead():
     """The pseudo-remainder scales by |lc|, never by a negative lc."""
     chain = polys.sturm_chain([-1, -1, -1, 0, -1])  # -(1 + t + t^2 + t^4)
-    assert polys.count_roots(chain, Fraction(-10), Fraction(10)) == 0
+    assert count_roots(chain, Fraction(-10), Fraction(10)) == 0
 
 
 @st.composite
