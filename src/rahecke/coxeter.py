@@ -9,12 +9,18 @@ by swaps of adjacent commuting letters, so an element is its heap of pieces
 (Cartier-Foata; Viennot, "Heaps of pieces I"): letters are added one at a time
 on the left, a letter equal to an unshielded piece cancels it, and the
 canonical word is the greedy lexicographic reading of the heap.  Normal forms,
-left strips and the weak order all run on the heap.
+descents and the weak order all run on the heap's layers: the left descents
+are one scan from the deepest layer and the right descents are the top layer;
+the prefixes P <= w, each with its remainder P^-1 w, come from one recursion
+that strips left descents (``splits``), and joins strip common descents the
+same way.  Words are converted only where elements enter and leave.
 """
 
 from __future__ import annotations
 
 import json
+from functools import reduce
+from operator import or_
 from typing import Iterable, Mapping, Sequence
 
 Word = tuple[str, ...]
@@ -29,6 +35,14 @@ _FORBIDDEN_CHARS = set(".,=*()[]{} \t\n")
 
 class DiagramError(ValueError):
     """Malformed diagram description or unknown generator."""
+
+
+def _bits(mask: int):
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class CoxeterDiagram:
@@ -64,10 +78,11 @@ class CoxeterDiagram:
             pairs.add((s, t))
             pairs.add((t, s))
         self._commuting = frozenset(pairs)
-        # conflict[s] = bitmask of the letters that block s from moving past
-        # them, s itself included (ss is a cancellation, never a free swap).
-        self._conflict = {s: sum(1 << i for i, t in enumerate(gens) if (s, t) not in pairs)
-                          for s in gens}
+        # _conflict[i] = bitmask of the letters that block generator i from
+        # moving past them, i itself included (ss is a cancellation, never a
+        # free swap).
+        self._conflict = [sum(1 << i for i, t in enumerate(gens) if (s, t) not in pairs)
+                          for s in gens]
 
     # -- basic structure ---------------------------------------------------
 
@@ -81,15 +96,6 @@ class CoxeterDiagram:
 
     def gen_index(self, s: str) -> int:
         return self._gidx[s]
-
-    def infinity_edges(self) -> list[tuple[str, str]]:
-        """Unordered pairs of distinct generators with exponent infinity."""
-        out = []
-        for i, s in enumerate(self.generators):
-            for t in self.generators[i + 1:]:
-                if not self.commutes(s, t):
-                    out.append((s, t))
-        return out
 
     def key(self) -> tuple:
         pairs = sorted(
@@ -126,7 +132,7 @@ class CoxeterDiagram:
                 r = gidx[x]
                 if r < best_rank and not shield >> r & 1:
                     best_rank, best_i = r, i
-                shield |= conflict[x]
+                shield |= conflict[r]
                 if shield == full:
                     break
             out.append(rest.pop(best_i))
@@ -149,30 +155,6 @@ class CoxeterDiagram:
         self._check_letters(w)
         return self._linearize(tuple(reversed(w)))
 
-    def _descents(self, letters: Iterable[str]) -> list[str]:
-        # Letters of a reduced word that no earlier letter shields.
-        gidx, conflict = self._gidx, self._conflict
-        found = shield = 0
-        for x in letters:
-            if not shield >> gidx[x] & 1:
-                found |= 1 << gidx[x]
-            shield |= conflict[x]
-        return [s for i, s in enumerate(self.generators) if found >> i & 1]
-
-    def left_descents(self, word: Sequence[str]) -> list[str]:
-        """Letters s with s <= w, in generator order.  ``word`` must be reduced."""
-        return self._descents(word)
-
-    def right_descents(self, word: Sequence[str]) -> list[str]:
-        return self._descents(reversed(word))
-
-    def left_strip(self, s: str, word: Sequence[str]) -> Word:
-        """Canonical word of ``s * word`` when s is a left descent of ``word``."""
-        layers, below = self.heap_lmul(self.heap(word), s)
-        if not below:
-            raise ValueError(f"{s!r} is not a left descent of {word!r}")
-        return self.heap_word(layers)
-
     # -- heaps of pieces ---------------------------------------------------
     # An element is its heap (Cartier-Foata; Viennot, "Heaps of pieces I"),
     # keyed by layers of generator bitmasks, layer 0 at the top: a letter lies
@@ -181,7 +163,8 @@ class CoxeterDiagram:
 
     def heap_lmul(self, layers: tuple[int, ...], s: str) -> tuple[tuple[int, ...], bool]:
         """Layers of s*w from the layers of w, and whether s <= w."""
-        bit, conflict = 1 << self._gidx[s], self._conflict[s]
+        i = self._gidx[s]
+        bit, conflict = 1 << i, self._conflict[i]
         k = len(layers) - 1
         while k >= 0 and not layers[k] & conflict:
             k -= 1
@@ -205,6 +188,21 @@ class CoxeterDiagram:
         return self._linearize([gens[i] for layer in reversed(layers)
                                 for i in range(len(gens)) if layer >> i & 1])
 
+    def heap_descents(self, layers: Sequence[int]) -> int:
+        """Bitmask of the left descents s <= w of the element with these
+        layers: the pieces that no deeper piece conflicts with, in one scan
+        from the deepest layer.  The right descents are ``layers[0]``: a
+        piece lies in layer 0 exactly when nothing right of it conflicts."""
+        conflict, full = self._conflict, (1 << len(self.generators)) - 1
+        found = shield = 0
+        for layer in reversed(layers):
+            found |= layer & ~shield
+            for i in _bits(layer):
+                shield |= conflict[i]
+            if shield == full:
+                break
+        return found
+
     # -- weak right Bruhat order --------------------------------------------
 
     def starts_with(self, v: Sequence[str], w: Sequence[str]) -> bool:
@@ -219,51 +217,69 @@ class CoxeterDiagram:
                 return False
         return True
 
-    def _after(self, w: Word, v: Word) -> Word | None:
-        # Least u with w <= v.u (reduced product), or None if no upper bound
-        # of {v-prefix, w} exists.  Letters of w are either consumed against a
-        # matching descent of v or emitted into u once they commute past all
-        # of v.
-        if not w:
-            return EMPTY
-        descents = self.left_descents(w)
-        dv = set(self.left_descents(v))
-        for t in descents:
-            if t in dv:
-                return self._after(self.left_strip(t, w), self.left_strip(t, v))
-        content = set(v)
-        for t in descents:
-            if t in content or any(y != t and not self.commutes(t, y) for y in content):
-                return None
-        t = descents[0]
-        rest = self._after(self.left_strip(t, w), v)
-        if rest is None:
-            return None
-        return (t,) + rest
+    def splits(self, layers: tuple[int, ...]) -> dict[tuple[int, ...], tuple[int, ...]]:
+        """Every prefix P <= w, keyed by its layers, with the layers of its
+        remainder U = P^-1 w, so that PU = w and |P| + |U| = |w|; w is given
+        by its layers.  The splits of w are (e, w) and, for each left descent
+        s, the splits (P, U) of s.w turned into (s.P, U)."""
+        gens, memo = self.generators, {}
+
+        def rec(rest: tuple[int, ...]) -> dict[tuple[int, ...], tuple[int, ...]]:
+            got = memo.get(rest)
+            if got is None:
+                got = {(): rest}
+                for i in _bits(self.heap_descents(rest)):
+                    s = gens[i]
+                    for p, u in rec(self.heap_lmul(rest, s)[0]).items():
+                        got[self.heap_lmul(p, s)[0]] = u
+                memo[rest] = got
+            return got
+
+        return rec(tuple(layers))
 
     def join(self, v: Sequence[str], w: Sequence[str]) -> Word | None:
         """Least upper bound in the weak right order, or None if there is none."""
-        v = self.normal_form(v)
-        w = self.normal_form(w)
-        rest = self._after(w, v)
-        if rest is None:
-            return None
-        return self.normal_form(v + rest)
+        v, w = tuple(v), tuple(w)
+        self._check_letters(v + w)
+        # The least u with w <= v.u (reduced product), on the layers: a left
+        # descent common to what is left of v and of w is stripped off both;
+        # otherwise every descent of w must commute past all of v (else no
+        # upper bound exists), and the least one moves into u.
+        gens, conflict = self.generators, self._conflict
+        lv, lw, u = self.heap(v), self.heap(w), []
+        while lw:
+            dw = self.heap_descents(lw)
+            common = dw & self.heap_descents(lv)
+            t = gens[next(_bits(common or dw))]
+            if common:
+                lv = self.heap_lmul(lv, t)[0]
+            else:
+                content = reduce(or_, lv, 0)
+                if any(conflict[i] & content for i in _bits(dw)):
+                    return None
+                u.append(t)
+            lw = self.heap_lmul(lw, t)[0]
+        return self.normal_form(v + tuple(u))
 
     def centralizes(self, s: str, w: Sequence[str]) -> bool:
-        """True iff s*w == w*s."""
+        """True iff s*w == w*s, i.e. s commutes with every other letter of w."""
         if s not in self._gidx:
             raise DiagramError(f"unknown generator {s!r}")
         w = tuple(w)
-        return self.multiply((s,), w) == self.multiply(w, (s,))
+        self._check_letters(w)
+        i = self._gidx[s]
+        return not reduce(or_, self.heap(w), 0) & self._conflict[i] & ~(1 << i)
 
     # -- diagram shape -----------------------------------------------------
 
+    def _infty_adjacency(self) -> dict[str, list[str]]:
+        """Neighbours of each generator in the graph of infinite exponents,
+        in generator order."""
+        return {s: [t for t in self.generators if t != s and not self.commutes(s, t)]
+                for s in self.generators}
+
     def _infty_components(self) -> list[list[str]]:
-        adj: dict[str, list[str]] = {s: [] for s in self.generators}
-        for s, t in self.infinity_edges():
-            adj[s].append(t)
-            adj[t].append(s)
+        adj = self._infty_adjacency()
         seen: set[str] = set()
         comps: list[list[str]] = []
         for s in self.generators:
@@ -297,12 +313,7 @@ class CoxeterDiagram:
         """
         if self.rank < 2 or not self.is_irreducible():
             return None
-        adj: dict[str, list[str]] = {s: [] for s in self.generators}
-        for s, t in self.infinity_edges():
-            adj[s].append(t)
-            adj[t].append(s)
-        for s in adj:
-            adj[s].sort(key=self._gidx.__getitem__)
+        adj = self._infty_adjacency()
         walk: list[str] = []
         seen: set[str] = set()
 

@@ -211,25 +211,6 @@ def sphere_weight(diagram: CoxeterDiagram, q: Mapping[str, Fraction], l: int,
     return sum(weights[v] for v in b.sphere(l))
 
 
-def prefixes(diagram: CoxeterDiagram, w: Sequence[str]) -> frozenset[Word]:
-    """All v with v <= w in the weak right order."""
-    word = diagram.normal_form(w)
-    memo: dict[Word, frozenset[Word]] = {}
-
-    def rec(u: Word) -> frozenset[Word]:
-        got = memo.get(u)
-        if got is not None:
-            return got
-        acc: set[Word] = {()}
-        for t in diagram.left_descents(u):
-            for p in rec(diagram.left_strip(t, u)):
-                acc.add(diagram.normal_form((t,) + p))
-        memo[u] = frozenset(acc)
-        return memo[u]
-
-    return rec(word)
-
-
 class NormalFormAutomaton:
     """The canonical-word automaton as an integer transition table.
 
@@ -300,21 +281,10 @@ def connected_diagram_corpus(max_rank: int = 5) -> list[CoxeterDiagram]:
         vpairs = list(combinations(range(n), 2))
         seen: set[frozenset] = set()
         for mask in range(1 << len(vpairs)):
-            edges = {vpairs[i] for i in range(len(vpairs)) if mask >> i & 1}
-            # edges = infinity graph; connectivity check
-            adj = {i: set() for i in range(n)}
-            for (i, j) in edges:
-                adj[i].add(j)
-                adj[j].add(i)
-            seen_v = {0}
-            stack = [0]
-            while stack:
-                u = stack.pop()
-                for x in adj[u]:
-                    if x not in seen_v:
-                        seen_v.add(x)
-                        stack.append(x)
-            if len(seen_v) != n:
+            edges = {vpairs[i] for i in range(len(vpairs)) if mask >> i & 1}  # infinity graph
+            d = CoxeterDiagram(names, [(names[i], names[j]) for (i, j) in vpairs
+                                       if (i, j) not in edges])
+            if not d.is_irreducible():
                 continue
             canon = min(
                 tuple(sorted(tuple(sorted((p[i], p[j]))) for (i, j) in edges))
@@ -323,8 +293,5 @@ def connected_diagram_corpus(max_rank: int = 5) -> list[CoxeterDiagram]:
             if canon in seen:
                 continue
             seen.add(canon)
-            commuting = [
-                (names[i], names[j]) for (i, j) in vpairs if (i, j) not in edges
-            ]
-            out.append(CoxeterDiagram(names, commuting))
+            out.append(d)
     return out

@@ -96,13 +96,14 @@ def _ray_fraction(diagram: CoxeterDiagram, qq: Mapping[str, Fraction]
 
 
 def ray_numerator(diagram: CoxeterDiagram, q: Mapping[str, Fraction]) -> polys.Poly:
-    """Reduced numerator N(t) of D(t*q): primitive integers with N(0) > 0."""
-    qq = positive_parameters(diagram, q)
-    num, _ = _ray_fraction(diagram, qq)
+    """Reduced numerator N(t) of D(t*q): primitive integers with N(0) > 0.
+    ``q`` is taken as checked, a positive ``Fraction`` for every generator
+    (as ``positive_parameters`` returns it), and is not checked again."""
+    num, _ = _ray_fraction(diagram, q)
     # den's factors b_s + a_s t are primitive with positive leads: those that
     # divide num, once per generator, multiply to gcd(num, den) (Gauss).
     for s in diagram.generators:
-        a, b = qq[s].numerator, qq[s].denominator
+        a, b = q[s].numerator, q[s].denominator
         if polys._sign(num, -b, a) == 0:
             num = polys.exact_div(num, [b, a])
     num = polys.primitive(num)

@@ -354,29 +354,30 @@ def cliq_decomposition(params: MultiParameter, w: Sequence[str]
     with all of Gamma is a right descent of w'.
     """
     d = params.diagram
-    word = d.normal_form(w)
+    gens = d.generators
+    # comm[s]: the generators that commute with s (s itself excluded).
+    comm = {s: sum(1 << j for j, t in enumerate(gens) if d.commutes(s, t)) for s in gens}
+    one = Fraction(1) if params.exact else 1.0
     out: list[tuple[Word, tuple[str, ...], Word, object]] = []
-    for wp in sorted(enumeration.prefixes(d, word), key=lambda u: (len(u), u)):
-        u = d.multiply(d.inverse(wp), word)
-        rdesc_wp = set(d.right_descents(wp))
-        # Gamma runs over the subsets of the left descents of u, which pairwise
-        # commute (u is reduced), so each s in Gamma strips off what is left.
-        def extend(gamma: tuple[str, ...], cands: list[str]) -> None:
-            movers = [
-                t for t in d.generators
-                if all(d.commutes(s, t) for s in gamma) and t not in gamma
-            ]
-            if all(t not in rdesc_wp for t in movers):
-                wpp = u
-                coeff = Fraction(1) if params.exact else 1.0
-                for s in gamma:
-                    wpp = d.left_strip(s, wpp)
-                    coeff = coeff * params.p(s)
-                out.append((wp, gamma, wpp, coeff))
+    splits = d.splits(d.heap(d.normal_form(w)))
+    for wp, top, u in sorted(((d.heap_word(p), p[0] if p else 0, u) for p, u in splits.items()),
+                             key=lambda item: (len(item[0]), item[0])):
+        # Gamma runs over the subsets of the left descents of u = w'^-1 w,
+        # which pairwise commute (u is reduced), so each s in Gamma strips
+        # off what is left.  The movers (generators commuting with all of
+        # Gamma and not in it) must avoid the right descents of w', its
+        # top layer.
+        def extend(gamma: tuple[str, ...], movers: int, rest: tuple[int, ...],
+                   coeff, cands: list[str]) -> None:
+            if not movers & top:
+                out.append((wp, gamma, d.heap_word(rest), coeff))
             for i, s in enumerate(cands):
-                extend(gamma + (s,), cands[i + 1:])
+                extend(gamma + (s,), movers & comm[s], d.heap_lmul(rest, s)[0],
+                       coeff * params.p(s), cands[i + 1:])
 
-        extend((), d.left_descents(u))
+        descents = d.heap_descents(u)
+        extend((), (1 << len(gens)) - 1, u, one,
+               [s for i, s in enumerate(gens) if descents >> i & 1])
     return out
 
 

@@ -37,22 +37,43 @@ def test_criterion(key):
 
 
 def test_every_src_function_has_a_caller():
-    """Every non-dunder ``def`` in ``src/rahecke`` is named (as a name or an
-    attribute) somewhere in ``src`` outside its own body, or exported in
-    ``rahecke.__all__``: nothing in ``src`` exists only for the tests."""
-    defs, used = set(), set()
+    """Every non-dunder ``def`` in ``src/rahecke`` is named somewhere in
+    ``src`` outside its own body, or exported in ``rahecke.__all__``: nothing
+    in ``src`` exists only for the tests.  A use ``Cls.name``, or
+    ``self.name`` inside class ``Cls``, counts only for ``Cls``'s method; an
+    attribute of any other receiver counts for every def of that name, and a
+    bare name for every def of that name outside a class body (a method is
+    reached only through an attribute)."""
+    trees = [ast.parse(path.read_text()) for path in Path(rahecke.__file__).parent.glob("*.py")]
+    classes = {node.name for tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)}
+    defs = set()  # (owning class or None, name)
+    names, attrs, qualified = set(), set(), set()
 
-    def visit(node, inside):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            defs.add(node.name)
-            inside = inside | {node.name}
-        elif isinstance(node, (ast.Name, ast.Attribute)):
-            name = node.id if isinstance(node, ast.Name) else node.attr
-            used.update({name} - inside)
+    def visit(node, owner, cls, inside):
+        if isinstance(node, ast.ClassDef):
+            owner = cls = node.name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            defs.add((owner, node.name))
+            owner, inside = None, inside | {node.name}
+        elif isinstance(node, ast.Name) and node.id not in inside:
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in inside:
+            receiver = node.value.id if isinstance(node.value, ast.Name) else None
+            if receiver in classes:
+                qualified.add((receiver, node.attr))
+            elif receiver == "self" and cls is not None:
+                qualified.add((cls, node.attr))
+            else:
+                attrs.add(node.attr)
         for child in ast.iter_child_nodes(node):
-            visit(child, inside)
+            visit(child, owner, cls, inside)
 
-    for path in Path(rahecke.__file__).parent.glob("*.py"):
-        visit(ast.parse(path.read_text()), frozenset())
-    dunder = {name for name in defs if name.startswith("__") and name.endswith("__")}
-    assert sorted(defs - used - dunder - set(rahecke.__all__)) == []
+    for tree in trees:
+        visit(tree, None, None, frozenset())
+    uncalled = [f"{owner}.{name}" if owner else name for owner, name in defs
+                if name not in attrs and (owner, name) not in qualified
+                and not (owner is None and name in names)
+                and not (name.startswith("__") and name.endswith("__"))
+                and name not in rahecke.__all__]
+    assert sorted(uncalled) == []

@@ -257,7 +257,7 @@ def test_heap_layers_match_normal_forms(d, data):
         slayers, below = d.heap_lmul(layers, s)
         assert d.heap_word(slayers) == d.normal_form((s,) + w)
         assert slayers == d.heap((s,) + w)
-        assert below == (s in d.left_descents(w))
+        assert below == (s in _word_descents(d, w))
 
 
 # -- the word rule, kept as the heap engine's oracle ---------------------------
@@ -330,6 +330,19 @@ def _word_descents(d, word):
     return sorted(found, key=d.gen_index)
 
 
+def _word_prefixes(d, word, memo=None):
+    """All v <= w: e, and s.v for each left descent s of w and each v <= s.w."""
+    memo = {} if memo is None else memo
+    if word not in memo:
+        memo[word] = {()} | {_word_nf(d, (s,) + p) for s in _word_descents(d, word)
+                             for p in _word_prefixes(d, _word_strip(d, s, word), memo)}
+    return memo[word]
+
+
+def _mask_letters(d, mask):
+    return [s for s in d.generators if mask >> d.gen_index(s) & 1]
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(diagrams(max_rank=5), st.data())
 def test_heap_engine_matches_word_rule(d, data):
@@ -339,16 +352,45 @@ def test_heap_engine_matches_word_rule(d, data):
     raw, other = data.draw(words), data.draw(words)
     w = _word_nf(d, raw)
     assert d.normal_form(raw) == w
-    assert d.left_descents(w) == _word_descents(d, w)
-    assert d.right_descents(w) == _word_descents(d, w[::-1])
+    layers = d.heap(raw)
+    assert _mask_letters(d, d.heap_descents(layers)) == _word_descents(d, w)
+    assert _mask_letters(d, layers[0] if layers else 0) == _word_descents(d, w[::-1])
     for s in d.generators:
-        stripped = _word_strip(d, s, w)
-        if stripped is None:
-            with pytest.raises(ValueError):
-                d.left_strip(s, w)
-        else:
-            assert d.left_strip(s, w) == stripped
+        stripped, below = d.heap_lmul(layers, s)
+        expected = _word_strip(d, s, w)
+        assert below == (expected is not None)
+        if below:
+            assert d.heap_word(stripped) == expected
     # a random v is rarely below w; a prefix of w, or one letter more, often is
     k = data.draw(st.integers(0, len(w)))
     for v in (other, w[:k], w[:k] + other[:1], other + raw):
         assert d.starts_with(v, raw) == _word_starts_with(d, v, raw)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(diagrams(max_rank=5), st.data())
+def test_splits_are_the_prefixes(d, data):
+    """The splits of w are exactly the v <= w of a starts_with scan, and of
+    the word rule's descent recursion; each (P, U) has P.U = w with
+    |P| + |U| = |w|."""
+    b = ball(d, 6)
+    w = b.words[data.draw(st.integers(0, len(b) - 1))]
+    splits = d.splits(d.heap(w))
+    prefixes = {d.heap_word(p) for p in splits}
+    assert len(prefixes) == len(splits)
+    assert prefixes == {v for v in ball(d, len(w)).words if d.starts_with(v, w)}
+    assert prefixes == _word_prefixes(d, w)
+    for p, u in splits.items():
+        pw, uw = d.heap_word(p), d.heap_word(u)
+        assert d.multiply(pw, uw) == w
+        assert len(pw) + len(uw) == len(w)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(diagrams(max_rank=5), st.data())
+def test_centralizes_is_commuting_products(d, data):
+    """s centralizes w exactly when s.w and w.s have one normal form, on
+    unreduced words too."""
+    w = tuple(data.draw(st.lists(st.sampled_from(d.generators), max_size=8)))
+    for s in d.generators:
+        assert d.centralizes(s, w) == (d.normal_form((s,) + w) == d.normal_form(w + (s,)))

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from rahecke import enumeration
 from rahecke.coxeter import CoxeterDiagram
 from rahecke.enumeration import (Ball, BallCapExceeded, NormalFormAutomaton,
-                                 ball, connected_diagram_corpus, prefixes, sphere_weight)
+                                 ball, connected_diagram_corpus, sphere_weight)
 
 
 def cliques(diagram):
@@ -203,6 +203,11 @@ def test_element_weights_stop_at_the_sphere(diagram_a):
     q = {"a": Fraction(1, 2), "b": Fraction(3), "c": Fraction(1, 5)}
     for l in range(7):
         assert b.element_weights(q, l) == [_prod(q, w) for w in b.words[:b.sphere_start[l + 1]]]
+
+
+def prefixes(diagram, w):
+    """All v <= w in the weak right order, as canonical words."""
+    return {diagram.heap_word(p) for p in diagram.splits(diagram.heap(diagram.normal_form(w)))}
 
 
 def kappa(diagram, w, l):

@@ -12,6 +12,7 @@ from rahecke.hecke import (HeckeElement, MultiParameter,
                            central_projection_partial, char_value,
                            cliq_decomposition, flip_parameters,
                            parse_element_literal, rational_sqrt)
+from test_coxeter import _word_descents, _word_nf, _word_prefixes, _word_strip
 from test_enumeration import diagrams
 
 
@@ -220,14 +221,15 @@ def test_cliq_decomposition(params_quarter, diagram_a):
 
 
 def _nested_cliq_decomposition(params, w):
-    """The clique decomposition as first written: candidates filtered by
-    commutation, and a strip that may fail; the reference for the term order."""
+    """The clique decomposition as first written, on the word rule:
+    candidates filtered by commutation, and a strip that may fail; the
+    reference for the term order."""
     d = params.diagram
-    word = d.normal_form(w)
+    word = _word_nf(d, w)
     out = []
-    for wp in sorted(enumeration.prefixes(d, word), key=lambda u: (len(u), u)):
-        u = d.multiply(d.inverse(wp), word)
-        rdesc_wp = set(d.right_descents(wp))
+    for wp in sorted(_word_prefixes(d, word), key=lambda u: (len(u), u)):
+        u = _word_nf(d, wp[::-1] + word)
+        rdesc_wp = set(_word_descents(d, wp[::-1]))
 
         def extend(gamma, cands):
             movers = [t for t in d.generators
@@ -235,7 +237,7 @@ def _nested_cliq_decomposition(params, w):
             if all(t not in rdesc_wp for t in movers):
                 wpp, coeff = u, Fraction(1) if params.exact else 1.0
                 for s in gamma:
-                    wpp = d.left_strip(s, wpp) if s in d.left_descents(wpp) else None
+                    wpp = _word_strip(d, s, wpp)
                     if wpp is None:
                         break
                     coeff = coeff * params.p(s)
@@ -244,7 +246,7 @@ def _nested_cliq_decomposition(params, w):
             for i, s in enumerate(cands):
                 extend(gamma + (s,), [t for t in cands[i + 1:] if d.commutes(s, t)])
 
-        extend((), d.left_descents(u))
+        extend((), _word_descents(d, u))
     return out
 
 
