@@ -274,7 +274,7 @@ def cmd_report(args) -> tuple[dict, int]:
     # that identical runs stay byte-identical
     doc = {
         "criteria": [
-            {"name": r.name, "passed": r.passed, "details": _encode(r.details)}
+            {"name": r.name, "passed": r.passed, "details": r.details}
             for r in results
         ],
         "all_passed": all(r.passed for r in results),

@@ -270,9 +270,11 @@ class NormalFormAutomaton:
         return [int(x) for x in self.sphere_series([Fraction(1)] * self.diagram.rank, lmax)]
 
 
-def connected_diagram_corpus(max_rank: int = 5) -> list[CoxeterDiagram]:
+@functools.cache
+def connected_diagram_corpus(max_rank: int = 5) -> tuple[CoxeterDiagram, ...]:
     """All irreducible right-angled diagrams with at most ``max_rank``
-    generators, one per isomorphism class of the underlying infinity graph."""
+    generators, one per isomorphism class of the underlying infinity graph;
+    built once per ``max_rank``."""
     out: list[CoxeterDiagram] = []
     from itertools import combinations, permutations
 
@@ -294,4 +296,4 @@ def connected_diagram_corpus(max_rank: int = 5) -> list[CoxeterDiagram]:
                 continue
             seen.add(canon)
             out.append(d)
-    return out
+    return tuple(out)

@@ -3,17 +3,19 @@ of l2(W), operator-identity verification, and spectral estimates.
 
 Truncation discipline: a TruncatedOperator stores the *true* compression
 P_n X P_n of the operator it represents (columns are computed by acting on
-basis vectors without intermediate truncation, then projecting).  The exact
-columns (``rep_hecke``, ``rep_group_word``) are computed on the ball's ids
-and its one-letter tables by one walker of sparse vectors: a letter that
-would carry a term out of the ball waits as a pending prefix in front of it,
-so a term that leaves the ball and comes back is kept, and only what ends
-outside the ball is dropped.  Each identity suite states its own comparison
-domain: the columns delta_v with |v| <= n minus the longest word by which
-its products move a basis vector, where a product of compressions agrees
-with the compression of the product.  The remark, clique and closed-path
-suites compute only those columns, each side as walker applications and
-prefix masks on delta_v; none builds a full compression.  The ball sweeps
+basis vectors without intermediate truncation, then projecting).  One rule
+serves every exact path: a column is walked only on a ball that holds all
+its terms.  The walker runs the one-letter rule on a ball's ids and tables,
+and a step out of its ball is an error, not a truncation.  The full
+compressions (``rep_hecke``, ``rep_group_word``) walk on the ball of radius
+n plus the longest word of the operator and cut the rows back to B_n, the
+first ids of that ball, so a term that leaves B_n and comes back is kept.
+Each identity suite states its own comparison domain: the columns delta_v
+with |v| <= n minus the longest word by which its products move a basis
+vector, where a product of compressions agrees with the compression of the
+product.  The remark, clique and closed-path suites compute only those
+columns, each side as walker applications and prefix masks on delta_v, on
+their own ball; none builds a full compression.  The ball sweeps
 (``verify_action_sweep``, ``verify_cliq_sweep``) run a suite over every w of
 a ball, reading w off the ball's tables rather than its word tuples.  All
 norms computed from compressions are certified lower bounds of the operator
@@ -147,68 +149,44 @@ def _group_op(d: CoxeterDiagram, word: Sequence[str]) -> Op:
 class _Walker:
     """Operators sum c T_w on sparse vectors ``{id: coeff}`` over a ball,
     where T_s acts by the one-letter rule
-    T_s delta_u = delta_{su} + p_s [s <= u] delta_u, compressed to the ball.
-
-    A term is a key ``(pending, base)``: a ball id ``base`` and a tuple of
-    generator indices ``pending`` whose product with ``base`` is
-    length-additive.  s is a left descent of the term iff s is unshielded in
-    ``pending`` (every letter before it commutes with s), or s commutes with
-    all of ``pending`` and is a left descent of ``base``.  A step goes
-    through ``lmul`` while the product stays in the ball; otherwise the
-    letter waits in ``pending``.  At the end each ``pending`` is pushed onto
-    its base through ``lmul``; every such step lengthens the element, so a -1
-    means the element lies outside the ball and the term is dropped.
+    T_s delta_u = delta_{su} + p_s [s <= u] delta_u, read off ``lmul`` and
+    ``ldesc``.  The ball must hold every term of the walk: a step out of it
+    raises ``ValueError``.
     """
 
     def __init__(self, b: Ball):
-        d = b.diagram
         self.lmul = b.lmul.tolist()
         self.ldesc = b.ldesc.tolist()
-        self.blockers = [frozenset(j for j, t in enumerate(d.generators)
-                                   if not d.commutes(s, t)) for s in d.generators]
 
     def column(self, op: Op, v: int) -> dict[int, object]:
-        """The compression of ``op`` applied to delta_v."""
+        """``op`` applied to delta_v."""
         p, terms = op
-        lmul, ldesc, blockers = self.lmul, self.ldesc, self.blockers
+        lmul, ldesc = self.lmul, self.ldesc
         acc: dict[int, object] = {}
         for letters, c in terms:
-            state: dict[tuple[tuple[int, ...], int], object] = {((), v): c}
+            state: dict[int, object] = {v: c}
             for s in reversed(letters):
-                row, drow, block, ps = lmul[s], ldesc[s], blockers[s], p[s]
-                out: dict[tuple[tuple[int, ...], int], object] = {}
-                for key, cc in state.items():
-                    pending, base = key
-                    i = next((j for j, x in enumerate(pending) if x in block), -1) \
-                        if pending else -1
-                    if i >= 0 and pending[i] == s:
-                        down, new = True, (pending[:i] + pending[i + 1:], base)
-                    elif i >= 0:
-                        down, new = False, ((s,) + pending, base)
-                    else:
-                        down, su = drow[base], row[base]
-                        new = (pending, su) if su >= 0 else ((s,) + pending, base)
+                row, drow, ps = lmul[s], ldesc[s], p[s]
+                out: dict[int, object] = {}
+                for u, cc in state.items():
+                    su = row[u]
+                    if su < 0:
+                        raise ValueError("a step of the walk leaves the ball")
                     # adding to 0 would cost a Fraction operation per term;
                     # zero sums are dropped once, at the end of the column
-                    old = out.get(new)
-                    out[new] = cc if old is None else old + cc
-                    if down and ps:
-                        old = out.get(key)
-                        out[key] = cc * ps if old is None else old + cc * ps
+                    old = out.get(su)
+                    out[su] = cc if old is None else old + cc
+                    if ps and drow[u]:
+                        old = out.get(u)
+                        out[u] = cc * ps if old is None else old + cc * ps
                 state = out
-            for (pending, base), cc in state.items():
-                for x in reversed(pending):
-                    base = lmul[x][base]
-                    if base < 0:
-                        break
-                else:
-                    _add(acc, base, cc)
+            for u, cc in state.items():
+                _add(acc, u, cc)
         return {u: cc for u, cc in acc.items() if cc}
 
     def apply(self, op: Op, vec: Mapping[int, object]) -> dict[int, object]:
-        """The compression of ``op`` applied to ``vec``: the columns of its
-        ids, weighted and summed in the order of ``TruncatedOperator``'s
-        product."""
+        """``op`` applied to ``vec``: the columns of its ids, weighted and
+        summed in the order of ``TruncatedOperator``'s product."""
         acc: dict[int, object] = {}
         for u, x in vec.items():
             for r, a in self.column(op, u).items():
@@ -216,23 +194,27 @@ class _Walker:
         return {r: y for r, y in acc.items() if y}
 
 
-def rep_hecke(a: HeckeElement, b: Ball) -> TruncatedOperator:
-    """Compression of the left-regular action of ``a`` to the ball.
+def _compression(b: Ball, op: Op, exact: bool) -> TruncatedOperator:
+    """P_n X P_n for the operator X of ``op``: each column delta_v, v in B_n,
+    is walked on the ball of radius n plus the longest word of X, which
+    holds all its terms, and its rows are cut back to B_n, the first
+    ``len(b)`` ids of that ball."""
+    reach = max((len(letters) for letters, _ in op[1]), default=0)
+    walk, m = _Walker(ball(b.diagram, b.radius + reach)), len(b)
+    cols = [{u: c for u, c in walk.column(op, v).items() if u < m} for v in range(m)]
+    return TruncatedOperator(b, cols, exact)
 
-    Columns are exact: each basis vector is pushed through the one-letter
-    rule on ball ids, with letters that would leave the ball kept pending
-    rather than truncated, and only then projected back to the ball.
-    """
-    walk, op = _Walker(b), _hecke_op(a)
-    return TruncatedOperator(b, [walk.column(op, v) for v in range(len(b))], a.params.exact)
+
+def rep_hecke(a: HeckeElement, b: Ball) -> TruncatedOperator:
+    """Compression of the left-regular action of ``a`` to the ball; every
+    column is exact, the ones at the ball's edge too."""
+    return _compression(b, _hecke_op(a), a.params.exact)
 
 
 def rep_group_word(d: CoxeterDiagram, word: Sequence[str], b: Ball) -> TruncatedOperator:
     """Compression of the undeformed operator T_w at q == 1 (a permutation),
-    by the same exact walk on ball ids as ``rep_hecke`` with p == 0."""
-    w = d.normal_form(word)
-    walk, op = _Walker(b), _group_op(d, w)
-    return TruncatedOperator(b, [walk.column(op, v) for v in range(len(b))], True)
+    by the same exact walk as ``rep_hecke`` with p == 0."""
+    return _compression(b, _group_op(d, d.normal_form(word)), True)
 
 
 def proj_p(d: CoxeterDiagram, word: Sequence[str], b: Ball) -> TruncatedOperator:
@@ -264,6 +246,8 @@ def q_operator(d: CoxeterDiagram, u: Sequence[str], q: Fraction, b: Ball,
     """
     if not (0 < q < 1):
         raise ValueError("q must lie strictly between 0 and 1")
+    if cutoff < 0:
+        raise ValueError("cutoff must be >= 0")
     uw = d.normal_form(u)
     q = Fraction(q)
     exponent = max(d.rank - 2, 0)
@@ -363,13 +347,15 @@ def positivity_window(params: MultiParameter, word: Sequence[str], n: int,
     w = d.normal_form(word)
     if n < 2 * len(w):
         raise ValueError("ball radius must be at least twice the word length")
+    b = ball(d, n)
+    if len(b) > DENSE_LIMIT:
+        raise ValueError("ball too large for a dense eigensolver")
     lo_bound = Fraction(1) if params.exact else 1.0
     hi_bound = Fraction(1) if params.exact else 1.0
     for s in w:
         qs = params.q[s]
         lo_bound *= min(qs, 1 / qs)
         hi_bound *= max(qs, 1 / qs)
-    b = ball(d, n)
     a = HeckeElement.basis(params, w)
     gram = rep_hecke(a.adjoint() * a, b)
     lo, hi = spectrum_bounds(gram, tol=tol)

@@ -4,9 +4,9 @@ and exact root isolation.
 Polynomials are lists of ints, lowest degree first, with no trailing zeros
 (the zero polynomial is the empty list).  Division is by pseudo-remainders
 scaled by |lc|^k, so a remainder is a positive multiple of the rational one
-and keeps its sign; gcds and Sturm chains are primitive remainder sequences
-(W. S. Brown, J. ACM 18, 1971), so one chain both tests p for squares and
-counts its roots.  Every sign is taken at x = a/b by integer Horner
+and keeps its sign; Sturm chains are primitive remainder sequences (W. S.
+Brown, J. ACM 18, 1971) ending in gcd(p, p'), so one chain both tests p for
+squares and counts its roots.  Every sign is taken at x = a/b by integer Horner
 evaluation.
 
 ``isolate_smallest_positive_root`` is the one isolation routine.  It runs in
@@ -77,14 +77,6 @@ def prem(p: Poly, q: Poly) -> Poly:
     return rem
 
 
-def gcd_poly(p: Poly, q: Poly) -> Poly:
-    """Primitive gcd with a positive leading coefficient (primitive PRS)."""
-    a, b = primitive(p), primitive(q)
-    while b:
-        a, b = b, primitive(prem(a, b))
-    return [-c for c in a] if a and a[-1] < 0 else a
-
-
 def exact_div(p: Poly, q: Poly) -> Poly:
     """p / q over the integers; raises unless q divides p.  For primitive q
     this is exact whenever the rational division is (Gauss's lemma)."""
@@ -107,15 +99,6 @@ def exact_div(p: Poly, q: Poly) -> Poly:
     return trim(quo)
 
 
-def squarefree_part(p: Poly) -> Poly:
-    if degree(p) < 1:
-        return list(p)
-    g = gcd_poly(p, derivative(p))
-    if degree(g) < 1:
-        return list(p)
-    return exact_div(p, g)
-
-
 def sturm_chain(p: Poly) -> list[Poly]:
     """Sturm chain of a squarefree polynomial, each member primitive: p, p'
     and the negated pseudo-remainders.  Each member is a positive multiple
@@ -131,10 +114,15 @@ def sturm_chain(p: Poly) -> list[Poly]:
 
 
 def squarefree_sturm_chain(p: Poly) -> list[Poly]:
-    """``sturm_chain(squarefree_part(p))`` for nonconstant p, from the one
-    remainder sequence of p when p is squarefree (its last member constant)."""
+    """The Sturm chain of the squarefree part of a nonconstant p.  The
+    remainder sequence of p ends in g = gcd(p, p') up to sign: a constant
+    when p is squarefree, so the chain is p's own; otherwise the chain is
+    that of p / g."""
     chain = sturm_chain(p)
-    return chain if degree(chain[-1]) < 1 else sturm_chain(squarefree_part(p))
+    g = chain[-1]
+    if degree(g) < 1:
+        return chain
+    return sturm_chain(exact_div(p, g if g[-1] > 0 else [-c for c in g]))
 
 
 def _sign(p: Poly, a: int, b: int) -> int:

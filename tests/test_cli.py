@@ -152,6 +152,11 @@ def test_error_exits(capsys, diagram_a_file, tmp_path):
     assert main(["verify", "--suite", "cliq", "--diagram", diagram_a_file,
                  "--radius", "1"]) == 1
     assert "ball too small" in capsys.readouterr().err
+    for cutoff in ("-1", "-3"):
+        assert main(["verify", "--suite", "qop", "--diagram", diagram_a_file,
+                     "--radius", "5", "--qscalar", "1/2", f"--cutoff={cutoff}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "cutoff must be >= 0" in captured.err
 
 
 # Each command given a rational with a zero denominator: a validation error.

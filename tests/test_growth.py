@@ -25,10 +25,28 @@ def mul(p, q):
     return polys.trim(out)
 
 
+def gcd_poly(p, q):
+    """Primitive gcd with a positive leading coefficient (primitive PRS)."""
+    a, b = polys.primitive(p), polys.primitive(q)
+    while b:
+        a, b = b, polys.primitive(polys.prem(a, b))
+    return [-c for c in a] if a and a[-1] < 0 else a
+
+
+def squarefree_part(p):
+    """p divided by gcd(p, p'): the oracle of ``squarefree_sturm_chain``."""
+    if polys.degree(p) < 1:
+        return list(p)
+    g = gcd_poly(p, polys.derivative(p))
+    if polys.degree(g) < 1:
+        return list(p)
+    return polys.exact_div(p, g)
+
+
 def smallest_positive_root(p):
     """Isolating interval for the smallest positive root of any p with
     p(0) != 0, through its squarefree part."""
-    f = polys.squarefree_part(p)
+    f = squarefree_part(p)
     if polys.degree(f) < 1:
         return None
     if polys.evaluate(f, Fraction(0)) == 0:
@@ -195,7 +213,7 @@ def test_ray_homogeneity(diagram_a):
     lo1, hi1 = rep1.t0
     lo2, hi2 = rep2.t0
     scaled = (lo2 * t, hi2 * t)
-    f = polys.squarefree_part(growth.ray_numerator(diagram_a, q))
+    f = squarefree_part(growth.ray_numerator(diagram_a, q))
     chain = polys.sturm_chain(f)
     lo = min(lo1, scaled[0])
     hi = max(hi1, scaled[1])
@@ -387,7 +405,7 @@ def int_polys(draw, positive=False):
 @PROPERTY_SETTINGS
 @given(int_polys())
 def test_smallest_positive_root_isolates(p):
-    chain = polys.sturm_chain(polys.squarefree_part(p))
+    chain = polys.sturm_chain(squarefree_part(p))
     bracket = smallest_positive_root(p)
     if bracket is None:
         assert count_roots(chain, Fraction(0), polys.cauchy_bound(p)) == 0
@@ -470,7 +488,7 @@ def polys_with_known_roots(draw):
 def test_sturm_counts_known_roots(p_roots, a, b):
     p, roots = p_roots
     lo, hi = min(a, b), max(a, b)
-    chain = polys.sturm_chain(polys.squarefree_part(p))
+    chain = polys.sturm_chain(squarefree_part(p))
     assert count_roots(chain, lo, hi) == sum(1 for r in roots if lo < r <= hi)
 
 
@@ -511,7 +529,7 @@ def near_grid_root_polys(draw):
 def test_near_grid_root_refinement_probes_the_neighbour_cell(p):
     """A root within 2^-80 of a grid point may make Newton name the
     neighbouring cell; the probe of that cell keeps phase 2 at <= 4 signs."""
-    chain = polys.sturm_chain(polys.squarefree_part(p))
+    chain = polys.sturm_chain(squarefree_part(p))
     with _signs_per_refine() as per_ray:
         polys.isolate_smallest_positive_root(chain)
     assert all(n <= 4 for n in per_ray)
@@ -532,7 +550,7 @@ def huge_coefficient_polys(draw):
 def test_huge_coefficient_refinement_keeps_the_newton_start(p):
     """Coefficients beyond float range are shifted into it before the float
     Newton, so its start still names the cell: phase 2 takes <= 4 signs."""
-    chain = polys.sturm_chain(polys.squarefree_part(p))
+    chain = polys.sturm_chain(squarefree_part(p))
     with _signs_per_refine() as per_ray:
         polys.isolate_smallest_positive_root(chain)
     assert all(n <= 4 for n in per_ray)
@@ -577,7 +595,7 @@ BISECTION_CASES = {
 def test_bisection_is_the_sturm_count_bisection(kind, data):
     p = data.draw(BISECTION_CASES[kind])
     assume(p[0] != 0)
-    chain = polys.sturm_chain(polys.squarefree_part(p))
+    chain = polys.sturm_chain(squarefree_part(p))
     expected = _sturm_bisection(chain)
     assert polys.isolate_smallest_positive_root(chain) == expected
     # As growth._ray_analysis runs it: with the counts at 0 and 1 handed over.
@@ -593,12 +611,12 @@ def test_one_sequence_chain_is_the_squarefree_chain(p, squared):
     factors are multiplied in."""
     for f in squared:
         p = mul(p, mul(f, f))
-    expected = polys.sturm_chain(polys.squarefree_part(p))
+    expected = polys.sturm_chain(squarefree_part(p))
     assert polys.squarefree_sturm_chain(p) == expected
     own = polys.sturm_chain(p)
     if squared:
         assert polys.degree(own[-1]) > 0  # the fallback is taken
-    elif polys.degree(polys.gcd_poly(p, polys.derivative(p))) < 1:
+    elif polys.degree(gcd_poly(p, polys.derivative(p))) < 1:
         assert own == expected and polys.degree(own[-1]) < 1
 
 
@@ -687,5 +705,5 @@ def test_ray_numerator_divides_out_the_gcd(d, data):
                                        Fraction(2), Fraction(3)]))
          for s in d.generators}
     num, den = growth._ray_fraction(d, q)
-    reduced = polys.exact_div(num, polys.gcd_poly(num, den))
+    reduced = polys.exact_div(num, gcd_poly(num, den))
     assert growth.ray_numerator(d, q) == polys.primitive(reduced)

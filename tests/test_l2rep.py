@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rahecke.coxeter import CoxeterDiagram
+from rahecke import enumeration
 from rahecke.enumeration import Ball, ball
 from rahecke.hecke import HeckeElement, MultiParameter, cliq_decomposition
 from rahecke import l2rep
@@ -126,15 +127,36 @@ def test_term_leaving_the_ball_comes_back():
     assert l2rep.rep_group_word(d, "ab", b1).cols[ia] == {ib: 1}
 
 
+def test_walker_refuses_a_step_out_of_its_ball():
+    # T_ab delta_a passes through ab, outside B_1: the walk on B_1 raises
+    # rather than truncate a term that would come back
+    d = CoxeterDiagram(["a", "b"], [["a", "b"]])
+    params = MultiParameter.exact_squares(d, {"a": Fraction(1, 4), "b": Fraction(4)})
+    b1, b2 = ball(d, 1), ball(d, 2)
+    op = l2rep._hecke_op(HeckeElement.basis(params, "ab"))
+    with pytest.raises(ValueError, match="leaves the ball"):
+        l2rep._Walker(b1).column(op, b1.index[("a",)])
+    assert l2rep._Walker(b2).column(op, b2.index[("a",)]) == {
+        b2.index[("b",)]: 1, b2.index[("a", "b")]: params.p("a")}
+
+
 def test_exact_paths_build_no_words(params, diagram_a):
+    """No exact path reads word tuples, on the ball it is given or on the
+    larger balls that the full compressions walk on."""
     b = Ball(diagram_a, 6)
-    l2rep.verify_action_sweep(diagram_a, b, 7)
-    l2rep.verify_cliq_sweep(params, b)
-    l2rep.verify_cliq_identity(params, "acb", b)
-    l2rep.verify_remark22(params, "a", "c", b)
-    l2rep.verify_corollary_split(params, ("a", "c", "b", "c"), 1, b)
-    l2rep.q_operator(diagram_a, "a", Fraction(1, 2), b, 5)
-    assert "words" not in b.__dict__ and "index" not in b.__dict__
+    with mock.patch.dict(enumeration._BALL_CACHE, clear=True):
+        l2rep.verify_action_sweep(diagram_a, b, 7)
+        l2rep.verify_cliq_sweep(params, b)
+        l2rep.verify_cliq_identity(params, "acb", b)
+        l2rep.verify_remark22(params, "a", "c", b)
+        l2rep.verify_corollary_split(params, ("a", "c", "b", "c"), 1, b)
+        l2rep.q_operator(diagram_a, "a", Fraction(1, 2), b, 5)
+        l2rep.rep_hecke(HeckeElement.basis(params, "cab"), b)
+        l2rep.rep_group_word(diagram_a, "cab", b)
+        l2rep.positivity_window(params, "ac", 6)
+        used = [b, *enumeration._BALL_CACHE.values()]
+    assert len(used) > 1
+    assert all("words" not in x.__dict__ and "index" not in x.__dict__ for x in used)
 
 
 def test_proj_examples(diagram_a, b6):
@@ -393,6 +415,9 @@ def test_q_operator(diagram_a):
     assert all(y >= x for x, y in zip(d1, d2))
     with pytest.raises(ValueError):
         l2rep.q_operator(diagram_a, (), Fraction(3, 2), b5, 4)
+    for cutoff in (-1, -3):
+        with pytest.raises(ValueError, match="cutoff must be >= 0"):
+            l2rep.q_operator(diagram_a, (), Fraction(1, 2), b5, cutoff)
 
 
 def op_norm(x: l2rep.TruncatedOperator) -> float:
@@ -428,6 +453,19 @@ def test_dense_limit_refused():
         op_norm(ident)
     with pytest.raises(ValueError):
         l2rep.spectrum_bounds(ident)
+
+
+def test_positivity_window_refuses_before_building():
+    """A ball above DENSE_LIMIT is refused before the Gram matrix is built."""
+    free3 = CoxeterDiagram(["a", "b", "c"])
+    params = MultiParameter.exact_squares(free3, {s: Fraction(1, 4) for s in "abc"})
+    assert len(ball(free3, 11)) > l2rep.DENSE_LIMIT
+    with mock.patch.object(l2rep, "rep_hecke", wraps=l2rep.rep_hecke) as rep:
+        with pytest.raises(ValueError, match="too large"):
+            l2rep.positivity_window(params, "a", 11)
+        rep.assert_not_called()
+        l2rep.positivity_window(params, "a", 4)
+        rep.assert_called_once()
 
 
 def test_op_norm_monotone_in_radius(params, diagram_a):
