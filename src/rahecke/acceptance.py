@@ -231,7 +231,7 @@ def criterion_4_operator_identities() -> CriterionResult:
         details[f"action residual violations rank{d.rank}"] = bad
         ok &= (bad == 0) and all(cases[c] > 0 for c in cases)
 
-    # the general sparse conjugation path must agree on a subsample
+    # the walked conjugation path must agree on a subsample
     b6 = ball(da, 6)
     for s, w in [("a", "c"), ("a", "ab"), ("a", "b"), ("c", "ab"), ("b", "cac")]:
         case, res = l2rep.verify_action_case(da, s, w, b6)

@@ -1,26 +1,23 @@
-"""Truncated matrices of Hecke operators and weak-order projections on balls
-of l2(W), operator-identity verification, and spectral estimates.
+"""Compressions of Hecke operators to balls of l2(W), operator-identity
+verification, and spectral estimates.
 
-Truncation discipline: a TruncatedOperator stores the *true* compression
-P_n X P_n of the operator it represents (columns are computed by acting on
-basis vectors without intermediate truncation, then projecting).  One rule
-serves every exact path: a column is walked only on a ball that holds all
-its terms.  The walker runs the one-letter rule on a ball's ids and tables,
-and a step out of its ball is an error, not a truncation.  The full
-compressions (``rep_hecke``, ``rep_group_word``) walk on the ball of radius
-n plus the longest word of the operator and cut the rows back to B_n, the
-first ids of that ball, so a term that leaves B_n and comes back is kept.
-Each identity suite states its own comparison domain: the columns delta_v
-with |v| <= n minus the longest word by which its products move a basis
-vector, where a product of compressions agrees with the compression of the
-product.  The remark, clique and closed-path suites compute only those
-columns, each side as walker applications and prefix masks on delta_v, on
-their own ball; none builds a full compression.  The ball sweeps
-(``verify_action_sweep``, ``verify_cliq_sweep``) run a suite over every w of
-a ball, reading w off the ball's tables rather than its word tuples.  All
-norms computed from compressions are certified lower bounds of the operator
-norms; spectra of compressions of self-adjoint operators with spectrum in
-[c, C] stay in [c, C].
+One exact form serves every exact path: sparse columns {id: coeff}, each
+walked only on a ball that holds all its terms.  The walker runs the
+one-letter rule on a ball's ids and tables, and a step out of its ball is an
+error, not a truncation.  The full compression ``rep_hecke`` walks on the
+ball of radius n plus the longest word of the operator and cuts the rows
+back to B_n, the first ids of that ball, so it holds the *true* compression
+P_n X P_n: a term that leaves B_n and comes back is kept.  Each identity
+suite states its own comparison domain: the columns delta_v with |v| <= n
+minus the longest word by which its products move a basis vector, where a
+product of compressions agrees with the compression of the product.  The
+suites compute only those columns, each side as walker applications and
+prefix masks on delta_v, on their own ball; none builds a full compression.
+The ball sweeps (``verify_action_sweep``, ``verify_cliq_sweep``) run a suite
+over every w of a ball, reading w off the ball's tables rather than its word
+tuples.  All norms computed from compressions are certified lower bounds of
+the operator norms; spectra of compressions of self-adjoint operators with
+spectrum in [c, C] stay in [c, C].
 
 The fast engine for large balls (``sphere_patterns``) applies an x
 supported on the l-sphere as the compression P_n x P_{n-l}: x moves B_{n-l}
@@ -45,66 +42,8 @@ from .enumeration import Ball, ball
 from .hecke import HeckeElement, MultiParameter, cliq_decomposition
 
 DENSE_LIMIT = 4000
+DENSE_TOL = 1e-9  # symmetry and window tolerance of the dense eigensolver
 HAAGERUP_BATCH = 8  # samples per batched power iteration in haagerup_ratio
-
-
-class TruncatedOperator:
-    """Sparse-column matrix of an operator compressed to a ball."""
-
-    def __init__(self, b: Ball, cols: list[dict[int, object]], exact: bool):
-        self.ball = b
-        self.cols = cols
-        self.exact = exact
-
-    def __add__(self, other: "TruncatedOperator") -> "TruncatedOperator":
-        cols = []
-        for c1, c2 in zip(self.cols, other.cols):
-            d = dict(c1)
-            for r, val in c2.items():
-                nv = d.get(r, 0) + val
-                if nv == 0:
-                    d.pop(r, None)
-                else:
-                    d[r] = nv
-            cols.append(d)
-        return TruncatedOperator(self.ball, cols, self.exact and other.exact)
-
-    def __sub__(self, other: "TruncatedOperator") -> "TruncatedOperator":
-        return self + other.scaled(-1)
-
-    def scaled(self, c) -> "TruncatedOperator":
-        return TruncatedOperator(self.ball, [{r: c * v for r, v in col.items()}
-                                             for col in self.cols], self.exact)
-
-    def __matmul__(self, other: "TruncatedOperator") -> "TruncatedOperator":
-        cols = []
-        for col in other.cols:
-            acc: dict[int, object] = {}
-            for mid, v in col.items():
-                for r, a in self.cols[mid].items():
-                    nv = acc.get(r, 0) + a * v
-                    if nv == 0:
-                        acc.pop(r, None)
-                    else:
-                        acc[r] = nv
-            cols.append(acc)
-        return TruncatedOperator(self.ball, cols, self.exact and other.exact)
-
-    def to_dense(self) -> np.ndarray:
-        n = len(self.ball)
-        m = np.zeros((n, n))
-        for v, col in enumerate(self.cols):
-            for r, val in col.items():
-                m[r, v] = float(val)
-        return m
-
-    def max_abs_difference(self, other: "TruncatedOperator", max_col_length: int):
-        """Largest |entry difference| over columns delta_v with
-        |v| <= max_col_length."""
-        worst = Fraction(0) if (self.exact and other.exact) else 0.0
-        for v in _domain(self.ball, max_col_length):
-            worst = _worst(worst, self.cols[v], other.cols[v])
-        return worst
 
 
 def _domain(b: Ball, radius: int) -> range:
@@ -186,7 +125,7 @@ class _Walker:
 
     def apply(self, op: Op, vec: Mapping[int, object]) -> dict[int, object]:
         """``op`` applied to ``vec``: the columns of its ids, weighted and
-        summed in the order of ``TruncatedOperator``'s product."""
+        summed in the order of the tests' reference product."""
         acc: dict[int, object] = {}
         for u, x in vec.items():
             for r, a in self.column(op, u).items():
@@ -194,45 +133,15 @@ class _Walker:
         return {r: y for r, y in acc.items() if y}
 
 
-def _compression(b: Ball, op: Op, exact: bool) -> TruncatedOperator:
-    """P_n X P_n for the operator X of ``op``: each column delta_v, v in B_n,
-    is walked on the ball of radius n plus the longest word of X, which
-    holds all its terms, and its rows are cut back to B_n, the first
-    ``len(b)`` ids of that ball."""
-    reach = max((len(letters) for letters, _ in op[1]), default=0)
-    walk, m = _Walker(ball(b.diagram, b.radius + reach)), len(b)
-    cols = [{u: c for u, c in walk.column(op, v).items() if u < m} for v in range(m)]
-    return TruncatedOperator(b, cols, exact)
-
-
-def rep_hecke(a: HeckeElement, b: Ball) -> TruncatedOperator:
-    """Compression of the left-regular action of ``a`` to the ball; every
-    column is exact, the ones at the ball's edge too."""
-    return _compression(b, _hecke_op(a), a.params.exact)
-
-
-def rep_group_word(d: CoxeterDiagram, word: Sequence[str], b: Ball) -> TruncatedOperator:
-    """Compression of the undeformed operator T_w at q == 1 (a permutation),
-    by the same exact walk as ``rep_hecke`` with p == 0."""
-    return _compression(b, _group_op(d, d.normal_form(word)), True)
-
-
-def proj_p(d: CoxeterDiagram, word: Sequence[str], b: Ball) -> TruncatedOperator:
-    """Diagonal projection onto span{delta_v : word <= v}."""
-    w = d.normal_form(word)
-    one = Fraction(1)
-    mask = b.prefix_mask(w)
-    cols = [({v: one} if mask[v] else {}) for v in range(len(b))]
-    return TruncatedOperator(b, cols, True)
-
-
-def conjugate_action(d: CoxeterDiagram, word: Sequence[str],
-                     x: TruncatedOperator) -> TruncatedOperator:
-    """w.x = T_w^(1) x T_{w^-1}^(1)."""
-    w = d.normal_form(word)
-    left = rep_group_word(d, w, x.ball)
-    right = rep_group_word(d, d.inverse(w), x.ball)
-    return left @ x @ right
+def rep_hecke(a: HeckeElement, b: Ball) -> list[dict[int, object]]:
+    """Columns of P_n a P_n for the left-regular action of ``a``: each
+    column delta_v, v in B_n, is walked on the ball of radius n plus the
+    longest word of ``a``, which holds all its terms, and its rows are cut
+    back to B_n, the first ``len(b)`` ids of that ball; so every column is
+    exact, the ones at the ball's edge too."""
+    reach = max((len(w) for w in a.coeffs), default=0)
+    walk, m, op = _Walker(ball(b.diagram, b.radius + reach)), len(b), _hecke_op(a)
+    return [{u: c for u, c in walk.column(op, v).items() if u < m} for v in range(m)]
 
 
 def q_operator(d: CoxeterDiagram, u: Sequence[str], q: Fraction, b: Ball,
@@ -300,13 +209,12 @@ def q_operator(d: CoxeterDiagram, u: Sequence[str], q: Fraction, b: Ball,
     return diag, float(tail), c_fit
 
 
-def spectrum_bounds(x: TruncatedOperator, tol: float = 1e-9) -> tuple[float, float]:
-    """(min, max) eigenvalue of a self-adjoint compression."""
-    n = len(x.ball)
-    if n > DENSE_LIMIT:
+def spectrum_bounds(m: np.ndarray) -> tuple[float, float]:
+    """(min, max) eigenvalue of a self-adjoint compression, given as a dense
+    matrix."""
+    if len(m) > DENSE_LIMIT:
         raise ValueError("ball too large for a dense eigensolver")
-    m = x.to_dense()
-    if not np.allclose(m, m.T, atol=tol):
+    if not np.allclose(m, m.T, atol=DENSE_TOL):
         raise ValueError("operator is not self-adjoint")
     vals = np.linalg.eigvalsh((m + m.T) / 2)
     return float(vals[0]), float(vals[-1])
@@ -334,15 +242,16 @@ def exact_psd(matrix: list[list[Fraction]]) -> bool:
 
 
 def positivity_window(params: MultiParameter, word: Sequence[str], n: int,
-                      tol: float = 1e-9, certify_exact: bool = False
-                      ) -> tuple[float, float]:
+                      certify_exact: bool = False) -> tuple[float, float]:
     """Spectral range of the compression of (T_w)* T_w, asserted to lie in
     [prod min(q_s^{+-1}), prod max(q_s^{+-1})] over the letters of w.
 
-    Float mode uses a dense eigensolver with tolerance ``tol``; with
+    Float mode uses a dense eigensolver with tolerance ``DENSE_TOL``; with
     ``certify_exact`` the containment is additionally certified by exact
     semidefinite elimination (zero tolerance).
     """
+    if certify_exact and not params.exact:
+        raise ValueError("exact certification needs exact parameters")
     d = params.diagram
     w = d.normal_form(word)
     if n < 2 * len(w):
@@ -358,17 +267,19 @@ def positivity_window(params: MultiParameter, word: Sequence[str], n: int,
         hi_bound *= max(qs, 1 / qs)
     a = HeckeElement.basis(params, w)
     gram = rep_hecke(a.adjoint() * a, b)
-    lo, hi = spectrum_bounds(gram, tol=tol)
-    if lo < float(lo_bound) - tol or hi > float(hi_bound) + tol:
+    nn = len(b)
+    m = np.zeros((nn, nn))
+    for v, col in enumerate(gram):
+        for r, val in col.items():
+            m[r, v] = float(val)
+    lo, hi = spectrum_bounds(m)
+    if lo < float(lo_bound) - DENSE_TOL or hi > float(hi_bound) + DENSE_TOL:
         raise AssertionError(
             f"window violated: [{lo}, {hi}] vs [{float(lo_bound)}, {float(hi_bound)}]"
         )
     if certify_exact:
-        if not params.exact:
-            raise ValueError("exact certification needs exact parameters")
-        nn = len(b)
         dense = [[Fraction(0)] * nn for _ in range(nn)]
-        for v, col in enumerate(gram.cols):
+        for v, col in enumerate(gram):
             for r, val in col.items():
                 dense[r][v] = val
         shift_lo = [[dense[i][j] - (lo_bound if i == j else 0) for j in range(nn)]
@@ -385,9 +296,9 @@ def positivity_window(params: MultiParameter, word: Sequence[str], n: int,
 # Each suite states its domain: the columns delta_v with |v| <= n minus the
 # length its products can add, where every intermediate vector stays in the
 # ball, so the compression of a product equals the product of the
-# compressions.  The suites below the action case evaluate both sides on
-# those columns alone: each term is a chain of walker applications and
-# diagonal prefix masks, and no full compression is built.
+# compressions.  The suites evaluate both sides on those columns alone: each
+# term is a chain of walker applications and diagonal prefix masks, and no
+# full compression is built.
 
 
 def _sandwich(walk: _Walker, left: Op, mask: np.ndarray, right: Op, v: int
@@ -400,27 +311,26 @@ def verify_action_case(d: CoxeterDiagram, s: str, w: Sequence[str], b: Ball):
     """Residual of the matching case of the conjugation rule for s.P_w.
 
     Returns (case, residual) with residual exact 0 expected, compared on the
-    columns |v| <= n - 2, where the product of the compressions of T_s, P_w
-    and T_s is exact.  Built from full compressions, as a cross-check of
-    ``verify_action_sweep``.
+    columns |v| <= n - 2: T_s^(1) P_w T_s^(1) delta_v is walked on the ball
+    and set against the case's prefix masks, a cross-check of
+    ``verify_action_sweep``, which reads both sides off the ball's tables.
     """
     if b.radius < 2:
         raise ValueError("ball too small")
     wnf = d.normal_form(w)
-    pw = proj_p(d, wnf, b)
-    lhs = conjugate_action(d, (s,), pw)
-    sw = d.multiply((s,), wnf)
-    if d.centralizes(s, wnf):
-        if d.starts_with((s,), wnf):
-            case = 2
-            rhs = proj_p(d, sw, b) - pw
-        else:
-            case = 3
-            rhs = pw
+    pw, psw = b.prefix_mask(wnf), b.prefix_mask(d.multiply((s,), wnf))
+    if not d.centralizes(s, wnf):
+        case, rhs = 1, psw
+    elif d.starts_with((s,), wnf):
+        case, rhs = 2, psw.astype(np.int8) - pw
     else:
-        case = 1
-        rhs = proj_p(d, sw, b)
-    return case, lhs.max_abs_difference(rhs, max_col_length=b.radius - 2)
+        case, rhs = 3, pw
+    walk, ts, one = _Walker(b), _group_op(d, (s,)), Fraction(1)
+    worst = Fraction(0)
+    for v in _domain(b, b.radius - 2):
+        worst = _worst(worst, _sandwich(walk, ts, pw, ts, v),
+                       {v: one * int(rhs[v])} if rhs[v] else {})
+    return case, worst
 
 
 def verify_action_sweep(d: CoxeterDiagram, b: Ball, max_length: int

@@ -11,21 +11,98 @@ from hypothesis import strategies as st
 
 from rahecke.coxeter import CoxeterDiagram
 from rahecke import enumeration
-from rahecke.enumeration import Ball, ball
+from rahecke.enumeration import Ball, ball, connected_diagram_corpus
 from rahecke.hecke import HeckeElement, MultiParameter, cliq_decomposition
 from rahecke import l2rep
 from test_enumeration import diagrams
 
 
+class Compression:
+    """The reference algebra of the full-compression oracles: P_n X P_n as
+    its sparse columns over a ball (``rep_hecke``'s output), with the entry
+    sum, scaling and column product, each dropping zero entries as they
+    arise.  ``l2rep._Walker.apply`` sums in the order of this product."""
+
+    def __init__(self, b, cols, exact=True):
+        self.ball, self.cols, self.exact = b, cols, exact
+
+    def __add__(self, other):
+        cols = []
+        for c1, c2 in zip(self.cols, other.cols):
+            d = dict(c1)
+            for r, val in c2.items():
+                nv = d.get(r, 0) + val
+                if nv == 0:
+                    d.pop(r, None)
+                else:
+                    d[r] = nv
+            cols.append(d)
+        return Compression(self.ball, cols, self.exact and other.exact)
+
+    def __sub__(self, other):
+        return self + other.scaled(-1)
+
+    def scaled(self, c):
+        return Compression(self.ball, [{r: c * v for r, v in col.items()}
+                                       for col in self.cols], self.exact)
+
+    def __matmul__(self, other):
+        cols = []
+        for col in other.cols:
+            acc = {}
+            for mid, v in col.items():
+                for r, a in self.cols[mid].items():
+                    nv = acc.get(r, 0) + a * v
+                    if nv == 0:
+                        acc.pop(r, None)
+                    else:
+                        acc[r] = nv
+            cols.append(acc)
+        return Compression(self.ball, cols, self.exact and other.exact)
+
+    def to_dense(self):
+        m = np.zeros((len(self.cols), len(self.cols)))
+        for v, col in enumerate(self.cols):
+            for r, val in col.items():
+                m[r, v] = float(val)
+        return m
+
+    def max_abs_difference(self, other, max_col_length):
+        """Largest |entry difference| over the columns delta_v with
+        |v| <= max_col_length."""
+        worst = Fraction(0) if (self.exact and other.exact) else 0.0
+        for v in np.nonzero(self.ball.length <= max_col_length)[0].tolist():
+            c1, c2 = self.cols[v], other.cols[v]
+            for r in set(c1) | set(c2):
+                worst = max(worst, abs(c1.get(r, 0) - c2.get(r, 0)))
+        return worst
+
+
+def rep(a, b):
+    """``rep_hecke`` as a reference compression."""
+    return Compression(b, l2rep.rep_hecke(a, b), a.params.exact)
+
+
+def rep_group_word(d, word, b):
+    """The undeformed operator T_w (a permutation): ``rep_hecke`` at q == 1."""
+    return rep(HeckeElement.basis(MultiParameter.one(d), word), b)
+
+
+def proj_p(d, word, b):
+    """The diagonal projection onto span{delta_v : word <= v}."""
+    one, mask = Fraction(1), b.prefix_mask(d.normal_form(word))
+    return Compression(b, [({v: one} if mask[v] else {}) for v in range(len(b))])
+
+
 def zero_op(b, exact=True):
     """The zero compression on a ball."""
-    return l2rep.TruncatedOperator(b, [dict() for _ in range(len(b))], exact)
+    return Compression(b, [dict() for _ in range(len(b))], exact)
 
 
 def identity_op(b, exact=True):
     """The identity compression on a ball."""
     one = Fraction(1) if exact else 1.0
-    return l2rep.TruncatedOperator(b, [{v: one} for v in range(len(b))], exact)
+    return Compression(b, [{v: one} for v in range(len(b))], exact)
 
 
 @pytest.fixture(scope="module")
@@ -44,14 +121,14 @@ def b6(diagram_a):
 
 
 def test_rep_identity(params, b6):
-    one = l2rep.rep_hecke(HeckeElement.one(params), b6)
+    one = rep(HeckeElement.one(params), b6)
     assert one.max_abs_difference(identity_op(b6), 6) == 0
 
 
 def test_rep_column_at_origin(params, b6):
     x = HeckeElement.basis(params, "ab") - Fraction(2, 3) * HeckeElement.basis(params, "cac")
     R = l2rep.rep_hecke(x, b6)
-    col = {b6.words[r]: v for r, v in R.cols[0].items()}
+    col = {b6.words[r]: v for r, v in R[0].items()}
     assert col == dict(x.coeffs)
 
 
@@ -67,7 +144,7 @@ def test_rep_single_generator_rule(params, b6):
             expect[b6.index[target]] = Fraction(1)
         if d.starts_with(("a",), w):
             expect[v] = expect.get(v, 0) + p
-        assert R.cols[v] == expect
+        assert R[v] == expect
 
 
 def test_rep_homomorphism(params, b6):
@@ -81,8 +158,8 @@ def test_rep_homomorphism(params, b6):
                 HeckeElement.basis(params, words[int(rng.integers(0, len(words)))])
             y = y + Fraction(int(rng.integers(-4, 5)) or 1, 3) * \
                 HeckeElement.basis(params, words[int(rng.integers(0, len(words)))])
-        lhs = l2rep.rep_hecke(x, b6) @ l2rep.rep_hecke(y, b6)
-        rhs = l2rep.rep_hecke(x * y, b6)
+        lhs = rep(x, b6) @ rep(y, b6)
+        rhs = rep(x * y, b6)
         # the product of compressions is exact where neither factor leaves B_6
         reach = sum(max((len(w) for w in z.coeffs), default=0) for z in (x, y))
         assert lhs.max_abs_difference(rhs, 6 - reach) == 0
@@ -95,7 +172,7 @@ SQUARES = [Fraction(1), Fraction(1, 4), Fraction(4), Fraction(9, 4), Fraction(1,
 @given(diagrams(max_rank=4), st.data())
 def test_id_columns_match_word_products(d, data):
     """Every column of ``rep_hecke`` is a * T_v cut to the ball, and every
-    column of ``rep_group_word`` is delta_{wv}, near the ball's edge too,
+    column at q == 1 is delta_{wv}, near the ball's edge too,
     where a term may leave the ball and come back."""
     n = data.draw(st.integers(1, 4))
     q = {s: data.draw(st.sampled_from(SQUARES)) for s in d.generators}
@@ -107,8 +184,8 @@ def test_id_columns_match_word_products(d, data):
         c = Fraction(data.draw(st.integers(-3, 3)), data.draw(st.integers(1, 3)))
         a = a + c * HeckeElement.basis(params, w)
     word = data.draw(st.lists(st.sampled_from(d.generators), max_size=5))
-    hecke_cols = l2rep.rep_hecke(a, b).cols
-    group_cols = l2rep.rep_group_word(d, word, b).cols
+    hecke_cols = l2rep.rep_hecke(a, b)
+    group_cols = rep_group_word(d, word, b).cols
     for v in range(len(b)):
         image = a * HeckeElement.basis(params, b.words[v])
         assert hecke_cols[v] == {b.index[u]: c for u, c in image.coeffs.items()
@@ -123,8 +200,8 @@ def test_term_leaving_the_ball_comes_back():
     params = MultiParameter.exact_squares(d, {"a": Fraction(1, 4), "b": Fraction(4)})
     b1 = ball(d, 1)
     ia, ib = b1.index[("a",)], b1.index[("b",)]
-    assert l2rep.rep_hecke(HeckeElement.basis(params, "ab"), b1).cols[ia] == {ib: 1}
-    assert l2rep.rep_group_word(d, "ab", b1).cols[ia] == {ib: 1}
+    assert l2rep.rep_hecke(HeckeElement.basis(params, "ab"), b1)[ia] == {ib: 1}
+    assert rep_group_word(d, "ab", b1).cols[ia] == {ib: 1}
 
 
 def test_walker_refuses_a_step_out_of_its_ball():
@@ -152,7 +229,7 @@ def test_exact_paths_build_no_words(params, diagram_a):
         l2rep.verify_corollary_split(params, ("a", "c", "b", "c"), 1, b)
         l2rep.q_operator(diagram_a, "a", Fraction(1, 2), b, 5)
         l2rep.rep_hecke(HeckeElement.basis(params, "cab"), b)
-        l2rep.rep_group_word(diagram_a, "cab", b)
+        l2rep.verify_action_case(diagram_a, "a", "cb", b)
         l2rep.positivity_window(params, "ac", 6)
         used = [b, *enumeration._BALL_CACHE.values()]
     assert len(used) > 1
@@ -161,9 +238,9 @@ def test_exact_paths_build_no_words(params, diagram_a):
 
 def test_proj_examples(diagram_a, b6):
     d = diagram_a
-    pe = l2rep.proj_p(d, (), b6)
+    pe = proj_p(d, (), b6)
     assert pe.max_abs_difference(identity_op(b6), 6) == 0
-    pa = l2rep.proj_p(d, "a", b6)
+    pa = proj_p(d, "a", b6)
     iab = b6.index[("a", "b")]
     ib = b6.index[("b",)]
     assert pa.cols[iab] == {iab: 1}
@@ -172,10 +249,10 @@ def test_proj_examples(diagram_a, b6):
 
 def test_proj_join_rule(diagram_a, b6):
     d = diagram_a
-    pa = l2rep.proj_p(d, "a", b6)
-    pb = l2rep.proj_p(d, "b", b6)
-    pc = l2rep.proj_p(d, "c", b6)
-    pab = l2rep.proj_p(d, "ab", b6)
+    pa = proj_p(d, "a", b6)
+    pb = proj_p(d, "b", b6)
+    pc = proj_p(d, "c", b6)
+    pab = proj_p(d, "ab", b6)
     assert (pa @ pb).max_abs_difference(pab, 6) == 0
     assert (pa @ pc).max_abs_difference(zero_op(b6), 6) == 0
 
@@ -264,23 +341,23 @@ def test_empty_domain_is_refused(params, diagram_a, n):
 
 def _full_remark22(params, s, w, b):
     d = params.diagram
-    ts = l2rep.rep_hecke(HeckeElement.basis(params, (s,)), b)
-    ps = l2rep.proj_p(d, (s,), b)
+    ts = rep(HeckeElement.basis(params, (s,)), b)
+    ps = proj_p(d, (s,), b)
     ident = identity_op(b, exact=params.exact)
     sw = d.multiply((s,), d.normal_form(w))
     return ((ts @ (ident - ps) @ ts).max_abs_difference(ps, b.radius - 2),
-            (ts @ l2rep.proj_p(d, w, b) @ ts).max_abs_difference(
-                l2rep.proj_p(d, sw, b), b.radius - 2))
+            (ts @ proj_p(d, w, b) @ ts).max_abs_difference(
+                proj_p(d, sw, b), b.radius - 2))
 
 
 def _full_cliq(params, w, b):
     d = params.diagram
     wnf = d.normal_form(w)
-    lhs = l2rep.rep_hecke(HeckeElement.basis(params, wnf), b)
+    lhs = rep(HeckeElement.basis(params, wnf), b)
     rhs = zero_op(b, exact=params.exact)
     for wp, gamma, wpp, coeff in l2rep.cliq_decomposition(params, wnf):
-        term = (l2rep.rep_group_word(d, wp, b) @ l2rep.proj_p(d, d.normal_form(gamma), b)
-                @ l2rep.rep_group_word(d, wpp, b))
+        term = (rep_group_word(d, wp, b) @ proj_p(d, d.normal_form(gamma), b)
+                @ rep_group_word(d, wpp, b))
         rhs = rhs + term.scaled(coeff)
     return lhs.max_abs_difference(rhs, b.radius - len(wnf))
 
@@ -288,15 +365,59 @@ def _full_cliq(params, w, b):
 def _full_corollary(params, g, power, b):
     d = params.diagram
     letters = tuple(g) * power
-    lhs = l2rep.rep_hecke(HeckeElement.basis(params, letters), b)
+    lhs = rep(HeckeElement.basis(params, letters), b)
     x = zero_op(b, exact=params.exact)
     for i, t in enumerate(letters):
         if params.p(t) != 0:
-            term = (l2rep.proj_p(d, letters[:i + 1], b)
-                    @ l2rep.rep_group_word(d, letters[:i] + letters[i + 1:], b))
+            term = (proj_p(d, letters[:i + 1], b)
+                    @ rep_group_word(d, letters[:i] + letters[i + 1:], b))
             x = x + term.scaled(params.p(t))
-    rhs = l2rep.rep_group_word(d, letters, b) + l2rep.proj_p(d, letters[:1], b) @ x
+    rhs = rep_group_word(d, letters, b) + proj_p(d, letters[:1], b) @ x
     return lhs.max_abs_difference(rhs, b.radius - len(letters) - 1)
+
+
+def _full_action_case(d, s, w, b):
+    """``verify_action_case`` as the product of full compressions it
+    replaced: (case, residual of T_s P_w T_s against the case's projections
+    on |v| <= n - 2)."""
+    wnf = d.normal_form(w)
+    ts, pw = rep_group_word(d, (s,), b), proj_p(d, wnf, b)
+    psw = proj_p(d, d.multiply((s,), wnf), b)
+    if not d.centralizes(s, wnf):
+        case, rhs = 1, psw
+    elif d.starts_with((s,), wnf):
+        case, rhs = 2, psw - pw
+    else:
+        case, rhs = 3, pw
+    return case, (ts @ pw @ ts).max_abs_difference(rhs, b.radius - 2)
+
+
+def test_action_case_matches_full_compressions():
+    """Every s and every w with |w| <= 2 on the balls of radius 2 to 4 of
+    the rank <= 4 corpus: the walked case equals the full-compression one
+    in case, residual and residual type."""
+    pairs = 0
+    for d in connected_diagram_corpus(4):
+        for n in (2, 3, 4):
+            b = ball(d, n)
+            for v in range(b.sphere_start[min(n, 2) + 1]):
+                for s in d.generators:
+                    case, res = l2rep.verify_action_case(d, s, b.words[v], b)
+                    full = _full_action_case(d, s, b.words[v], b)
+                    assert (case, res) == full and type(res) is type(full[1])
+                    assert res == 0
+                    pairs += 1
+    assert pairs == 1299
+
+
+def test_action_case_sees_a_wrong_walk(diagram_a, b6, monkeypatch):
+    """With T_s walked as T_e, T_s P_w T_s is P_w, so case 1 (P_sw) shows a
+    residual that the full compressions do not."""
+    group_op = l2rep._group_op
+    monkeypatch.setattr(l2rep, "_group_op", lambda d, word: group_op(d, ()))
+    case, res = l2rep.verify_action_case(diagram_a, "a", "c", b6)
+    assert case == 1 and res == 1
+    assert _full_action_case(diagram_a, "a", "c", b6) == (1, 0)
 
 
 def _scale_one_term(params, w):
@@ -420,10 +541,10 @@ def test_q_operator(diagram_a):
             l2rep.q_operator(diagram_a, (), Fraction(1, 2), b5, cutoff)
 
 
-def op_norm(x: l2rep.TruncatedOperator) -> float:
+def op_norm(x: Compression) -> float:
     """Norm of the compression matrix, a certified lower bound on the
     operator norm (dense; balls above DENSE_LIMIT are refused)."""
-    if len(x.ball) > l2rep.DENSE_LIMIT:
+    if len(x.cols) > l2rep.DENSE_LIMIT:
         raise ValueError("ball too large for a dense norm")
     return float(np.linalg.norm(x.to_dense(), 2))
 
@@ -432,16 +553,16 @@ def test_spectrum_single_generator():
     single = CoxeterDiagram(["a"])
     params = MultiParameter.exact_squares(single, {"a": Fraction(1, 4)})
     b = ball(single, 1)
-    ta = l2rep.rep_hecke(HeckeElement.basis(params, "a"), b)
-    lo, hi = l2rep.spectrum_bounds(ta)
+    ta = rep(HeckeElement.basis(params, "a"), b)
+    lo, hi = l2rep.spectrum_bounds(ta.to_dense())
     assert abs(lo + 2) < 1e-12 and abs(hi - 0.5) < 1e-12
     assert abs(op_norm(ta) - 2) < 1e-9
 
 
 def test_spectrum_requires_selfadjoint(params, b6):
-    x = l2rep.rep_hecke(HeckeElement.basis(params, "ac"), b6)
+    x = rep(HeckeElement.basis(params, "ac"), b6)
     with pytest.raises(ValueError):
-        l2rep.spectrum_bounds(x)
+        l2rep.spectrum_bounds(x.to_dense())
 
 
 def test_dense_limit_refused():
@@ -451,8 +572,8 @@ def test_dense_limit_refused():
     ident = identity_op(big)
     with pytest.raises(ValueError):
         op_norm(ident)
-    with pytest.raises(ValueError):
-        l2rep.spectrum_bounds(ident)
+    with pytest.raises(ValueError):  # a read-only view: no dense matrix is allocated
+        l2rep.spectrum_bounds(np.broadcast_to(0.0, (len(big), len(big))))
 
 
 def test_positivity_window_refuses_before_building():
@@ -468,9 +589,23 @@ def test_positivity_window_refuses_before_building():
         rep.assert_called_once()
 
 
+def test_positivity_window_refuses_float_certification_first(diagram_a):
+    """Exact certification of float parameters is refused before the Gram
+    matrix is built or its spectrum taken."""
+    floating = MultiParameter.floating(diagram_a, {s: 0.25 for s in "abc"})
+    with mock.patch.object(l2rep, "rep_hecke", wraps=l2rep.rep_hecke) as built, \
+            mock.patch.object(l2rep, "spectrum_bounds", wraps=l2rep.spectrum_bounds) as spectrum:
+        with pytest.raises(ValueError, match="needs exact parameters"):
+            l2rep.positivity_window(floating, "a", 4, certify_exact=True)
+        built.assert_not_called()
+        spectrum.assert_not_called()
+        l2rep.positivity_window(floating, "a", 4)
+        built.assert_called_once()
+
+
 def test_op_norm_monotone_in_radius(params, diagram_a):
     a = HeckeElement.basis(params, "ac")
-    norms = [op_norm(l2rep.rep_hecke(a, ball(diagram_a, n))) for n in (3, 4, 5, 6)]
+    norms = [op_norm(rep(a, ball(diagram_a, n))) for n in (3, 4, 5, 6)]
     for x, y in zip(norms, norms[1:]):
         assert y >= x - 1e-9
 
@@ -594,7 +729,7 @@ def _sphere_case(d, q, n, l, c_seed):
     x = HeckeElement.zero(pf)
     for v, cw in zip(b.sphere(l), c):
         x = x + float(cw) * HeckeElement.basis(pf, b.words[v])
-    dense = l2rep.rep_hecke(x, b).to_dense()[:, :b.sphere_start[n - l + 1]]
+    dense = rep(x, b).to_dense()[:, :b.sphere_start[n - l + 1]]
     return b, pf.p(d.generators[0]), c, dense
 
 
