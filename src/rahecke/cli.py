@@ -248,9 +248,13 @@ def cmd_verify(args) -> dict:
     elif args.suite == "haagerup":
         if args.max_length < 1:
             raise ValueError("--max-length must be >= 1")
+        try:
+            q = float(parse_rational(args.qscalar))
+        except OverflowError:  # past the largest float
+            raise ValueError("q must be positive and finite") from None
         out = [{"l": r["l"], "max_ratio": r["max_ratio"]}
-               for r in l2rep.haagerup_ratio(d, float(parse_rational(args.qscalar)),
-                                             args.max_length, n, args.trials, seed=args.seed)]
+               for r in l2rep.haagerup_ratio(d, q, args.max_length, n,
+                                             args.trials, seed=args.seed)]
         doc["results"] = out
         doc["fitted_C"] = max(r["max_ratio"] for r in out)
     elif args.suite == "qop":

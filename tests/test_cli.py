@@ -222,7 +222,8 @@ def test_haagerup_max_ratios_pinned(capsys, tmp_path, diagram_a_file, name):
     (["--trials", "0"], "trials must be >= 1"),
     (["--trials", "-1"], "trials must be >= 1"),
     (["--max-length", "0"], "--max-length must be >= 1"),
-], ids=["trials-0", "trials-negative", "max-length-0"])
+    (["--qscalar", "1e400"], "q must be positive and finite"),
+], ids=["trials-0", "trials-negative", "max-length-0", "qscalar-past-float"])
 def test_haagerup_bad_arguments_exit_1(capsys, diagram_a_file, flags, message):
     assert main(["verify", "--suite", "haagerup", "--diagram", diagram_a_file] + flags) == 1
     captured = capsys.readouterr()

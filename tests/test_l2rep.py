@@ -1,5 +1,6 @@
 import hashlib
 import math
+import threading
 from fractions import Fraction
 from unittest import mock
 
@@ -653,13 +654,27 @@ def test_haagerup_builds_no_words():
     assert "words" not in ball(d, 5).__dict__
 
 
-@pytest.mark.parametrize("l,trials,message", [(0, 1, "l must be >= 1"),
-                                              (1, 0, "trials must be >= 1"),
-                                              (1, -1, "trials must be >= 1")],
-                         ids=["l-0", "trials-0", "trials-negative"])
-def test_haagerup_refuses_bad_arguments(diagram_a, l, trials, message):
-    with pytest.raises(ValueError, match=message):
-        l2rep.haagerup_ratio(diagram_a, 0.5, l, 6, trials)
+@pytest.mark.parametrize("q,l,trials,iters,message", [
+    (0.5, 0, 1, 8, "l must be >= 1"),
+    (0.5, 1, 0, 8, "trials must be >= 1"),
+    (0.5, 1, -1, 8, "trials must be >= 1"),
+    (0.5, 2, 3, 0, "iters must be >= 1"),
+    (math.nan, 1, 1, 8, "q must be positive and finite"),
+    (math.inf, 1, 1, 8, "q must be positive and finite"),
+], ids=["l-0", "trials-0", "trials-negative", "iters-0", "q-nan", "q-inf"])
+def test_haagerup_refuses_bad_arguments(diagram_a, q, l, trials, iters, message):
+    """Each refusal comes before any ball is built; at iters = 0 the ratios
+    were a vacuous 0.0, at an infinite or nan q they were nan."""
+    with mock.patch.object(l2rep, "ball") as built:
+        with pytest.raises(ValueError, match=message):
+            l2rep.haagerup_ratio(diagram_a, q, l, 6, trials, iters=iters)
+    built.assert_not_called()
+
+
+def test_power_iteration_refuses_no_iterations(diagram_a):
+    pattern = _pattern(ball(diagram_a, 5), 0.5, 1)
+    with pytest.raises(ValueError, match="iters must be >= 1"):
+        l2rep.sphere_operator_norms(pattern, np.ones((3, 2)), iters=0)
 
 
 def test_sphere_pattern_refuses_an_empty_sphere():
@@ -844,3 +859,72 @@ def test_haagerup_ratios_bit_identical(diagram_a, name, n, q):
     hexes = [x.hex() for r in out for x in r["ratios"]] + [r["max_ratio"].hex() for r in out]
     digest = hashlib.sha256(" ".join(hexes).encode()).hexdigest()[:16]
     assert digest == HAAGERUP_RATIO_DIGESTS[name, n, q]
+
+
+def _with_cpus(cpus):
+    """The process's CPU affinity read as ``cpus`` CPUs."""
+    return mock.patch.object(l2rep.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                             create=True)
+
+
+def _one_group(pattern, coeffs, iters, seed):
+    """``sphere_operator_norms`` as one group: the same start block, then
+    ``_group_norms`` on the whole batch."""
+    vec = np.ascontiguousarray(
+        np.random.default_rng(seed).standard_normal((pattern.shape[1], coeffs.shape[1])).T)
+    vec /= l2rep._row_norms(vec)[:, None]
+    return l2rep._group_norms(pattern, coeffs, vec, iters)
+
+
+@pytest.mark.parametrize("name,q", [("A", 0.35), ("A", 1.6),
+                                    ("pentagon", 0.35), ("pentagon", 1.6)])
+def test_column_groups_are_bit_identical(diagram_a, name, q):
+    """Every CPU count, so every group count the rule allows (g <= batch //
+    2, at least two columns a group), gives the one-group estimates bit for
+    bit, on batches of 1 to 9 columns; the pool's threads end with the call.
+    On the radius-9 pentagon, one-column groups would not: numpy's row
+    reduction of a one-row array differs there in the last bits."""
+    d = PENTAGON if name == "pentagon" else diagram_a
+    b = ball(d, 9)  # wide enough that one-column groups would differ
+    for l, pattern in enumerate(l2rep.sphere_patterns(b, (q - 1) / math.sqrt(q), 2), 1):
+        coeffs = np.random.default_rng(l).standard_normal((b.sphere_sizes()[l], 9))
+        for batch in range(1, 10):
+            chunk = coeffs[:, :batch]
+            want = _one_group(pattern, chunk, 3, l)
+            for cpus in range(1, batch + 1):
+                before = threading.active_count()
+                with _with_cpus(cpus):
+                    got = l2rep.sphere_operator_norms(pattern, chunk, iters=3, seed=l)
+                assert threading.active_count() == before
+                assert [x.hex() for x in got] == [x.hex() for x in want], (l, batch, cpus)
+
+
+def test_column_groups_start_threads_by_the_rule(diagram_a):
+    """g = min(CPUs, batch // 2) groups of at least two columns: a batch
+    under four columns, or a one-CPU affinity, starts no thread.  The
+    calling thread runs the first group; the pool starts a worker for each
+    other group unless one is already idle, and none outlives the call."""
+    b = ball(diagram_a, 6)
+    pattern = _pattern(b, 0.5, 2)
+    coeffs = np.random.default_rng(0).standard_normal((b.sphere_sizes()[2], 9))
+    widths = []
+    matrix = l2rep.SpherePattern.matrix
+
+    def recorded(self, c):
+        widths.append(c.shape[1])
+        return matrix(self, c)
+
+    started = []
+    start = threading.Thread.start
+    with mock.patch.object(threading.Thread, "start",
+                           lambda self: (started.append(self), start(self))[1]), \
+            mock.patch.object(l2rep.SpherePattern, "matrix", recorded):
+        for cpus, batch, groups in [(8, 1, [1]), (8, 2, [2]), (8, 3, [3]), (1, 9, [9]),
+                                    (2, 4, [2, 2]), (2, 9, [4, 5]), (8, 9, [2, 2, 2, 3])]:
+            started.clear()
+            widths.clear()
+            with _with_cpus(cpus):
+                l2rep.sphere_operator_norms(pattern, coeffs[:, :batch], iters=2)
+            assert sorted(widths) == sorted(groups), (cpus, batch)
+            assert 1 <= len(started) < len(groups) if len(groups) > 1 else not started
+            assert not any(t.is_alive() for t in started)
