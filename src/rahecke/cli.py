@@ -260,11 +260,11 @@ def cmd_verify(args) -> dict:
     elif args.suite == "qop":
         b = ball(d, n)
         u = d.parse_element(args.word) if args.word else ()
-        diag, tail, cfit = l2rep.q_operator(d, u, parse_rational(args.qscalar), b, args.cutoff)
+        diag, tail, omega = l2rep.q_operator(d, u, parse_rational(args.qscalar), b, args.cutoff)
         doc["u"] = d.format_element(u)
         doc["cutoff"] = args.cutoff
-        doc["tail_bound"] = tail
-        doc["fitted_kappa_constant"] = cfit
+        doc["tail_bound"] = float(tail)
+        doc["clique_number"] = omega
         doc["max_entry"] = max(diag)
     else:
         raise DiagramError(f"unknown suite {args.suite!r}")

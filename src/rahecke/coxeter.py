@@ -19,7 +19,7 @@ same way.  Words are converted only where elements enter and leave.
 from __future__ import annotations
 
 import json
-from functools import reduce
+from functools import cache, reduce
 from operator import or_
 from typing import Iterable, Mapping, Sequence
 
@@ -271,6 +271,18 @@ class CoxeterDiagram:
         return not reduce(or_, self.heap(w), 0) & self._conflict[i] & ~(1 << i)
 
     # -- diagram shape -----------------------------------------------------
+
+    def clique_number(self) -> int:
+        """Size of the largest clique of the commuting graph: the lowest
+        candidate is left out, or taken with the candidates it commutes with."""
+        conflict = self._conflict
+
+        @cache
+        def rec(cand: int) -> int:
+            i = next(_bits(cand), None)
+            return 0 if i is None else max(rec(cand ^ 1 << i), 1 + rec(cand & ~conflict[i]))
+
+        return rec((1 << len(self.generators)) - 1)
 
     def _infty_adjacency(self) -> dict[str, list[str]]:
         """Neighbours of each generator in the graph of infinite exponents,

@@ -41,9 +41,9 @@ class Ball:
     index of that letter (the root is its own parent, with ``plast`` -1), so
     the children of an element are contiguous.  ``rmul[v, i]`` is the index
     of ``v * s_i`` and ``lmul[i][v]`` the index of ``s_i * v``; entries are
-    -1 when the product leaves the ball.  ``words`` and ``index`` are built
-    from ``parent``/``plast`` on first read, for the exact paths that work on
-    word tuples.
+    -1 when the product leaves the ball.  ``words`` is built from
+    ``parent``/``plast`` on first read, for the exact paths that work on word
+    tuples.
     """
 
     def __init__(self, diagram: CoxeterDiagram, radius: int, cap: int = DEFAULT_ELEMENT_CAP):
@@ -127,11 +127,6 @@ class Ball:
         for u, t in zip(self.parent[1:].tolist(), self.plast[1:].tolist()):
             words.append(words[u] + (gens[t],))
         return words
-
-    @functools.cached_property
-    def index(self) -> dict[Word, int]:
-        """Element index of every canonical word in the ball."""
-        return {w: v for v, w in enumerate(self.words)}
 
     # -- basic queries -------------------------------------------------------
 

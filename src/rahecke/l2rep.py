@@ -149,13 +149,24 @@ def rep_hecke(a: HeckeElement, b: Ball) -> list[dict[int, object]]:
 
 
 def q_operator(d: CoxeterDiagram, u: Sequence[str], q: Fraction, b: Ball,
-               cutoff: int) -> tuple[list[Fraction], float, Fraction]:
-    """Partial sum of Q_q^u = sum_{l >= |u|} sum_{|w| = l, u <= w^-1} q^l P_w.
+               cutoff: int) -> tuple[list[Fraction], Fraction, int]:
+    """Partial sum to l = cutoff of
+    Q_q^u = sum_{l >= |u|} sum_{|w| = l, u <= w^-1} q^l P_w, with a proved
+    bound on the rest: (diagonal in ball order, tail, omega), omega the
+    clique number of the commuting graph.
 
-    Q is diagonal on the ball, so it is returned as its diagonal, in ball
-    order: (diagonal entries, tail bound, fitted prefix-count constant).
-    The tail bound is C * sum_{l > cutoff} q^l l^(rank-2) with C fitted so
-    that every enumerated prefix count kappa_v(l) is at most C*max(l,1)^(rank-2).
+    The entry at v is g(v), the sum over p <= v of f(p) = q^|p| when
+    u <= p^-1 and |p| <= cutoff, else 0.  A prefix p < v lies below v*s for
+    a right descent s of v; the right descents R(v) commute, and the
+    prefixes below v*s for every s in G are those below v*G, which is
+    shorter.  So one pass over the ball ids gives, by inclusion-exclusion,
+    g(v) = f(v) + sum_{nonempty G in R(v)} (-1)^(|G|+1) g(v*G).
+
+    The prefixes of w are the order ideals of its heap, whose incomparable
+    pieces commute, so the heap is a union of omega chains (Dilworth) and
+    kappa_w(l) = #{p <= w : |p| = l} <= C(l + omega - 1, omega - 1).  Every
+    diagonal entry of the rest, at any w of W, is therefore at most
+    tail = (1 - q)^-omega - sum_{l <= cutoff} C(l + omega - 1, omega - 1) q^l.
     """
     if not (0 < q < 1):
         raise ValueError("q must lie strictly between 0 and 1")
@@ -163,9 +174,6 @@ def q_operator(d: CoxeterDiagram, u: Sequence[str], q: Fraction, b: Ball,
         raise ValueError("cutoff must be >= 0")
     uw = d.normal_form(u)
     q = Fraction(q)
-    exponent = max(d.rank - 2, 0)
-    length = b.length.tolist()
-    rmul = b.rmul.tolist()
     # below[p]: u <= p^-1, i.e. the letters of u strip off p as right descents
     below = np.ones(len(b), dtype=bool)
     cur = np.arange(len(b))
@@ -173,44 +181,26 @@ def q_operator(d: CoxeterDiagram, u: Sequence[str], q: Fraction, b: Ball,
         nxt = b.rmul[cur, d.gen_index(t)]
         below &= (nxt >= 0) & (nxt < cur)
         cur = np.where(below, nxt, 0)
-    below = below.tolist()
-    powers = [q ** l for l in range(cutoff + 1)]
-    # prefixes[v]: the ids p <= v; the right descents of v are its
-    # neighbours v*s of smaller id, and every shorter prefix lies below one
-    prefixes: list[frozenset[int]] = []
-    diag = []
-    c_fit = Fraction(0)
-    for v in range(len(b)):
-        pre = frozenset({v}).union(*(prefixes[w] for w in rmul[v] if 0 <= w < v))
-        prefixes.append(pre)
-        counts: dict[int, int] = {}
-        hits: dict[int, int] = {}
-        for p in pre:
-            l = length[p]
-            counts[l] = counts.get(l, 0) + 1
-            if len(uw) <= l <= cutoff and below[p]:
-                hits[l] = hits.get(l, 0) + 1
-        for l, cnt in counts.items():
-            c_fit = max(c_fit, Fraction(cnt, max(l, 1) ** exponent))
-        diag.append(sum((powers[l] * hit for l, hit in hits.items()), Fraction(0)))
-    # Tail past the cutoff with the constant c_fit fitted on this ball: it
-    # bounds the true tail only if no prefix count outside the ball exceeds
-    # c_fit * l^exponent, which nothing here checks.  Below ratio 1 the sum
-    # is geometric; otherwise it is cut off below 1e-30 and doubled.
-    tail = Fraction(0)
-    l = cutoff + 1
-    ratio = q * Fraction((l + 1) ** exponent, l ** exponent)
-    if ratio < 1:
-        head = q ** l * l ** exponent
-        tail = c_fit * head / (1 - ratio)
-    else:
-        term = q ** l * l ** exponent
-        while term > Fraction(1, 10 ** 30):
-            tail += term
-            l += 1
-            term = q ** l * l ** exponent
-        tail *= c_fit * 2
-    return diag, float(tail), c_fit
+    # integers over the common denominator den^cutoff
+    num, den = q.numerator, q.denominator
+    f = [num ** l * den ** (cutoff - l) for l in range(cutoff + 1)]
+    length, rmul = b.length.tolist(), b.rmul.tolist()
+    g: list[int] = []
+    for v, hit in enumerate(below.tolist()):
+        # (v*G, (-1)^|G|) for every G in R(v); the right descents s of v are
+        # its neighbours v*s of smaller id
+        terms = [(v, 1)]
+        for i, vs in enumerate(rmul[v]):
+            if 0 <= vs < v:
+                terms += [(rmul[x][i], -sign) for x, sign in terms]
+        l = length[v]
+        g.append((f[l] if hit and l <= cutoff else 0)
+                 - sum(sign * g[x] for x, sign in terms[1:]))
+    omega = d.clique_number()
+    tail = (1 - q) ** -omega - sum(math.comb(l + omega - 1, omega - 1) * q ** l
+                                   for l in range(cutoff + 1))
+    scale = den ** cutoff
+    return [Fraction(x, scale) for x in g], tail, omega
 
 
 def spectrum_bounds(m: np.ndarray) -> tuple[float, float]:
@@ -352,6 +342,8 @@ def verify_action_sweep(d: CoxeterDiagram, b: Ball, max_length: int
     and w <= s*v (empty when s*w leaves the ball); for a descent the mask of
     s*w is built from its own letters.  Only the w being checked holds masks.
     """
+    if max_length < 0:
+        raise ValueError("max_length must be >= 0")
     if b.radius < 1:
         raise ValueError("ball too small")
     k, m = d.rank, b.sphere_start[b.radius]  # the columns |v| <= n - 1
@@ -450,6 +442,8 @@ def verify_corollary_split(params: MultiParameter, g: Sequence[str], power: int,
     Returns (residual, number of terms of x).  The telescoping takes
     x = sum_i p_{t_i} P_{t_1..t_i} T^(1) over the word with t_i removed.
     """
+    if power < 1:
+        raise ValueError("power must be >= 1")
     d = params.diagram
     letters = tuple(g) * power
     word = d.normal_form(letters)

@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import rahecke
-from rahecke import acceptance
+from rahecke import acceptance, l2rep
+from rahecke.coxeter import CoxeterDiagram
 
 _RESULTS = {}
 
@@ -34,6 +35,26 @@ def _run(key):
 def test_criterion(key):
     res = _run(key)
     assert res.passed, f"{res.name}: {res.details}"
+
+
+@pytest.mark.parametrize("mutant", ["clique number - 1", "zero tail"])
+def test_criterion_9_sees_a_short_tail(mutant, monkeypatch):
+    """Criterion 9 turns red when the Q-operator tail rests on one chain too
+    few, or is dropped."""
+    if mutant == "zero tail":
+        q_operator = l2rep.q_operator
+
+        def zero_tail(*args):
+            diag, _, omega = q_operator(*args)
+            return diag, 0, omega
+
+        monkeypatch.setattr(l2rep, "q_operator", zero_tail)
+    else:
+        clique_number = CoxeterDiagram.clique_number
+        monkeypatch.setattr(CoxeterDiagram, "clique_number",
+                            lambda self: clique_number(self) - 1)
+    res = acceptance.criterion_9_kappa_qop()
+    assert not res.passed and not res.details["qop cauchy within tail bound"]
 
 
 def test_every_src_function_has_a_caller():

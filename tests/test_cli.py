@@ -152,6 +152,15 @@ def test_error_exits(capsys, diagram_a_file, tmp_path):
     assert main(["verify", "--suite", "cliq", "--diagram", diagram_a_file,
                  "--radius", "1"]) == 1
     assert "ball too small" in capsys.readouterr().err
+    for power in ("0", "-2"):
+        assert main(["verify", "--suite", "corollary", "--diagram", diagram_a_file,
+                     "--q", "all=1/4", "--radius", "6", f"--power={power}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "power must be >= 1" in captured.err
+    assert main(["verify", "--suite", "action", "--diagram", diagram_a_file,
+                 "--radius", "6", "--max-length=-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "max_length must be >= 0" in captured.err
     for cutoff in ("-1", "-3"):
         assert main(["verify", "--suite", "qop", "--diagram", diagram_a_file,
                      "--radius", "5", "--qscalar", "1/2", f"--cutoff={cutoff}"]) == 1

@@ -28,6 +28,11 @@ def cliques(diagram):
     return out
 
 
+def ball_index(b):
+    """The element id of every canonical word of the ball."""
+    return {w: v for v, w in enumerate(b.words)}
+
+
 def components(diagram):
     """Sub-diagrams induced on the connected components of the infinity graph."""
     return [CoxeterDiagram(comp, [(s, t) for i, s in enumerate(comp) for t in comp[i + 1:]
@@ -56,8 +61,9 @@ def test_ball_sorted_and_indexed(diagram_a):
     assert b.words[0] == ()
     lengths = [len(w) for w in b.words]
     assert lengths == sorted(lengths)
+    index = ball_index(b)
     for i, w in enumerate(b.words):
-        assert b.index[w] == i
+        assert index[w] == i
 
 
 def test_ball_is_brute_force_ball(diagram_a):
@@ -124,8 +130,8 @@ def test_ball_cache_evicts_least_recently_used(monkeypatch):
 
 def test_ball_builds_no_words():
     b = Ball(CoxeterDiagram(["a", "b", "c"], [["a", "b"]]), 5)
-    assert "words" not in b.__dict__ and "index" not in b.__dict__
-    assert b.words[b.rmul[b.index[("b",)], 0]] == ("a", "b")  # a, b commute
+    assert "words" not in b.__dict__
+    assert b.words[b.rmul[ball_index(b)[("b",)], 0]] == ("a", "b")  # a, b commute
 
 
 def test_multiplication_tables(diagram_a):
@@ -195,7 +201,7 @@ def test_sphere_weights_build_no_words(diagram_a):
     b = Ball(diagram_a, 6)
     q = {"a": Fraction(1, 2), "b": Fraction(3), "c": Fraction(1, 5)}
     sphere_weight(diagram_a, q, 6, b)
-    assert "words" not in b.__dict__ and "index" not in b.__dict__
+    assert "words" not in b.__dict__
 
 
 def test_element_weights_stop_at_the_sphere(diagram_a):
@@ -350,3 +356,8 @@ def test_ball_words_are_distinct_normal_forms(d, radius):
     gidx = {s: i for i, s in enumerate(d.generators)}
     assert Ball(d, radius).words == sorted(
         forms, key=lambda w: (len(w), [gidx[s] for s in w]))
+
+
+def test_clique_number_is_the_largest_clique():
+    for d in connected_diagram_corpus(5):
+        assert d.clique_number() == max(len(c) for c in cliques(d))

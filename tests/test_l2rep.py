@@ -15,7 +15,7 @@ from rahecke import enumeration
 from rahecke.enumeration import Ball, ball, connected_diagram_corpus
 from rahecke.hecke import HeckeElement, MultiParameter, cliq_decomposition
 from rahecke import l2rep
-from test_enumeration import diagrams
+from test_enumeration import ball_index, diagrams, prefixes
 
 
 class Compression:
@@ -137,12 +137,13 @@ def test_rep_single_generator_rule(params, b6):
     d = params.diagram
     R = l2rep.rep_hecke(HeckeElement.basis(params, "a"), b6)
     p = params.p("a")
+    index = ball_index(b6)
     for v in range(len(b6)):
         w = b6.words[v]
         target = d.multiply(("a",), w)
         expect = {}
         if len(target) <= 6:
-            expect[b6.index[target]] = Fraction(1)
+            expect[index[target]] = Fraction(1)
         if d.starts_with(("a",), w):
             expect[v] = expect.get(v, 0) + p
         assert R[v] == expect
@@ -187,12 +188,13 @@ def test_id_columns_match_word_products(d, data):
     word = data.draw(st.lists(st.sampled_from(d.generators), max_size=5))
     hecke_cols = l2rep.rep_hecke(a, b)
     group_cols = rep_group_word(d, word, b).cols
+    index = ball_index(b)
     for v in range(len(b)):
         image = a * HeckeElement.basis(params, b.words[v])
-        assert hecke_cols[v] == {b.index[u]: c for u, c in image.coeffs.items()
+        assert hecke_cols[v] == {index[u]: c for u, c in image.coeffs.items()
                                  if len(u) <= n}
         target = d.multiply(word, b.words[v])
-        assert group_cols[v] == ({b.index[target]: 1} if len(target) <= n else {})
+        assert group_cols[v] == ({index[target]: 1} if len(target) <= n else {})
 
 
 def test_term_leaving_the_ball_comes_back():
@@ -200,7 +202,8 @@ def test_term_leaving_the_ball_comes_back():
     d = CoxeterDiagram(["a", "b"], [["a", "b"]])
     params = MultiParameter.exact_squares(d, {"a": Fraction(1, 4), "b": Fraction(4)})
     b1 = ball(d, 1)
-    ia, ib = b1.index[("a",)], b1.index[("b",)]
+    index = ball_index(b1)
+    ia, ib = index[("a",)], index[("b",)]
     assert l2rep.rep_hecke(HeckeElement.basis(params, "ab"), b1)[ia] == {ib: 1}
     assert rep_group_word(d, "ab", b1).cols[ia] == {ib: 1}
 
@@ -212,10 +215,11 @@ def test_walker_refuses_a_step_out_of_its_ball():
     params = MultiParameter.exact_squares(d, {"a": Fraction(1, 4), "b": Fraction(4)})
     b1, b2 = ball(d, 1), ball(d, 2)
     op = l2rep._hecke_op(HeckeElement.basis(params, "ab"))
+    i1, i2 = ball_index(b1), ball_index(b2)
     with pytest.raises(ValueError, match="leaves the ball"):
-        l2rep._Walker(b1).column(op, b1.index[("a",)])
-    assert l2rep._Walker(b2).column(op, b2.index[("a",)]) == {
-        b2.index[("b",)]: 1, b2.index[("a", "b")]: params.p("a")}
+        l2rep._Walker(b1).column(op, i1[("a",)])
+    assert l2rep._Walker(b2).column(op, i2[("a",)]) == {
+        i2[("b",)]: 1, i2[("a", "b")]: params.p("a")}
 
 
 def test_exact_paths_build_no_words(params, diagram_a):
@@ -234,7 +238,7 @@ def test_exact_paths_build_no_words(params, diagram_a):
         l2rep.positivity_window(params, "ac", 6)
         used = [b, *enumeration._BALL_CACHE.values()]
     assert len(used) > 1
-    assert all("words" not in x.__dict__ and "index" not in x.__dict__ for x in used)
+    assert all("words" not in x.__dict__ for x in used)
 
 
 def test_proj_examples(diagram_a, b6):
@@ -242,8 +246,8 @@ def test_proj_examples(diagram_a, b6):
     pe = proj_p(d, (), b6)
     assert pe.max_abs_difference(identity_op(b6), 6) == 0
     pa = proj_p(d, "a", b6)
-    iab = b6.index[("a", "b")]
-    ib = b6.index[("b",)]
+    index = ball_index(b6)
+    iab, ib = index[("a", "b")], index[("b",)]
     assert pa.cols[iab] == {iab: 1}
     assert pa.cols[ib] == {}
 
@@ -268,6 +272,10 @@ def test_action_cases(diagram_a, b6):
     # at radius 0 no column has s*v inside the ball, so nothing is compared
     with pytest.raises(ValueError, match="ball too small"):
         l2rep.verify_action_sweep(diagram_a, ball(diagram_a, 0), 0)
+    # a negative max_length would compare nothing; 0 checks the pairs at w = e
+    with pytest.raises(ValueError, match="max_length must be >= 0"):
+        l2rep.verify_action_sweep(diagram_a, b6, -1)
+    assert l2rep.verify_action_sweep(diagram_a, b6, 0) == ({1: 0, 2: 0, 3: 3}, 0)
 
 
 def _action_pair(d, s, w, b):
@@ -524,22 +532,46 @@ def test_corollary_split(params, diagram_a):
     assert res == 0 and terms == 4
     with pytest.raises(ValueError):
         l2rep.verify_corollary_split(params, g, 1, ball(diagram_a, 4))
+    for power in (0, -2):
+        with pytest.raises(ValueError, match="power must be >= 1"):
+            l2rep.verify_corollary_split(params, g, power, ball(diagram_a, 6))
 
 
 def test_q_operator(diagram_a):
     b5 = ball(diagram_a, 5)
-    d1, tail, cfit = l2rep.q_operator(diagram_a, (), Fraction(1, 2), b5, 4)
+    d1, tail, omega = l2rep.q_operator(diagram_a, (), Fraction(1, 2), b5, 4)
     assert len(d1) == len(b5)
     assert d1[0] == 1
-    assert d1[b5.index[("a",)]] == Fraction(3, 2)
-    assert tail > 0 and cfit >= 1
-    d2, _, _ = l2rep.q_operator(diagram_a, (), Fraction(1, 2), b5, 5)
+    assert d1[ball_index(b5)[("a",)]] == Fraction(3, 2)
+    # (1 - 1/2)^-2 - sum_{l <= 4} (l + 1) / 2^l
+    assert omega == 2 and tail == 0.4375
+    d2, tail5, _ = l2rep.q_operator(diagram_a, (), Fraction(1, 2), b5, 5)
+    assert tail5 == 0.25
     assert all(y >= x for x, y in zip(d1, d2))
     with pytest.raises(ValueError):
         l2rep.q_operator(diagram_a, (), Fraction(3, 2), b5, 4)
     for cutoff in (-1, -3):
         with pytest.raises(ValueError, match="cutoff must be >= 0"):
             l2rep.q_operator(diagram_a, (), Fraction(1, 2), b5, cutoff)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(diagrams(), st.integers(0, 4), st.integers(0, 5), st.data())
+def test_q_operator_matches_prefix_sums(d, radius, cutoff, data):
+    """Each diagonal entry is the sum of q^|p| over the prefixes p <= v with
+    u <= p^-1 and |p| <= cutoff, and the tail bounds what the ball shows of
+    the rest: sum_{cutoff < l <= radius} q^l kappa_v(l) at every v."""
+    b = ball(d, radius)
+    u = data.draw(st.sampled_from(ball(d, 2).words))
+    den = data.draw(st.integers(2, 9))
+    q = Fraction(data.draw(st.integers(1, den - 1)), den)
+    diag, tail, omega = l2rep.q_operator(d, u, q, b, cutoff)
+    for v, w in enumerate(b.words):
+        pre = prefixes(d, w)
+        assert diag[v] == sum((q ** len(p) for p in pre
+                               if len(p) <= cutoff and d.starts_with(u, d.inverse(p))),
+                              Fraction(0))
+        assert sum((q ** len(p) for p in pre if len(p) > cutoff), Fraction(0)) <= tail
 
 
 def op_norm(x: Compression) -> float:
@@ -643,7 +675,7 @@ def test_haagerup_single_letter(diagram_a):
     b = ball(diagram_a, 6)
     pattern = _pattern(b, (0.25 - 1) / 0.5, 1)
     onehot = np.zeros((b.sphere_sizes()[1], 1))
-    onehot[b.index[("a",)] - b.sphere_start[1]] = 1.0
+    onehot[ball_index(b)[("a",)] - b.sphere_start[1]] = 1.0
     norm = l2rep.sphere_operator_norms(pattern, onehot, iters=60)[0]
     assert abs(norm - 2.0) < 1e-3
 
