@@ -124,7 +124,8 @@ def criterion_1_classifier() -> CriterionResult:
 # -- criterion 2: growth-formula oracle gate -----------------------------------
 
 
-def criterion_2_growth_oracle(lmax: int = 12, bfs_budget: int = 250_000) -> CriterionResult:
+def criterion_2_growth_oracle() -> CriterionResult:
+    lmax, bfs_budget = 12, 250_000
     corpus = connected_diagram_corpus(5)
     ones_failures = []
     bfs_failures = []
@@ -161,9 +162,10 @@ def criterion_2_growth_oracle(lmax: int = 12, bfs_budget: int = 250_000) -> Crit
 # -- criterion 3: Hecke algebra identities --------------------------------------
 
 
-def _random_element(params: MultiParameter, b, rng, terms: int = 3) -> HeckeElement:
+def _random_element(params: MultiParameter, b, rng) -> HeckeElement:
+    """A sum of three basis elements of the ball ``b``."""
     out = HeckeElement.zero(params)
-    for _ in range(terms):
+    for _ in range(3):
         v = int(rng.integers(0, len(b)))
         num = int(rng.integers(-6, 7))
         den = int(rng.integers(1, 5))
@@ -173,10 +175,10 @@ def _random_element(params: MultiParameter, b, rng, terms: int = 3) -> HeckeElem
     return out
 
 
-def criterion_3_hecke_identities(samples: int = 200, seed: int = 0) -> CriterionResult:
+def criterion_3_hecke_identities() -> CriterionResult:
     d = diagram_a()
     b5 = ball(d, 5)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     qmaps = [
         {s: Fraction(1, 4) for s in d.generators},
         {"a": Fraction(1, 4), "b": Fraction(1, 9), "c": Fraction(1)},
@@ -192,7 +194,7 @@ def criterion_3_hecke_identities(samples: int = 200, seed: int = 0) -> Criterion
             ts = HeckeElement.basis(params, (s,))
             expect = HeckeElement.one(params) + params.p(s) * ts
             quad_ok &= (ts * ts == expect)
-        for _ in range(samples // 2):
+        for _ in range(100):
             x = _random_element(params, b5, rng)
             y = _random_element(params, b5, rng)
             z = _random_element(params, b5, rng)
@@ -281,9 +283,10 @@ def criterion_4_operator_identities() -> CriterionResult:
 # -- criterion 5: positivity windows ---------------------------------------------
 
 
-def criterion_5_positivity(pairs: int = 50, seed: int = 0) -> CriterionResult:
+def criterion_5_positivity() -> CriterionResult:
     d = diagram_a()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
+    pairs = 50
     qchoices = [Fraction(1, 4), Fraction(1, 9), Fraction(1)]
     violations = 0
     tested = 0
@@ -344,7 +347,7 @@ def criterion_6_central_projections() -> CriterionResult:
         e_gen = central_projection_partial(params, (1, 1, 1), i)
         beta = model.e_partial(1, i)
         for w, c in e_gen.coeffs.items():
-            agree &= (c == beta[len(w)])
+            agree &= (c == beta[sum(map(int.bit_count, w))])
         agree &= (e_gen.trace() == beta[0])
         sq = e_gen * e_gen - e_gen
         agree &= (sq.norm2_sq() == model.idempotent_residual_sq(1, i))
@@ -419,11 +422,11 @@ def criterion_6_central_projections() -> CriterionResult:
 # -- criterion 7: character dichotomy ----------------------------------------------
 
 
-def criterion_7_characters(samples: int = 200, seed: int = 0) -> CriterionResult:
+def criterion_7_characters() -> CriterionResult:
     from .hecke import char_value
 
     d = diagram_free3()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     b4 = ball(d, 4)
     details: dict = {}
     ok = True
@@ -431,9 +434,8 @@ def criterion_7_characters(samples: int = 200, seed: int = 0) -> CriterionResult
     mult_ok = True
     params = MultiParameter.exact_squares(d, _const(d, Fraction(1, 4)))
     patterns = growth.all_sign_patterns(3)
-    per_pattern = max(1, samples // len(patterns))
     for eps in patterns:
-        for _ in range(per_pattern):
+        for _ in range(25):
             x = _random_element(params, b4, rng)
             y = _random_element(params, b4, rng)
             mult_ok &= (char_value(params, eps, x * y)
@@ -482,14 +484,14 @@ def criterion_7_characters(samples: int = 200, seed: int = 0) -> CriterionResult
 # -- criterion 8: Haagerup suite ------------------------------------------------------
 
 
-def criterion_8_haagerup(trials: int = 50, seed: int = 0, iters: int = 5) -> CriterionResult:
+def criterion_8_haagerup() -> CriterionResult:
     pent = diagram_pentagon()
     details: dict = {}
     fitted = {}
     sphere_norms = {}
     for n in (10, 11):
         per_l = {out["l"]: out["max_ratio"]
-                 for out in l2rep.haagerup_ratio(pent, 0.7, 6, n, trials, seed=seed, iters=iters)}
+                 for out in l2rep.haagerup_ratio(pent, 0.7, 6, n, 50, iters=5)}
         fitted[n] = max(per_l.values())
         sphere_norms[n] = {l: per_l[l] * l for l in per_l}
         details[f"max_ratio n={n}"] = {l: round(v, 4) for l, v in per_l.items()}

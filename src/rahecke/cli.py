@@ -175,12 +175,8 @@ def cmd_mul(args) -> dict:
     params = _params(d, qmap, args.mode)
     a = parse_element_literal(params, args.left)
     b = parse_element_literal(params, args.right)
-    prod = a * b
-    coeffs = [
-        {"word": d.format_element(w), "coeff": prod.coeffs[w]}
-        for w in sorted(prod.coeffs, key=lambda u: (len(u), u))
-    ]
-    return {"product": coeffs}
+    return {"product": [{"word": d.format_element(w), "coeff": c}
+                        for w, c in (a * b).terms()]}
 
 
 def cmd_char(args) -> dict:
@@ -203,10 +199,7 @@ def cmd_eproj(args) -> dict:
     params = _params(d, qmap, "exact")
     eps = _parse_epsilon(d, args.epsilon)
     e = central_projection_partial(params, eps, args.cutoff)
-    coeffs = [
-        {"word": d.format_element(w), "coeff": e.coeffs[w]}
-        for w in sorted(e.coeffs, key=lambda u: (len(u), u))
-    ]
+    coeffs = [{"word": d.format_element(w), "coeff": c} for w, c in e.terms()]
     doc = {"epsilon": _pattern_doc(d, eps), "cutoff": args.cutoff,
            "trace": e.trace(), "coefficients": coeffs}
     if args.residuals:
@@ -297,9 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, q_required=True):
+    def add_common(p):
         p.add_argument("--diagram", required=True, help="diagram JSON file")
-        p.add_argument("--q", required=q_required,
+        p.add_argument("--q", required=True,
                        help="parameters, e.g. 'a=1/4,b=1' or 'all=1/4'")
         p.add_argument("--out", default=None, help="write the JSON report here")
 

@@ -2,18 +2,21 @@
 
 A right-angled Coxeter system is described by its set of generators together
 with the symmetric relation of commuting pairs (exponent 2); all other pairs
-of distinct generators have exponent infinity.  Group elements are handled as
-canonical words: the ShortLex-least reduced word under the input generator
-order.  Two reduced words represent the same element exactly when they differ
-by swaps of adjacent commuting letters, so an element is its heap of pieces
-(Cartier-Foata; Viennot, "Heaps of pieces I"): letters are added one at a time
-on the left, a letter equal to an unshielded piece cancels it, and the
-canonical word is the greedy lexicographic reading of the heap.  Normal forms,
-descents and the weak order all run on the heap's layers: the left descents
-are one scan from the deepest layer and the right descents are the top layer;
-the prefixes P <= w, each with its remainder P^-1 w, come from one recursion
-that strips left descents (``splits``), and joins strip common descents the
-same way.  Words are converted only where elements enter and leave.
+of distinct generators have exponent infinity.  Two reduced words represent
+the same element exactly when they differ by swaps of adjacent commuting
+letters, so an element is its heap of pieces (Cartier-Foata; Viennot, "Heaps
+of pieces I"), and the heap is its key: letters are added one at a time on the
+left, a letter equal to an unshielded piece cancels it, and the canonical word
+(the ShortLex-least reduced word under the input generator order) is the
+greedy lexicographic reading of the heap.  ``heap`` rejects unknown letters
+for every method that reads a word.  Normal forms, descents and the weak
+order all run on the heap's layers: the left descents are one scan from the
+deepest layer and the right descents are the top layer; the prefixes P <= w,
+each with its remainder P^-1 w, come from one recursion that strips left
+descents (``splits``), and joins strip common descents the same way.  Words
+are converted only where elements are parsed or printed; in the Hecke algebra
+that is ``HeckeElement.basis``, ``HeckeElement.terms()`` and
+``cliq_decomposition``.
 """
 
 from __future__ import annotations
@@ -112,48 +115,14 @@ class CoxeterDiagram:
     def __repr__(self) -> str:
         return f"CoxeterDiagram(generators={list(self.generators)!r})"
 
-    def _check_letters(self, word: Iterable[str]) -> None:
-        for x in word:
-            if x not in self._gidx:
-                raise DiagramError(f"unknown generator {x!r}")
-
     # -- canonical words ---------------------------------------------------
-
-    def _linearize(self, letters: Sequence[str]) -> Word:
-        # Greedy ShortLex: repeatedly emit the smallest letter that commutes
-        # with everything before it.  On reduced input this yields the
-        # lexicographically least reduced word of the element.
-        gidx, conflict, full = self._gidx, self._conflict, (1 << len(self.generators)) - 1
-        rest = list(letters)
-        out: list[str] = []
-        while rest:
-            best_i, best_rank, shield = -1, len(self.generators), 0
-            for i, x in enumerate(rest):
-                r = gidx[x]
-                if r < best_rank and not shield >> r & 1:
-                    best_rank, best_i = r, i
-                shield |= conflict[r]
-                if shield == full:
-                    break
-            out.append(rest.pop(best_i))
-        return tuple(out)
 
     def normal_form(self, word: Iterable[str]) -> Word:
         """ShortLex-least reduced word of the element spelled by ``word``."""
-        letters = tuple(word)
-        self._check_letters(letters)
-        return self.heap_word(self.heap(letters))
-
-    # -- group operations --------------------------------------------------
+        return self.heap_word(self.heap(word))
 
     def multiply(self, v: Iterable[str], w: Iterable[str]) -> Word:
         return self.normal_form(tuple(v) + tuple(w))
-
-    def inverse(self, w: Sequence[str]) -> Word:
-        # Generators are involutions, so the inverse word is the reversal;
-        # it stays reduced and only needs re-linearization.
-        self._check_letters(w)
-        return self._linearize(tuple(reversed(w)))
 
     # -- heaps of pieces ---------------------------------------------------
     # An element is its heap (Cartier-Foata; Viennot, "Heaps of pieces I"),
@@ -176,17 +145,41 @@ class CoxeterDiagram:
         return layers[:k + 1] + (layers[k + 1] | bit,) + layers[k + 2:], False
 
     def heap(self, word: Iterable[str]) -> tuple[int, ...]:
-        """Heap layers of the element spelled by ``word``."""
+        """Heap layers of the element spelled by ``word``; DiagramError names
+        an unknown letter."""
+        letters = tuple(word)
+        for x in letters:
+            if x not in self._gidx:
+                raise DiagramError(f"unknown generator {x!r}")
         layers: tuple[int, ...] = ()
-        for s in reversed(tuple(word)):
+        for s in reversed(letters):
             layers = self.heap_lmul(layers, s)[0]
         return layers
 
+    def heap_letters(self, layers: Sequence[int]) -> Word:
+        """Letters of the canonical word of the element with these heap
+        layers, right to left.  Greedy ShortLex on the pieces read deepest
+        first: repeatedly take the smallest letter that commutes with every
+        piece before it."""
+        gens, conflict = self.generators, self._conflict
+        full = (1 << len(gens)) - 1
+        rest = [i for layer in reversed(layers) for i in _bits(layer)]
+        out: list[str] = []
+        while rest:
+            best_k, best, shield = -1, len(gens), 0
+            for k, i in enumerate(rest):
+                if i < best and not shield >> i & 1:
+                    best_k, best = k, i
+                shield |= conflict[i]
+                if shield == full:
+                    break
+            out.append(gens[rest.pop(best_k)])
+        out.reverse()
+        return tuple(out)
+
     def heap_word(self, layers: Sequence[int]) -> Word:
         """Canonical word of the element with these heap layers."""
-        gens = self.generators
-        return self._linearize([gens[i] for layer in reversed(layers)
-                                for i in range(len(gens)) if layer >> i & 1])
+        return self.heap_letters(layers)[::-1]
 
     def heap_descents(self, layers: Sequence[int]) -> int:
         """Bitmask of the left descents s <= w of the element with these
@@ -208,7 +201,6 @@ class CoxeterDiagram:
     def starts_with(self, v: Sequence[str], w: Sequence[str]) -> bool:
         """The order v <= w, i.e. |v^-1 w| == |w| - |v|."""
         v = self.normal_form(v)
-        self._check_letters(w)
         # Strip the letters of v off the front of w one descent at a time.
         layers = self.heap(w)
         for t in v:
@@ -239,8 +231,7 @@ class CoxeterDiagram:
 
     def join(self, v: Sequence[str], w: Sequence[str]) -> Word | None:
         """Least upper bound in the weak right order, or None if there is none."""
-        v, w = tuple(v), tuple(w)
-        self._check_letters(v + w)
+        v = tuple(v)
         # The least u with w <= v.u (reduced product), on the layers: a left
         # descent common to what is left of v and of w is stripped off both;
         # otherwise every descent of w must commute past all of v (else no
@@ -265,8 +256,6 @@ class CoxeterDiagram:
         """True iff s*w == w*s, i.e. s commutes with every other letter of w."""
         if s not in self._gidx:
             raise DiagramError(f"unknown generator {s!r}")
-        w = tuple(w)
-        self._check_letters(w)
         i = self._gidx[s]
         return not reduce(or_, self.heap(w), 0) & self._conflict[i] & ~(1 << i)
 

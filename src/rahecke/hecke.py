@@ -1,21 +1,24 @@
 """Exact arithmetic in the multi-parameter Hecke algebra of a right-angled
 Coxeter system.
 
-Basis symbols T_w are indexed by canonical words.  Products follow the
-one-letter rule
+Basis symbols T_w are keyed by the heap layers of w (``CoxeterDiagram.heap``)
+from construction to output.  Words appear only where an element is parsed or
+printed: ``HeckeElement.basis`` takes one, ``HeckeElement.terms()`` gives the
+canonical words in ShortLex order, and ``cliq_decomposition`` returns words.
+Products follow the one-letter rule
 
     T_s T_w = T_{sw}                 if s is not below w,
     T_s T_w = T_{sw} + p_s T_w       if s <= w,      p_s = (q_s - 1) / sqrt(q_s),
 
-extended letter by letter over the left factor and bilinearly.  Inside a
-product the terms are keyed by heap layers, on which a letter is one scan
-(``CoxeterDiagram.heap_lmul``); words are read and written only at the
-product's edges.  In exact mode every q_s must be the square of a rational, so
-p_s, character values, and the coefficients of the central-projection partial
-sums all stay rational.  Exact products run on Python integers over one
-denominator: each factor's coefficients become numerators over their least
-common denominator, the walk scales T_s by the denominator of p_s, and one
-``Fraction`` per output key is built at the end.
+extended letter by letter over the left factor and bilinearly: the left
+key's letters come off its layers right to left (``heap_letters``), and a
+letter on a right key is one scan (``CoxeterDiagram.heap_lmul``).  In exact
+mode every q_s must be the square of a rational, so p_s, character values,
+and the coefficients of the central-projection partial sums all stay
+rational.  Exact products run on Python integers over one denominator: each
+factor's coefficients become numerators over their least common denominator,
+the walk scales T_s by the denominator of p_s, and one ``Fraction`` per
+output key is built at the end.
 """
 
 from __future__ import annotations
@@ -149,11 +152,13 @@ class MultiParameter:
 
 
 class HeckeElement:
-    """Finite linear combination of basis symbols T_w."""
+    """Finite linear combination of basis symbols T_w, keyed by the heap
+    layers of w (``CoxeterDiagram.heap``)."""
 
     __slots__ = ("diagram", "params", "coeffs")
 
-    def __init__(self, params: MultiParameter, coeffs: Mapping[Word, object] | None = None):
+    def __init__(self, params: MultiParameter,
+                 coeffs: Mapping[tuple[int, ...], object] | None = None):
         self.diagram = params.diagram
         self.params = params
         cleaned = {}
@@ -161,7 +166,7 @@ class HeckeElement:
             for w, c in coeffs.items():
                 if c != 0:
                     cleaned[w] = c
-        self.coeffs: dict[Word, object] = cleaned
+        self.coeffs: dict[tuple[int, ...], object] = cleaned
 
     @classmethod
     def zero(cls, params: MultiParameter) -> "HeckeElement":
@@ -173,9 +178,8 @@ class HeckeElement:
 
     @classmethod
     def basis(cls, params: MultiParameter, word: Iterable[str]) -> "HeckeElement":
-        w = params.diagram.normal_form(word)
         unit = Fraction(1) if params.exact else 1.0
-        return cls(params, {w: unit})
+        return cls(params, {params.diagram.heap(word): unit})
 
     # -- linear structure ----------------------------------------------------
 
@@ -210,12 +214,15 @@ class HeckeElement:
                 and self.params.same_as(other.params)
                 and self.coeffs == other.coeffs)
 
+    def terms(self) -> list[tuple[Word, object]]:
+        """(canonical word, coefficient) pairs in ShortLex order."""
+        return sorted(((self.diagram.heap_word(k), c) for k, c in self.coeffs.items()),
+                      key=lambda t: (len(t[0]), t[0]))
+
     def __repr__(self) -> str:
         if not self.coeffs:
             return "HeckeElement(0)"
-        bits = []
-        for w in sorted(self.coeffs, key=lambda u: (len(u), u)):
-            bits.append(f"{self.coeffs[w]}*T({self.diagram.format_element(w)})")
+        bits = [f"{c}*T({self.diagram.format_element(w)})" for w, c in self.terms()]
         return "HeckeElement(" + " + ".join(bits) + ")"
 
     # -- multiplication ------------------------------------------------------
@@ -237,13 +244,14 @@ class HeckeElement:
         else:
             left, dx = self.coeffs.values(), 1
             right, dy = other.coeffs.values(), 1
-        pds = [math.prod(parts[s][1] for s in v) for v in self.coeffs]
+        letters = [d.heap_letters(v) for v in self.coeffs]
+        pds = [math.prod(parts[s][1] for s in v) for v in letters]
         big = math.lcm(*pds)
-        start = {d.heap(w): c for w, c in zip(other.coeffs, right)}
+        start = dict(zip(other.coeffs, right))
         total: dict[tuple[int, ...], object] = {}
-        for v, cv, pdv in zip(self.coeffs, left, pds):
+        for v, cv, pdv in zip(letters, left, pds):
             state = start
-            for s in reversed(v):
+            for s in v:
                 pn, pd = parts[s]
                 out: dict[tuple[int, ...], object] = {}
                 for key, c in state.items():
@@ -260,18 +268,18 @@ class HeckeElement:
                 total[key] = cv * c if old is None else old + cv * c
         if exact:
             den = big * dx * dy
-            return HeckeElement(self.params, {d.heap_word(key): Fraction(n, den)
+            return HeckeElement(self.params, {key: Fraction(n, den)
                                               for key, n in total.items() if n != 0})
-        return HeckeElement(self.params, {d.heap_word(key): c for key, c in total.items()
-                                          if c != 0})
+        return HeckeElement(self.params, total)
 
     # -- involution, trace, l2 ------------------------------------------------
 
     def adjoint(self) -> "HeckeElement":
-        """x* = sum_w x_w T_{w^-1}: the coefficients are real and inversion
-        is a bijection on canonical words."""
-        inverse = self.diagram.inverse
-        return HeckeElement(self.params, {inverse(w): c for w, c in self.coeffs.items()})
+        """x* = sum_w x_w T_{w^-1}: the coefficients are real, and a word of
+        w read right to left spells w^-1."""
+        d = self.diagram
+        return HeckeElement(self.params, {d.heap(d.heap_letters(w)): c
+                                          for w, c in self.coeffs.items()})
 
     def trace(self):
         """tau(x): the coefficient of T_e."""
@@ -301,15 +309,10 @@ class HeckeElement:
 
 def flip_parameters(a: HeckeElement, eps: Sequence[int]) -> HeckeElement:
     """Image of ``a`` under the isomorphism T_s -> eps_s T_s over (q_s**eps_s)."""
-    new_params = a.params.flipped(eps)
-    emap = dict(zip(a.diagram.generators, eps))
-    out: dict[Word, object] = {}
-    for w, c in a.coeffs.items():
-        sign = 1
-        for s in w:
-            sign *= emap[s]
-        out[w] = out.get(w, 0) + sign * c
-    return HeckeElement(new_params, out)
+    d, emap = a.diagram, dict(zip(a.diagram.generators, eps))
+    return HeckeElement(a.params.flipped(eps),
+                        {w: math.prod(emap[s] for s in d.heap_letters(w)) * c
+                         for w, c in a.coeffs.items()})
 
 
 def char_value(params: MultiParameter, eps: Sequence[int], a: HeckeElement):
@@ -318,7 +321,8 @@ def char_value(params: MultiParameter, eps: Sequence[int], a: HeckeElement):
         raise ValueError("parameter mismatch")
     acc = Fraction(0) if params.exact else 0.0
     for w, c in a.coeffs.items():
-        acc = acc + c * params.sqrt_q_signed(w, eps)
+        # the canonical word's letter order, which float rounding follows
+        acc = acc + c * params.sqrt_q_signed(a.diagram.heap_letters(w)[::-1], eps)
     return acc
 
 
@@ -332,13 +336,15 @@ def central_projection_partial(params: MultiParameter, eps: Sequence[int],
     are the character values chi_eps(T_w), multiplied out along the ball's
     generation tree.
     """
+    if cutoff < 0:
+        raise ValueError("cutoff must be >= 0")
     if not params.exact:
         raise ValueError("central projections need exact parameters")
     d = params.diagram
     w_value = growth.growth_value(d, params.abs_flip(eps))
     b = enumeration.ball(d, cutoff)
     chars = {s: params.char_gen(s, e) for s, e in zip(d.generators, eps)}
-    return HeckeElement(params, {w: c / w_value for w, c in
+    return HeckeElement(params, {d.heap(w): c / w_value for w, c in
                                  zip(b.words, b.element_weights(chars, cutoff))})
 
 
@@ -359,7 +365,7 @@ def cliq_decomposition(params: MultiParameter, w: Sequence[str]
     comm = {s: sum(1 << j for j, t in enumerate(gens) if d.commutes(s, t)) for s in gens}
     one = Fraction(1) if params.exact else 1.0
     out: list[tuple[Word, tuple[str, ...], Word, object]] = []
-    splits = d.splits(d.heap(d.normal_form(w)))
+    splits = d.splits(d.heap(w))
     for wp, top, u in sorted(((d.heap_word(p), p[0] if p else 0, u) for p, u in splits.items()),
                              key=lambda item: (len(item[0]), item[0])):
         # Gamma runs over the subsets of the left descents of u = w'^-1 w,

@@ -80,7 +80,7 @@ Op = tuple[Sequence, Sequence[tuple[tuple[int, ...], object]]]
 def _hecke_op(a: HeckeElement) -> Op:
     d = a.diagram
     return ([a.params.p(s) for s in d.generators],
-            [(tuple(map(d.gen_index, w)), c) for w, c in a.coeffs.items()])
+            [(tuple(map(d.gen_index, d.heap_word(w))), c) for w, c in a.coeffs.items()])
 
 
 def _group_op(d: CoxeterDiagram, word: Sequence[str]) -> Op:
@@ -143,7 +143,7 @@ def rep_hecke(a: HeckeElement, b: Ball) -> list[dict[int, object]]:
     longest word of ``a``, which holds all its terms, and its rows are cut
     back to B_n, the first ``len(b)`` ids of that ball; so every column is
     exact, the ones at the ball's edge too."""
-    reach = max((len(w) for w in a.coeffs), default=0)
+    reach = max((sum(map(int.bit_count, w)) for w in a.coeffs), default=0)
     walk, m, op = _Walker(ball(b.diagram, b.radius + reach)), len(b), _hecke_op(a)
     return [{u: c for u, c in walk.column(op, v).items() if u < m} for v in range(m)]
 

@@ -166,6 +166,10 @@ def test_error_exits(capsys, diagram_a_file, tmp_path):
                      "--radius", "5", "--qscalar", "1/2", f"--cutoff={cutoff}"]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and "cutoff must be >= 0" in captured.err
+        assert main(["eproj", "--diagram", diagram_a_file, "--q", "all=1/4",
+                     "--epsilon", "all=+1", f"--cutoff={cutoff}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "cutoff must be >= 0" in captured.err
 
 
 # Each command given a rational with a zero denominator: a validation error.
@@ -307,6 +311,16 @@ GOLDEN_CASES = {
                     "--epsilon", "all=+1", "--cutoff", "3", "--residuals"],
     "mul_A": ["mul", "--diagram", "A", "--q", "a=1/4,b=9,c=1",
               "--left", "1*T(ab) - 1/2*T(c)", "--right", "2*T(bca) + T(e)"],
+    # Float mode at parameters that are not squares of rationals.
+    "mul_float_pentagon": ["mul", "--mode", "float", "--diagram", "pentagon",
+                           "--q", "a=2,b=3,c=1/2,d=5/3,e=7",
+                           "--left", "1*T(ac) - 3/2*T(bd) + T(ceab)",
+                           "--right", "2*T(aced) + T(e) - 1/3*T(db)"],
+    "char_float_pentagon": ["char", "--mode", "float", "--diagram", "pentagon",
+                            "--q", "a=2,b=3,c=1/2,d=5/3,e=7", "--epsilon", "a=-1,c=-1",
+                            "--element", "1*T(e) - 3/2*T(acd) + 2*T(cebda) + T(bdace)"],
+    "char_A": ["char", "--diagram", "A", "--q", "a=1/4,b=9,c=4/9", "--epsilon", "b=-1",
+               "--element", "2*T(abc) - 1/3*T(cb) + T(e) + T(bcacb)"],
     "verify_cliq_A": ["verify", "--suite", "cliq", "--diagram", "A",
                       "--q", "all=1/4", "--radius", "5"],
     "verify_corollary_A": ["verify", "--suite", "corollary", "--diagram", "A",

@@ -15,6 +15,7 @@ from rahecke import enumeration
 from rahecke.enumeration import Ball, ball, connected_diagram_corpus
 from rahecke.hecke import HeckeElement, MultiParameter, cliq_decomposition
 from rahecke import l2rep
+from test_coxeter import inverse
 from test_enumeration import ball_index, diagrams, prefixes
 
 
@@ -130,7 +131,7 @@ def test_rep_column_at_origin(params, b6):
     x = HeckeElement.basis(params, "ab") - Fraction(2, 3) * HeckeElement.basis(params, "cac")
     R = l2rep.rep_hecke(x, b6)
     col = {b6.words[r]: v for r, v in R[0].items()}
-    assert col == dict(x.coeffs)
+    assert col == dict(x.terms())
 
 
 def test_rep_single_generator_rule(params, b6):
@@ -163,7 +164,7 @@ def test_rep_homomorphism(params, b6):
         lhs = rep(x, b6) @ rep(y, b6)
         rhs = rep(x * y, b6)
         # the product of compressions is exact where neither factor leaves B_6
-        reach = sum(max((len(w) for w in z.coeffs), default=0) for z in (x, y))
+        reach = sum(max((len(w) for w, _ in z.terms()), default=0) for z in (x, y))
         assert lhs.max_abs_difference(rhs, 6 - reach) == 0
 
 
@@ -191,7 +192,7 @@ def test_id_columns_match_word_products(d, data):
     index = ball_index(b)
     for v in range(len(b)):
         image = a * HeckeElement.basis(params, b.words[v])
-        assert hecke_cols[v] == {index[u]: c for u, c in image.coeffs.items()
+        assert hecke_cols[v] == {index[u]: c for u, c in image.terms()
                                  if len(u) <= n}
         target = d.multiply(word, b.words[v])
         assert group_cols[v] == ({index[target]: 1} if len(target) <= n else {})
@@ -569,7 +570,7 @@ def test_q_operator_matches_prefix_sums(d, radius, cutoff, data):
     for v, w in enumerate(b.words):
         pre = prefixes(d, w)
         assert diag[v] == sum((q ** len(p) for p in pre
-                               if len(p) <= cutoff and d.starts_with(u, d.inverse(p))),
+                               if len(p) <= cutoff and d.starts_with(u, inverse(d, p))),
                               Fraction(0))
         assert sum((q ** len(p) for p in pre if len(p) > cutoff), Fraction(0)) <= tail
 
