@@ -13,12 +13,16 @@ place that knows this rule.  Everything else follows its integer transition
 table: ``Ball`` generates each sphere from the previous one on arrays and
 keeps only integer tables (word tuples are derived on first read), and
 ``NormalFormAutomaton.sphere_series`` is the exact transfer-matrix oracle for
-sphere counts and weighted sphere sums.
+sphere counts and weighted sphere sums.  Ball weights q_w are integers over
+one denominator: ``Ball.weight_numerators`` multiplies the numerators out
+along the generation tree, and ``sphere_weight`` builds one Fraction per
+sphere.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -164,15 +168,21 @@ class Ball:
             cur = np.where(alive, self.lmul[ti][cur], 0)
         return alive
 
-    def element_weights(self, q: Mapping[str, Fraction], l: int) -> list:
-        """q_w, the product of per-letter weights, for every ball element of
-        length <= l, in ball order, multiplied out along the generation tree."""
+    def weight_numerators(self, q: Mapping[str, Fraction], l: int) -> tuple[list, int]:
+        """(nums, den) with q_w = nums[v] / den**|v| for every ball element v
+        of length <= l, in ball order: den is the lcm of the q_s
+        denominators, and nums multiply out along the generation tree.  Float
+        weights take den = 1, so nums are the float weights themselves."""
         qs = [q[s] for s in self.diagram.generators]
-        out = [Fraction(1) if all(isinstance(x, Fraction) for x in qs) else 1.0]
+        if all(isinstance(x, Fraction) for x in qs):
+            den = math.lcm(*(x.denominator for x in qs))
+            step, out = [x.numerator * (den // x.denominator) for x in qs], [1]
+        else:
+            den, step, out = 1, qs, [1.0]
         top = self.sphere_start[min(l, self.radius) + 1]
         for u, t in zip(self.parent[1:top].tolist(), self.plast[1:top].tolist()):
-            out.append(out[u] * qs[t])
-        return out
+            out.append(out[u] * step[t])
+        return out, den
 
 
 _BALL_CACHE: dict[tuple, Ball] = {}  # least recently used first
@@ -202,8 +212,10 @@ def sphere_weight(diagram: CoxeterDiagram, q: Mapping[str, Fraction], l: int,
     """a_l(q) = sum of q_w over the sphere of radius l."""
     if b is None or b.radius < l:
         b = ball(diagram, l)
-    weights = b.element_weights(q, l)
-    return sum(weights[v] for v in b.sphere(l))
+    nums, den = b.weight_numerators(q, l)
+    sphere = b.sphere(l)
+    total = sum(nums[sphere.start:sphere.stop])
+    return total if isinstance(nums[0], float) else Fraction(total, den ** l)
 
 
 class NormalFormAutomaton:

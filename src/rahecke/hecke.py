@@ -333,8 +333,8 @@ def central_projection_partial(params: MultiParameter, eps: Sequence[int],
     E^(i) = (1/W(|q_eps|)) * sum_{|w| <= i} (sqrt q)_{w,eps} T_w.  Requires
     |q_eps| strictly inside the convergence region, so that the normalization
     W(|q_eps|) is an exact positive rational.  The coefficients (sqrt q)_{w,eps}
-    are the character values chi_eps(T_w), multiplied out along the ball's
-    generation tree.
+    are the character values chi_eps(T_w), integers over den^|w| multiplied
+    out along the ball's generation tree, so each coefficient is one Fraction.
     """
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
@@ -344,8 +344,10 @@ def central_projection_partial(params: MultiParameter, eps: Sequence[int],
     w_value = growth.growth_value(d, params.abs_flip(eps))
     b = enumeration.ball(d, cutoff)
     chars = {s: params.char_gen(s, e) for s, e in zip(d.generators, eps)}
-    return HeckeElement(params, {d.heap(w): c / w_value for w, c in
-                                 zip(b.words, b.element_weights(chars, cutoff))})
+    nums, den = b.weight_numerators(chars, cutoff)
+    scale = [den ** l * w_value.numerator for l in range(cutoff + 1)]
+    return HeckeElement(params, {d.heap(w): Fraction(n * w_value.denominator, scale[len(w)])
+                                 for w, n in zip(b.words, nums)})
 
 
 def cliq_decomposition(params: MultiParameter, w: Sequence[str]

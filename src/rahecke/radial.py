@@ -24,8 +24,10 @@ h_l = sum_{|w|=l} T_w also satisfy the three-term recursion
 
 so radial elements form a commutative algebra (``RadialModel``) in which
 products, and hence the idempotent residual ||E^(i)^2 - E^(i)||_2^2, are
-exact rational computations of size linear in the cutoff.  Equality with
-the generic Hecke machinery is checked at small cutoffs by the tests.
+exact rational computations of size linear in the cutoff.  Products and
+norms run on integers over one denominator, with one Fraction per output
+entry.  Equality with the generic Hecke machinery is checked at small
+cutoffs by the tests.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import Sequence
 
 from . import growth
 from .enumeration import NormalFormAutomaton
-from .hecke import MultiParameter
+from .hecke import MultiParameter, _over_lcm
 
 
 class RadialModel:
@@ -45,6 +47,8 @@ class RadialModel:
     def __init__(self, k: int, r: Fraction):
         if k < 2:
             raise ValueError("need at least two generators")
+        if r <= 0:
+            raise ValueError("r must be > 0")
         self.k = k
         self.r = Fraction(r)
         self.q = self.r * self.r
@@ -55,58 +59,48 @@ class RadialModel:
     def sphere_size(self, l: int) -> int:
         return 1 if l == 0 else self.k * (self.k - 1) ** (l - 1)
 
-    def mul_h1(self, vec: Sequence[Fraction]) -> list[Fraction]:
-        out = [Fraction(0)] * (len(vec) + 1)
-        for l, c in enumerate(vec):
-            if c == 0:
-                continue
-            if l == 0:
-                out[1] += c
-            else:
-                out[l + 1] += c
-                out[l] += c * self.p
-                if l == 1:
-                    out[0] += c * self.k
-                else:
-                    out[l - 1] += c * (self.k - 1)
-        while len(out) > 1 and out[-1] == 0:
-            out.pop()
-        return out
-
     def product(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> list[Fraction]:
-        """Product of two radial elements in the h-basis."""
-        # x * h_m computed by the recursion h_{m+1} = h_1 h_m - p h_m - c_m h_{m-1}
-        # with c_1 = k, c_m = k - 1 for m >= 2.
-        out = [Fraction(0)]
-        xh_prev: list[Fraction] = []          # x * h_{m-1}
-        xh = [Fraction(c) for c in x]         # x * h_0 = x
-        for m, coef in enumerate(y):
-            if coef != 0:
-                for l, c in enumerate(xh):
-                    if l >= len(out):
-                        out.extend([Fraction(0)] * (l - len(out) + 1))
-                    out[l] += coef * c
-            if m == len(y) - 1:
+        """Product of two radial elements in the h-basis.
+
+        x * h_m follows the recursion h_{m+1} = h_1 h_m - p h_m - c_m h_{m-1}
+        (c_1 = k, c_m = k - 1 for m >= 2; h_1 h_0 = h_1) on the integer
+        vectors z_m = dx pd^m (x * h_m), with p = pn/pd and x = X/dx, so the
+        result is sum_m Y_m pd^(M-m) z_m over the one denominator
+        dx dy pd^M, with y = Y/dy of length M + 1."""
+        pn, pd = self.p.numerator, self.p.denominator
+        xs, dx = _over_lcm(x)
+        ys, dy = _over_lcm(y)
+        if not xs or not ys:
+            return [Fraction(0)]
+        top, k = len(ys) - 1, self.k
+        acc = [0] * (len(xs) + top)
+        prev, z = [], xs + [0] * top        # z_{m-1} and z_m, padded to one length
+        for m, ym in enumerate(ys):
+            if ym:
+                scale = ym * pd ** (top - m)
+                acc = [a + scale * c for a, c in zip(acc, z)]
+            if m == top:
                 break
-            nxt = self.mul_h1(xh)
-            if m >= 1:
-                for l, c in enumerate(xh):
-                    nxt[l] -= self.p * c
-                cm = self.k if m == 1 else self.k - 1
-                for l, c in enumerate(xh_prev):
-                    nxt[l] -= cm * c
-            while len(nxt) > 1 and nxt[-1] == 0:
-                nxt.pop()
-            xh_prev, xh = xh, nxt
-        while len(out) > 1 and out[-1] == 0:
-            out.pop()
-        return out
+            # pd h_1 z_m: sphere l rises to l + 1 and falls to l - 1 with
+            # multiplicity k (l = 1) or k - 1 (l >= 2); the p h_l that h_1
+            # adds for l >= 1 cancels against -p h_m except at l = 0 (m >= 1)
+            nxt = ([pd * k * z[1]] + [pd * (a + (k - 1) * b) for a, b in zip(z, z[2:])]
+                   + [pd * z[-2]])
+            if m == 0:
+                nxt[1:] = [c + pn * b for c, b in zip(nxt[1:], z[1:])]
+            else:
+                nxt[0] -= pn * z[0]
+                cm = pd * pd * (k if m == 1 else k - 1)
+                nxt = [c - cm * b for c, b in zip(nxt, prev)]
+            prev, z = z, nxt
+        while len(acc) > 1 and acc[-1] == 0:
+            acc.pop()
+        den = dx * dy * pd ** top
+        return [Fraction(a, den) for a in acc]
 
     def norm2_sq(self, vec: Sequence[Fraction]) -> Fraction:
-        acc = Fraction(0)
-        for l, c in enumerate(vec):
-            acc += c * c * self.sphere_size(l)
-        return acc
+        nums, den = _over_lcm(vec)
+        return Fraction(sum(n * n * self.sphere_size(l) for l, n in enumerate(nums)), den * den)
 
     # -- central projection partial sums -------------------------------------
 
@@ -123,6 +117,10 @@ class RadialModel:
 
     def e_partial(self, eps: int, cutoff: int) -> list[Fraction]:
         """h-basis vector of E^(cutoff) for the constant sign pattern eps."""
+        if eps not in (1, -1):
+            raise ValueError("eps must be 1 or -1")
+        if cutoff < 0:
+            raise ValueError("cutoff must be >= 0")
         t = self.q if eps == 1 else 1 / self.q
         w_value = self.growth_value(t)
         gamma = self.projection_coefficient(eps)

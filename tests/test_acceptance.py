@@ -1,18 +1,21 @@
 """Acceptance gate: every criterion of the bundled suite must pass.
 
 The suite is shared with the ``rahecke report`` subcommand; each test prints
-its pass/fail line.  The Haagerup criterion dominates the runtime (it scans
-two pentagon balls with fifty samples per sphere).  A last test checks that
-every function in ``src`` has a caller in ``src``.
+its pass/fail line, and the results, details included, must equal the report
+recorded in ``tests/golden/report.json``.  The Haagerup criterion dominates
+the runtime (it scans two pentagon balls with fifty samples per sphere).  A
+last test checks that every function in ``src`` has a caller in ``src``.
 """
 
 import ast
+import json
 from pathlib import Path
 
 import pytest
 
 import rahecke
 from rahecke import acceptance, l2rep
+from rahecke.cli import _encode
 from rahecke.coxeter import CoxeterDiagram
 
 _RESULTS = {}
@@ -35,6 +38,17 @@ def _run(key):
 def test_criterion(key):
     res = _run(key)
     assert res.passed, f"{res.name}: {res.details}"
+
+
+def test_report_matches_golden():
+    """Each criterion's name, verdict and details, encoded as ``rahecke
+    report`` prints them, equal the recorded report in tests/golden/."""
+    golden = json.loads((Path(__file__).parent / "golden" / "report.json").read_text())
+    assert [c["name"] for c in golden["criteria"]] == [_run(k).name for k, _ in acceptance.CRITERIA]
+    for key, want in zip((k for k, _ in acceptance.CRITERIA), golden["criteria"]):
+        res = _run(key)
+        got = {"name": res.name, "passed": res.passed, "details": res.details}
+        assert json.loads(json.dumps(_encode(got))) == want, res.name
 
 
 @pytest.mark.parametrize("mutant", ["clique number - 1", "zero tail"])

@@ -208,7 +208,33 @@ def test_element_weights_stop_at_the_sphere(diagram_a):
     b = ball(diagram_a, 6)
     q = {"a": Fraction(1, 2), "b": Fraction(3), "c": Fraction(1, 5)}
     for l in range(7):
-        assert b.element_weights(q, l) == [_prod(q, w) for w in b.words[:b.sphere_start[l + 1]]]
+        nums, den = b.weight_numerators(q, l)
+        assert den == 10
+        words = b.words[:b.sphere_start[l + 1]]
+        assert [Fraction(n, den ** len(w)) for n, w in zip(nums, words)] == [_prod(q, w) for w in words]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.data())
+def test_sphere_weight_is_the_word_product(data):
+    """sphere_weight over one denominator equals the per-word product at
+    rational q with distinct denominators, and at float q it is the float
+    product along the generation tree, summed in ball order, bit for bit."""
+    d = data.draw(diagrams(max_rank=4))
+    dens = data.draw(st.lists(st.integers(1, 12), min_size=d.rank, max_size=d.rank, unique=True))
+    q = {s: Fraction(data.draw(st.integers(1, 30)), den) for s, den in zip(d.generators, dens)}
+    qf = {s: float(v) for s, v in q.items()}
+    b = ball(d, 5)
+    for l in range(6):
+        words = [b.words[v] for v in b.sphere(l)]
+        assert sphere_weight(d, q, l, b) == sum(_prod(q, w) for w in words)
+        tree = []
+        for w in words:
+            x = 1.0
+            for s in w:
+                x *= qf[s]
+            tree.append(x)
+        assert repr(sphere_weight(d, qf, l, b)) == repr(sum(tree))
 
 
 def prefixes(diagram, w):

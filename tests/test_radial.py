@@ -57,6 +57,84 @@ def test_radial_product_matches_algebra(free3, params):
                 assert got == {c}
 
 
+def _trimmed(vec):
+    vec = list(vec)
+    while len(vec) > 1 and vec[-1] == 0:
+        vec.pop()
+    return vec
+
+
+def _fraction_product(k, r, x, y):
+    """The h_m recursion of RadialModel.product on Fractions, the h_1 step
+    written out: the oracle for the integer recursion.  Its inputs carry no
+    trailing zeros (it indexes past a vector trimmed shorter than its
+    predecessor)."""
+    q = Fraction(r) ** 2
+    p = (q - 1) / Fraction(r)
+
+    def mul_h1(vec):
+        out = [Fraction(0)] * (len(vec) + 1)
+        for l, c in enumerate(vec):
+            out[l + 1] += c
+            if l >= 1:
+                out[l] += c * p
+                out[l - 1] += c * (k if l == 1 else k - 1)
+        return out
+
+    out = [Fraction(0)]
+    xh_prev, xh = [], [Fraction(c) for c in x]
+    for m, coef in enumerate(y):
+        if coef != 0:
+            out.extend([Fraction(0)] * (len(xh) - len(out)))
+            for l, c in enumerate(xh):
+                out[l] += coef * c
+        if m == len(y) - 1:
+            break
+        nxt = mul_h1(xh)
+        if m >= 1:
+            cm = k if m == 1 else k - 1
+            for l, c in enumerate(xh):
+                nxt[l] -= p * c
+            for l, c in enumerate(xh_prev):
+                nxt[l] -= cm * c
+        xh_prev, xh = xh, _trimmed(nxt)
+    return _trimmed(out)
+
+
+radial_vectors = st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=12),
+                          min_size=1, max_size=7).flatmap(
+    lambda v: st.integers(0, 3).map(lambda z: v + [Fraction(0)] * z))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(2, 5),
+       st.sampled_from([Fraction(1, 2), Fraction(3), Fraction(2, 7), Fraction(5, 3), Fraction(1)]),
+       radial_vectors, radial_vectors)
+def test_integer_product_matches_fraction_recursion(k, r, x, y):
+    """The product on integers over one denominator equals the Fraction
+    recursion, trailing zeros in either factor included."""
+    assert RadialModel(k, r).product(x, y) == _fraction_product(k, r, _trimmed(x), _trimmed(y))
+
+
+def test_product_with_trailing_zeros():
+    """x with two trailing zeros and y with three entries: h_0 * (h_0 + h_1
+    + h_2) is h_0 + h_1 + h_2."""
+    assert RadialModel(3, Fraction(1, 2)).product([1, 0, 0, 0], [1, 1, 1]) == [1, 1, 1]
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: RadialModel(3, 0), "r must be > 0"),
+    (lambda: RadialModel(3, Fraction(-1, 2)), "r must be > 0"),
+    (lambda: RadialModel(3, Fraction(1, 2)).idempotent_residual_sq(1, -1), "cutoff"),
+    (lambda: RadialModel(3, Fraction(1, 2)).e_partial(-1, -2), "cutoff"),
+    (lambda: RadialModel(3, 2).idempotent_residual_sq(0, 3), "eps"),
+    (lambda: RadialModel(3, Fraction(1, 2)).e_partial(2, 3), "eps"),
+])
+def test_radial_model_refuses_vacuous_inputs(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_norm_matches(params, free3):
     m = RadialModel(3, Fraction(1, 2))
     vec = [Fraction(1, 3), Fraction(-2), Fraction(0), Fraction(5, 7)]
