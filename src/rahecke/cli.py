@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import acceptance, growth, l2rep, radial
 from .coxeter import CoxeterDiagram, DiagramError, parse_diagram
-from .enumeration import ball
+from .enumeration import BallCapExceeded, ball
 from .hecke import (MultiParameter, central_projection_partial, char_value,
                     parse_element_literal, parse_rational)
 
@@ -107,12 +107,6 @@ def _pattern_doc(diagram: CoxeterDiagram, eps) -> dict:
     return {s: e for s, e in zip(diagram.generators, eps)}
 
 
-def _interval_doc(iv) -> list | None:
-    if iv is None:
-        return None
-    return [iv[0], iv[1]]
-
-
 def cmd_nf(args) -> dict:
     d = _load_diagram(args.diagram)
     word = d.parse_element(args.word)
@@ -138,8 +132,8 @@ def cmd_growth(args) -> dict:
         "q": {s: qmap[s] for s in d.generators},
         "reciprocal_value": report.reciprocal_value,
         "cleared_polynomial": list(report.cleared_polynomial),
-        "t0": _interval_doc(report.t0),
-        "rho": _interval_doc(report.rho),
+        "t0": report.t0,
+        "rho": report.rho,
         "rho_float": report.rho_float(),
         "membership": report.membership,
     }
@@ -162,8 +156,8 @@ def cmd_classify(args) -> dict:
                        for s, e in zip(d.generators, eps))
         per_flip[key] = {
             "membership": info["membership"],
-            "t0_interval": _interval_doc(info["t0"]),
-            "rho_interval": _interval_doc(info["rho"]),
+            "t0_interval": info["t0"],
+            "rho_interval": info["rho"],
         }
     doc["per_flip"] = per_flip
     return doc
@@ -379,7 +373,7 @@ def main(argv: list[str] | None = None) -> int:
             doc, code = result, 0
         _emit(doc, getattr(args, "out", None))
         return code
-    except (DiagramError, ValueError, OSError) as exc:
+    except (DiagramError, BallCapExceeded, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except Exception as exc:  # pragma: no cover - internal failure path

@@ -381,4 +381,7 @@ def parse_diagram(source: str | Mapping) -> CoxeterDiagram:
     commuting = data.get("commuting", [])
     if not isinstance(commuting, list):
         raise DiagramError("'commuting' must be a list of pairs")
+    for pair in commuting:
+        if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(g, str) for g in pair)):
+            raise DiagramError(f"commuting entry {pair!r} is not a list of two generator names")
     return CoxeterDiagram(gens, commuting)

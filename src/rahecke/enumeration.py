@@ -8,10 +8,13 @@ appended exactly when t is not blocked, and the blocked set updates by
 
 The first part forbids the cancellation tt, the second forbids a word that a
 single swap would make lexicographically smaller, and the third propagates
-older obstructions through a commuting letter.  The automaton is the only
-place that knows this rule.  Everything else follows its integer transition
-table: ``Ball`` generates each sphere from the previous one on arrays and
-keeps only integer tables (word tuples are derived on first read), and
+older obstructions through a commuting letter.  Enumeration knows this rule
+only through the automaton; ``CoxeterDiagram.heap_letters`` reads the same
+order off a heap (``normal_form`` goes through it), and
+``test_ball_words_are_distinct_normal_forms`` checks the two against each
+other.  Everything here follows the automaton's integer transition table:
+``Ball`` generates each sphere from the previous one on arrays and keeps only
+integer tables (word tuples are derived on first read), and
 ``NormalFormAutomaton.sphere_series`` is the exact transfer-matrix oracle for
 sphere counts and weighted sphere sums.  Ball weights q_w are integers over
 one denominator: ``Ball.weight_numerators`` multiplies the numerators out

@@ -61,7 +61,7 @@ class MultiParameter:
         self.q = growth.positive_parameters(diagram, q, Fraction if exact else float)
         self.roots = dict(roots)
         self.exact = exact
-        self._p = {s: self._compute_p(s) for s in diagram.generators}
+        self._p = {s: (self.q[s] - 1) / self.roots[s] for s in diagram.generators}
         # p_s = pn_s / pd_s in lowest terms; float mode keeps pd_s = 1
         self._p_parts = {s: (p.numerator, p.denominator) if exact else (p, 1)
                          for s, p in self._p.items()}
@@ -98,11 +98,6 @@ class MultiParameter:
         return cls.exact_squares(diagram, {s: Fraction(1) for s in diagram.generators})
 
     # -- derived scalars -----------------------------------------------------
-
-    def _compute_p(self, s: str):
-        if self.exact:
-            return (self.q[s] - 1) / self.roots[s]
-        return (self.q[s] - 1.0) / self.roots[s]
 
     def p(self, s: str):
         """p_s = (q_s - 1) / sqrt(q_s)."""

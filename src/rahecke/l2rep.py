@@ -215,7 +215,8 @@ def spectrum_bounds(m: np.ndarray) -> tuple[float, float]:
 
 
 def exact_psd(matrix: list[list[Fraction]]) -> bool:
-    """Exact positive-semidefiniteness via fraction-free symmetric elimination."""
+    """Exact positive-semidefiniteness by symmetric Gaussian elimination on
+    ``Fraction`` entries (each pivot row divided out, no tolerance)."""
     n = len(matrix)
     m = [row[:] for row in matrix]
     for i in range(n):

@@ -14,9 +14,9 @@ two phases, both on integers over one power of 2.  Phase 1 bisects on Sturm
 counts, from (0, 1] when the counts at 0 and 1 put a root there, until
 the bracket isolates the root.  Phase 2 does not bisect: the bracket that
 bisecting on the sign of the polynomial would end in is a cell of a dyadic
-grid known in advance, so a Newton guess (floats, then one or two integer
-steps) names the cell and two exact signs at its ends certify it;
-bisection over the cells is left for a guess that a sign refutes.
+grid known in advance, so a guess names the cell and two exact signs at its
+ends certify it; bisection over the cells is left for a guess that a sign
+refutes.  The guess is safeguarded Newton on the integers of a finer grid.
 """
 
 from __future__ import annotations
@@ -225,8 +225,9 @@ def _refine(f: Poly, a: int, b: int, d: int) -> tuple[Fraction, Fraction]:
     ((A + w j)/D, (A + w (j+1))/D) that holds t0, where D = d 2^K, A = a 2^K
     and K is the least k >= 0 with w 2^BISECTION_BITS <= d 2^k; or at
     (t0, t0) when t0 is a point of that grid, for then it is a midpoint on
-    the way.  Here j is guessed by Newton (``_newton_cell``) and certified by
-    the exact signs at the guessed cell's two ends.  Every sign narrows the
+    the way.  Here j is guessed by integer Newton (``_newton_cell``) and
+    certified by the exact signs at the guessed cell's two ends, so the guess
+    sets the number of signs, never the bracket.  Every sign narrows the
     bracket (lo, hi) on j.  The first _GUIDED_PROBES signs step from the
     guess towards t0, one grid point at a time, so a guess that names a
     neighbouring cell costs one sign more; then bisection on j finishes the
@@ -262,71 +263,43 @@ _GUIDED_PROBES = 3
 # cell is wrong only when t0 lies within about one unit of that finer grid
 # from a cell end.
 _GUARD_BITS = 16
-# An integer Newton step of size s leaves an error of about (s/D)^2 (times
-# f''/2f'); a second step is taken when s/D > 2^-_SECOND_STEP_BITS.
-_SECOND_STEP_BITS = 32
 
 
 def _newton_cell(f: Poly, a: int, b: int, d: int, k: int, s_lo: int) -> int:
-    """``_refine``'s guess of j: the cell of the Newton estimate of t0.  The
-    float start (the bracket's midpoint when floats overflow) is moved by one
-    or two integer Newton steps on the grid 1/(D 2^_GUARD_BITS)."""
+    """``_refine``'s guess of j: the cell of the Newton estimate of t0, from
+    safeguarded Newton on the integers P of the grid 1/(D 2^_GUARD_BITS).
+
+    It starts at the bracket's midpoint.  The sign of each F(P) narrows the
+    bracket (lo, hi) on P, a step that would leave it goes to its midpoint
+    instead, and a step of at most one grid point ends the iteration; so it
+    takes no more steps than bisecting (lo, hi) down to one point would.  A
+    zero F'(P) ends it too, leaving a poor guess that costs signs only."""
     shift = k + _GUARD_BITS
-    grid = d << shift
-    x = _float_root(f, a, b, d, s_lo)
-    if x is None:
-        p = (a + b) << (shift - 1)
-    else:
-        num, den = x.as_integer_ratio()
-        p = num * grid // den
-    step = _newton_step(f, p, grid)
-    p -= step
-    if abs(step) << _SECOND_STEP_BITS > grid:
-        p = min(max(p, a << shift), b << shift)
-        p -= _newton_step(f, p, grid)
+    lo, hi = a << shift, b << shift
+    p = (lo + hi) // 2
+    for _ in range((hi - lo).bit_length()):
+        value, step = _newton_step(f, p, d << shift)
+        if abs(step) <= 1:
+            p -= step
+            break
+        if (value > 0) == (s_lo > 0):
+            lo = p
+        else:
+            hi = p
+        p -= step
+        if not lo < p < hi:
+            p = (lo + hi) // 2
     return (p - (a << shift)) // ((b - a) << _GUARD_BITS)
 
 
-def _newton_step(f: Poly, p: int, d: int) -> int:
-    """F(p) // F'(p) for F(P) = d^n f(P/d), or 0 when F'(p) = 0: p minus it
-    is the Newton step towards a root of f on the grid 1/d."""
+def _newton_step(f: Poly, p: int, d: int) -> tuple[int, int]:
+    """(F(p), F(p) // F'(p)) for F(P) = d^n f(P/d), the step 0 when F'(p) = 0:
+    F(p) has the sign of f(p/d), and p minus the step is the Newton step
+    towards a root of f on the grid 1/d."""
     acc = dacc = 0
     dp = 1
     for c in reversed(f):
         dacc = dacc * p + acc
         acc = acc * p + c * dp
         dp *= d
-    return acc // dacc if dacc else 0
-
-
-def _float_root(f: Poly, a: int, b: int, d: int, s_lo: int) -> float | None:
-    """Safeguarded float Newton for the root of f in (a/d, b/d), where f has
-    the sign s_lo below the root: a step that would leave the bracket is
-    replaced by a bisection step.  One common right shift of the coefficients,
-    which keeps the roots, bounds every term c_i x^i on the bracket by 2^960.
-    None when the bracket exceeds float range."""
-    shift = max(0, max(c.bit_length() for c in f) + len(f) * max(1, b // d).bit_length() - 960)
-    try:
-        cs = [float(c >> shift) for c in reversed(f)]
-        lo, hi = a / d, b / d
-    except OverflowError:
-        return None
-    x = (lo + hi) / 2
-    for _ in range(100):
-        v = dv = 0.0
-        for c in cs:
-            dv = dv * x + v
-            v = v * x + c
-        if v == 0:
-            return x
-        if (v > 0) == (s_lo > 0):
-            lo = x
-        else:
-            hi = x
-        nx = x - v / dv if dv else x
-        if not lo < nx < hi:
-            nx = (lo + hi) / 2
-        if abs(nx - x) <= x * 2 ** -50:
-            return nx
-        x = nx
-    return x
+    return acc, acc // dacc if dacc else 0

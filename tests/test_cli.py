@@ -172,6 +172,31 @@ def test_error_exits(capsys, diagram_a_file, tmp_path):
         assert captured.out == "" and "cutoff must be >= 0" in captured.err
 
 
+@pytest.mark.parametrize("entry", ['"ab"', '["a", ["b"]]', "5"])
+def test_malformed_commuting_entry_exits_1(capsys, tmp_path, entry):
+    """A "commuting" entry that is not a list of two strings is refused by
+    name: "ab" was read as the pair (a, b), and the other two raised
+    TypeError, an internal error."""
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{"generators": ["a", "b"], "commuting": [{entry}]}}')
+    assert main(["nf", "--diagram", str(path), "--word", "ab"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"commuting entry {json.loads(entry)!r}" in captured.err
+
+
+def test_ball_over_the_cap_exits_1(capsys, tmp_path):
+    """A ball past the element cap is a refused input, not an internal
+    error.  The rank-12 free product at radius 6 has 2,125,873 elements, so
+    the sphere loop refuses it before any table is built."""
+    path = tmp_path / "free12.json"
+    path.write_text(json.dumps({"generators": [f"s{i}" for i in range(12)], "commuting": []}))
+    assert main(["ball", "--diagram", str(path), "--radius", "6"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: ball of radius 6 exceeds cap 2000000\n"
+
+
 # Each command given a rational with a zero denominator: a validation error.
 ZERO_DENOMINATOR_CASES = {
     "classify": ["classify", "--q", "all=1/0"],

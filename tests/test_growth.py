@@ -338,27 +338,30 @@ def test_per_flip_unchanged_at_rank_6():
 
 
 @contextlib.contextmanager
-def _signs_per_refine():
-    """Count the exact signs each ``polys._refine`` call takes: the yielded
-    list gets one entry per call."""
-    sign, refine = polys._sign, polys._refine
+def _calls_per_refine(name="_sign", refine_args=None):
+    """Count the calls of ``polys.<name>`` inside each ``polys._refine``
+    call, by default the exact signs it takes: the yielded list gets one
+    entry per call, and ``refine_args``, when given, the call's arguments."""
+    counted, refine = getattr(polys, name), polys._refine
     per_ray: list[int] = []
     inside = [False]
 
-    def counting_sign(*args):
+    def counting(*args):
         if inside[0]:
             per_ray[-1] += 1
-        return sign(*args)
+        return counted(*args)
 
     def counting_refine(*args):
         per_ray.append(0)
+        if refine_args is not None:
+            refine_args.append(args)
         inside[0] = True
         try:
             return refine(*args)
         finally:
             inside[0] = False
 
-    with mock.patch.object(polys, "_sign", counting_sign), \
+    with mock.patch.object(polys, name, counting), \
             mock.patch.object(polys, "_refine", counting_refine):
         yield per_ray
 
@@ -367,12 +370,52 @@ def test_refinement_takes_few_signs():
     """Phase 2 certifies its Newton guess with the signs at the two ends of
     one cell: about 2 exact signs per ray over the rank <= 5 corpus at
     FLIP_VECTORS, where bisecting to width 2^-64 took about 63."""
-    with _signs_per_refine() as per_ray:
+    with _calls_per_refine() as per_ray:
         for d in connected_diagram_corpus(5):
             for vec in FLIP_VECTORS:
                 growth.classify_simplicity(d, dict(zip(d.generators, vec)))
     assert len(per_ray) > 900
     assert sum(per_ray) / len(per_ray) <= 4
+
+
+def test_newton_guess_takes_few_steps():
+    """The integer Newton guess takes about 6 evaluations per ray over the
+    rank <= 5 corpus at FLIP_VECTORS, and never more than the bit length of
+    its bracket on the guard grid, the steps bisection would take."""
+    refine_args: list[tuple] = []
+    with _calls_per_refine("_newton_step", refine_args) as per_ray:
+        for d in connected_diagram_corpus(5):
+            for vec in FLIP_VECTORS:
+                growth.classify_simplicity(d, dict(zip(d.generators, vec)))
+    assert len(per_ray) > 900
+    assert sum(per_ray) / len(per_ray) <= 8
+    for steps, (_, a, b, d) in zip(per_ray, refine_args):
+        k = 0  # the least k with (b - a) 2^BISECTION_BITS <= d 2^k
+        while (b - a) << polys.BISECTION_BITS > d << k:
+            k += 1
+        assert steps <= ((b - a) << (k + polys._GUARD_BITS)).bit_length()
+
+
+@pytest.mark.parametrize("f, phase1", [([-3, -7, 2], (2, 4)),
+                                       ([-2, -3, -7, -9, -5, 6], (1, 2))],
+                         ids=["quadratic", "quintic"])
+def test_newton_step_leaving_the_bracket_goes_to_its_midpoint(f, phase1):
+    """Newton from the midpoint of the phase-1 bracket leaves it: for
+    2t^2 - 7t - 3 from 3 to 4.2, out of (2, 4]; for 6t^5 - 5t^4 - 9t^3 -
+    7t^2 - 3t - 2 from 3/2 to -84.8, out of (1, 2], and from 1 to 0.41, so a
+    step clamped into the bracket would stay at 1.  The sign of each iterate
+    narrows the bracket, so a step that leaves it goes to the midpoint, and
+    the guess names the cell that the Sturm-count bisection ends in."""
+    lo, hi = phase1
+    step = polys._newton_step(f, lo + hi, 2)[1]  # from the midpoint, on the grid 1/2
+    assert not 2 * lo < lo + hi - step < 2 * hi
+    chain = polys.sturm_chain(f)
+    refine_args: list[tuple] = []
+    with _calls_per_refine(refine_args=refine_args) as per_ray:
+        bracket = polys.isolate_smallest_positive_root(chain)
+    assert [(Fraction(a, d), Fraction(b, d)) for _, a, b, d in refine_args] == [phase1]
+    assert bracket == _sturm_bisection(chain)
+    assert per_ray[0] <= 4
 
 
 def test_classify_evaluates_few_chains(pentagon):
@@ -530,7 +573,7 @@ def test_near_grid_root_refinement_probes_the_neighbour_cell(p):
     """A root within 2^-80 of a grid point may make Newton name the
     neighbouring cell; the probe of that cell keeps phase 2 at <= 4 signs."""
     chain = polys.sturm_chain(squarefree_part(p))
-    with _signs_per_refine() as per_ray:
+    with _calls_per_refine() as per_ray:
         polys.isolate_smallest_positive_root(chain)
     assert all(n <= 4 for n in per_ray)
 
@@ -548,10 +591,11 @@ def huge_coefficient_polys(draw):
 @PROPERTY_SETTINGS
 @given(huge_coefficient_polys())
 def test_huge_coefficient_refinement_keeps_the_newton_start(p):
-    """Coefficients beyond float range are shifted into it before the float
-    Newton, so its start still names the cell: phase 2 takes <= 4 signs."""
+    """Coefficients beyond float range: the integer Newton guess, started
+    at the bracket's midpoint and kept inside the bracket by the signs of
+    its iterates, still names the cell, so phase 2 takes <= 4 signs."""
     chain = polys.sturm_chain(squarefree_part(p))
-    with _signs_per_refine() as per_ray:
+    with _calls_per_refine() as per_ray:
         polys.isolate_smallest_positive_root(chain)
     assert all(n <= 4 for n in per_ray)
 
