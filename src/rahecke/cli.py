@@ -18,7 +18,7 @@ from . import acceptance, growth, l2rep, radial
 from .coxeter import CoxeterDiagram, DiagramError, parse_diagram
 from .enumeration import BallCapExceeded, ball
 from .hecke import (MultiParameter, central_projection_partial, char_value,
-                    parse_element_literal, parse_rational)
+                    parse_element_literal, parse_float, parse_rational)
 
 
 def _encode(obj):
@@ -51,56 +51,54 @@ def _load_diagram(path: str) -> CoxeterDiagram:
         return parse_diagram(fh.read())
 
 
-def _parse_q(diagram: CoxeterDiagram, text: str) -> dict[str, Fraction]:
-    """Parse 'a=1/4,b=1' or the broadcast form 'all=1/4'."""
-    out: dict[str, Fraction] = {}
+def _assignments(diagram: CoxeterDiagram, text: str, what: str, value) -> dict:
+    """Parse 'a=v,b=w' or the broadcast form 'all=v' into {generator:
+    value(v)}; ``what`` names an assignment in the error messages."""
+    out = {}
     for item in text.split(","):
         if not item:
             continue
         if "=" not in item:
-            raise DiagramError(f"bad parameter assignment {item!r}")
+            raise DiagramError(f"bad {what} assignment {item!r}")
         key, val = item.split("=", 1)
         key = key.strip()
-        value = parse_rational(val)
+        v = value(val)
         if key == "all":
-            for s in diagram.generators:
-                out[s] = value
+            out.update(dict.fromkeys(diagram.generators, v))
         elif key in diagram.generators:
-            out[key] = value
+            out[key] = v
         else:
-            raise DiagramError(f"parameter for unknown generator {key!r}")
+            raise DiagramError(f"{what} for unknown generator {key!r}")
+    return out
+
+
+def _parse_q(diagram: CoxeterDiagram, text: str, value=parse_rational) -> dict:
+    """Parse 'a=1/4,b=1' or 'all=1/4', each value through ``value``."""
+    out = _assignments(diagram, text, "parameter", value)
     missing = [s for s in diagram.generators if s not in out]
     if missing:
         raise DiagramError(f"missing parameters for generators {missing}")
     return out
 
 
+def _sign_value(text: str) -> int:
+    value = {"+1": 1, "1": 1, "+": 1, "-1": -1, "-": -1}.get(text.strip())
+    if value is None:
+        raise DiagramError(f"bad sign value {text.strip()!r}")
+    return value
+
+
 def _parse_epsilon(diagram: CoxeterDiagram, text: str) -> tuple[int, ...]:
-    signs = {s: 1 for s in diagram.generators}
-    for item in text.split(","):
-        if not item:
-            continue
-        if "=" not in item:
-            raise DiagramError(f"bad sign assignment {item!r}")
-        key, val = item.split("=", 1)
-        key, val = key.strip(), val.strip()
-        value = {"+1": 1, "1": 1, "+": 1, "-1": -1, "-": -1}.get(val)
-        if value is None:
-            raise DiagramError(f"bad sign value {val!r}")
-        if key == "all":
-            for s in diagram.generators:
-                signs[s] = value
-        elif key in signs:
-            signs[key] = value
-        else:
-            raise DiagramError(f"sign for unknown generator {key!r}")
-    return tuple(signs[s] for s in diagram.generators)
+    signs = _assignments(diagram, text, "sign", _sign_value)
+    return tuple(signs.get(s, 1) for s in diagram.generators)
 
 
-def _params(diagram: CoxeterDiagram, qmap: dict[str, Fraction], mode: str) -> MultiParameter:
+def _params(diagram: CoxeterDiagram, text: str, mode: str) -> MultiParameter:
+    """The parameters of ``--q`` text; in float mode each value is parsed
+    by ``parse_float``."""
     if mode == "float":
-        return MultiParameter.floating(diagram, {s: float(v) for s, v in qmap.items()})
-    return MultiParameter.exact_squares(diagram, qmap)
+        return MultiParameter.floating(diagram, _parse_q(diagram, text, parse_float))
+    return MultiParameter.exact_squares(diagram, _parse_q(diagram, text))
 
 
 def _pattern_doc(diagram: CoxeterDiagram, eps) -> dict:
@@ -165,8 +163,7 @@ def cmd_classify(args) -> dict:
 
 def cmd_mul(args) -> dict:
     d = _load_diagram(args.diagram)
-    qmap = _parse_q(d, args.q)
-    params = _params(d, qmap, args.mode)
+    params = _params(d, args.q, args.mode)
     a = parse_element_literal(params, args.left)
     b = parse_element_literal(params, args.right)
     return {"product": [{"word": d.format_element(w), "coeff": c}
@@ -175,8 +172,7 @@ def cmd_mul(args) -> dict:
 
 def cmd_char(args) -> dict:
     d = _load_diagram(args.diagram)
-    qmap = _parse_q(d, args.q)
-    params = _params(d, qmap, args.mode)
+    params = _params(d, args.q, args.mode)
     eps = _parse_epsilon(d, args.epsilon)
     x = parse_element_literal(params, args.element)
     return {
@@ -189,8 +185,7 @@ def cmd_char(args) -> dict:
 
 def cmd_eproj(args) -> dict:
     d = _load_diagram(args.diagram)
-    qmap = _parse_q(d, args.q)
-    params = _params(d, qmap, "exact")
+    params = _params(d, args.q, "exact")
     eps = _parse_epsilon(d, args.epsilon)
     e = central_projection_partial(params, eps, args.cutoff)
     coeffs = [{"word": d.format_element(w), "coeff": c} for w, c in e.terms()]
@@ -205,7 +200,8 @@ def cmd_eproj(args) -> dict:
 
 def cmd_verify(args) -> dict:
     d = _load_diagram(args.diagram)
-    qmap = _parse_q(d, args.q) if args.q else {s: Fraction(1, 4) for s in d.generators}
+    q = args.q or "all=1/4"
+    _parse_q(d, q)  # a malformed --q is refused whichever suite runs
     n = args.radius
     doc: dict = {"suite": args.suite, "radius": n}
     if args.suite == "action":
@@ -213,10 +209,10 @@ def cmd_verify(args) -> dict:
         doc["pairs"] = sum(cases.values())
         doc["violations"] = bad
     elif args.suite == "cliq":
-        params = _params(d, qmap, "exact")
+        params = _params(d, q, "exact")
         doc["words"], doc["worst_residual"] = l2rep.verify_cliq_sweep(params, ball(d, n))
     elif args.suite == "corollary":
-        params = _params(d, qmap, "exact")
+        params = _params(d, q, "exact")
         g = d.covering_closed_path()
         if g is None:
             raise DiagramError("no covering closed path (reducible or rank < 2)")
@@ -227,7 +223,7 @@ def cmd_verify(args) -> dict:
         doc["residual"] = res
         doc["x_terms"] = terms
     elif args.suite == "positivity":
-        params = _params(d, qmap, args.mode)
+        params = _params(d, q, args.mode)
         word = d.parse_element(args.word) if args.word else (d.generators[0],)
         lo, hi = l2rep.positivity_window(params, word, n)
         doc["word"] = d.format_element(word)
@@ -259,7 +255,12 @@ def cmd_verify(args) -> dict:
 
 
 def cmd_report(args) -> tuple[dict, int]:
-    select = set(args.only.split(",")) if args.only else None
+    select = None
+    if args.only is not None:
+        select = set(args.only.split(","))
+        unknown = sorted(select - {key for key, _ in acceptance.CRITERIA})
+        if unknown:
+            raise ValueError(f"unknown criterion ids {unknown}")
     results = acceptance.run_all(select=select, verbose=not args.quiet)
     # timing is printed in the progress lines but kept out of the JSON so
     # that identical runs stay byte-identical

@@ -224,8 +224,9 @@ def sphere_weight(diagram: CoxeterDiagram, q: Mapping[str, Fraction], l: int,
 class NormalFormAutomaton:
     """The canonical-word automaton as an integer transition table.
 
-    ``states[i]`` is a blocked set; state 0 is the empty set, the state of
-    the empty word.  ``transitions[i]`` lists ``(generator index, next
+    ``states[i]`` is a blocked set as a bitmask, bit i for generator i, built
+    from ``CoxeterDiagram._conflict``; state 0 is the empty set, the state
+    of the empty word.  ``transitions[i]`` lists ``(generator index, next
     state)`` for every generator not blocked in state i, in generator order,
     so following it from state 0 emits the canonical words in ShortLex
     order.  With per-generator weights it computes exact weighted sphere sums
@@ -234,26 +235,20 @@ class NormalFormAutomaton:
 
     def __init__(self, diagram: CoxeterDiagram):
         self.diagram = diagram
-        gens = diagram.generators
-        gidx = diagram._gidx
-        commutes = diagram.commutes
-        states: list[frozenset[str]] = [frozenset()]
-        pos: dict[frozenset[str], int] = {frozenset(): 0}
+        states: list[int] = [0]
+        pos: dict[int, int] = {0: 0}
         trans: list[list[tuple[int, int]]] = []  # state -> [(gen index, next state)]
         for b in states:  # states grows while it is walked
             row: list[tuple[int, int]] = []
-            for t in gens:
-                if t in b:
+            for t, conflict in enumerate(diagram._conflict):
+                if b >> t & 1:
                     continue
-                nb = frozenset(
-                    {t}
-                    | {s for s in gens if gidx[s] < gidx[t] and commutes(s, t)}
-                    | {s for s in b if commutes(s, t)}
-                )
+                # t, and the letters of b or before t that commute with t
+                nb = 1 << t | (b | ((1 << t) - 1)) & ~conflict
                 j = pos.setdefault(nb, len(states))
                 if j == len(states):
                     states.append(nb)
-                row.append((gidx[t], j))
+                row.append((t, j))
             trans.append(row)
         self.states = states
         self.transitions = trans

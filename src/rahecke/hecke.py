@@ -392,6 +392,15 @@ def parse_rational(text: str) -> Fraction:
         raise DiagramError(f"bad rational {text!r}") from None
 
 
+def parse_float(text: str) -> float:
+    """A rational such as '3/4' or '1e-3' as a float; DiagramError names one
+    past the float range."""
+    try:
+        return float(parse_rational(text))
+    except OverflowError:
+        raise DiagramError(f"{text.strip()!r} is past the float range") from None
+
+
 def parse_element_literal(params: MultiParameter, text: str) -> HeckeElement:
     """Parse literals like ``1*T(e) - 3/2*T(a) + T(ab)``."""
     d = params.diagram
@@ -400,21 +409,19 @@ def parse_element_literal(params: MultiParameter, text: str) -> HeckeElement:
         raise ValueError("empty element literal")
     terms: list[tuple[int, str]] = []
     sign = 1
-    i = 0
     cur = ""
-    while i < len(s):
-        ch = s[i]
+    for ch in s:
         if ch in "+-" and cur:
             terms.append((sign, cur))
             sign = 1 if ch == "+" else -1
             cur = ""
-        elif ch in "+-" and not cur:
+        elif ch in "+-":
             sign = sign * (1 if ch == "+" else -1)
         else:
             cur += ch
-        i += 1
-    if cur:
-        terms.append((sign, cur))
+    if not cur:
+        raise ValueError(f"dangling sign in element literal {text!r}")
+    terms.append((sign, cur))
     acc = HeckeElement.zero(params)
     for sgn, term in terms:
         if "*" in term:
@@ -424,6 +431,6 @@ def parse_element_literal(params: MultiParameter, text: str) -> HeckeElement:
         if not (basis_text.startswith("T(") and basis_text.endswith(")")):
             raise ValueError(f"bad basis factor in {term!r}; expected T(word)")
         word = d.parse_element(basis_text[2:-1])
-        coef = parse_rational(coef_text) if params.exact else float(parse_rational(coef_text))
+        coef = parse_rational(coef_text) if params.exact else parse_float(coef_text)
         acc = acc + (sgn * coef) * HeckeElement.basis(params, word)
     return acc

@@ -14,9 +14,8 @@ two phases, both on integers over one power of 2.  Phase 1 bisects on Sturm
 counts, from (0, 1] when the counts at 0 and 1 put a root there, until
 the bracket isolates the root.  Phase 2 does not bisect: the bracket that
 bisecting on the sign of the polynomial would end in is a cell of a dyadic
-grid known in advance, so a guess names the cell and two exact signs at its
-ends certify it; bisection over the cells is left for a guess that a sign
-refutes.  The guess is safeguarded Newton on the integers of a finer grid.
+grid known in advance, and safeguarded Newton on the integer points of that
+grid finds it: the exact sign at every iterate narrows the bracket.
 """
 
 from __future__ import annotations
@@ -225,71 +224,41 @@ def _refine(f: Poly, a: int, b: int, d: int) -> tuple[Fraction, Fraction]:
     ((A + w j)/D, (A + w (j+1))/D) that holds t0, where D = d 2^K, A = a 2^K
     and K is the least k >= 0 with w 2^BISECTION_BITS <= d 2^k; or at
     (t0, t0) when t0 is a point of that grid, for then it is a midpoint on
-    the way.  Here j is guessed by integer Newton (``_newton_cell``) and
-    certified by the exact signs at the guessed cell's two ends, so the guess
-    sets the number of signs, never the bracket.  Every sign narrows the
-    bracket (lo, hi) on j.  The first _GUIDED_PROBES signs step from the
-    guess towards t0, one grid point at a time, so a guess that names a
-    neighbouring cell costs one sign more; then bisection on j finishes the
-    search, so at most K + _GUIDED_PROBES signs are taken.
+    the way.  Here j is found by safeguarded Newton on the points
+    P = A + w j, started at the midpoint of (lo, hi) = (0, 2^K).  The sign
+    of each F(P) (``_newton_step``) narrows (lo, hi), so the loop ends in
+    bisection's bracket whatever the steps.  A step shorter than one grid
+    point moves one point towards t0.  A step that would leave (lo, hi)
+    goes to the point next to the end it passed while that end is phase
+    1's, so a root within one cell of it is not approached by halving;
+    otherwise it goes to the midpoint.  After K iterates only midpoints are
+    taken, so at most 2K values of F are computed.
     """
     w = b - a
     k = max(0, (w - 1).bit_length() + BISECTION_BITS - (d.bit_length() - 1))
     big_a, big_d = a << k, d << k
-    s_lo = 1 if f[0] > 0 else -1
-    lo, hi = 0, 1 << k
-    j = _newton_cell(f, a, b, d, k, s_lo) if hi > 1 else 0
-    probes = 0
+    lo, hi, n = 0, 1 << k, 0
+    j = hi // 2
     while hi - lo > 1:
-        j = min(max(j, lo + 1), hi - 1) if probes < _GUIDED_PROBES else (lo + hi) // 2
-        probes += 1
-        s = _sign(f, big_a + w * j, big_d)
-        if s == 0:
+        value, step = _newton_step(f, big_a + w * j, big_d)
+        if value == 0:
             r = Fraction(big_a + w * j, big_d)
             return (r, r)
-        if s == s_lo:
-            lo, j = j, j + 1
+        up = (value > 0) == (f[0] > 0)
+        lo, hi = (j, hi) if up else (lo, j)
+        n += 1
+        nxt = j + (1 if up else -1) if abs(step) < w else j - step // w
+        if n >= k:
+            j = (lo + hi) // 2
+        elif lo < nxt < hi:
+            j = nxt
+        elif nxt <= lo == 0:
+            j = 1
+        elif nxt >= hi == 1 << k:
+            j = hi - 1
         else:
-            hi, j = j, j - 1
+            j = (lo + hi) // 2
     return (Fraction(big_a + w * lo, big_d), Fraction(big_a + w * hi, big_d))
-
-
-# The guided probes of ``_refine``: the guessed cell's two ends and one
-# neighbour's far end.
-_GUIDED_PROBES = 3
-
-
-# Newton runs on a grid 2^_GUARD_BITS times finer than the final one, so its
-# cell is wrong only when t0 lies within about one unit of that finer grid
-# from a cell end.
-_GUARD_BITS = 16
-
-
-def _newton_cell(f: Poly, a: int, b: int, d: int, k: int, s_lo: int) -> int:
-    """``_refine``'s guess of j: the cell of the Newton estimate of t0, from
-    safeguarded Newton on the integers P of the grid 1/(D 2^_GUARD_BITS).
-
-    It starts at the bracket's midpoint.  The sign of each F(P) narrows the
-    bracket (lo, hi) on P, a step that would leave it goes to its midpoint
-    instead, and a step of at most one grid point ends the iteration; so it
-    takes no more steps than bisecting (lo, hi) down to one point would.  A
-    zero F'(P) ends it too, leaving a poor guess that costs signs only."""
-    shift = k + _GUARD_BITS
-    lo, hi = a << shift, b << shift
-    p = (lo + hi) // 2
-    for _ in range((hi - lo).bit_length()):
-        value, step = _newton_step(f, p, d << shift)
-        if abs(step) <= 1:
-            p -= step
-            break
-        if (value > 0) == (s_lo > 0):
-            lo = p
-        else:
-            hi = p
-        p -= step
-        if not lo < p < hi:
-            p = (lo + hi) // 2
-    return (p - (a << shift)) // ((b - a) << _GUARD_BITS)
 
 
 def _newton_step(f: Poly, p: int, d: int) -> tuple[int, int]:

@@ -170,6 +170,26 @@ def test_error_exits(capsys, diagram_a_file, tmp_path):
                      "--epsilon", "all=+1", f"--cutoff={cutoff}"]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and "cutoff must be >= 0" in captured.err
+    # a criterion id that names no criterion, where the report was vacuous
+    for only, unknown in (("99", "['99']"), (",", "['']"), ("1,x", "['x']")):
+        assert main(["report", "--quiet", "--only", only]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"unknown criterion ids {unknown}" in captured.err
+    # a value past the float range, where float mode raised OverflowError
+    past_float = [["mul", "--q", "all=1e400", "--left", "T(a)", "--right", "T(a)"],
+                  ["char", "--q", "all=1e400", "--epsilon", "all=+1", "--element", "T(a)"],
+                  ["verify", "--suite", "positivity", "--q", "all=1e400"],
+                  ["mul", "--q", "all=1", "--left", "1e400*T(a)", "--right", "T(a)"]]
+    for argv in past_float:
+        assert main(argv + ["--diagram", diagram_a_file, "--mode", "float"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "'1e400' is past the float range" in captured.err
+    # a dangling sign, which was read as the zero element or dropped
+    for left in ("+", "-", "T(a)+", "T(a)--"):
+        assert main(["mul", "--diagram", diagram_a_file, "--q", "all=1",
+                     "--left", left, "--right", "T(a)"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "dangling sign" in captured.err
 
 
 @pytest.mark.parametrize("entry", ['"ab"', '["a", ["b"]]', "5"])

@@ -274,6 +274,10 @@ def test_parse_element_literal(params_quarter):
     assert y.terms() == [((), Fraction(-1, 3)), (("c",), 2), (("a", "b"), -1)]
     with pytest.raises(ValueError):
         parse_element_literal(params_quarter, "2*S(a)")
+    # a sign with no term after it: read as the zero element, or dropped
+    for text in ("+", "-", "T(a)+", "T(a)--", "T(a) - "):
+        with pytest.raises(ValueError, match="dangling sign"):
+            parse_element_literal(params_quarter, text)
 
 
 def test_associativity_big_sample(params_quarter, diagram_a):
