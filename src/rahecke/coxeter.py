@@ -2,21 +2,22 @@
 
 A right-angled Coxeter system is described by its set of generators together
 with the symmetric relation of commuting pairs (exponent 2); all other pairs
-of distinct generators have exponent infinity.  Two reduced words represent
-the same element exactly when they differ by swaps of adjacent commuting
-letters, so an element is its heap of pieces (Cartier-Foata; Viennot, "Heaps
-of pieces I"), and the heap is its key: letters are added one at a time on the
-left, a letter equal to an unshielded piece cancels it, and the canonical word
-(the ShortLex-least reduced word under the input generator order) is the
-greedy lexicographic reading of the heap.  ``heap`` rejects unknown letters
-for every method that reads a word.  Normal forms, descents and the weak
-order all run on the heap's layers: the left descents are one scan from the
-deepest layer and the right descents are the top layer; the prefixes P <= w,
-each with its remainder P^-1 w, come from one recursion that strips left
-descents (``splits``), and joins strip common descents the same way.  Words
-are converted only where elements are parsed or printed; in the Hecke algebra
-that is ``HeckeElement.basis``, ``HeckeElement.terms()`` and
-``cliq_decomposition``.
+of distinct generators have exponent infinity.  The diagram encodes that
+relation once, as the bitmasks ``CoxeterDiagram.conflict``, and every module
+reads it from there.  Two reduced words represent the same element exactly
+when they differ by swaps of adjacent commuting letters, so an element is its
+heap of pieces (Cartier-Foata; Viennot, "Heaps of pieces I"), and the heap is
+its key: letters are added one at a time on the left, a letter equal to an
+unshielded piece cancels it, and the canonical word (the ShortLex-least
+reduced word under the input generator order) is the greedy lexicographic
+reading of the heap.  Normal forms, descents and the weak order all run on
+the heap's layers: the left descents are one scan from the deepest layer and
+the right descents are the top layer; the prefixes P <= w, each with its
+remainder P^-1 w, come from one recursion that strips left descents
+(``splits``), and joins strip common descents the same way.  Inside, letters
+are generator indices (``heap_lmul`` takes one, ``heap_letters`` returns
+them); names appear only where words are parsed or printed: ``heap`` reads
+one, rejecting unknown letters, and ``heap_word`` spells one.
 """
 
 from __future__ import annotations
@@ -59,6 +60,9 @@ class CoxeterDiagram:
     commuting:
         Pairs ``(s, t)`` of distinct generators with exponent 2.  The relation
         is symmetrized; self-pairs are rejected.
+
+    ``conflict[i]`` is the bitmask of the generators that do not commute with
+    generator i, bit i included (ss cancels, it is never a free swap).
     """
 
     def __init__(self, generators: Sequence[str], commuting: Iterable[Sequence[str]] = ()):
@@ -69,7 +73,7 @@ class CoxeterDiagram:
             raise DiagramError("duplicate generator")
         self.generators: tuple[str, ...] = gens
         self._gidx: dict[str, int] = {s: i for i, s in enumerate(gens)}
-        pairs: set[tuple[str, str]] = set()
+        conflict = [(1 << len(gens)) - 1] * len(gens)
         for pair in commuting:
             if len(pair) != 2:
                 raise DiagramError(f"commuting entry {pair!r} is not a pair")
@@ -78,14 +82,10 @@ class CoxeterDiagram:
                 raise DiagramError(f"unknown generator in pair ({s!r}, {t!r})")
             if s == t:
                 raise DiagramError(f"self-pair ({s!r}, {s!r})")
-            pairs.add((s, t))
-            pairs.add((t, s))
-        self._commuting = frozenset(pairs)
-        # _conflict[i] = bitmask of the letters that block generator i from
-        # moving past them, i itself included (ss is a cancellation, never a
-        # free swap).
-        self._conflict = [sum(1 << i for i, t in enumerate(gens) if (s, t) not in pairs)
-                          for s in gens]
+            i, j = self._gidx[s], self._gidx[t]
+            conflict[i] &= ~(1 << j)
+            conflict[j] &= ~(1 << i)
+        self.conflict: tuple[int, ...] = tuple(conflict)
 
     # -- basic structure ---------------------------------------------------
 
@@ -93,18 +93,15 @@ class CoxeterDiagram:
     def rank(self) -> int:
         return len(self.generators)
 
-    def commutes(self, s: str, t: str) -> bool:
-        """True iff ``s != t`` and the exponent of (s, t) is 2."""
-        return (s, t) in self._commuting
-
     def gen_index(self, s: str) -> int:
         return self._gidx[s]
 
     def key(self) -> tuple:
-        pairs = sorted(
-            (s, t) for (s, t) in self._commuting if self._gidx[s] < self._gidx[t]
-        )
-        return (self.generators, tuple(pairs))
+        """(generators, commuting pairs (s, t) with s before t, sorted)."""
+        gens, conflict = self.generators, self.conflict
+        return (gens, tuple(sorted((gens[i], gens[j]) for i in range(len(gens))
+                                   for j in range(i + 1, len(gens))
+                                   if not conflict[i] >> j & 1)))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, CoxeterDiagram) and self.key() == other.key()
@@ -130,10 +127,10 @@ class CoxeterDiagram:
     # one layer below the deepest letter right of it that it does not commute
     # with, or in layer 0, so letters added on the left move no other letter.
 
-    def heap_lmul(self, layers: tuple[int, ...], s: str) -> tuple[tuple[int, ...], bool]:
-        """Layers of s*w from the layers of w, and whether s <= w."""
-        i = self._gidx[s]
-        bit, conflict = 1 << i, self._conflict[i]
+    def heap_lmul(self, layers: tuple[int, ...], i: int) -> tuple[tuple[int, ...], bool]:
+        """Layers of s*w from the layers of w, and whether s <= w; s is
+        generator i."""
+        bit, conflict = 1 << i, self.conflict[i]
         k = len(layers) - 1
         while k >= 0 and not layers[k] & conflict:
             k -= 1
@@ -153,40 +150,40 @@ class CoxeterDiagram:
                 raise DiagramError(f"unknown generator {x!r}")
         layers: tuple[int, ...] = ()
         for s in reversed(letters):
-            layers = self.heap_lmul(layers, s)[0]
+            layers = self.heap_lmul(layers, self._gidx[s])[0]
         return layers
 
-    def heap_letters(self, layers: Sequence[int]) -> Word:
-        """Letters of the canonical word of the element with these heap
-        layers, right to left.  Greedy ShortLex on the pieces read deepest
-        first: repeatedly take the smallest letter that commutes with every
-        piece before it."""
-        gens, conflict = self.generators, self._conflict
-        full = (1 << len(gens)) - 1
+    def heap_letters(self, layers: Sequence[int]) -> tuple[int, ...]:
+        """Generator indices of the canonical word of the element with these
+        heap layers, right to left.  Greedy ShortLex on the pieces read
+        deepest first: repeatedly take the smallest letter that commutes with
+        every piece before it."""
+        conflict, rank = self.conflict, len(self.generators)
+        full = (1 << rank) - 1
         rest = [i for layer in reversed(layers) for i in _bits(layer)]
-        out: list[str] = []
+        out: list[int] = []
         while rest:
-            best_k, best, shield = -1, len(gens), 0
+            best_k, best, shield = -1, rank, 0
             for k, i in enumerate(rest):
                 if i < best and not shield >> i & 1:
                     best_k, best = k, i
                 shield |= conflict[i]
                 if shield == full:
                     break
-            out.append(gens[rest.pop(best_k)])
+            out.append(rest.pop(best_k))
         out.reverse()
         return tuple(out)
 
     def heap_word(self, layers: Sequence[int]) -> Word:
         """Canonical word of the element with these heap layers."""
-        return self.heap_letters(layers)[::-1]
+        return tuple(map(self.generators.__getitem__, self.heap_letters(layers)[::-1]))
 
     def heap_descents(self, layers: Sequence[int]) -> int:
         """Bitmask of the left descents s <= w of the element with these
         layers: the pieces that no deeper piece conflicts with, in one scan
         from the deepest layer.  The right descents are ``layers[0]``: a
         piece lies in layer 0 exactly when nothing right of it conflicts."""
-        conflict, full = self._conflict, (1 << len(self.generators)) - 1
+        conflict, full = self.conflict, (1 << len(self.generators)) - 1
         found = shield = 0
         for layer in reversed(layers):
             found |= layer & ~shield
@@ -200,11 +197,10 @@ class CoxeterDiagram:
 
     def starts_with(self, v: Sequence[str], w: Sequence[str]) -> bool:
         """The order v <= w, i.e. |v^-1 w| == |w| - |v|."""
-        v = self.normal_form(v)
         # Strip the letters of v off the front of w one descent at a time.
         layers = self.heap(w)
-        for t in v:
-            layers, below = self.heap_lmul(layers, t)
+        for i in reversed(self.heap_letters(self.heap(v))):
+            layers, below = self.heap_lmul(layers, i)
             if not below:
                 return False
         return True
@@ -214,16 +210,15 @@ class CoxeterDiagram:
         remainder U = P^-1 w, so that PU = w and |P| + |U| = |w|; w is given
         by its layers.  The splits of w are (e, w) and, for each left descent
         s, the splits (P, U) of s.w turned into (s.P, U)."""
-        gens, memo = self.generators, {}
+        memo = {}
 
         def rec(rest: tuple[int, ...]) -> dict[tuple[int, ...], tuple[int, ...]]:
             got = memo.get(rest)
             if got is None:
                 got = {(): rest}
                 for i in _bits(self.heap_descents(rest)):
-                    s = gens[i]
-                    for p, u in rec(self.heap_lmul(rest, s)[0]).items():
-                        got[self.heap_lmul(p, s)[0]] = u
+                    for p, u in rec(self.heap_lmul(rest, i)[0]).items():
+                        got[self.heap_lmul(p, i)[0]] = u
                 memo[rest] = got
             return got
 
@@ -236,19 +231,19 @@ class CoxeterDiagram:
         # descent common to what is left of v and of w is stripped off both;
         # otherwise every descent of w must commute past all of v (else no
         # upper bound exists), and the least one moves into u.
-        gens, conflict = self.generators, self._conflict
+        gens, conflict = self.generators, self.conflict
         lv, lw, u = self.heap(v), self.heap(w), []
         while lw:
             dw = self.heap_descents(lw)
             common = dw & self.heap_descents(lv)
-            t = gens[next(_bits(common or dw))]
+            t = next(_bits(common or dw))
             if common:
                 lv = self.heap_lmul(lv, t)[0]
             else:
                 content = reduce(or_, lv, 0)
                 if any(conflict[i] & content for i in _bits(dw)):
                     return None
-                u.append(t)
+                u.append(gens[t])
             lw = self.heap_lmul(lw, t)[0]
         return self.normal_form(v + tuple(u))
 
@@ -257,14 +252,14 @@ class CoxeterDiagram:
         if s not in self._gidx:
             raise DiagramError(f"unknown generator {s!r}")
         i = self._gidx[s]
-        return not reduce(or_, self.heap(w), 0) & self._conflict[i] & ~(1 << i)
+        return not reduce(or_, self.heap(w), 0) & self.conflict[i] & ~(1 << i)
 
     # -- diagram shape -----------------------------------------------------
 
     def clique_number(self) -> int:
         """Size of the largest clique of the commuting graph: the lowest
         candidate is left out, or taken with the candidates it commutes with."""
-        conflict = self._conflict
+        conflict = self.conflict
 
         @cache
         def rec(cand: int) -> int:
@@ -273,64 +268,43 @@ class CoxeterDiagram:
 
         return rec((1 << len(self.generators)) - 1)
 
-    def _infty_adjacency(self) -> dict[str, list[str]]:
-        """Neighbours of each generator in the graph of infinite exponents,
-        in generator order."""
-        return {s: [t for t in self.generators if t != s and not self.commutes(s, t)]
-                for s in self.generators}
-
-    def _infty_components(self) -> list[list[str]]:
-        adj = self._infty_adjacency()
-        seen: set[str] = set()
-        comps: list[list[str]] = []
-        for s in self.generators:
-            if s in seen:
-                continue
-            comp = []
-            stack = [s]
-            seen.add(s)
-            while stack:
-                u = stack.pop()
-                comp.append(u)
-                for x in adj[u]:
-                    if x not in seen:
-                        seen.add(x)
-                        stack.append(x)
-            comps.append(sorted(comp, key=self._gidx.__getitem__))
-        return comps
-
     def is_irreducible(self) -> bool:
-        """True iff the graph of infinite exponents on the generators is connected."""
-        return len(self._infty_components()) == 1
+        """True iff the graph of infinite exponents on the generators is
+        connected: one flood fill from generator 0 over the conflict masks."""
+        seen = frontier = 1
+        while frontier:
+            frontier = reduce(or_, map(self.conflict.__getitem__, _bits(frontier))) & ~seen
+            seen |= frontier
+        return seen == (1 << len(self.generators)) - 1
 
     def covering_closed_path(self) -> Word | None:
         """A closed path in the diagram visiting every generator, or None.
 
         Consecutive letters (and the first/last pair) have infinite exponent.
-        Built by depth-first traversal of the infinity graph, recording every
-        arrival including backtracks and dropping the final return to the
-        root.  Returns None when the infinity graph is disconnected or the
-        rank is less than 2.
+        Built by depth-first traversal of the infinity graph, lowest
+        generator first, recording every arrival including backtracks and
+        dropping the final return to the root.  Returns None when the
+        infinity graph is disconnected or the rank is less than 2.
         """
         if self.rank < 2 or not self.is_irreducible():
             return None
-        adj = self._infty_adjacency()
-        walk: list[str] = []
-        seen: set[str] = set()
+        walk: list[int] = []
+        seen = 0
 
-        def dfs(u: str) -> None:
+        def dfs(u: int) -> None:
+            nonlocal seen
             walk.append(u)
-            seen.add(u)
-            for x in adj[u]:
-                if x not in seen:
+            seen |= 1 << u
+            for x in _bits(self.conflict[u]):
+                if not seen >> x & 1:
                     dfs(x)
                     walk.append(u)
 
-        dfs(self.generators[0])
+        dfs(0)
         # walk ends back at the root; drop that final repeat.
         if len(walk) > 1 and walk[-1] == walk[0]:
             walk.pop()
-        return tuple(walk)
+        return tuple(self.generators[i] for i in walk)
 
     # -- serialization -----------------------------------------------------
 

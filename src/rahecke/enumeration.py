@@ -53,7 +53,7 @@ class Ball:
     tuples.
     """
 
-    def __init__(self, diagram: CoxeterDiagram, radius: int, cap: int = DEFAULT_ELEMENT_CAP):
+    def __init__(self, diagram: CoxeterDiagram, radius: int):
         if radius < 0:
             raise ValueError("radius must be >= 0")
         self.diagram = diagram
@@ -76,8 +76,8 @@ class Ball:
         for _ in range(radius):
             nxt = table[state]
             pi, ti = np.nonzero(nxt >= 0)
-            if sphere_start[-1] + len(pi) > cap:
-                raise BallCapExceeded(f"ball of radius {radius} exceeds cap {cap}")
+            if sphere_start[-1] + len(pi) > DEFAULT_ELEMENT_CAP:
+                raise BallCapExceeded(f"ball of radius {radius} exceeds cap {DEFAULT_ELEMENT_CAP}")
             parents.append(pi + sphere_start[-2])
             plasts.append(ti)
             state = nxt[pi, ti]
@@ -96,8 +96,7 @@ class Ball:
         # are all filled by the time v's sphere is reached; each such pair
         # also fills the ascent (v*s)*s = v.
         rmul = np.full((n, k), -1, dtype=np.int64)
-        gens = diagram.generators
-        comm = np.array([[diagram.commutes(s, t) for t in gens] for s in gens])
+        comm = np.array([[not c >> j & 1 for j in range(k)] for c in diagram.conflict])
         for l in range(1, radius + 1):
             lo, hi = sphere_start[l], sphere_start[l + 1]
             v, u, t = np.arange(lo, hi), self.parent[lo:hi], self.plast[lo:hi]
@@ -191,17 +190,14 @@ class Ball:
 _BALL_CACHE: dict[tuple, Ball] = {}  # least recently used first
 
 
-def ball(diagram: CoxeterDiagram, radius: int, cap: int = DEFAULT_ELEMENT_CAP) -> Ball:
-    """Memoized ball construction.  ``cap`` bounds the element count of a
-    cached ball as well as of a new one.  The cache keeps at most
+def ball(diagram: CoxeterDiagram, radius: int) -> Ball:
+    """Memoized ball construction.  The cache keeps at most
     ``DEFAULT_ELEMENT_CAP`` elements in all (besides the ball just returned),
     evicting the least recently used balls first."""
     key = (diagram.key(), radius)
     b = _BALL_CACHE.get(key)
     if b is None:
-        b = Ball(diagram, radius, cap=cap)
-    elif len(b) > cap:
-        raise BallCapExceeded(f"ball of radius {radius} exceeds cap {cap}")
+        b = Ball(diagram, radius)
     _BALL_CACHE.pop(key, None)
     _BALL_CACHE[key] = b
     total = sum(map(len, _BALL_CACHE.values()))
@@ -225,7 +221,7 @@ class NormalFormAutomaton:
     """The canonical-word automaton as an integer transition table.
 
     ``states[i]`` is a blocked set as a bitmask, bit i for generator i, built
-    from ``CoxeterDiagram._conflict``; state 0 is the empty set, the state
+    from ``CoxeterDiagram.conflict``; state 0 is the empty set, the state
     of the empty word.  ``transitions[i]`` lists ``(generator index, next
     state)`` for every generator not blocked in state i, in generator order,
     so following it from state 0 emits the canonical words in ShortLex
@@ -240,7 +236,7 @@ class NormalFormAutomaton:
         trans: list[list[tuple[int, int]]] = []  # state -> [(gen index, next state)]
         for b in states:  # states grows while it is walked
             row: list[tuple[int, int]] = []
-            for t, conflict in enumerate(diagram._conflict):
+            for t, conflict in enumerate(diagram.conflict):
                 if b >> t & 1:
                     continue
                 # t, and the letters of b or before t that commute with t

@@ -80,7 +80,7 @@ def _ray_fraction(diagram: CoxeterDiagram, qq: Mapping[str, Fraction]
     partial: list[tuple[int, polys.Poly]] = [(0, [1])]
     for i, s in enumerate(gens):
         a, b = qq[s].numerator, qq[s].denominator
-        blocked = sum(1 << j for j in range(i) if not diagram.commutes(s, gens[j]))
+        blocked = diagram.conflict[i] & ((1 << i) - 1)
         grown = []
         for clique, term in partial:
             # term * (b + a t) and term * (-a t), coefficient by coefficient.

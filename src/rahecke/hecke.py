@@ -11,19 +11,20 @@ Products follow the one-letter rule
     T_s T_w = T_{sw} + p_s T_w       if s <= w,      p_s = (q_s - 1) / sqrt(q_s),
 
 extended letter by letter over the left factor and bilinearly: the left
-key's letters come off its layers right to left (``heap_letters``), and a
-letter on a right key is one scan (``CoxeterDiagram.heap_lmul``).  In exact
-mode every q_s must be the square of a rational, so p_s, character values,
-and the coefficients of the central-projection partial sums all stay
-rational.  Exact products run on Python integers over one denominator: each
-factor's coefficients become numerators over their least common denominator,
-the walk scales T_s by the denominator of p_s, and one ``Fraction`` per
-output key is built at the end.
+key's letters come off its layers as generator indices, right to left
+(``heap_letters``), and ``CoxeterDiagram.heap_lmul`` puts one index on a
+right key in one scan.  In exact mode every q_s must be the square of a
+rational, so p_s, character values, and the coefficients of the
+central-projection partial sums all stay rational.  Exact products run on
+Python integers over one denominator: each factor's coefficients become
+numerators over their least common denominator, the walk scales T_s by the
+denominator of p_s, and one ``Fraction`` per output key is built at the end.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -62,9 +63,10 @@ class MultiParameter:
         self.roots = dict(roots)
         self.exact = exact
         self._p = {s: (self.q[s] - 1) / self.roots[s] for s in diagram.generators}
-        # p_s = pn_s / pd_s in lowest terms; float mode keeps pd_s = 1
-        self._p_parts = {s: (p.numerator, p.denominator) if exact else (p, 1)
-                         for s, p in self._p.items()}
+        # p_s = pn_s / pd_s in lowest terms by generator index; float mode
+        # keeps pd_s = 1
+        self._p_parts = [(p.numerator, p.denominator) if exact else (p, 1)
+                         for p in self._p.values()]
 
     # -- constructors --------------------------------------------------------
 
@@ -78,7 +80,7 @@ class MultiParameter:
             if roots[s] is None:
                 raise ValueError(
                     f"q[{s!r}] = {val} is not a square of a rational; "
-                    "use float mode for such parameters"
+                    "exact mode needs squares"
                 )
         return cls(diagram, qq, roots, exact=True)
 
@@ -107,14 +109,6 @@ class MultiParameter:
         """Character value on T_s for sign eps_s: eps_s * q_s ** (eps_s / 2)."""
         r = self.roots[s]
         return eps_s * (r if eps_s == 1 else 1 / r)
-
-    def sqrt_q_signed(self, word: Sequence[str], eps: Sequence[int]):
-        """prod over the letters of word of eps_s * q_s ** (eps_s / 2)."""
-        emap = dict(zip(self.diagram.generators, eps))
-        acc = Fraction(1) if self.exact else 1.0
-        for s in word:
-            acc = acc * self.char_gen(s, emap[s])
-        return acc
 
     def flipped(self, eps: Sequence[int]) -> "MultiParameter":
         """Parameters (q_s ** eps_s); exact roots flip with the sign."""
@@ -271,10 +265,15 @@ class HeckeElement:
 
     def adjoint(self) -> "HeckeElement":
         """x* = sum_w x_w T_{w^-1}: the coefficients are real, and a word of
-        w read right to left spells w^-1."""
-        d = self.diagram
-        return HeckeElement(self.params, {d.heap(d.heap_letters(w)): c
-                                          for w, c in self.coeffs.items()})
+        w read right to left spells w^-1, so its letters go on the left first
+        to last."""
+        d, out = self.diagram, {}
+        for w, c in self.coeffs.items():
+            layers = ()
+            for i in reversed(d.heap_letters(w)):
+                layers = d.heap_lmul(layers, i)[0]
+            out[layers] = c
+        return HeckeElement(self.params, out)
 
     def trace(self):
         """tau(x): the coefficient of T_e."""
@@ -304,9 +303,9 @@ class HeckeElement:
 
 def flip_parameters(a: HeckeElement, eps: Sequence[int]) -> HeckeElement:
     """Image of ``a`` under the isomorphism T_s -> eps_s T_s over (q_s**eps_s)."""
-    d, emap = a.diagram, dict(zip(a.diagram.generators, eps))
+    d = a.diagram
     return HeckeElement(a.params.flipped(eps),
-                        {w: math.prod(emap[s] for s in d.heap_letters(w)) * c
+                        {w: math.prod(eps[i] for i in d.heap_letters(w)) * c
                          for w, c in a.coeffs.items()})
 
 
@@ -314,10 +313,12 @@ def char_value(params: MultiParameter, eps: Sequence[int], a: HeckeElement):
     """chi_{q_eps}(a): linear extension of T_s -> eps_s q_s ** (eps_s/2)."""
     if not params.same_as(a.params):
         raise ValueError("parameter mismatch")
-    acc = Fraction(0) if params.exact else 0.0
+    d, one = a.diagram, Fraction(1) if params.exact else 1.0
+    chars = [params.char_gen(s, e) for s, e in zip(d.generators, eps)]
+    acc = 0 * one
     for w, c in a.coeffs.items():
         # the canonical word's letter order, which float rounding follows
-        acc = acc + c * params.sqrt_q_signed(a.diagram.heap_letters(w)[::-1], eps)
+        acc = acc + c * math.prod((chars[i] for i in reversed(d.heap_letters(w))), start=one)
     return acc
 
 
@@ -357,9 +358,7 @@ def cliq_decomposition(params: MultiParameter, w: Sequence[str]
     with all of Gamma is a right descent of w'.
     """
     d = params.diagram
-    gens = d.generators
-    # comm[s]: the generators that commute with s (s itself excluded).
-    comm = {s: sum(1 << j for j, t in enumerate(gens) if d.commutes(s, t)) for s in gens}
+    gens, conflict = d.generators, d.conflict
     one = Fraction(1) if params.exact else 1.0
     out: list[tuple[Word, tuple[str, ...], Word, object]] = []
     splits = d.splits(d.heap(w))
@@ -369,18 +368,18 @@ def cliq_decomposition(params: MultiParameter, w: Sequence[str]
         # which pairwise commute (u is reduced), so each s in Gamma strips
         # off what is left.  The movers (generators commuting with all of
         # Gamma and not in it) must avoid the right descents of w', its
-        # top layer.
+        # top layer; ~conflict[i] is what commutes with generator i.
         def extend(gamma: tuple[str, ...], movers: int, rest: tuple[int, ...],
-                   coeff, cands: list[str]) -> None:
+                   coeff, cands: list[int]) -> None:
             if not movers & top:
                 out.append((wp, gamma, d.heap_word(rest), coeff))
-            for i, s in enumerate(cands):
-                extend(gamma + (s,), movers & comm[s], d.heap_lmul(rest, s)[0],
-                       coeff * params.p(s), cands[i + 1:])
+            for k, i in enumerate(cands):
+                extend(gamma + (gens[i],), movers & ~conflict[i], d.heap_lmul(rest, i)[0],
+                       coeff * params.p(gens[i]), cands[k + 1:])
 
         descents = d.heap_descents(u)
         extend((), (1 << len(gens)) - 1, u, one,
-               [s for i, s in enumerate(gens) if descents >> i & 1])
+               [i for i in range(len(gens)) if descents >> i & 1])
     return out
 
 
@@ -401,8 +400,13 @@ def parse_float(text: str) -> float:
         raise DiagramError(f"{text.strip()!r} is past the float range") from None
 
 
+#: A term read up to the e of its coefficient's exponent, as in ``1e`` of 1e-3.
+_EXPONENT = re.compile(r"[^*(]*[0-9.][eE]")
+
+
 def parse_element_literal(params: MultiParameter, text: str) -> HeckeElement:
-    """Parse literals like ``1*T(e) - 3/2*T(a) + T(ab)``."""
+    """Parse literals like ``1*T(e) - 3/2*T(a) + T(ab)``; a sign right after
+    the e of a coefficient's exponent (``1e-3*T(a)``) stays in its term."""
     d = params.diagram
     s = text.replace(" ", "")
     if not s:
@@ -411,7 +415,9 @@ def parse_element_literal(params: MultiParameter, text: str) -> HeckeElement:
     sign = 1
     cur = ""
     for ch in s:
-        if ch in "+-" and cur:
+        if ch in "+-" and _EXPONENT.fullmatch(cur):
+            cur += ch
+        elif ch in "+-" and cur:
             terms.append((sign, cur))
             sign = 1 if ch == "+" else -1
             cur = ""

@@ -73,20 +73,21 @@ def _add(acc: dict[int, object], r: int, x) -> None:
 
 
 #: An operator sum c T_w for the walker: ``(p, terms)`` with p_s per
-#: generator index and ``terms`` of (generator index word w, coefficient c).
+#: generator index and ``terms`` of (the generator indices of a word of w,
+#: right to left, coefficient c).
 Op = tuple[Sequence, Sequence[tuple[tuple[int, ...], object]]]
 
 
 def _hecke_op(a: HeckeElement) -> Op:
     d = a.diagram
     return ([a.params.p(s) for s in d.generators],
-            [(tuple(map(d.gen_index, d.heap_word(w))), c) for w, c in a.coeffs.items()])
+            [(d.heap_letters(w), c) for w, c in a.coeffs.items()])
 
 
 def _group_op(d: CoxeterDiagram, word: Sequence[str]) -> Op:
     """T_w at q == 1 (p == 0), a permutation of the basis; the word need not
     be reduced, since s -> T_s at q == 1 is a group action."""
-    return [0] * d.rank, [(tuple(map(d.gen_index, word)), Fraction(1))]
+    return [0] * d.rank, [(tuple(map(d.gen_index, reversed(word))), Fraction(1))]
 
 
 class _Walker:
@@ -108,7 +109,7 @@ class _Walker:
         acc: dict[int, object] = {}
         for letters, c in terms:
             state: dict[int, object] = {v: c}
-            for s in reversed(letters):
+            for s in letters:
                 row, drow, ps = lmul[s], ldesc[s], p[s]
                 out: dict[int, object] = {}
                 for u, cc in state.items():
@@ -350,8 +351,8 @@ def verify_action_sweep(d: CoxeterDiagram, b: Ball, max_length: int
     k, m = d.rank, b.sphere_start[b.radius]  # the columns |v| <= n - 1
     top = min(max_length, b.radius)
     ws = _domain(b, top)
-    gens = d.generators
-    fixes = np.array([[s == t or d.commutes(s, t) for t in gens] for s in gens])
+    fixes = np.array([[i == j or not c >> j & 1 for j in range(k)]
+                      for i, c in enumerate(d.conflict)])
     central = np.ones((k, len(ws)), dtype=bool)  # central[s, w]: s*w == w*s
     for l in range(1, top + 1):
         lo, hi = b.sphere_start[l], b.sphere_start[l + 1]

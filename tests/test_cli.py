@@ -92,6 +92,15 @@ def test_mul(capsys, diagram_a_file):
     ]
 
 
+@pytest.mark.parametrize("mode,coeff", [("exact", "1/1000"), ("float", 0.001)])
+def test_mul_signed_exponent(capsys, diagram_a_file, mode, coeff):
+    """A coefficient's exponent sign stays in its term."""
+    code, doc = run(capsys, ["mul", "--diagram", diagram_a_file, "--mode", mode,
+                             "--q", "all=1", "--left", "1e-3*T(a)", "--right", "T(a)"])
+    assert code == 0
+    assert doc["product"] == [{"coeff": coeff, "word": "e"}]
+
+
 def test_char(capsys, diagram_a_file):
     code, doc = run(capsys, ["char", "--diagram", diagram_a_file, "--q", "all=1/4",
                              "--epsilon", "a=-1", "--element", "1*T(a)"])
@@ -142,10 +151,15 @@ def test_error_exits(capsys, diagram_a_file, tmp_path):
     capsys.readouterr()
     assert main(["nosuchcommand"]) == 1
     capsys.readouterr()
-    # non-square rational in exact mode
+    # non-square rational in exact mode; eproj has no float mode to suggest
     assert main(["mul", "--diagram", diagram_a_file, "--q", "all=1/2",
                  "--left", "1*T(a)", "--right", "1*T(a)"]) == 1
     capsys.readouterr()
+    assert main(["eproj", "--diagram", diagram_a_file, "--q", "all=1/2",
+                 "--epsilon", "all=+1", "--cutoff", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        "error: q['a'] = 1/2 is not a square of a rational; exact mode needs squares\n")
     assert main(["verify", "--suite", "action", "--diagram", diagram_a_file,
                  "--radius", "0"]) == 1
     assert "ball too small" in capsys.readouterr().err

@@ -3,8 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rahecke.coxeter import CoxeterDiagram, DiagramError, parse_diagram
-from rahecke.enumeration import ball
-from test_enumeration import components, diagrams
+from rahecke.enumeration import ball, connected_diagram_corpus
+from test_enumeration import commutes, components, diagrams
 
 
 @pytest.fixture(scope="module")
@@ -26,8 +26,26 @@ def path3():
 def test_parse_diagram_roundtrip():
     d = parse_diagram('{"generators": ["a", "b", "c"], "commuting": [["a", "b"]]}')
     assert d.generators == ("a", "b", "c")
-    assert d.commutes("a", "b") and d.commutes("b", "a")
-    assert not d.commutes("a", "c")
+    assert commutes(d, "a", "b") and commutes(d, "b", "a")
+    assert not commutes(d, "a", "c")
+    assert d.conflict == (0b101, 0b110, 0b111)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(diagrams(max_rank=5))
+def test_key_rebuilds_the_diagram(d):
+    """The key's pairs rebuild the same masks, and the masks are symmetric
+    with the diagonal set."""
+    again = CoxeterDiagram(d.generators, d.key()[1])
+    assert again == d and again.conflict == d.conflict
+    for i, row in enumerate(d.conflict):
+        assert row >> i & 1
+        assert all((row >> j & 1) == (d.conflict[j] >> i & 1) for j in range(d.rank))
+
+
+def test_key_sorts_pairs_by_name():
+    d = CoxeterDiagram(["c", "a", "b"], [["a", "c"], ["b", "c"], ["b", "a"]])
+    assert d.key() == (("c", "a", "b"), (("a", "b"), ("c", "a"), ("c", "b")))
 
 
 def test_parse_diagram_errors():
@@ -97,27 +115,23 @@ def test_irreducible_components(diagram_a):
 
 
 def test_components_exhaustive_small():
-    # against a brute-force connectivity check on all diagrams with 4 generators
+    # is_irreducible against union-find on every diagram with 4 and 5 generators
     from itertools import combinations
-    names = ["a", "b", "c", "d"]
-    pairs = list(combinations(names, 2))
-    for mask in range(1 << len(pairs)):
-        commuting = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-        d = CoxeterDiagram(names, commuting)
-        infty = set(pairs) - set(commuting)
-        # brute force union-find over infinity edges
-        parent = {x: x for x in names}
+    for names in (list("abcd"), list("abcde")):
+        pairs = list(combinations(names, 2))
+        for mask in range(1 << len(pairs)):
+            commuting = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
+            d = CoxeterDiagram(names, commuting)
+            parent = {x: x for x in names}
 
-        def find(x):
-            while parent[x] != x:
-                x = parent[x]
-            return x
+            def find(x):
+                while parent[x] != x:
+                    x = parent[x]
+                return x
 
-        for (s, t) in infty:
-            parent[find(s)] = find(t)
-        classes = {tuple(sorted(y for y in names if find(y) == find(x))) for x in names}
-        got = {tuple(sorted(c.generators)) for c in components(d)}
-        assert got == classes
+            for (s, t) in set(pairs) - set(commuting):  # the infinity edges
+                parent[find(s)] = find(t)
+            assert d.is_irreducible() == (len({find(x) for x in names}) == 1)
 
 
 def test_covering_closed_path(diagram_a, dinfty):
@@ -127,6 +141,32 @@ def test_covering_closed_path(diagram_a, dinfty):
     assert CoxeterDiagram(["a"]).covering_closed_path() is None
 
 
+def _covering_path_by_names(d):
+    """The covering path by a depth-first walk over name adjacency lists."""
+    adj = {s: [t for t in d.generators if t != s and not commutes(d, s, t)]
+           for s in d.generators}
+    walk, seen = [], set()
+
+    def dfs(u):
+        walk.append(u)
+        seen.add(u)
+        for x in adj[u]:
+            if x not in seen:
+                dfs(x)
+                walk.append(u)
+
+    dfs(d.generators[0])
+    if len(walk) > 1 and walk[-1] == walk[0]:
+        walk.pop()
+    return tuple(walk)
+
+
+def test_covering_path_on_the_corpus():
+    for d in connected_diagram_corpus(5):
+        expected = _covering_path_by_names(d) if d.rank >= 2 else None
+        assert d.covering_closed_path() == expected
+
+
 def test_covering_path_properties():
     pent = CoxeterDiagram(list("abcde"),
                           [["a", "b"], ["b", "c"], ["c", "d"], ["d", "e"], ["e", "a"]])
@@ -134,8 +174,8 @@ def test_covering_path_properties():
         g = d.covering_closed_path()
         assert set(g) == set(d.generators)
         for x, y in zip(g, g[1:]):
-            assert not d.commutes(x, y) and x != y
-        assert not d.commutes(g[0], g[-1]) and g[0] != g[-1]
+            assert not commutes(d, x, y) and x != y
+        assert not commutes(d, g[0], g[-1]) and g[0] != g[-1]
         # power growth |g^n| = n |g|
         for n in range(1, 5):
             assert len(d.normal_form(g * n)) == n * len(g)
@@ -178,7 +218,7 @@ def test_normal_form_idempotent_and_invariant(data):
     # invariance under an allowed adjacent swap
     lst = list(word)
     for i in range(len(lst) - 1):
-        if d.commutes(lst[i], lst[i + 1]):
+        if commutes(d, lst[i], lst[i + 1]):
             swapped = lst[:i] + [lst[i + 1], lst[i]] + lst[i + 2:]
             assert d.normal_form(swapped) == nf
             break
@@ -260,7 +300,7 @@ def test_heap_layers_match_normal_forms(d, data):
     assert layers == d.heap(w)
     assert d.heap_word(layers) == w
     for s in d.generators:
-        slayers, below = d.heap_lmul(layers, s)
+        slayers, below = d.heap_lmul(layers, d.gen_index(s))
         assert d.heap_word(slayers) == d.normal_form((s,) + w)
         assert slayers == d.heap((s,) + w)
         assert below == (s in _word_descents(d, w))
@@ -271,7 +311,7 @@ def test_heap_layers_match_normal_forms(d, data):
 
 def _blockers(d, s):
     """Letters that s cannot move past: s itself and its non-commuting ones."""
-    return {t for t in d.generators if not d.commutes(s, t)}
+    return {t for t in d.generators if not commutes(d, s, t)}
 
 
 def _word_nf(d, word):
@@ -362,7 +402,7 @@ def test_heap_engine_matches_word_rule(d, data):
     assert _mask_letters(d, d.heap_descents(layers)) == _word_descents(d, w)
     assert _mask_letters(d, layers[0] if layers else 0) == _word_descents(d, w[::-1])
     for s in d.generators:
-        stripped, below = d.heap_lmul(layers, s)
+        stripped, below = d.heap_lmul(layers, d.gen_index(s))
         expected = _word_strip(d, s, w)
         assert below == (expected is not None)
         if below:

@@ -15,6 +15,12 @@ from rahecke.enumeration import (Ball, BallCapExceeded, NormalFormAutomaton,
                                  ball, connected_diagram_corpus, sphere_weight)
 
 
+def commutes(diagram, s, t):
+    """True iff s != t and the exponent of (s, t) is 2, read off the
+    diagram's conflict masks."""
+    return not diagram.conflict[diagram.gen_index(s)] >> diagram.gen_index(t) & 1
+
+
 def cliques(diagram):
     """All cliques of the commuting graph, the empty clique included."""
     out = []
@@ -22,7 +28,7 @@ def cliques(diagram):
     def extend(base, candidates):
         out.append(base)
         for i, s in enumerate(candidates):
-            extend(base + (s,), [t for t in candidates[i + 1:] if diagram.commutes(s, t)])
+            extend(base + (s,), [t for t in candidates[i + 1:] if commutes(diagram, s, t)])
 
     extend((), diagram.generators)
     return out
@@ -34,10 +40,26 @@ def ball_index(b):
 
 
 def components(diagram):
-    """Sub-diagrams induced on the connected components of the infinity graph."""
-    return [CoxeterDiagram(comp, [(s, t) for i, s in enumerate(comp) for t in comp[i + 1:]
-                                  if diagram.commutes(s, t)])
-            for comp in diagram._infty_components()]
+    """Sub-diagrams induced on the connected components of the infinity graph,
+    each on its generators in diagram order, in order of their first one."""
+    gens, seen, out = diagram.generators, set(), []
+    for root in gens:
+        if root in seen:
+            continue
+        stack = [root]
+        seen.add(root)
+        comp = set()
+        while stack:
+            u = stack.pop()
+            comp.add(u)
+            for t in gens:
+                if t not in seen and t != u and not commutes(diagram, u, t):
+                    seen.add(t)
+                    stack.append(t)
+        comp = [s for s in gens if s in comp]
+        out.append(CoxeterDiagram(comp, [(s, t) for i, s in enumerate(comp) for t in comp[i + 1:]
+                                         if commutes(diagram, s, t)]))
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -86,22 +108,19 @@ def test_ball_is_brute_force_ball(diagram_a):
     assert set(b.words) == set(seen)
 
 
-def test_ball_cap():
+def test_ball_cap(monkeypatch):
+    """``Ball`` reads ``DEFAULT_ELEMENT_CAP`` when it is built."""
     d = CoxeterDiagram(["a", "b", "c"])
-    with pytest.raises(BallCapExceeded):
-        Ball(d, 10, cap=50)
-    # a cached ball is returned as is under a larger cap and still refused
-    # under a smaller one
-    b = ball(d, 4)
-    assert ball(d, 4, cap=10 ** 9) is b
-    assert ball(d, 4) is b
-    with pytest.raises(BallCapExceeded):
-        ball(d, 4, cap=len(b) - 1)
-    assert ball(d, 4) is b
+    size = len(Ball(d, 4))
+    monkeypatch.setattr(enumeration, "DEFAULT_ELEMENT_CAP", 50)
+    with pytest.raises(BallCapExceeded, match="ball of radius 10 exceeds cap 50"):
+        Ball(d, 10)
     # a fresh ball of exactly cap elements builds; one more is refused
-    assert len(Ball(d, 4, cap=len(b))) == len(b)
+    monkeypatch.setattr(enumeration, "DEFAULT_ELEMENT_CAP", size)
+    assert len(Ball(d, 4)) == size
+    monkeypatch.setattr(enumeration, "DEFAULT_ELEMENT_CAP", size - 1)
     with pytest.raises(BallCapExceeded):
-        Ball(d, 4, cap=len(b) - 1)
+        Ball(d, 4)
 
 
 def test_ball_cache_evicts_least_recently_used(monkeypatch):
@@ -109,9 +128,9 @@ def test_ball_cache_evicts_least_recently_used(monkeypatch):
     built = []
 
     class Counted(Ball):
-        def __init__(self, diagram, radius, cap=enumeration.DEFAULT_ELEMENT_CAP):
+        def __init__(self, diagram, radius):
             built.append(radius)
-            super().__init__(diagram, radius, cap)
+            super().__init__(diagram, radius)
 
     monkeypatch.setattr(enumeration, "_BALL_CACHE", {})
     monkeypatch.setattr(enumeration, "Ball", Counted)

@@ -13,7 +13,7 @@ from rahecke.hecke import (HeckeElement, MultiParameter,
                            cliq_decomposition, flip_parameters,
                            parse_element_literal, rational_sqrt)
 from test_coxeter import _word_descents, _word_nf, _word_prefixes, _word_strip
-from test_enumeration import diagrams
+from test_enumeration import commutes, diagrams
 
 
 @pytest.fixture(scope="module")
@@ -233,7 +233,7 @@ def _nested_cliq_decomposition(params, w):
 
         def extend(gamma, cands):
             movers = [t for t in d.generators
-                      if all(d.commutes(s, t) for s in gamma) and t not in gamma]
+                      if all(commutes(d, s, t) for s in gamma) and t not in gamma]
             if all(t not in rdesc_wp for t in movers):
                 wpp, coeff = u, Fraction(1) if params.exact else 1.0
                 for s in gamma:
@@ -244,7 +244,7 @@ def _nested_cliq_decomposition(params, w):
                 if wpp is not None:
                     out.append((wp, gamma, wpp, coeff))
             for i, s in enumerate(cands):
-                extend(gamma + (s,), [t for t in cands[i + 1:] if d.commutes(s, t)])
+                extend(gamma + (s,), [t for t in cands[i + 1:] if commutes(d, s, t)])
 
         extend((), _word_descents(d, u))
     return out
@@ -274,6 +274,12 @@ def test_parse_element_literal(params_quarter):
     assert y.terms() == [((), Fraction(-1, 3)), (("c",), 2), (("a", "b"), -1)]
     with pytest.raises(ValueError):
         parse_element_literal(params_quarter, "2*S(a)")
+    # a sign after a coefficient's exponent stays in its term; T(e) still splits
+    tb = HeckeElement.basis(params_quarter, "b")
+    assert parse_element_literal(params_quarter, "1e-3*T(a)") == Fraction(1, 1000) * ta
+    assert parse_element_literal(params_quarter, "2.5E+2*T(b)-T(a)") == 250 * tb - ta
+    assert parse_element_literal(params_quarter, "T(e)-T(a)") == \
+        HeckeElement.one(params_quarter) - ta
     # a sign with no term after it: read as the zero element, or dropped
     for text in ("+", "-", "T(a)+", "T(a)--", "T(a) - "):
         with pytest.raises(ValueError, match="dangling sign"):
