@@ -199,6 +199,8 @@ def cmd_eproj(args) -> dict:
 
 
 def cmd_verify(args) -> dict:
+    if args.mode is not None and args.suite != "positivity":
+        raise ValueError("--mode applies only to --suite positivity")
     d = _load_diagram(args.diagram)
     q = args.q or "all=1/4"
     _parse_q(d, q)  # a malformed --q is refused whichever suite runs
@@ -223,7 +225,7 @@ def cmd_verify(args) -> dict:
         doc["residual"] = res
         doc["x_terms"] = terms
     elif args.suite == "positivity":
-        params = _params(d, q, args.mode)
+        params = _params(d, q, args.mode or "exact")
         word = d.parse_element(args.word) if args.word else (d.generators[0],)
         lo, hi = l2rep.positivity_window(params, word, n)
         doc["word"] = d.format_element(word)
@@ -347,7 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoff", type=int, default=5)
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", choices=["exact", "float"], default="exact")
+    p.add_argument("--mode", choices=["exact", "float"], default=None,
+                   help="positivity only (default exact)")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_verify)
 

@@ -14,7 +14,8 @@ order off a heap (``normal_form`` goes through it), and
 ``test_ball_words_are_distinct_normal_forms`` checks the two against each
 other.  Everything here follows the automaton's integer transition table:
 ``Ball`` generates each sphere from the previous one on arrays and keeps only
-integer tables (word tuples are derived on first read), and
+int32 tables, read and written with ``take`` and flat assignments at intp
+indices (word tuples are derived on first read), and
 ``NormalFormAutomaton.sphere_series`` is the exact transfer-matrix oracle for
 sphere counts and weighted sphere sums.  Ball weights q_w are integers over
 one denominator: ``Ball.weight_numerators`` multiplies the numerators out
@@ -42,15 +43,18 @@ class BallCapExceeded(RuntimeError):
 
 class Ball:
     """All elements of word length <= radius, sorted by (length, ShortLex),
-    held as integer tables.
+    held as int32 tables (ids stay below ``DEFAULT_ELEMENT_CAP``).
 
     ``parent[v]`` is v with its last letter removed and ``plast[v]`` the
     index of that letter (the root is its own parent, with ``plast`` -1), so
     the children of an element are contiguous.  ``rmul[v, i]`` is the index
     of ``v * s_i`` and ``lmul[i][v]`` the index of ``s_i * v``; entries are
-    -1 when the product leaves the ball.  ``words`` is built from
-    ``parent``/``plast`` on first read, for the exact paths that work on word
-    tuples.
+    -1 when the product leaves the ball.  ``rmul`` is a view of one flat
+    array read at v*k + i, k the rank; those flat indices are computed in
+    intp, since they pass 2**31 on large balls of high rank.  ``ldesc[i][v]``
+    says whether s_i is a left descent of v.  ``words`` is built from
+    ``parent``/``plast`` on first read, for the exact paths that work on
+    word tuples.
     """
 
     def __init__(self, diagram: CoxeterDiagram, radius: int):
@@ -62,19 +66,19 @@ class Ball:
 
         # table[state, i]: the automaton state after appending s_i, -1 if blocked
         aut = NormalFormAutomaton(diagram)
-        table = np.full((len(aut.states), k), -1, dtype=np.int64)
+        table = np.full((len(aut.states), k), -1, dtype=np.int32)
         for st, row in enumerate(aut.transitions):
             for ti, nxt in row:
                 table[st, ti] = nxt
 
         # Children of a sphere in row-major (parent, letter) order are the
         # next sphere in ShortLex order.
-        parents = [np.zeros(1, dtype=np.int64)]
-        plasts = [np.full(1, -1, dtype=np.int64)]
-        state = np.zeros(1, dtype=np.int64)
+        parents = [np.zeros(1, dtype=np.int32)]
+        plasts = [np.full(1, -1, dtype=np.int32)]
+        state = np.zeros(1, dtype=np.int32)
         sphere_start = [0, 1]
         for _ in range(radius):
-            nxt = table[state]
+            nxt = table.take(state, axis=0)
             pi, ti = np.nonzero(nxt >= 0)
             if sphere_start[-1] + len(pi) > DEFAULT_ELEMENT_CAP:
                 raise BallCapExceeded(f"ball of radius {radius} exceeds cap {DEFAULT_ELEMENT_CAP}")
@@ -84,46 +88,54 @@ class Ball:
             sphere_start.append(sphere_start[-1] + len(pi))
 
         n = sphere_start[-1]
-        self.parent = np.concatenate(parents)
-        self.plast = np.concatenate(plasts)
-        self.length = np.repeat(np.arange(radius + 1, dtype=np.int64), np.diff(sphere_start))
+        self.parent = parent = np.concatenate(parents, dtype=np.int32)
+        self.plast = plast = np.concatenate(plasts, dtype=np.int32)
+        self.length = np.repeat(np.arange(radius + 1, dtype=np.int32), np.diff(sphere_start))
         self.sphere_start = sphere_start  # sphere l = [start[l], start[l+1])
 
-        # Right multiplication table, sphere by sphere: the tree edges
-        # u -> u*t and their inverses, then the other right descents of
-        # v = u*t, which are the right descents s of u that commute with t.
-        # For those v*s = (u*s)*t lies in the previous sphere, whose ascents
-        # are all filled by the time v's sphere is reached; each such pair
-        # also fills the ascent (v*s)*s = v.
-        rmul = np.full((n, k), -1, dtype=np.int64)
+        # Right multiplication table rm[v*k + i] = v * s_i, sphere by sphere:
+        # the tree edges u -> u*t and their inverses, then the other right
+        # descents of v = u*t, which are the right descents s of u that
+        # commute with t.  For those v*s = (u*s)*t lies in the previous
+        # sphere, whose ascents are all filled by the time v's sphere is
+        # reached; each such pair also fills the ascent (v*s)*s = v.
+        rm = np.full(n * k, -1, dtype=np.int32)
+        self.rmul = rmul = rm.reshape(n, k)  # a view: writes to rm show in it
         comm = np.array([[not c >> j & 1 for j in range(k)] for c in diagram.conflict])
+        letter = plast.astype(np.intp)
         for l in range(1, radius + 1):
             lo, hi = sphere_start[l], sphere_start[l + 1]
-            v, u, t = np.arange(lo, hi), self.parent[lo:hi], self.plast[lo:hi]
-            rmul[u, t] = v
-            rmul[v, t] = u
-            for si in range(k):
-                us = rmul[u, si]  # u*s is shorter iff it lies before u's sphere
-                hit = comm[si, t] & (us >= 0) & (us < sphere_start[l - 1])
-                w = rmul[us[hit], t[hit]]
-                rmul[v[hit], si] = w
-                rmul[w, si] = v[hit]
-        self.rmul = rmul
+            u, t = parent[lo:hi], letter[lo:hi]
+            rm[u.astype(np.intp) * k + t] = np.arange(lo, hi)
+            rm[np.arange(lo * k, hi * k, k) + t] = u
+            # flat index j = (v - lo)*k + s over the sphere's (v, s) pairs
+            # with u*s shorter than u (-1 reads as the largest uint32)
+            us = rmul.take(u, axis=0).ravel()
+            hit = comm.take(t, axis=0).ravel() & (us.view(np.uint32) < sphere_start[l - 1])
+            j = np.flatnonzero(hit)
+            vi, si = np.divmod(j, k)
+            w = rm.take(us.take(j).astype(np.intp) * k + t.take(vi)).astype(np.intp)
+            rm[j + lo * k] = w
+            rm[w * k + si] = vi + lo
 
         # Left multiplication via s*(u t) = (s*u) t along the generation tree,
-        # one sphere at a time: every parent lies in the previous sphere.
-        lmul = np.full((k, n), -1, dtype=np.int64)
+        # one sphere at a time: every parent lies in the previous sphere, so
+        # s*u lies in the ball.
+        lmul = np.empty((k, n), dtype=np.int32)
         for i in range(k):
             row = lmul[i]
-            row[0] = rmul[0, i]
+            row[0] = rm[i]
             for l in range(1, radius + 1):
                 lo, hi = sphere_start[l], sphere_start[l + 1]
-                su = row[self.parent[lo:hi]]
-                row[lo:hi] = np.where(su >= 0, rmul[su, self.plast[lo:hi]], -1)
+                su = row.take(parent[lo:hi]).astype(np.intp)
+                su *= k
+                su += letter[lo:hi]
+                row[lo:hi] = rm.take(su)
         self.lmul = lmul
         # |s*v| = |v| -+ 1 and the ball is sorted by length, so s is a left
-        # descent of v iff s*v comes before v (-1 marks ascents out of the ball)
-        self.ldesc = (lmul >= 0) & (lmul < np.arange(n))
+        # descent of v iff s*v comes before v; -1, an ascent out of the ball,
+        # reads as the largest uint32
+        self.ldesc = lmul.view(np.uint32) < np.arange(n, dtype=np.uint32)
 
     @functools.cached_property
     def words(self) -> list[Word]:
@@ -164,10 +176,10 @@ class Ball:
         """``prefix_mask`` of the word with these generator indices, stripping
         one letter at a time across all elements at once."""
         alive = np.ones(len(self), dtype=bool)
-        cur = np.arange(len(self), dtype=np.int64)
+        cur = np.arange(len(self), dtype=np.int32)
         for ti in letters:
-            alive &= self.ldesc[ti][cur]
-            cur = np.where(alive, self.lmul[ti][cur], 0)
+            alive &= self.ldesc[ti].take(cur)
+            cur = np.where(alive, self.lmul[ti].take(cur), 0)
         return alive
 
     def weight_numerators(self, q: Mapping[str, Fraction], l: int) -> tuple[list, int]:

@@ -4,10 +4,10 @@ verification, and spectral estimates.
 One exact form serves every exact path: sparse columns {id: coeff}, each
 walked only on a ball that holds all its terms.  The walker runs the
 one-letter rule on a ball's ids and tables, and a step out of its ball is an
-error, not a truncation.  The full compression ``rep_hecke`` walks on the
-ball of radius n plus the longest word of the operator and cuts the rows
-back to B_n, the first ids of that ball, so it holds the *true* compression
-P_n X P_n: a term that leaves B_n and comes back is kept.  Each identity
+error, not a truncation.  The full compression ``rep_hecke`` keeps the rows
+of B_n and drops only the entries that cannot come back into it with the
+letters their term has left, so it holds the *true* compression P_n X P_n:
+a term that leaves B_n and comes back is kept.  Each identity
 suite states its own comparison domain: the columns delta_v with |v| <= n
 minus the longest word by which its products move a basis vector, where a
 product of compressions agrees with the compression of the product.  The
@@ -101,15 +101,25 @@ class _Walker:
     def __init__(self, b: Ball):
         self.lmul = b.lmul.tolist()
         self.ldesc = b.ldesc.tolist()
+        self.start = b.sphere_start
 
-    def column(self, op: Op, v: int) -> dict[int, object]:
-        """``op`` applied to delta_v."""
+    def column(self, op: Op, v: int, radius: int | None = None) -> dict[int, object]:
+        """``op`` applied to delta_v, or with ``radius`` = n its rows in B_n.
+
+        The budget: each step moves a term by at most one letter, so an
+        entry at length L with j letters of its term left to apply can come
+        back into B_n only if L <= n + j.  Other entries are dropped after
+        each step; their successors would all be dropped too, so every kept
+        entry gets the same addends in the same order, and the same key
+        order, as in the walk without the budget."""
         p, terms = op
-        lmul, ldesc = self.lmul, self.ldesc
+        lmul, ldesc, start = self.lmul, self.ldesc, self.start
         acc: dict[int, object] = {}
         for letters, c in terms:
             state: dict[int, object] = {v: c}
+            left = len(letters)
             for s in letters:
+                left -= 1
                 row, drow, ps = lmul[s], ldesc[s], p[s]
                 out: dict[int, object] = {}
                 for u, cc in state.items():
@@ -123,6 +133,9 @@ class _Walker:
                     if ps and drow[u]:
                         old = out.get(u)
                         out[u] = cc * ps if old is None else old + cc * ps
+                if radius is not None:  # ids below ``bound`` have length <= n + left
+                    bound = start[min(radius + left + 1, len(start) - 1)]
+                    out = {u: cc for u, cc in out.items() if u < bound}
                 state = out
             for u, cc in state.items():
                 _add(acc, u, cc)
@@ -139,14 +152,20 @@ class _Walker:
 
 
 def rep_hecke(a: HeckeElement, b: Ball) -> list[dict[int, object]]:
-    """Columns of P_n a P_n for the left-regular action of ``a``: each
-    column delta_v, v in B_n, is walked on the ball of radius n plus the
-    longest word of ``a``, which holds all its terms, and its rows are cut
-    back to B_n, the first ``len(b)`` ids of that ball; so every column is
-    exact, the ones at the ball's edge too."""
+    """Columns of P_n a P_n for the left-regular action of ``a``, one per
+    v in B_n, each walked with the return budget of ``_Walker.column``.
+
+    A kept entry of a term with l letters, after k of them, has length at
+    most n + min(k, l - k) <= n + l // 2, so the next step stays in the ball
+    of radius n + reach // 2 + 1, reach the longest word of ``a``; the walk
+    runs on that ball.  The budget drops only entries that cannot come back
+    into B_n, which change no kept addend, so every column is exact, the
+    ones at the ball's edge too, and its rows are those of B_n, the first
+    ``len(b)`` ids of that ball."""
     reach = max((sum(map(int.bit_count, w)) for w in a.coeffs), default=0)
-    walk, m, op = _Walker(ball(b.diagram, b.radius + reach)), len(b), _hecke_op(a)
-    return [{u: c for u, c in walk.column(op, v).items() if u < m} for v in range(m)]
+    n = b.radius
+    walk, op = _Walker(ball(b.diagram, n + reach // 2 + 1)), _hecke_op(a)
+    return [walk.column(op, v, n) for v in range(len(b))]
 
 
 def q_operator(d: CoxeterDiagram, u: Sequence[str], q: Fraction, b: Ball,
@@ -177,9 +196,9 @@ def q_operator(d: CoxeterDiagram, u: Sequence[str], q: Fraction, b: Ball,
     q = Fraction(q)
     # below[p]: u <= p^-1, i.e. the letters of u strip off p as right descents
     below = np.ones(len(b), dtype=bool)
-    cur = np.arange(len(b))
+    cur = np.arange(len(b), dtype=np.int32)
     for t in uw:
-        nxt = b.rmul[cur, d.gen_index(t)]
+        nxt = b.rmul[:, d.gen_index(t)].take(cur)
         below &= (nxt >= 0) & (nxt < cur)
         cur = np.where(below, nxt, 0)
     # integers over the common denominator den^cutoff
@@ -206,12 +225,18 @@ def q_operator(d: CoxeterDiagram, u: Sequence[str], q: Fraction, b: Ball,
 
 def spectrum_bounds(m: np.ndarray) -> tuple[float, float]:
     """(min, max) eigenvalue of a self-adjoint compression, given as a dense
-    matrix."""
-    if len(m) > DENSE_LIMIT:
+    matrix.  The eigensolver reads the lower triangle alone, which is
+    overwritten with that of the symmetric part (m + m^T) / 2; the check and
+    the symmetrization go row by row, so no full-size temporary is made
+    besides the eigensolver's own copy."""
+    n = len(m)
+    if n > DENSE_LIMIT:
         raise ValueError("ball too large for a dense eigensolver")
-    if not np.allclose(m, m.T, atol=DENSE_TOL):
+    if not all(np.allclose(m[i], m[:, i], atol=DENSE_TOL) for i in range(n)):
         raise ValueError("operator is not self-adjoint")
-    vals = np.linalg.eigvalsh((m + m.T) / 2)
+    for i in range(n):
+        m[i, :i] = (m[i, :i] + m[:i, i]) / 2
+    vals = np.linalg.eigvalsh(m, UPLO="L")
     return float(vals[0]), float(vals[-1])
 
 

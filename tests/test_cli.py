@@ -198,6 +198,14 @@ def test_error_exits(capsys, diagram_a_file, tmp_path):
         assert main(argv + ["--diagram", diagram_a_file, "--mode", "float"]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and "'1e400' is past the float range" in captured.err
+    # --mode on a suite that has no float mode, where it was accepted and
+    # ignored (cliq and corollary then refused q = 1/2 as not a square)
+    for suite in ("action", "cliq", "corollary", "haagerup", "qop"):
+        assert main(["verify", "--suite", suite, "--diagram", diagram_a_file,
+                     "--q", "all=1/2", "--radius", "4", "--mode", "float"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            "error: --mode applies only to --suite positivity\n")
     # a dangling sign, which was read as the zero element or dropped
     for left in ("+", "-", "T(a)+", "T(a)--"):
         assert main(["mul", "--diagram", diagram_a_file, "--q", "all=1",

@@ -6,7 +6,7 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rahecke import enumeration
@@ -151,27 +151,6 @@ def test_ball_builds_no_words():
     b = Ball(CoxeterDiagram(["a", "b", "c"], [["a", "b"]]), 5)
     assert "words" not in b.__dict__
     assert b.words[b.rmul[ball_index(b)[("b",)], 0]] == ("a", "b")  # a, b commute
-
-
-def test_multiplication_tables(diagram_a):
-    d = diagram_a
-    b = ball(d, 4)
-    for v in range(len(b)):
-        wv = b.words[v]
-        for i, s in enumerate(d.generators):
-            rtrue = d.multiply(wv, (s,))
-            r = b.rmul[v, i]
-            if len(rtrue) <= 4:
-                assert b.words[r] == rtrue
-            else:
-                assert r == -1
-            ltrue = d.multiply((s,), wv)
-            l = b.lmul[i, v]
-            if len(ltrue) <= 4:
-                assert b.words[l] == ltrue
-            else:
-                assert l == -1
-            assert b.ldesc[i, v] == d.starts_with((s,), wv)
 
 
 def test_prefix_mask(diagram_a):
@@ -401,6 +380,24 @@ def test_ball_words_are_distinct_normal_forms(d, radius):
     gidx = {s: i for i, s in enumerate(d.generators)}
     assert Ball(d, radius).words == sorted(
         forms, key=lambda w: (len(w), [gidx[s] for s in w]))
+
+
+@PROPERTY_SETTINGS
+@given(diagrams(), st.integers(0, 5))
+@example(CoxeterDiagram(["a", "b", "c"], [["a", "b"]]), 4)
+def test_multiplication_tables(d, radius):
+    """Every entry of the int32 tables is the ball index of its product, or
+    -1 past the radius, and ``ldesc`` is the left-descent relation."""
+    b = Ball(d, radius)
+    for name in ("parent", "plast", "length", "rmul", "lmul"):
+        assert getattr(b, name).dtype == np.int32, name
+    assert b.ldesc.dtype == bool
+    index = ball_index(b)
+    for v, wv in enumerate(b.words):
+        for i, s in enumerate(d.generators):
+            assert b.rmul[v, i] == index.get(d.multiply(wv, (s,)), -1)
+            assert b.lmul[i, v] == index.get(d.multiply((s,), wv), -1)
+            assert b.ldesc[i, v] == d.starts_with((s,), wv)
 
 
 def test_clique_number_is_the_largest_clique():

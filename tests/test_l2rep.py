@@ -223,6 +223,35 @@ def test_walker_refuses_a_step_out_of_its_ball():
         i2[("b",)]: 1, i2[("a", "b")]: params.p("a")}
 
 
+PENTAGON = CoxeterDiagram("abcde", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"),
+                                      ("e", "a")])
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize("d,n,word", [(PENTAGON, 5, "acbd"),
+                                      (CoxeterDiagram("abc", [("a", "b")]), 6, "abc")],
+                         ids=["pentagon", "A"])
+def test_budgeted_columns_match_the_large_ball(d, n, word, exact):
+    """``rep_hecke``'s budgeted walk, on the ball of radius
+    n + reach // 2 + 1, gives every column of (T_w)* T_w item for item and in
+    order as the walk without a budget on the ball of radius n + reach, cut
+    to B_n: exact at q = 1/4, float at q = 5/3."""
+    params = (MultiParameter.exact_squares(d, {s: Fraction(1, 4) for s in d.generators})
+              if exact else MultiParameter.floating(d, {s: 5 / 3 for s in d.generators}))
+    a = HeckeElement.basis(params, d.normal_form(word))
+    x = a.adjoint() * a
+    reach = max(sum(map(int.bit_count, w)) for w in x.coeffs)
+    b, big = ball(d, n), l2rep._Walker(Ball(d, n + reach))
+    op = l2rep._hecke_op(x)
+    with mock.patch.object(l2rep, "ball", wraps=l2rep.ball) as built:
+        cols = l2rep.rep_hecke(x, b)
+    assert built.call_args.args == (d, n + reach // 2 + 1)
+    assert len(cols) == len(b)
+    for v, col in enumerate(cols):
+        assert list(col.items()) == [(u, c) for u, c in big.column(op, v).items()
+                                     if u < len(b)]
+
+
 def test_exact_paths_build_no_words(params, diagram_a):
     """No exact path reads word tuples, on the ball it is given or on the
     larger balls that the full compressions walk on."""
@@ -597,6 +626,17 @@ def test_spectrum_requires_selfadjoint(params, b6):
     x = rep(HeckeElement.basis(params, "ac"), b6)
     with pytest.raises(ValueError):
         l2rep.spectrum_bounds(x.to_dense())
+
+
+def test_spectrum_bounds_are_those_of_the_symmetric_part():
+    """The row-by-row symmetrization gives eigvalsh((m + m^T) / 2) bit for
+    bit on a matrix that is self-adjoint only up to ``DENSE_TOL``."""
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((60, 60))
+    m += m.T
+    m += 1e-11 * rng.standard_normal((60, 60))
+    vals = np.linalg.eigvalsh((m + m.T) / 2)
+    assert l2rep.spectrum_bounds(m.copy()) == (float(vals[0]), float(vals[-1]))
 
 
 def test_dense_limit_refused():
