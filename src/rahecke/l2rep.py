@@ -23,10 +23,14 @@ The fast engine for large balls (``sphere_patterns``) applies an x
 supported on the l-sphere as the compression P_n x P_{n-l}: x moves B_{n-l}
 into B_n, so these columns are exact and the sampled norms are lower bounds
 too, up to float64 rounding.  One pass of left extension of the sphere words
-on the ball's integer tables builds the entries <delta_u, T_w delta_v> of
-every length in turn, with no word tuple; each batch of coefficient vectors
-is then one block-diagonal sparse matrix, and a power iteration is one
-product with it and, but for the last, one with its transpose.
+on the ball's integer tables, read with flat ``take``, builds the entries
+<delta_u, T_w delta_v> of every length in turn, with no word tuple, and
+puts them in CSR order by one sort of packed int64 keys.  Each batch of
+coefficient vectors is then one block-diagonal sparse matrix, and a power
+iteration is one product with it and, but for the last, one with its
+transpose.  The block layout does not depend on the coefficients: it is
+built once per pattern and group width and shared by every group and batch
+of that width, so each column group builds only its data.
 """
 
 from __future__ import annotations
@@ -226,16 +230,22 @@ def q_operator(d: CoxeterDiagram, u: Sequence[str], q: Fraction, b: Ball,
 def spectrum_bounds(m: np.ndarray) -> tuple[float, float]:
     """(min, max) eigenvalue of a self-adjoint compression, given as a dense
     matrix.  The eigensolver reads the lower triangle alone, which is
-    overwritten with that of the symmetric part (m + m^T) / 2; the check and
-    the symmetrization go row by row, so no full-size temporary is made
-    besides the eigensolver's own copy."""
+    overwritten with that of the symmetric part (m + m^T) / 2.  The check
+    and the symmetrization go in blocks of about 2**20 / n rows, each
+    checked before it is written; no write touches the upper triangle,
+    which later blocks read, and no full-size temporary is made besides the
+    eigensolver's own copy.  A refused matrix may be partly overwritten."""
     n = len(m)
     if n > DENSE_LIMIT:
         raise ValueError("ball too large for a dense eigensolver")
-    if not all(np.allclose(m[i], m[:, i], atol=DENSE_TOL) for i in range(n)):
-        raise ValueError("operator is not self-adjoint")
-    for i in range(n):
-        m[i, :i] = (m[i, :i] + m[:i, i]) / 2
+    step = 2**20 // max(n, 1)  # at least 262 rows, since n <= DENSE_LIMIT
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        if not np.allclose(m[lo:hi], m[:, lo:hi].T, atol=DENSE_TOL):
+            raise ValueError("operator is not self-adjoint")
+        m[lo:hi, :lo] = (m[lo:hi, :lo] + m[:lo, lo:hi].T) / 2
+        block = m[lo:hi, lo:hi]
+        np.copyto(block, (block + block.T) / 2, where=np.tri(hi - lo, k=-1, dtype=bool))
     vals = np.linalg.eigvalsh(m, UPLO="L")
     return float(vals[0]), float(vals[-1])
 
@@ -507,28 +517,54 @@ class SpherePattern:
     l-sphere (n the ball radius), made by ``sphere_patterns``: the triples
     (u, v, w, val) stably sorted by u, in CSR form (``indptr`` over the rows
     u of B_n, ``indices`` the columns v of B_{n-l}, int32), with ``w`` the
-    sphere index of w in ball order.  A (u, v) pair may repeat."""
+    sphere index of w in ball order.  A (u, v) pair may repeat.
+
+    The order comes from one sort of distinct int64 keys u << bits | i, i the
+    triple's position and bits the bit length of nnz - 1, so the low bits of
+    the sorted keys are the stable order by u.  Ids stay below
+    ``DEFAULT_ELEMENT_CAP`` < 2**21, so the keys fit in int64 for any nnz
+    below 2**42.  The block-diagonal layout of a batch width, which does not
+    depend on the coefficients, is built once per pattern and width and kept
+    with the pattern (``layout``); ``matrix`` builds only the data."""
 
     def __init__(self, shape: tuple[int, int], u, v, w, val):
         self.shape = shape
-        order = np.argsort(u, kind="stable")
+        nnz = len(u)
+        bits = (nnz - 1).bit_length()
+        key = u.astype(np.int64)
+        key <<= bits
+        key |= np.arange(nnz)
+        key.sort()
+        key &= (1 << bits) - 1  # the stable order by u
         self.indptr = np.r_[0, np.cumsum(np.bincount(u, minlength=shape[0]))].astype(np.int32)
-        self.indices, self.w, self.val = v[order].astype(np.int32), w[order], val[order]
+        self.indices = v.take(key).astype(np.int32, copy=False)
+        self.w, self.val = w.take(key), val.take(key)
+        self._layouts: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def layout(self, batch: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(indices, indptr)`` of the block-diagonal matrix of ``batch``
+        blocks, built on the first call for that width and then shared."""
+        got = self._layouts.get(batch)
+        if got is None:
+            cols, nnz = self.shape[1], len(self.val)
+            # int32 indices while they fit: scipy takes them without a scan or a copy
+            offsets = np.arange(batch, dtype=np.int32 if batch * nnz < 2**31 else np.int64)[:, None]
+            got = self._layouts[batch] = (
+                (self.indices + cols * offsets).ravel(),
+                np.r_[(self.indptr[:-1] + nnz * offsets).ravel(), batch * nnz])
+        return got
 
     def matrix(self, coeffs: np.ndarray):
         """The block-diagonal CSR matrix whose j-th block is
-        P_n x_j P_{n-l} for x_j = sum_w coeffs[w, j] T_w over the l-sphere."""
+        P_n x_j P_{n-l} for x_j = sum_w coeffs[w, j] T_w over the l-sphere,
+        on the shared ``layout`` of its width."""
         import scipy.sparse as sparse
 
-        batch, (rows, cols), nnz = coeffs.shape[1], self.shape, len(self.val)
-        # int32 indices while they fit: scipy takes them without a scan or a copy
-        offsets = np.arange(batch, dtype=np.int32 if batch * nnz < 2**31 else np.int64)[:, None]
+        batch, (rows, cols) = coeffs.shape[1], self.shape
         data = np.take(coeffs.T, self.w, axis=1)
         data *= self.val
-        return sparse.csr_matrix(
-            (data.ravel(), (self.indices + cols * offsets).ravel(),
-             np.r_[(self.indptr[:-1] + nnz * offsets).ravel(), batch * nnz]),
-            shape=(batch * rows, batch * cols))
+        return sparse.csr_matrix((data.ravel(), *self.layout(batch)),
+                                 shape=(batch * rows, batch * cols))
 
 
 def sphere_patterns(b: Ball, p: float, max_length: int):
@@ -541,32 +577,35 @@ def sphere_patterns(b: Ball, p: float, max_length: int):
     w' at once.  Stage 0 is T_e on B_{n-1}; stage k extends the triples of
     stage k - 1 with v in B_{n-k}, whose |u| <= |v| + k - 1 < n, so su stays
     in the ball.  Each length thus gets the triples, in their order, of its
-    own extension from B_{n-l}."""
-    n, start = b.radius, b.sphere_start
-    u = np.arange(start[n])
-    v, w, val = u, np.zeros_like(u), np.ones(len(u))
+    own extension from B_{n-l}.  The ball's tables are read with flat
+    ``take`` at s * len(b) + u."""
+    n, start, size = b.radius, b.sphere_start, len(b)
+    lmul, ldesc = b.lmul.ravel(), b.ldesc.ravel()
+    u = np.arange(start[n], dtype=np.int32)
+    v, w, val = u, np.zeros(len(u), dtype=np.intp), np.ones(len(u))
     for k in range(1, max_length + 1):
         keep = v < start[n - k + 1]  # v in B_{n-k}
         u, v, w, val = u[keep], v[keep], w[keep], val[keep]
         ws = np.arange(start[k], start[k + 1])
-        s = b.ldesc[:, ws].argmax(axis=0)
-        parent = b.lmul[s, ws] - start[k - 1]
+        s = b.ldesc[:, start[k]:start[k + 1]].argmax(axis=0)
+        parent = lmul.take(s * size + ws) - start[k - 1]
         # the rows of each w's left parent, gathered in sphere order
         counts = np.bincount(w, minlength=start[k] - start[k - 1])
-        reps = counts[parent]
+        reps = counts.take(parent)
         w = np.repeat(np.arange(len(ws)), reps)
         rows = np.arange(len(w)) + np.repeat(
-            np.cumsum(counts)[parent] - np.cumsum(reps), reps)
-        s, u, v, val = s[w], u[rows], v[rows], val[rows]
+            np.cumsum(counts).take(parent) - np.cumsum(reps), reps)
+        s, u, v, val = s.take(w), u.take(rows), v.take(rows), val.take(rows)
         # each row gives delta_{su}, then p delta_u when s <= u
-        down = b.ldesc[s, u] & (p != 0)
+        flat = s * size + u
+        down = ldesc.take(flat) & (p != 0)
         twice = 1 + down
         at = (np.cumsum(twice) - 1)[down]
         below = u[down]
-        u, v, w, val = (np.repeat(x, twice) for x in (b.lmul[s, u], v, w, val))
+        u, v, w, val = (np.repeat(x, twice) for x in (lmul.take(flat), v, w, val))
         u[at] = below
         val[at] *= p
-        yield SpherePattern((len(b), start[n - k + 1]), u, v, w, val)
+        yield SpherePattern((size, start[n - k + 1]), u, v, w, val)
 
 
 def sphere_operator_norms(pattern: SpherePattern, coeff_matrix: np.ndarray,
@@ -583,17 +622,21 @@ def sphere_operator_norms(pattern: SpherePattern, coeff_matrix: np.ndarray,
     The columns never mix, so the batch splits into g = min(CPUs in the
     process's affinity, batch // 2) contiguous groups, each iterated by
     ``_group_norms`` on its own block-diagonal matrix and its own thread
-    (the sparse products and numpy loops release the GIL).  The calling
-    thread runs the first group and a pool scoped to the call runs the
-    other g - 1, so g = 1 starts no thread and no worker outlives the call;
-    a pool of g workers, with the caller idle, measured ~5 MB more peak RSS
-    on pentagon balls of radius 9 and 10.  The start block is drawn and
-    normalised for the whole batch first.  Each row of a group's products
-    and reductions is summed in the same order as in the whole batch, so
-    the estimates are bit-identical to one group's; every group holds at
-    least two columns because numpy's row reduction of a one-row array can
-    differ in the last bits.  A group that stops on an all-zero image stops
-    where its columns would stay zero in the whole batch.
+    (the sparse products and numpy loops release the GIL).  The layout of
+    each group width is the pattern's (``SpherePattern.layout``), built in
+    the calling thread before any group starts, so the groups of a batch,
+    and later batches of the same widths, share it and each group builds
+    only its data.  The calling thread runs the first group and a pool
+    scoped to the call runs the other g - 1, so g = 1 starts no thread and
+    no worker outlives the call; a pool of g workers, with the caller idle,
+    measured ~5 MB more peak RSS on pentagon balls of radius 9 and 10.  The
+    start block is drawn and normalised for the whole batch first.  Each
+    row of a group's products and reductions is summed in the same order as
+    in the whole batch, so the estimates are bit-identical to one group's;
+    every group holds at least two columns because numpy's row reduction of
+    a one-row array can differ in the last bits.  A group that stops on an
+    all-zero image stops where its columns would stay zero in the whole
+    batch.
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
@@ -608,6 +651,8 @@ def sphere_operator_norms(pattern: SpherePattern, coeff_matrix: np.ndarray,
         return _group_norms(pattern, coeff_matrix, vec, iters)
     from concurrent.futures import ThreadPoolExecutor  # only a grouped batch pays the import
     cuts = [batch * k // groups for k in range(groups + 1)]
+    for lo, hi in zip(cuts, cuts[1:]):  # so the threads only read the pattern's layouts
+        pattern.layout(hi - lo)
     with ThreadPoolExecutor(groups - 1) as pool:
         rest = [pool.submit(_group_norms, pattern, coeff_matrix[:, lo:hi], vec[lo:hi], iters)
                 for lo, hi in zip(cuts[1:-1], cuts[2:])]

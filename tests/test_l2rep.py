@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 import threading
 from fractions import Fraction
 from unittest import mock
@@ -639,6 +640,27 @@ def test_spectrum_bounds_are_those_of_the_symmetric_part():
     assert l2rep.spectrum_bounds(m.copy()) == (float(vals[0]), float(vals[-1]))
 
 
+def test_spectrum_bounds_check_the_last_partial_block():
+    """The blocked check reaches the last row of a last, partial block: an
+    asymmetry there alone is refused, and one just inside ``DENSE_TOL`` is
+    accepted with the bounds of the symmetric part, bit for bit, so no
+    block's write reached an entry a later block reads."""
+    n = 1100  # blocks of 2**20 // n = 953 rows: one full, one partial
+    assert n > 2**20 // n and n % (2**20 // n)
+    rng = np.random.default_rng(7)
+    m = rng.standard_normal((n, n))
+    m += m.T
+    m += 1e-11 * rng.standard_normal((n, n))
+    m[-1, -2] = m[-2, -1] = 0.0  # an entry whose tolerance is DENSE_TOL alone
+    bad = m.copy()
+    bad[-1, -2] = 1.5 * l2rep.DENSE_TOL
+    with pytest.raises(ValueError, match="not self-adjoint"):
+        l2rep.spectrum_bounds(bad)
+    m[-1, -2] = 0.9 * l2rep.DENSE_TOL
+    vals = np.linalg.eigvalsh((m + m.T) / 2)
+    assert l2rep.spectrum_bounds(m.copy()) == (float(vals[0]), float(vals[-1]))
+
+
 def test_dense_limit_refused():
     free3 = CoxeterDiagram(["a", "b", "c"])
     big = ball(free3, 11)
@@ -876,6 +898,93 @@ def test_sphere_passes_prune_dead_ends(n, l):
         _check_sphere_passes(d, q, n, l, n + l)
 
 
+def _recording_matrices(built):
+    """``SpherePattern.matrix`` patched to append each matrix it builds,
+    from any thread, to ``built``."""
+    matrix = l2rep.SpherePattern.matrix
+
+    def recorded(self, coeffs):
+        m = matrix(self, coeffs)
+        built.append(m)
+        return m
+
+    return mock.patch.object(l2rep.SpherePattern, "matrix", recorded)
+
+
+def _check_sorted_pattern(pattern, shape, u, v, w, val):
+    """The pattern's CSR arrays equal those of a stable argsort of u."""
+    order = np.argsort(u, kind="stable")
+    indptr = np.r_[0, np.cumsum(np.bincount(u, minlength=shape[0]))]
+    assert pattern.shape == shape
+    assert pattern.indptr.dtype == pattern.indices.dtype == np.int32
+    assert pattern.indptr.tolist() == indptr.tolist()
+    assert pattern.indices.tolist() == v[order].tolist()
+    assert pattern.w.tolist() == w[order].tolist()
+    assert pattern.val.tobytes() == val[order].tobytes()
+
+
+def _per_call_layout(pattern, batch):
+    """The block-diagonal ``(indices, indptr)`` as ``SpherePattern.matrix``
+    once built it on every call."""
+    (rows, cols), nnz = pattern.shape, len(pattern.val)
+    offsets = np.arange(batch, dtype=np.int32 if batch * nnz < 2**31 else np.int64)[:, None]
+    return ((pattern.indices + cols * offsets).ravel(),
+            np.r_[(pattern.indptr[:-1] + nnz * offsets).ravel(), batch * nnz])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.sampled_from(connected_diagram_corpus(5)), st.integers(3, 7),
+       st.sampled_from([0.0, -0.3, 0.9]), st.integers(1, 3))
+def test_sphere_pattern_layout(d, n, p, l):
+    """Each pattern of the chain holds its triples in the order of a stable
+    argsort by u; its layout of every width 1-9 is the per-call formula's;
+    and the two groups of a batch build their matrices on one index
+    buffer."""
+    b = ball(d, n)
+    assume(l <= n - 2 and b.sphere_sizes()[l] > 0)
+    triples = []
+
+    class Recorded(l2rep.SpherePattern):
+        def __init__(self, shape, u, v, w, val):
+            triples.append((shape, u.copy(), v.copy(), w.copy(), val.copy()))
+            super().__init__(shape, u, v, w, val)
+
+    with mock.patch.object(l2rep, "SpherePattern", Recorded):
+        patterns = list(l2rep.sphere_patterns(b, p, l))
+    assert len(patterns) == len(triples) == l
+    for pattern, args in zip(patterns, triples):
+        _check_sorted_pattern(pattern, *args)
+        for batch in range(1, 10):
+            for got, want in zip(pattern.layout(batch), _per_call_layout(pattern, batch)):
+                assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    built = []
+    coeffs = np.random.default_rng(n).standard_normal((b.sphere_sizes()[l], 4))
+    with _with_cpus(2), _recording_matrices(built):
+        l2rep.sphere_operator_norms(patterns[-1], coeffs, iters=1)
+    assert len(built) == 2
+    assert np.shares_memory(built[0].indices, built[1].indices)
+    assert np.shares_memory(built[0].indptr, built[1].indptr)
+
+
+@pytest.mark.parametrize("rows,u", [
+    (4, [3]),
+    (8, [5, 1, 4, 1, 5, 0, 2, 6]),
+    (8, [2] * 40 + [0, 7] * 3 + [2] * 21),
+    (8, [7, 0, 7, 3, 7, 7]),
+    (enumeration.DEFAULT_ELEMENT_CAP, [enumeration.DEFAULT_ELEMENT_CAP - 1, 0] * 8),
+], ids=["nnz-1", "nnz-power-of-two", "repeated-row", "last-row", "ids-at-the-cap"])
+def test_sphere_pattern_packed_sort(rows, u):
+    """The packed keys u << bits | position give the stable order by u when
+    there are no position bits (nnz 1), when nnz - 1 fills its bits (nnz a
+    power of two), when a row repeats many times, and at the last row, the
+    cap's last id too."""
+    u = np.array(u, dtype=np.int32)
+    rng = np.random.default_rng(len(u))
+    v = rng.integers(0, 5, len(u)).astype(np.int32)
+    w, val = rng.integers(0, 3, len(u)), rng.standard_normal(len(u))
+    _check_sorted_pattern(l2rep.SpherePattern((rows, 5), u, v, w, val), (rows, 5), u, v, w, val)
+
+
 @pytest.mark.parametrize("iters", [1, 3, 8])
 def test_power_iteration_skips_the_unread_transposed_product(diagram_a, iters):
     """Each iteration makes one forward product; every one but the last
@@ -1001,3 +1110,28 @@ def test_column_groups_start_threads_by_the_rule(diagram_a):
             assert sorted(widths) == sorted(groups), (cpus, batch)
             assert 1 <= len(started) < len(groups) if len(groups) > 1 else not started
             assert not any(t.is_alive() for t in started)
+
+
+def test_groups_share_one_layout_under_thread_switching(diagram_a):
+    """Eight column groups (an 8-CPU affinity, so more threads than the
+    host may have cores), switching every microsecond, each build their
+    matrix on the one layout of their width that the calling thread built,
+    and give the one-group estimates bit for bit, every time."""
+    b = ball(diagram_a, 7)
+    pattern = _pattern(b, 0.5, 2)
+    coeffs = np.random.default_rng(3).standard_normal((b.sphere_sizes()[2], 16))
+    want = [x.hex() for x in _one_group(pattern, coeffs, 4, 0)]
+    built = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with _with_cpus(8), _recording_matrices(built):
+            for _ in range(5):
+                got = l2rep.sphere_operator_norms(pattern, coeffs, iters=4)
+                assert [x.hex() for x in got] == want
+    finally:
+        sys.setswitchinterval(interval)
+    indices, indptr = pattern.layout(2)
+    assert len(built) == 40
+    assert all(np.shares_memory(m.indices, indices) and np.shares_memory(m.indptr, indptr)
+               for m in built)
