@@ -261,19 +261,7 @@ class HeckeElement:
                                               for key, n in total.items() if n != 0})
         return HeckeElement(self.params, total)
 
-    # -- involution, trace, l2 ------------------------------------------------
-
-    def adjoint(self) -> "HeckeElement":
-        """x* = sum_w x_w T_{w^-1}: the coefficients are real, and a word of
-        w read right to left spells w^-1, so its letters go on the left first
-        to last."""
-        d, out = self.diagram, {}
-        for w, c in self.coeffs.items():
-            layers = ()
-            for i in reversed(d.heap_letters(w)):
-                layers = d.heap_lmul(layers, i)[0]
-            out[layers] = c
-        return HeckeElement(self.params, out)
+    # -- trace, l2 -----------------------------------------------------------
 
     def trace(self):
         """tau(x): the coefficient of T_e."""

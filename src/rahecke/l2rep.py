@@ -4,14 +4,15 @@ verification, and spectral estimates.
 One exact form serves every exact path: sparse columns {id: coeff}, each
 walked only on a ball that holds all its terms.  The walker runs the
 one-letter rule on a ball's ids and tables, and a step out of its ball is an
-error, not a truncation.  The full compression ``rep_hecke`` keeps the rows
-of B_n and drops only the entries that cannot come back into it with the
-letters their term has left, so it holds the *true* compression P_n X P_n:
-a term that leaves B_n and comes back is kept.  Each identity
-suite states its own comparison domain: the columns delta_v with |v| <= n
-minus the longest word by which its products move a basis vector, where a
-product of compressions agrees with the compression of the product.  The
-suites compute only those columns, each side as walker applications and
+error, not a truncation.  The positivity window needs the *true*
+compression P_n T_w* T_w P_n, in which a term that leaves B_n and comes back
+counts.  It is the Gram matrix X^T X of X = T_w P_n, and each column
+T_w delta_v of X, |v| <= n, is a walk of |w| letters that stays in
+B_{n+|w|}; so the window needs neither a Hecke product nor a cut.  Each
+identity suite states its own comparison domain: the columns delta_v with
+|v| <= n minus the longest word by which its products move a basis vector,
+where a product of compressions agrees with the compression of the product.
+The suites compute only those columns, each side as walker applications and
 prefix masks on delta_v, on their own ball; none builds a full compression.
 The ball sweeps (``verify_action_sweep``, ``verify_cliq_sweep``) run a suite
 over every w of a ball, reading w off the ball's tables rather than its word
@@ -44,7 +45,7 @@ import numpy as np
 
 from .coxeter import CoxeterDiagram
 from .enumeration import Ball, ball
-from .hecke import HeckeElement, MultiParameter, cliq_decomposition
+from .hecke import MultiParameter, cliq_decomposition
 
 DENSE_LIMIT = 4000
 DENSE_TOL = 1e-9  # symmetry and window tolerance of the dense eigensolver
@@ -82,10 +83,12 @@ def _add(acc: dict[int, object], r: int, x) -> None:
 Op = tuple[Sequence, Sequence[tuple[tuple[int, ...], object]]]
 
 
-def _hecke_op(a: HeckeElement) -> Op:
-    d = a.diagram
-    return ([a.params.p(s) for s in d.generators],
-            [(d.heap_letters(w), c) for w, c in a.coeffs.items()])
+def _basis_op(params: MultiParameter, word: Sequence[str]) -> Op:
+    """T_w for a word of w: one term, the canonical letters of w right to
+    left, with coefficient 1."""
+    d = params.diagram
+    return ([params.p(s) for s in d.generators],
+            [(d.heap_letters(d.heap(word)), Fraction(1) if params.exact else 1.0)])
 
 
 def _group_op(d: CoxeterDiagram, word: Sequence[str]) -> Op:
@@ -99,31 +102,22 @@ class _Walker:
     where T_s acts by the one-letter rule
     T_s delta_u = delta_{su} + p_s [s <= u] delta_u, read off ``lmul`` and
     ``ldesc``.  The ball must hold every term of the walk: a step out of it
-    raises ``ValueError``.
+    raises ``ValueError``.  Each step moves a term by at most one letter, so
+    a walk of k letters from delta_v stays in the ball of radius |v| + k.
     """
 
     def __init__(self, b: Ball):
         self.lmul = b.lmul.tolist()
         self.ldesc = b.ldesc.tolist()
-        self.start = b.sphere_start
 
-    def column(self, op: Op, v: int, radius: int | None = None) -> dict[int, object]:
-        """``op`` applied to delta_v, or with ``radius`` = n its rows in B_n.
-
-        The budget: each step moves a term by at most one letter, so an
-        entry at length L with j letters of its term left to apply can come
-        back into B_n only if L <= n + j.  Other entries are dropped after
-        each step; their successors would all be dropped too, so every kept
-        entry gets the same addends in the same order, and the same key
-        order, as in the walk without the budget."""
+    def column(self, op: Op, v: int) -> dict[int, object]:
+        """``op`` applied to delta_v."""
         p, terms = op
-        lmul, ldesc, start = self.lmul, self.ldesc, self.start
+        lmul, ldesc = self.lmul, self.ldesc
         acc: dict[int, object] = {}
         for letters, c in terms:
             state: dict[int, object] = {v: c}
-            left = len(letters)
             for s in letters:
-                left -= 1
                 row, drow, ps = lmul[s], ldesc[s], p[s]
                 out: dict[int, object] = {}
                 for u, cc in state.items():
@@ -137,9 +131,6 @@ class _Walker:
                     if ps and drow[u]:
                         old = out.get(u)
                         out[u] = cc * ps if old is None else old + cc * ps
-                if radius is not None:  # ids below ``bound`` have length <= n + left
-                    bound = start[min(radius + left + 1, len(start) - 1)]
-                    out = {u: cc for u, cc in out.items() if u < bound}
                 state = out
             for u, cc in state.items():
                 _add(acc, u, cc)
@@ -153,23 +144,6 @@ class _Walker:
             for r, a in self.column(op, u).items():
                 _add(acc, r, a * x)
         return {r: y for r, y in acc.items() if y}
-
-
-def rep_hecke(a: HeckeElement, b: Ball) -> list[dict[int, object]]:
-    """Columns of P_n a P_n for the left-regular action of ``a``, one per
-    v in B_n, each walked with the return budget of ``_Walker.column``.
-
-    A kept entry of a term with l letters, after k of them, has length at
-    most n + min(k, l - k) <= n + l // 2, so the next step stays in the ball
-    of radius n + reach // 2 + 1, reach the longest word of ``a``; the walk
-    runs on that ball.  The budget drops only entries that cannot come back
-    into B_n, which change no kept addend, so every column is exact, the
-    ones at the ball's edge too, and its rows are those of B_n, the first
-    ``len(b)`` ids of that ball."""
-    reach = max((sum(map(int.bit_count, w)) for w in a.coeffs), default=0)
-    n = b.radius
-    walk, op = _Walker(ball(b.diagram, n + reach // 2 + 1)), _hecke_op(a)
-    return [walk.column(op, v, n) for v in range(len(b))]
 
 
 def q_operator(d: CoxeterDiagram, u: Sequence[str], q: Fraction, b: Ball,
@@ -272,14 +246,45 @@ def exact_psd(matrix: list[list[Fraction]]) -> bool:
     return True
 
 
+def _gram(params: MultiParameter, w: Sequence[str], b: Ball) -> list[dict[int, object]]:
+    """Columns of P_n T_w* T_w P_n over B_n = ``b``, w reduced, as X^T X for
+    X = T_w P_n.
+
+    P_n T_w* T_w P_n = (T_w P_n)* (T_w P_n).  Each step of a walk moves a
+    term by at most one letter, so the column T_w delta_v of X, |v| <= n,
+    lies in B_{n+|w|}: walked on that ball, whose first ``len(b)`` ids are
+    those of B_n, it is exact, with nothing dropped.  No product T_w* T_w
+    is formed.  The rows of X are read off its columns, and each pair of
+    columns v, v' that share a row u adds X[u, v] X[u, v'] to the entries
+    (v, v') and (v', v) alike, so the Gram is symmetric as built, in float
+    mode too.  The walker's tables are freed on return, before the caller
+    allocates a dense matrix."""
+    walk, op = _Walker(ball(b.diagram, b.radius + len(w))), _basis_op(params, w)
+    rows: dict[int, list[tuple[int, object]]] = {}
+    for v in range(len(b)):
+        for u, c in walk.column(op, v).items():
+            rows.setdefault(u, []).append((v, c))
+    gram: list[dict[int, object]] = [{} for _ in range(len(b))]
+    for row in rows.values():
+        for i, (v, c) in enumerate(row):
+            for v2, c2 in row[i:]:
+                x = c * c2
+                _add(gram[v], v2, x)
+                if v2 != v:
+                    _add(gram[v2], v, x)
+    return gram
+
+
 def positivity_window(params: MultiParameter, word: Sequence[str], n: int,
                       certify_exact: bool = False) -> tuple[float, float]:
     """Spectral range of the compression of (T_w)* T_w, asserted to lie in
     [prod min(q_s^{+-1}), prod max(q_s^{+-1})] over the letters of w.
 
-    Float mode uses a dense eigensolver with tolerance ``DENSE_TOL``; with
-    ``certify_exact`` the containment is additionally certified by exact
-    semidefinite elimination (zero tolerance).
+    The compression is the Gram matrix X^T X of X = T_w P_n (``_gram``),
+    whose columns walk on B_{n+|w|}.  Float mode uses a dense eigensolver
+    with tolerance ``DENSE_TOL``; with ``certify_exact`` the containment is
+    additionally certified by exact semidefinite elimination (zero
+    tolerance).
     """
     if certify_exact and not params.exact:
         raise ValueError("exact certification needs exact parameters")
@@ -296,8 +301,7 @@ def positivity_window(params: MultiParameter, word: Sequence[str], n: int,
         qs = params.q[s]
         lo_bound *= min(qs, 1 / qs)
         hi_bound *= max(qs, 1 / qs)
-    a = HeckeElement.basis(params, w)
-    gram = rep_hecke(a.adjoint() * a, b)
+    gram = _gram(params, w, b)
     nn = len(b)
     m = np.zeros((nn, nn))
     for v, col in enumerate(gram):
@@ -424,7 +428,7 @@ def verify_remark22(params: MultiParameter, s: str, w: Sequence[str], b: Ball):
     wnf = d.normal_form(w)
     if d.centralizes(s, wnf) or d.starts_with((s,), wnf):
         raise ValueError("second identity needs w outside C(s) with s not below w")
-    walk, ts = _Walker(b), _hecke_op(HeckeElement.basis(params, (s,)))
+    walk, ts = _Walker(b), _basis_op(params, (s,))
     ps, pw, psw = (b.prefix_mask(u) for u in ((s,), wnf, d.multiply((s,), wnf)))
     one = Fraction(1)
     first = second = Fraction(0) if params.exact else 0.0
@@ -441,7 +445,7 @@ def verify_cliq_identity(params: MultiParameter, w: Sequence[str], b: Ball):
     wnf = d.normal_form(w)
     if b.radius < len(wnf) + 2:
         raise ValueError("ball too small")
-    walk, lhs = _Walker(b), _hecke_op(HeckeElement.basis(params, wnf))
+    walk, lhs = _Walker(b), _basis_op(params, wnf)
     decomposition = cliq_decomposition(params, wnf)
     masks = {gamma: b.prefix_mask(d.normal_form(gamma))
              for gamma in {gamma for _, gamma, _, _ in decomposition}}
@@ -489,7 +493,7 @@ def verify_corollary_split(params: MultiParameter, g: Sequence[str], power: int,
     if b.radius < len(letters) + 2:
         raise ValueError("ball too small")
     walk = _Walker(b)
-    lhs, group = _hecke_op(HeckeElement.basis(params, word)), _group_op(d, word)
+    lhs, group = _basis_op(params, word), _group_op(d, word)
     x_terms = [(params.p(t), b.prefix_mask(d.normal_form(letters[:i + 1])),
                 _group_op(d, letters[:i] + letters[i + 1:]))
                for i, t in enumerate(letters) if params.p(t) != 0]

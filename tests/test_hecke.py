@@ -35,6 +35,19 @@ def rand_element(params, b, rng, terms=3):
     return out
 
 
+def adjoint(x):
+    """x* = sum_w x_w T_{w^-1}: the coefficients are real, and a word of w
+    read right to left spells w^-1, so its letters go on the left first to
+    last."""
+    d, out = x.diagram, {}
+    for w, c in x.coeffs.items():
+        layers = ()
+        for i in reversed(d.heap_letters(w)):
+            layers = d.heap_lmul(layers, i)[0]
+        out[layers] = c
+    return HeckeElement(x.params, out)
+
+
 def test_rational_sqrt():
     assert rational_sqrt(Fraction(9, 4)) == Fraction(3, 2)
     assert rational_sqrt(Fraction(2)) is None
@@ -75,15 +88,15 @@ def test_parameter_mismatch(diagram_a, params_quarter):
 
 def test_adjoint(params_quarter, diagram_a):
     tab = HeckeElement.basis(params_quarter, "ab")
-    assert tab.adjoint() == tab  # ab commuting: (ab)^-1 = ba = ab
+    assert adjoint(tab) == tab  # ab commuting: (ab)^-1 = ba = ab
     tac = HeckeElement.basis(params_quarter, "ac")
-    assert tac.adjoint() == HeckeElement.basis(params_quarter, "ca")
+    assert adjoint(tac) == HeckeElement.basis(params_quarter, "ca")
     rng = np.random.default_rng(3)
     b = ball(diagram_a, 4)
     x = rand_element(params_quarter, b, rng)
     y = rand_element(params_quarter, b, rng)
-    assert (x * y).adjoint() == y.adjoint() * x.adjoint()
-    assert x.adjoint().adjoint() == x
+    assert adjoint(x * y) == adjoint(y) * adjoint(x)
+    assert adjoint(adjoint(x)) == x
 
 
 def test_trace_and_inner(params_quarter, diagram_a):
@@ -364,7 +377,7 @@ def test_inner_is_trace_of_product(d, exact, data):
     params = _drawn_params(d, exact, data)
     x = _drawn_element(params, data)
     y = x if data.draw(st.booleans()) else _drawn_element(params, data)
-    oracle = (y.adjoint() * x).trace()
+    oracle = (adjoint(y) * x).trace()
     if exact:
         assert x.inner(y) == oracle
     else:
@@ -415,7 +428,7 @@ def test_arithmetic_reads_no_words(monkeypatch, d, exact):
 
     def run():
         z = (x + y) * (x - y) * x
-        return [z, z.adjoint(), z.trace(), x.inner(z), z.norm2_sq(),
+        return [z, adjoint(z), z.trace(), x.inner(z), z.norm2_sq(),
                 flip_parameters(z, eps), char_value(params, eps, z)]
 
     expected = run()

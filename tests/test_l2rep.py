@@ -18,6 +18,26 @@ from rahecke.hecke import HeckeElement, MultiParameter, cliq_decomposition
 from rahecke import l2rep
 from test_coxeter import inverse
 from test_enumeration import ball_index, diagrams, prefixes
+from test_hecke import adjoint
+
+
+def hecke_op(a):
+    """The walker's operator for any Hecke element: p_s per generator index,
+    and each term's canonical letters, right to left, with its coefficient."""
+    d = a.diagram
+    return ([a.params.p(s) for s in d.generators],
+            [(d.heap_letters(w), c) for w, c in a.coeffs.items()])
+
+
+def rep_hecke(a, b):
+    """Columns of P_n a P_n for the left-regular action of ``a``, one per v
+    in B_n: each walked without a cut on the ball of radius n + reach, reach
+    the longest word of ``a``, which holds every term of the walk, and then
+    cut to the rows of B_n, the first ``len(b)`` ids of that ball."""
+    reach = max((sum(map(int.bit_count, w)) for w in a.coeffs), default=0)
+    walk, op = l2rep._Walker(ball(b.diagram, b.radius + reach)), hecke_op(a)
+    return [{u: c for u, c in walk.column(op, v).items() if u < len(b)}
+            for v in range(len(b))]
 
 
 class Compression:
@@ -83,7 +103,7 @@ class Compression:
 
 def rep(a, b):
     """``rep_hecke`` as a reference compression."""
-    return Compression(b, l2rep.rep_hecke(a, b), a.params.exact)
+    return Compression(b, rep_hecke(a, b), a.params.exact)
 
 
 def rep_group_word(d, word, b):
@@ -130,14 +150,14 @@ def test_rep_identity(params, b6):
 
 def test_rep_column_at_origin(params, b6):
     x = HeckeElement.basis(params, "ab") - Fraction(2, 3) * HeckeElement.basis(params, "cac")
-    R = l2rep.rep_hecke(x, b6)
+    R = rep_hecke(x, b6)
     col = {b6.words[r]: v for r, v in R[0].items()}
     assert col == dict(x.terms())
 
 
 def test_rep_single_generator_rule(params, b6):
     d = params.diagram
-    R = l2rep.rep_hecke(HeckeElement.basis(params, "a"), b6)
+    R = rep_hecke(HeckeElement.basis(params, "a"), b6)
     p = params.p("a")
     index = ball_index(b6)
     for v in range(len(b6)):
@@ -188,7 +208,7 @@ def test_id_columns_match_word_products(d, data):
         c = Fraction(data.draw(st.integers(-3, 3)), data.draw(st.integers(1, 3)))
         a = a + c * HeckeElement.basis(params, w)
     word = data.draw(st.lists(st.sampled_from(d.generators), max_size=5))
-    hecke_cols = l2rep.rep_hecke(a, b)
+    hecke_cols = rep_hecke(a, b)
     group_cols = rep_group_word(d, word, b).cols
     index = ball_index(b)
     for v in range(len(b)):
@@ -206,7 +226,7 @@ def test_term_leaving_the_ball_comes_back():
     b1 = ball(d, 1)
     index = ball_index(b1)
     ia, ib = index[("a",)], index[("b",)]
-    assert l2rep.rep_hecke(HeckeElement.basis(params, "ab"), b1)[ia] == {ib: 1}
+    assert rep_hecke(HeckeElement.basis(params, "ab"), b1)[ia] == {ib: 1}
     assert rep_group_word(d, "ab", b1).cols[ia] == {ib: 1}
 
 
@@ -216,7 +236,7 @@ def test_walker_refuses_a_step_out_of_its_ball():
     d = CoxeterDiagram(["a", "b"], [["a", "b"]])
     params = MultiParameter.exact_squares(d, {"a": Fraction(1, 4), "b": Fraction(4)})
     b1, b2 = ball(d, 1), ball(d, 2)
-    op = l2rep._hecke_op(HeckeElement.basis(params, "ab"))
+    op = l2rep._basis_op(params, "ab")
     i1, i2 = ball_index(b1), ball_index(b2)
     with pytest.raises(ValueError, match="leaves the ball"):
         l2rep._Walker(b1).column(op, i1[("a",)])
@@ -228,34 +248,92 @@ PENTAGON = CoxeterDiagram("abcde", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e
                                       ("e", "a")])
 
 
-@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
-@pytest.mark.parametrize("d,n,word", [(PENTAGON, 5, "acbd"),
-                                      (CoxeterDiagram("abc", [("a", "b")]), 6, "abc")],
-                         ids=["pentagon", "A"])
-def test_budgeted_columns_match_the_large_ball(d, n, word, exact):
-    """``rep_hecke``'s budgeted walk, on the ball of radius
-    n + reach // 2 + 1, gives every column of (T_w)* T_w item for item and in
-    order as the walk without a budget on the ball of radius n + reach, cut
-    to B_n: exact at q = 1/4, float at q = 5/3."""
-    params = (MultiParameter.exact_squares(d, {s: Fraction(1, 4) for s in d.generators})
-              if exact else MultiParameter.floating(d, {s: 5 / 3 for s in d.generators}))
-    a = HeckeElement.basis(params, d.normal_form(word))
-    x = a.adjoint() * a
-    reach = max(sum(map(int.bit_count, w)) for w in x.coeffs)
-    b, big = ball(d, n), l2rep._Walker(Ball(d, n + reach))
-    op = l2rep._hecke_op(x)
+DIAGRAM_A, FREE3 = CoxeterDiagram("abc", [("a", "b")]), CoxeterDiagram("abc")
+GRAM_Q = [Fraction(1, 4), Fraction(1, 9), Fraction(1), Fraction(4), Fraction(9, 4)]
+
+
+def gram_of_product(params, w, b):
+    """P_n T_w* T_w P_n as the reference compression of the Hecke product."""
+    a = HeckeElement.basis(params, w)
+    return rep_hecke(adjoint(a) * a, b)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(connected_diagram_corpus(4)), st.data())
+def test_gram_is_the_compression_of_the_product(d, data):
+    """On the rank <= 4 corpus at radius 2-6 (balls of at most 200 elements,
+    so the reference walks stay small), for a reduced w of each length
+    1 <= |w| <= n / 2 and q_s drawn from {1/4, 1/9, 1, 4, 9/4}: the exact
+    Gram built from the columns of T_w P_n equals the compression of the
+    product T_w* T_w entry for entry; and at q = 1/4 the window of float
+    parameters equals the exact one within 1e-12 relative."""
+    n = data.draw(st.sampled_from([n for n in range(6, 1, -1) if len(ball(d, n)) <= 200]))
+    b = ball(d, n)
+    params = MultiParameter.exact_squares(
+        d, {s: data.draw(st.sampled_from(GRAM_Q)) for s in d.generators})
+    quarter = MultiParameter.exact_squares(d, {s: Fraction(1, 4) for s in d.generators})
+    floating = MultiParameter.floating(d, {s: 0.25 for s in d.generators})
+    for length in range(1, n // 2 + 1):
+        if not b.sphere_sizes()[length]:
+            break
+        w = b.words[data.draw(st.integers(b.sphere_start[length], b.sphere_start[length + 1] - 1))]
+        gram = l2rep._gram(params, w, b)
+        assert [{r: x for r, x in col.items() if x} for col in gram] == \
+            gram_of_product(params, w, b)
+        exact = l2rep.positivity_window(quarter, w, n)
+        assert all(abs(f - e) <= 1e-12 * e
+                   for f, e in zip(l2rep.positivity_window(floating, w, n), exact))
+
+
+@pytest.mark.parametrize("d,n,word", [(DIAGRAM_A, 6, "abc"), (PENTAGON, 4, "ac"),
+                                      (FREE3, 6, "aba")], ids=["A", "pentagon", "free3"])
+def test_gram_walks_the_ball_of_radius_n_plus_len_w(d, n, word):
+    """The columns of T_w P_n walk on B_{n+|w|}, which holds each of their
+    terms; on B_{n+|w|-1} a step leaves the ball, and the walk raises rather
+    than cut a term."""
+    params = MultiParameter.exact_squares(d, {s: Fraction(1, 4) for s in d.generators})
+    b, w = ball(d, n), d.normal_form(word)
     with mock.patch.object(l2rep, "ball", wraps=l2rep.ball) as built:
-        cols = l2rep.rep_hecke(x, b)
-    assert built.call_args.args == (d, n + reach // 2 + 1)
-    assert len(cols) == len(b)
-    for v, col in enumerate(cols):
-        assert list(col.items()) == [(u, c) for u, c in big.column(op, v).items()
-                                     if u < len(b)]
+        l2rep._gram(params, w, b)
+    assert built.call_args.args == (d, n + len(w))
+    with mock.patch.object(l2rep, "ball", lambda d, radius: ball(d, radius - 1)):
+        with pytest.raises(ValueError, match="leaves the ball"):
+            l2rep._gram(params, w, b)
+
+
+@pytest.mark.parametrize("d,n,word,q", [(DIAGRAM_A, 6, "abc", 2.0), (PENTAGON, 5, "acb", 0.7)],
+                         ids=["A", "pentagon"])
+def test_float_gram_is_symmetric_as_built(d, n, word, q):
+    """Each pair of columns that share a row of X adds one product to both
+    mirror entries, so the float Gram is symmetric bit for bit; it has every
+    diagonal entry ||T_w delta_v||^2 and agrees with the compression of the
+    float product within 1e-12 relative."""
+    params = MultiParameter.floating(d, {s: q for s in d.generators})
+    b, w = ball(d, n), d.normal_form(word)
+    m = Compression(b, l2rep._gram(params, w, b), False).to_dense()
+    assert (m == m.T).all() and (m.diagonal() > 0).all()
+    ref = Compression(b, gram_of_product(params, w, b), False).to_dense()
+    assert _relative(m, ref) <= 1e-12
+
+
+@pytest.mark.parametrize("d,n,word,q", [
+    (DIAGRAM_A, 4, "a", Fraction(1, 4)), (DIAGRAM_A, 6, "abc", Fraction(1, 4)),
+    (DIAGRAM_A, 6, "bc", Fraction(1, 9)), (PENTAGON, 4, "ac", Fraction(9, 4)),
+    (FREE3, 6, "aba", Fraction(4)),
+], ids=["A-a", "A-abc", "A-bc", "pentagon-ac", "free3-aba"])
+def test_exact_window_is_that_of_the_product(d, n, word, q):
+    """In exact mode the window is, bit for bit, the spectrum of the
+    compression of the Hecke product T_w* T_w: the two matrices are equal as
+    ``Fraction`` entries, so their floats are too."""
+    params = MultiParameter.exact_squares(d, {s: q for s in d.generators})
+    b = ball(d, n)
+    ref = Compression(b, gram_of_product(params, d.normal_form(word), b)).to_dense()
+    assert l2rep.positivity_window(params, word, n) == l2rep.spectrum_bounds(ref)
 
 
 def test_exact_paths_build_no_words(params, diagram_a):
     """No exact path reads word tuples, on the ball it is given or on the
-    larger balls that the full compressions walk on."""
+    larger ball that the positivity window walks on."""
     b = Ball(diagram_a, 6)
     with mock.patch.dict(enumeration._BALL_CACHE, clear=True):
         l2rep.verify_action_sweep(diagram_a, b, 7)
@@ -264,7 +342,6 @@ def test_exact_paths_build_no_words(params, diagram_a):
         l2rep.verify_remark22(params, "a", "c", b)
         l2rep.verify_corollary_split(params, ("a", "c", "b", "c"), 1, b)
         l2rep.q_operator(diagram_a, "a", Fraction(1, 2), b, 5)
-        l2rep.rep_hecke(HeckeElement.basis(params, "cab"), b)
         l2rep.verify_action_case(diagram_a, "a", "cb", b)
         l2rep.positivity_window(params, "ac", 6)
         used = [b, *enumeration._BALL_CACHE.values()]
@@ -535,7 +612,7 @@ def test_cliq_walks_only_domain_columns(monkeypatch):
     monkeypatch.setattr(l2rep._Walker, "column", counting)
     assert l2rep.verify_cliq_identity(params, w, b) == 0
     domain = range(b.sphere_start[3])
-    lhs = l2rep._hecke_op(HeckeElement.basis(params, w))
+    lhs = l2rep._basis_op(params, w)
     assert sorted(v for op, v in walked if op == lhs) == list(domain)
     assert len(walked) <= len(domain) * (1 + 2 * len(cliq_decomposition(params, w)))
 
@@ -677,19 +754,19 @@ def test_positivity_window_refuses_before_building():
     free3 = CoxeterDiagram(["a", "b", "c"])
     params = MultiParameter.exact_squares(free3, {s: Fraction(1, 4) for s in "abc"})
     assert len(ball(free3, 11)) > l2rep.DENSE_LIMIT
-    with mock.patch.object(l2rep, "rep_hecke", wraps=l2rep.rep_hecke) as rep:
+    with mock.patch.object(l2rep, "_gram", wraps=l2rep._gram) as gram:
         with pytest.raises(ValueError, match="too large"):
             l2rep.positivity_window(params, "a", 11)
-        rep.assert_not_called()
+        gram.assert_not_called()
         l2rep.positivity_window(params, "a", 4)
-        rep.assert_called_once()
+        gram.assert_called_once()
 
 
 def test_positivity_window_refuses_float_certification_first(diagram_a):
     """Exact certification of float parameters is refused before the Gram
     matrix is built or its spectrum taken."""
     floating = MultiParameter.floating(diagram_a, {s: 0.25 for s in "abc"})
-    with mock.patch.object(l2rep, "rep_hecke", wraps=l2rep.rep_hecke) as built, \
+    with mock.patch.object(l2rep, "_gram", wraps=l2rep._gram) as built, \
             mock.patch.object(l2rep, "spectrum_bounds", wraps=l2rep.spectrum_bounds) as spectrum:
         with pytest.raises(ValueError, match="needs exact parameters"):
             l2rep.positivity_window(floating, "a", 4, certify_exact=True)
@@ -1014,8 +1091,6 @@ def test_power_iteration_skips_the_unread_transposed_product(diagram_a, iters):
                                                            iters=iters).tolist()
 
 
-PENTAGON = CoxeterDiagram(list("abcde"), [["a", "b"], ["b", "c"], ["c", "d"],
-                                          ["d", "e"], ["e", "a"]])
 # The first 16 hex digits of the sha256 of the float.hex strings of every
 # ratio, then every max_ratio, of haagerup_ratio for l = 1..5 (19 trials,
 # seed 0, 8 iterations), recorded when each length still built its own
