@@ -6,9 +6,9 @@ walked only on a ball that holds all its terms.  The walker runs the
 one-letter rule on a ball's ids and tables, and a step out of its ball is an
 error, not a truncation.  The positivity window needs the *true*
 compression P_n T_w* T_w P_n, in which a term that leaves B_n and comes back
-counts.  It is the Gram matrix X^T X of X = T_w P_n, and each column
-T_w delta_v of X, |v| <= n, is a walk of |w| letters that stays in
-B_{n+|w|}; so the window needs neither a Hecke product nor a cut.  Each
+counts.  It is the Gram X^T X of X = T_w P_n, whose columns T_w delta_v,
+|v| <= n, walk |w| letters inside B_{n+|w|}, and it is block diagonal: the
+window needs no Hecke product, no cut and no whole-ball matrix.  Each
 identity suite states its own comparison domain: the columns delta_v with
 |v| <= n minus the longest word by which its products move a basis vector,
 where a product of compressions agrees with the compression of the product.
@@ -281,10 +281,11 @@ def positivity_window(params: MultiParameter, word: Sequence[str], n: int,
     [prod min(q_s^{+-1}), prod max(q_s^{+-1})] over the letters of w.
 
     The compression is the Gram matrix X^T X of X = T_w P_n (``_gram``),
-    whose columns walk on B_{n+|w|}.  Float mode uses a dense eigensolver
-    with tolerance ``DENSE_TOL``; with ``certify_exact`` the containment is
-    additionally certified by exact semidefinite elimination (zero
-    tolerance).
+    block diagonal over the components of its sparsity graph: columns that
+    share a row of X, all in one coset W_J u, J the letters of w.  Each
+    block, refused above ``DENSE_LIMIT`` before it is built, goes to a dense
+    eigensolver with tolerance ``DENSE_TOL`` and, with ``certify_exact``, to
+    exact semidefinite elimination (zero tolerance).
     """
     if certify_exact and not params.exact:
         raise ValueError("exact certification needs exact parameters")
@@ -292,37 +293,36 @@ def positivity_window(params: MultiParameter, word: Sequence[str], n: int,
     w = d.normal_form(word)
     if n < 2 * len(w):
         raise ValueError("ball radius must be at least twice the word length")
-    b = ball(d, n)
-    if len(b) > DENSE_LIMIT:
-        raise ValueError("ball too large for a dense eigensolver")
-    lo_bound = Fraction(1) if params.exact else 1.0
-    hi_bound = Fraction(1) if params.exact else 1.0
-    for s in w:
-        qs = params.q[s]
-        lo_bound *= min(qs, 1 / qs)
-        hi_bound *= max(qs, 1 / qs)
-    gram = _gram(params, w, b)
-    nn = len(b)
-    m = np.zeros((nn, nn))
-    for v, col in enumerate(gram):
-        for r, val in col.items():
-            m[r, v] = float(val)
-    lo, hi = spectrum_bounds(m)
-    if lo < float(lo_bound) - DENSE_TOL or hi > float(hi_bound) + DENSE_TOL:
-        raise AssertionError(
-            f"window violated: [{lo}, {hi}] vs [{float(lo_bound)}, {float(hi_bound)}]"
-        )
-    if certify_exact:
-        dense = [[Fraction(0)] * nn for _ in range(nn)]
-        for v, col in enumerate(gram):
-            for r, val in col.items():
-                dense[r][v] = val
-        shift_lo = [[dense[i][j] - (lo_bound if i == j else 0) for j in range(nn)]
-                    for i in range(nn)]
-        shift_hi = [[(hi_bound if i == j else 0) - dense[i][j] for j in range(nn)]
-                    for i in range(nn)]
-        if not (exact_psd(shift_lo) and exact_psd(shift_hi)):
-            raise AssertionError("exact window certification failed")
+    qs, one = [params.q[s] for s in w], Fraction(1) if params.exact else 1.0
+    lo_bound = math.prod((min(x, 1 / x) for x in qs), start=one)
+    hi_bound = math.prod((max(x, 1 / x) for x in qs), start=one)
+    gram = _gram(params, w, ball(d, n))
+    seen, lo, hi = [False] * len(gram), math.inf, -math.inf
+    for v in range(len(gram)):
+        if seen[v]:
+            continue
+        block, seen[v] = [v], True
+        for u in block:
+            for r in gram[u]:
+                if not seen[r]:
+                    seen[r] = True
+                    block.append(r)
+        if len(block) > DENSE_LIMIT:
+            raise ValueError("block too large for a dense eigensolver")
+        index = {u: i for i, u in enumerate(sorted(block))}
+        m = np.zeros((len(block), len(block)))
+        for u, i in index.items():
+            for r, val in gram[u].items():
+                m[index[r], i] = float(val)
+        blo, bhi = spectrum_bounds(m)
+        if blo < float(lo_bound) - DENSE_TOL or bhi > float(hi_bound) + DENSE_TOL:
+            raise AssertionError(
+                f"window violated: [{blo}, {bhi}] vs [{float(lo_bound)}, {float(hi_bound)}]")
+        lo, hi = min(lo, blo), max(hi, bhi)
+        for c, sign in ((lo_bound, 1), (hi_bound, -1)) if certify_exact else ():
+            if not exact_psd([[sign * (gram[u].get(r, 0) - (c if u == r else 0)) for r in index]
+                              for u in index]):
+                raise AssertionError("exact window certification failed")
     return lo, hi
 
 

@@ -112,3 +112,11 @@ def test_every_src_function_has_a_caller():
                 and not (name.startswith("__") and name.endswith("__"))
                 and name not in rahecke.__all__]
     assert sorted(uncalled) == []
+
+
+def test_criterion_5_counts_a_failed_certificate(monkeypatch):
+    """A failed exact certificate turns criterion 5 red instead of escaping
+    as an error."""
+    monkeypatch.setattr(l2rep, "exact_psd", lambda matrix: False)
+    res = acceptance.criterion_5_positivity()
+    assert res.passed is False and res.details["exact_certified"] == 0

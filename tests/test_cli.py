@@ -137,6 +137,15 @@ def test_verify_suites(capsys, diagram_a_file):
     assert code == 0 and doc["tail_bound"] > 0
 
 
+def test_positivity_above_the_dense_limit_exits_0(capsys, free3_file):
+    """The dense limit bounds one block of the Gram, not the ball: free3 at
+    radius 11, a ball above the limit, runs, with the window [q, 1/q]."""
+    code, doc = run(capsys, ["verify", "--suite", "positivity", "--diagram", free3_file,
+                             "--q", "all=1/4", "--radius", "11", "--word", "a"])
+    assert code == 0
+    assert abs(doc["window"][0] - 0.25) < 1e-9 and abs(doc["window"][1] - 4) < 1e-9
+
+
 def test_error_exits(capsys, diagram_a_file, tmp_path):
     assert main(["nf", "--diagram", diagram_a_file, "--word", "xyz"]) == 1
     capsys.readouterr()

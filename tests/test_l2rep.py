@@ -8,6 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+from scipy.sparse.csgraph import connected_components
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -258,6 +259,27 @@ def gram_of_product(params, w, b):
     return rep_hecke(adjoint(a) * a, b)
 
 
+def components(m):
+    """The components of the sparsity graph of the dense matrix ``m``, each
+    as its ids in increasing order."""
+    count, label = connected_components(sparse.csr_matrix(m != 0), directed=False)
+    return [np.flatnonzero(label == k) for k in range(count)]
+
+
+def block_windows(m):
+    """The (min, max) eigenvalue of each diagonal block of ``m`` over the
+    components of its sparsity graph."""
+    return [l2rep.spectrum_bounds(m[np.ix_(ids, ids)].copy()) for ids in components(m)]
+
+
+def coset_rep(b, letters, v):
+    """The shortest element of the coset W_J v, J = ``letters`` (generator
+    indices): left descents in J stripped off one at a time."""
+    while (s := next((s for s in letters if b.ldesc[s][v]), None)) is not None:
+        v = int(b.lmul[s][v])
+    return v
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.sampled_from(connected_diagram_corpus(4)), st.data())
 def test_gram_is_the_compression_of_the_product(d, data):
@@ -265,8 +287,11 @@ def test_gram_is_the_compression_of_the_product(d, data):
     so the reference walks stay small), for a reduced w of each length
     1 <= |w| <= n / 2 and q_s drawn from {1/4, 1/9, 1, 4, 9/4}: the exact
     Gram built from the columns of T_w P_n equals the compression of the
-    product T_w* T_w entry for entry; and at q = 1/4 the window of float
-    parameters equals the exact one within 1e-12 relative."""
+    product T_w* T_w entry for entry; no Gram column leaves the coset
+    W_J v of its own element v, J the letters of w, so the Gram is block
+    diagonal over those cosets; the block-by-block window is within
+    1e-13 * hi of the spectrum of the whole-ball matrix; and at q = 1/4 the
+    window of float parameters equals the exact one within 1e-12 relative."""
     n = data.draw(st.sampled_from([n for n in range(6, 1, -1) if len(ball(d, n)) <= 200]))
     b = ball(d, n)
     params = MultiParameter.exact_squares(
@@ -280,6 +305,12 @@ def test_gram_is_the_compression_of_the_product(d, data):
         gram = l2rep._gram(params, w, b)
         assert [{r: x for r, x in col.items() if x} for col in gram] == \
             gram_of_product(params, w, b)
+        letters = {d.gen_index(s) for s in w}
+        assert all(coset_rep(b, letters, r) == coset_rep(b, letters, v)
+                   for v, col in enumerate(gram) for r in col)
+        lo, hi = l2rep.spectrum_bounds(Compression(b, gram).to_dense())
+        window = l2rep.positivity_window(params, w, n)
+        assert abs(window[0] - lo) <= 1e-13 * hi and abs(window[1] - hi) <= 1e-13 * hi
         exact = l2rep.positivity_window(quarter, w, n)
         assert all(abs(f - e) <= 1e-12 * e
                    for f, e in zip(l2rep.positivity_window(floating, w, n), exact))
@@ -322,13 +353,18 @@ def test_float_gram_is_symmetric_as_built(d, n, word, q):
     (FREE3, 6, "aba", Fraction(4)),
 ], ids=["A-a", "A-abc", "A-bc", "pentagon-ac", "free3-aba"])
 def test_exact_window_is_that_of_the_product(d, n, word, q):
-    """In exact mode the window is, bit for bit, the spectrum of the
-    compression of the Hecke product T_w* T_w: the two matrices are equal as
-    ``Fraction`` entries, so their floats are too."""
+    """In exact mode the window is, bit for bit, the least and the largest
+    end of the spectra of the diagonal blocks of the compression of the
+    Hecke product T_w* T_w, over the components of its sparsity graph: the
+    two matrices are equal as ``Fraction`` entries, so their floats and
+    their components are too."""
     params = MultiParameter.exact_squares(d, {s: q for s in d.generators})
     b = ball(d, n)
     ref = Compression(b, gram_of_product(params, d.normal_form(word), b)).to_dense()
-    assert l2rep.positivity_window(params, word, n) == l2rep.spectrum_bounds(ref)
+    windows = block_windows(ref)
+    assert len(windows) > 1
+    assert l2rep.positivity_window(params, word, n) == \
+        (min(lo for lo, _ in windows), max(hi for _, hi in windows))
 
 
 def test_exact_paths_build_no_words(params, diagram_a):
@@ -749,17 +785,34 @@ def test_dense_limit_refused():
         l2rep.spectrum_bounds(np.broadcast_to(0.0, (len(big), len(big))))
 
 
-def test_positivity_window_refuses_before_building():
-    """A ball above DENSE_LIMIT is refused before the Gram matrix is built."""
+def test_positivity_window_runs_on_a_ball_above_the_dense_limit():
+    """DENSE_LIMIT bounds one block of the Gram, not the ball: on free3 at
+    radius 11, a ball above the limit, the window of T_a is [q, 1/q]."""
     free3 = CoxeterDiagram(["a", "b", "c"])
     params = MultiParameter.exact_squares(free3, {s: Fraction(1, 4) for s in "abc"})
     assert len(ball(free3, 11)) > l2rep.DENSE_LIMIT
-    with mock.patch.object(l2rep, "_gram", wraps=l2rep._gram) as gram:
-        with pytest.raises(ValueError, match="too large"):
-            l2rep.positivity_window(params, "a", 11)
-        gram.assert_not_called()
-        l2rep.positivity_window(params, "a", 4)
-        gram.assert_called_once()
+    lo, hi = l2rep.positivity_window(params, "a", 11)
+    assert abs(lo - 0.25) < 1e-9 and abs(hi - 4) < 1e-9
+
+
+def test_positivity_window_refuses_a_block_before_building_it():
+    """A block above DENSE_LIMIT is refused before its dense matrix is
+    built: at the size of the largest block every block reaches the
+    eigensolver, and one below, none does."""
+    params = MultiParameter.exact_squares(FREE3, {s: Fraction(1, 4) for s in "abc"})
+    b = ball(FREE3, 6)
+    blocks = components(Compression(b, l2rep._gram(params, ("a", "b"), b)).to_dense())
+    limit = max(map(len, blocks))
+    with mock.patch.object(l2rep, "spectrum_bounds", wraps=l2rep.spectrum_bounds) as spectrum:
+        with mock.patch.object(l2rep, "DENSE_LIMIT", limit):
+            l2rep.positivity_window(params, "ab", 6)
+        assert sorted(len(c.args[0]) for c in spectrum.call_args_list) == \
+            sorted(map(len, blocks))
+        spectrum.reset_mock()
+        with mock.patch.object(l2rep, "DENSE_LIMIT", limit - 1), \
+                pytest.raises(ValueError, match="block too large"):
+            l2rep.positivity_window(params, "ab", 6)
+        spectrum.assert_not_called()
 
 
 def test_positivity_window_refuses_float_certification_first(diagram_a):
