@@ -226,7 +226,7 @@ def cmd_verify(args) -> dict:
         doc["x_terms"] = terms
     elif args.suite == "positivity":
         params = _params(d, q, args.mode or "exact")
-        word = d.parse_element(args.word) if args.word else (d.generators[0],)
+        word = d.parse_element(args.word) if args.word is not None else (d.generators[0],)
         lo, hi = l2rep.positivity_window(params, word, n)
         doc["word"] = d.format_element(word)
         doc["window"] = [lo, hi]

@@ -48,7 +48,7 @@ from .enumeration import Ball, ball
 from .hecke import MultiParameter, cliq_decomposition
 
 DENSE_LIMIT = 4000
-DENSE_TOL = 1e-9  # symmetry and window tolerance of the dense eigensolver
+DENSE_TOL = 1e-9  # window tolerance of the dense eigensolver, relative to the upper bound
 # samples per batched power iteration in haagerup_ratio; the batch runs in up
 # to min(CPUs, HAAGERUP_BATCH // 2) column groups on threads, with ratios
 # bit-identical to one group (see sphere_operator_norms)
@@ -201,29 +201,6 @@ def q_operator(d: CoxeterDiagram, u: Sequence[str], q: Fraction, b: Ball,
     return [Fraction(x, scale) for x in g], tail, omega
 
 
-def spectrum_bounds(m: np.ndarray) -> tuple[float, float]:
-    """(min, max) eigenvalue of a self-adjoint compression, given as a dense
-    matrix.  The eigensolver reads the lower triangle alone, which is
-    overwritten with that of the symmetric part (m + m^T) / 2.  The check
-    and the symmetrization go in blocks of about 2**20 / n rows, each
-    checked before it is written; no write touches the upper triangle,
-    which later blocks read, and no full-size temporary is made besides the
-    eigensolver's own copy.  A refused matrix may be partly overwritten."""
-    n = len(m)
-    if n > DENSE_LIMIT:
-        raise ValueError("ball too large for a dense eigensolver")
-    step = 2**20 // max(n, 1)  # at least 262 rows, since n <= DENSE_LIMIT
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        if not np.allclose(m[lo:hi], m[:, lo:hi].T, atol=DENSE_TOL):
-            raise ValueError("operator is not self-adjoint")
-        m[lo:hi, :lo] = (m[lo:hi, :lo] + m[:lo, lo:hi].T) / 2
-        block = m[lo:hi, lo:hi]
-        np.copyto(block, (block + block.T) / 2, where=np.tri(hi - lo, k=-1, dtype=bool))
-    vals = np.linalg.eigvalsh(m, UPLO="L")
-    return float(vals[0]), float(vals[-1])
-
-
 def exact_psd(matrix: list[list[Fraction]]) -> bool:
     """Exact positive-semidefiniteness by symmetric Gaussian elimination on
     ``Fraction`` entries (each pivot row divided out, no tolerance)."""
@@ -283,9 +260,10 @@ def positivity_window(params: MultiParameter, word: Sequence[str], n: int,
     The compression is the Gram matrix X^T X of X = T_w P_n (``_gram``),
     block diagonal over the components of its sparsity graph: columns that
     share a row of X, all in one coset W_J u, J the letters of w.  Each
-    block, refused above ``DENSE_LIMIT`` before it is built, goes to a dense
-    eigensolver with tolerance ``DENSE_TOL`` and, with ``certify_exact``, to
-    exact semidefinite elimination (zero tolerance).
+    block, refused above ``DENSE_LIMIT`` before it is built, goes as built
+    (symmetric bit for bit) to a dense eigensolver, whose ends may pass the
+    bounds by ``DENSE_TOL`` times the upper bound, and, with
+    ``certify_exact``, to exact semidefinite elimination (zero tolerance).
     """
     if certify_exact and not params.exact:
         raise ValueError("exact certification needs exact parameters")
@@ -296,6 +274,7 @@ def positivity_window(params: MultiParameter, word: Sequence[str], n: int,
     qs, one = [params.q[s] for s in w], Fraction(1) if params.exact else 1.0
     lo_bound = math.prod((min(x, 1 / x) for x in qs), start=one)
     hi_bound = math.prod((max(x, 1 / x) for x in qs), start=one)
+    tol = DENSE_TOL * float(hi_bound)  # eigvalsh errs by about eps * ||block||
     gram = _gram(params, w, ball(d, n))
     seen, lo, hi = [False] * len(gram), math.inf, -math.inf
     for v in range(len(gram)):
@@ -314,8 +293,9 @@ def positivity_window(params: MultiParameter, word: Sequence[str], n: int,
         for u, i in index.items():
             for r, val in gram[u].items():
                 m[index[r], i] = float(val)
-        blo, bhi = spectrum_bounds(m)
-        if blo < float(lo_bound) - DENSE_TOL or bhi > float(hi_bound) + DENSE_TOL:
+        vals = np.linalg.eigvalsh(m)
+        blo, bhi = float(vals[0]), float(vals[-1])
+        if blo < float(lo_bound) - tol or bhi > float(hi_bound) + tol:
             raise AssertionError(
                 f"window violated: [{blo}, {bhi}] vs [{float(lo_bound)}, {float(hi_bound)}]")
         lo, hi = min(lo, blo), max(hi, bhi)

@@ -146,6 +146,27 @@ def test_positivity_above_the_dense_limit_exits_0(capsys, free3_file):
     assert abs(doc["window"][0] - 0.25) < 1e-9 and abs(doc["window"][1] - 4) < 1e-9
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_positivity_far_from_q_1_exits_0(capsys, diagram_a_file, mode):
+    """At q = 1/10^4 the bounds of T_abc are [1e-12, 1e12]; the float ends
+    may pass them by DENSE_TOL times the upper bound, not by an absolute
+    DENSE_TOL, so the call is not refused."""
+    code, doc = run(capsys, ["verify", "--suite", "positivity", "--diagram", diagram_a_file,
+                             "--mode", mode, "--q", "all=1/10000", "--radius", "6",
+                             "--word", "abc"])
+    assert code == 0 and doc["word"] == "abc"
+    lo, hi = doc["window"]
+    assert 1e-12 - 1e3 <= lo <= hi <= 1e12 + 1e3
+
+
+def test_positivity_empty_word_is_the_identity(capsys, diagram_a_file):
+    """--word '' is the identity, as ``e`` is, not a default generator."""
+    for word in ("", "e"):
+        code, doc = run(capsys, ["verify", "--suite", "positivity", "--diagram", diagram_a_file,
+                                 "--q", "all=1/4", "--radius", "4", "--word", word])
+        assert code == 0 and doc["word"] == "e" and doc["window"] == [1.0, 1.0]
+
+
 def test_error_exits(capsys, diagram_a_file, tmp_path):
     assert main(["nf", "--diagram", diagram_a_file, "--word", "xyz"]) == 1
     capsys.readouterr()
@@ -403,6 +424,14 @@ GOLDEN_CASES = {
                            "--q", "a=1/4,b=1/9,c=4", "--radius", "6"],
     "verify_positivity_A": ["verify", "--suite", "positivity", "--diagram", "A",
                             "--q", "all=1/4", "--radius", "4", "--word", "a"],
+    # Float windows at parameters that are not squares of rationals.
+    "verify_positivity_float_pentagon": ["verify", "--suite", "positivity", "--mode", "float",
+                                         "--diagram", "pentagon",
+                                         "--q", "a=2,b=3,c=1/2,d=5/3,e=7",
+                                         "--radius", "6", "--word", "acb"],
+    # 1,536 blocks of the Gram, each taken by its own eigensolver call.
+    "verify_positivity_free3": ["verify", "--suite", "positivity", "--diagram", "free3",
+                                "--q", "all=1/4", "--radius", "10", "--word", "ababa"],
     "verify_qop_A": ["verify", "--suite", "qop", "--diagram", "A",
                      "--radius", "6", "--word", "a", "--cutoff", "5"],
 }
