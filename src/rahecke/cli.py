@@ -53,8 +53,10 @@ def _load_diagram(path: str) -> CoxeterDiagram:
 
 def _assignments(diagram: CoxeterDiagram, text: str, what: str, value) -> dict:
     """Parse 'a=v,b=w' or the broadcast form 'all=v' into {generator:
-    value(v)}; ``what`` names an assignment in the error messages."""
+    value(v)}; ``what`` names an assignment in the error messages.  A key
+    may be given once; values given after 'all' override it."""
     out = {}
+    seen = set()
     for item in text.split(","):
         if not item:
             continue
@@ -62,6 +64,9 @@ def _assignments(diagram: CoxeterDiagram, text: str, what: str, value) -> dict:
             raise DiagramError(f"bad {what} assignment {item!r}")
         key, val = item.split("=", 1)
         key = key.strip()
+        if key in seen:
+            raise DiagramError(f"{what} {key!r} given twice")
+        seen.add(key)
         v = value(val)
         if key == "all":
             out.update(dict.fromkeys(diagram.generators, v))

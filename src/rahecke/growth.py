@@ -19,12 +19,15 @@ t0, so
 
 All decisions are made by exact sign evaluations and Sturm counts; the
 boundary (rho = 1) is the exact condition that 1 is the only root of N in
-(0, 1].  One ray numerator and one Sturm chain per parameter give both the
-membership and, when asked, the bracket of t0 (see polys for the two-phase
-bisection).  The chain is one remainder sequence of N unless N has a
-repeated root, and its counts at 0 and 1 that give the membership also start
-the bisection at (0, 1] when N has a root there.  The classifier analyses each distinct |q_eps| once; flips that differ only
-at generators with q_s = 1 share the result.
+(0, 1].  One ray fraction, its reduced numerator and one Sturm chain per
+parameter give the membership, D(q) = num(1) / den(1) and, when asked, the
+bracket of t0 (see polys for the two-phase bisection).  The clique products
+of the ray fraction are packed as integers, each its value at t = 2^k for a
+k that keeps every coefficient one balanced base-2^k digit.  The chain is
+one remainder sequence of N unless N has a repeated root, and its counts at
+0 and 1 that give the membership also start the bisection at (0, 1] when N
+has a root there.  The classifier analyses each distinct |q_eps| once; flips
+that differ only at generators with q_s = 1 share the result.
 """
 
 from __future__ import annotations
@@ -63,9 +66,11 @@ def growth_reciprocal(diagram: CoxeterDiagram, q: Mapping[str, Fraction]) -> Fra
 
 def growth_value(diagram: CoxeterDiagram, q: Mapping[str, Fraction]) -> Fraction:
     """W(q) as an exact rational; requires q strictly inside the region."""
-    if region_membership(diagram, q) != "Interior":
+    qq = positive_parameters(diagram, q)
+    membership, _, _, (num, den) = _ray_analysis(diagram, qq, bracket=False)
+    if membership != "Interior":
         raise ValueError("growth series does not converge at this parameter")
-    return 1 / growth_reciprocal(diagram, q)
+    return Fraction(sum(den), sum(num))
 
 
 def _ray_fraction(diagram: CoxeterDiagram, qq: Mapping[str, Fraction]
@@ -75,31 +80,60 @@ def _ray_fraction(diagram: CoxeterDiagram, qq: Mapping[str, Fraction]
     sum_G prod_{s in G} (-a_s t) prod_{s not in G} (b_s + a_s t), not reduced."""
     # The cliques of gens[:i] (bitmasks) with their products, grown one
     # generator at a time (a shared prefix is multiplied once); the empty one
-    # ends as den.  A clique takes s unless it meets ``blocked`` by s.
+    # ends as den.  A clique takes s unless it meets ``blocked`` by s.  Each
+    # product is packed as one integer, its value at t = 2^k.  Every
+    # coefficient of num and den lies below bound = 2^(rank-1) prod_s (a_s +
+    # b_s) < 2^(k-1) in size, so it is one balanced base-2^k digit: den's are
+    # positive and sum to prod_s (a_s + b_s); den's of t^j sums
+    # prod_{s in U} a_s prod_{s not in U} b_s over the j-sets U, and num's
+    # sums the same products, each times the even minus the odd cliques
+    # inside U, so it is at most 2^(j-1) times den's for j >= 1.
     gens = diagram.generators
-    partial: list[tuple[int, polys.Poly]] = [(0, [1])]
+    bound = 1 << (len(gens) - 1)
+    for s in gens:
+        bound *= qq[s].numerator + qq[s].denominator
+    k = bound.bit_length() + 1
+    partial: list[tuple[int, int]] = [(0, 1)]
     for i, s in enumerate(gens):
         a, b = qq[s].numerator, qq[s].denominator
         blocked = diagram.conflict[i] & ((1 << i) - 1)
+        up, down = b + (a << k), -(a << k)  # b + a t and -a t at t = 2^k
         grown = []
-        for clique, term in partial:
-            # term * (b + a t) and term * (-a t), coefficient by coefficient.
-            grown.append((clique, [b * term[0]]
-                          + [b * c + a * c_low for c, c_low in zip(term[1:], term)]
-                          + [a * term[-1]]))
+        for clique, value in partial:
+            grown.append((clique, value * up))
             if not clique & blocked:
-                grown.append((clique | 1 << i, [0] + [-a * c for c in term]))
+                grown.append((clique | 1 << i, value * down))
         partial = grown
-    # Every term has degree rank (its lead is a product of nonzero a_s).
-    num = polys.trim([sum(column) for column in zip(*(term for _, term in partial))])
-    return num, partial[0][1]
+    # num and den have degree at most rank: rank + 1 digits each.
+    n = len(gens) + 1
+    return (polys.trim(_digits(sum(value for _, value in partial), k, n)),
+            _digits(partial[0][1], k, n))
 
 
-def ray_numerator(diagram: CoxeterDiagram, q: Mapping[str, Fraction]) -> polys.Poly:
-    """Reduced numerator N(t) of D(t*q): primitive integers with N(0) > 0.
-    ``q`` is taken as checked, a positive ``Fraction`` for every generator
-    (as ``positive_parameters`` returns it), and is not checked again."""
-    num, _ = _ray_fraction(diagram, q)
+def _digits(value: int, k: int, n: int) -> polys.Poly:
+    """The n balanced base-2^k digits of value, lowest first: the
+    coefficients of the polynomial of degree < n whose value at t = 2^k is
+    ``value``, given that each lies in (-2^(k-1), 2^(k-1))."""
+    mask, half = (1 << k) - 1, 1 << (k - 1)
+    out = []
+    for _ in range(n):
+        digit = value & mask
+        if digit >= half:
+            digit -= 1 << k
+        out.append(digit)
+        value = (value - digit) >> k
+    return out
+
+
+def ray_numerator(diagram: CoxeterDiagram, q: Mapping[str, Fraction],
+                  num: polys.Poly | None = None) -> polys.Poly:
+    """Reduced numerator N(t) of D(t*q): primitive integers with N(0) > 0,
+    reduced from ``num``, the numerator of ``_ray_fraction`` at q, when the
+    caller has it.  ``q`` is taken as checked, a positive ``Fraction`` for
+    every generator (as ``positive_parameters`` returns it), and is not
+    checked again."""
+    if num is None:
+        num, _ = _ray_fraction(diagram, q)
     # den's factors b_s + a_s t are primitive with positive leads: those that
     # divide num, once per generator, multiply to gcd(num, den) (Gauss).
     for s in diagram.generators:
@@ -129,18 +163,21 @@ class GrowthReport:
 
 
 def _ray_analysis(diagram: CoxeterDiagram, qq: Mapping[str, Fraction], bracket: bool
-                  ) -> tuple[str, Bracket | None, polys.Poly]:
-    """(membership, t0, N) of a checked parameter from one ray numerator N and
-    one Sturm chain of its squarefree part.  t0 is the isolating interval of
-    the smallest positive root of N, bisected only when ``bracket`` is true
-    (None otherwise, and when N has no positive root).
+                  ) -> tuple[str, Bracket | None, polys.Poly,
+                             tuple[polys.Poly, polys.Poly]]:
+    """(membership, t0, N, (num, den)) of a checked parameter from one ray
+    fraction num / den, its reduced numerator N and one Sturm chain of N's
+    squarefree part.  t0 is the isolating interval of the smallest positive
+    root of N, bisected only when ``bracket`` is true (None otherwise, and
+    when N has no positive root).
 
     Membership: no root of N in (0, 1] is Interior (rho < 1); N(1) = 0 as
     the only root in (0, 1] is Boundary (rho = 1); anything else has a root
     below 1 and is Exterior (rho > 1)."""
-    num = ray_numerator(diagram, qq)
+    fraction = _ray_fraction(diagram, qq)
+    num = ray_numerator(diagram, qq, fraction[0])
     if polys.degree(num) < 1:
-        return "Interior", None, num
+        return "Interior", None, num, fraction
     chain = polys.squarefree_sturm_chain(num)
     counts = polys._variations(chain, 0, 1), polys._variations(chain, 1, 1)
     inside = counts[0] - counts[1]
@@ -151,7 +188,7 @@ def _ray_analysis(diagram: CoxeterDiagram, qq: Mapping[str, Fraction], bracket: 
     else:
         membership = "Exterior"
     t0 = polys.isolate_smallest_positive_root(chain, counts) if bracket else None
-    return membership, t0, num
+    return membership, t0, num, fraction
 
 
 def _rho(t0: Bracket | None) -> Bracket:
@@ -163,13 +200,13 @@ def _rho(t0: Bracket | None) -> Bracket:
 
 def pole_and_rho(diagram: CoxeterDiagram, q: Mapping[str, Fraction]) -> GrowthReport:
     """Isolate the smallest positive pole t0 of t -> W(t*q) and rho = 1/t0;
-    the membership comes from the same ray analysis."""
+    the membership and D(q) come from the same ray analysis."""
     qq = positive_parameters(diagram, q)
-    membership, t0, num = _ray_analysis(diagram, qq, bracket=True)
+    membership, t0, num, (full, den) = _ray_analysis(diagram, qq, bracket=True)
     return GrowthReport(
         diagram=diagram,
         q=dict(qq),
-        reciprocal_value=growth_reciprocal(diagram, qq),
+        reciprocal_value=Fraction(sum(full), sum(den)),
         cleared_polynomial=[Fraction(c, num[0]) for c in num],
         t0=t0,
         rho=_rho(t0),
@@ -230,7 +267,7 @@ def classify_simplicity(diagram: CoxeterDiagram, q: Mapping[str, Fraction]) -> V
         key = tuple(1 if pair[0] == 1 else e for pair, e in zip(pairs, eps))
         if key not in analyses:
             qe = {s: pair[e < 0] for s, pair, e in zip(gens, pairs, key)}
-            membership, t0, _ = _ray_analysis(diagram, qe, bracket=True)
+            membership, t0, _, _ = _ray_analysis(diagram, qe, bracket=True)
             analyses[key] = membership, t0, _rho(t0)
         membership, t0, rho = analyses[key]
         per_flip[eps] = {"membership": membership, "t0": t0, "rho": rho}

@@ -11,11 +11,12 @@ evaluation.
 
 ``isolate_smallest_positive_root`` is the one isolation routine.  It runs in
 two phases, both on integers over one power of 2.  Phase 1 bisects on Sturm
-counts, from (0, 1] when the counts at 0 and 1 put a root there, until
-the bracket isolates the root.  Phase 2 does not bisect: the bracket that
-bisecting on the sign of the polynomial would end in is a cell of a dyadic
-grid known in advance, and safeguarded Newton on the integer points of that
-grid finds it: the exact sign at every iterate narrows the bracket.
+counts, from (0, 1] when the counts at 0 and 1 put a root there, until the
+bracket (0, hi] holds exactly one root; it then halves on the sign of the
+polynomial alone until the bracket leaves 0.  Phase 2 does not bisect: the
+bracket that bisecting on that sign would end in is a cell of a dyadic grid
+known in advance, and safeguarded Newton on the integer points of that grid
+finds it: the exact sign at every iterate narrows the bracket.
 """
 
 from __future__ import annotations
@@ -159,12 +160,14 @@ def isolate_smallest_positive_root(chain: list[Poly],
     or None when f has no positive real root.
 
     The bracket (lo, hi] is kept as lo = a/d and hi = b/d, d a power of 2.
-    Phase 1 bisects on Sturm counts until (lo, hi] holds exactly one root and
-    lo > 0; it carries the variation counts at lo and hi, so each step
-    evaluates the chain at the midpoint alone.  From then on the root lies
-    in (lo, mid] exactly when f(mid) = 0 or sign f(mid) != sign f(lo), so
-    phase 2 (``_refine``) needs the sign of f alone; it returns the bracket
-    that bisecting on that sign ends in, so the brackets are those of a
+    Phase 1 bisects until (lo, hi] holds exactly one root and lo > 0.  While
+    the root is not isolated it bisects on Sturm counts, carrying the
+    variation counts at lo and hi, so each step evaluates the chain at the
+    midpoint alone.  Once (lo, hi] holds one root, that root lies in
+    (lo, mid] exactly when f(mid) = 0 or sign f(mid) != sign f(lo), so the
+    steps that remain until lo > 0 (lo = 0 throughout) and phase 2
+    (``_refine``) need the sign of f alone; phase 2 returns the bracket that
+    bisecting on that sign ends in, so the brackets are those of a
     Sturm-count bisection.
 
     From the Cauchy bound B >= 2 the bisection halves (0, 2^j] down to
@@ -193,7 +196,8 @@ def isolate_smallest_positive_root(chain: list[Poly],
     while v_lo - v_hi != 1 or a == 0:
         a, b, d = 2 * a, 2 * b, 2 * d
         m = (a + b) // 2
-        if _sign(chain[0], m, d) == 0:
+        sign = _sign(chain[0], m, d)
+        if sign == 0:
             # m/d is a rational root; it is the smallest in (lo, hi] unless
             # the deflated polynomial still has one strictly below it.  Only
             # the reduced factor is primitive, so only it divides exactly.
@@ -203,6 +207,14 @@ def isolate_smallest_positive_root(chain: list[Poly],
             if v_lo == v_hi:
                 return (Fraction(m, d), Fraction(m, d))
             b = m
+            continue
+        if v_lo - v_hi == 1:
+            # (0, b/d] holds one simple root: it lies in (0, m/d] exactly
+            # when f changes sign there; the counts are not needed again.
+            if (sign > 0) != (chain[0][0] > 0):
+                b = m
+            else:
+                a = m
             continue
         v_mid = _variations(chain, m, d)
         if v_lo - v_mid >= 1:

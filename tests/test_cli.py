@@ -175,6 +175,16 @@ def test_error_exits(capsys, diagram_a_file, tmp_path):
     assert main(["classify", "--diagram", str(tmp_path / "missing.json"),
                  "--q", "all=1"]) == 1
     capsys.readouterr()
+    # a key given twice, where the last value silently won
+    for q, key in (("all=1/2,all=1/3", "'all'"), ("a=1/2,a=1/3", "'a'"),
+                   ("all=1/2,b=1,b=1", "'b'")):
+        assert main(["classify", "--diagram", diagram_a_file, "--q", q]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: parameter {key} given twice\n"
+    assert main(["eproj", "--diagram", diagram_a_file, "--q", "all=1/4",
+                 "--epsilon", "a=+1,a=-1", "--cutoff", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: sign 'a' given twice\n"
     bad = tmp_path / "bad.json"
     bad.write_text('{"generators": ["a", "a"]}')
     assert main(["nf", "--diagram", str(bad), "--word", "a"]) == 1
@@ -400,6 +410,9 @@ GOLDEN_CASES = {
     # q_c = 1: flips that differ only at c share one analysis.
     "classify_rank6": ["classify", "--diagram", "rank6",
                        "--q", "a=1/4,b=2/5,c=1,d=3/2,e=9/4,f=4"],
+    # t0 near 2^-100.6 at a=b=c=+: the isolation halves about 100 times
+    # with one root in its bracket before the bracket leaves 0.
+    "classify_free3_huge_q": ["classify", "--diagram", "free3", "--q", "all=1e30"],
     "growth_pentagon": ["growth", "--diagram", "pentagon",
                         "--q", "a=1/4,b=1,c=2,d=1,e=1/2"],
     "ball_A": ["ball", "--diagram", "A", "--radius", "4", "--elements"],
@@ -451,6 +464,14 @@ def golden_argv(name, tmp_path):
 def test_golden_output(capsys, tmp_path, name):
     assert main(golden_argv(name, tmp_path)) == 0
     assert capsys.readouterr().out == (GOLDEN_DIR / f"{name}.json").read_text()
+
+
+def test_values_after_all_override_it(capsys, tmp_path):
+    """'all=' then per-generator values is not a key given twice."""
+    argv = golden_argv("classify_A", tmp_path)
+    argv[argv.index("--q") + 1] = "all=1/4,b=4,c=1"
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN_DIR / "classify_A.json").read_text()
 
 
 def test_reused_parser_leaks_no_state(capsys, tmp_path):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from rahecke.coxeter import CoxeterDiagram
 from rahecke.enumeration import NormalFormAutomaton, connected_diagram_corpus
 from rahecke import growth, polys
-from test_enumeration import commutes, components
+from test_enumeration import commutes, components, diagrams
 
 
 def mul(p, q):
@@ -268,7 +268,7 @@ def test_boundary_needs_one_as_the_only_root_below_one(monkeypatch, free3):
     rho = 2 > 1: Exterior, not Boundary.  At q = 1/2 the real numerator is
     1 - t (Boundary, NotSimple), so the patch must reach the analysis."""
     f = [1, -3, 2]
-    monkeypatch.setattr(growth, "ray_numerator", lambda diagram, q: list(f))
+    monkeypatch.setattr(growth, "ray_numerator", lambda diagram, q, num=None: list(f))
     q = q_const(free3, Fraction(1, 2))
     assert growth.region_membership(free3, q) == "Exterior"
     assert growth.pole_and_rho(free3, q).t0 == (Fraction(1, 2), Fraction(1, 2))
@@ -424,14 +424,15 @@ def test_newton_step_leaving_the_bracket_is_pulled_back(f, phase1, most):
 
 def test_classify_evaluates_few_chains(pentagon):
     """Each flip's chain is evaluated at 0 and 1 for the membership, and the
-    bisection starts at (0, 1] with those counts: one classify of the
-    pentagon at a mixed q (16 distinct flips) evaluates a chain 67 times,
-    where the bisection from the Cauchy bound took 156."""
+    bisection starts at (0, 1] with those counts; once they isolate the root
+    it halves on the sign of f alone: one classify of the pentagon at a
+    mixed q (16 distinct flips) evaluates a chain 32 times, where Sturm
+    counts at every bisection point took 67, and from the Cauchy bound 156."""
     q = dict(zip(pentagon.generators, (Fraction(1, 4), Fraction(2, 5), Fraction(1),
                                        Fraction(3, 2), Fraction(9, 4))))
     with mock.patch.object(polys, "_variations", wraps=polys._variations) as variations:
         growth.classify_simplicity(pentagon, q)
-    assert variations.call_count == 67
+    assert variations.call_count == 32
 
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
@@ -625,6 +626,17 @@ def dyadic_roots_above_one_polys(draw):
     return mul(mul(g, [-(1 << draw(st.integers(1, 6))), 1]), low)
 
 
+@st.composite
+def tiny_root_polys(draw):
+    """g * (m 2^e t - n), 1 <= n <= m, e > 64, g from int_polys: the smallest
+    positive root n / (m 2^e) lies below 2^-64 (g's positive roots, if any,
+    lie above 1/10), so once the counts isolate it the bisection halves e
+    times or more with one root in its bracket before the bracket leaves 0."""
+    g = draw(int_polys())
+    m = draw(st.integers(1, 99))
+    return mul(g, [-draw(st.integers(1, m)), m << draw(st.integers(65, 140))])
+
+
 BISECTION_CASES = {
     "int_polys": int_polys(),
     "root_at_one": root_at_one_polys(),
@@ -635,6 +647,7 @@ BISECTION_CASES = {
     "grid_root": grid_root_polys(),
     "near_grid_root": near_grid_root_polys(),
     "huge_coefficients": huge_coefficient_polys(),
+    "tiny_root": tiny_root_polys(),
 }
 
 
@@ -756,3 +769,43 @@ def test_ray_numerator_divides_out_the_gcd(d, data):
     num, den = growth._ray_fraction(d, q)
     reduced = polys.exact_div(num, gcd_poly(num, den))
     assert growth.ray_numerator(d, q) == polys.primitive(reduced)
+
+
+def clique_expansion(d, q):
+    """The ray fraction (num, den) with every clique product grown
+    coefficient by coefficient: the oracle of the packed ``_ray_fraction``."""
+    partial = [(0, [1])]
+    for i, s in enumerate(d.generators):
+        a, b = q[s].numerator, q[s].denominator
+        blocked = d.conflict[i] & ((1 << i) - 1)
+        grown = []
+        for clique, term in partial:
+            grown.append((clique, [b * term[0]]
+                          + [b * c + a * c_low for c, c_low in zip(term[1:], term)]
+                          + [a * term[-1]]))
+            if not clique & blocked:
+                grown.append((clique | 1 << i, [0] + [-a * c for c in term]))
+        partial = grown
+    num = polys.trim([sum(column) for column in zip(*(term for _, term in partial))])
+    return num, partial[0][1]
+
+
+BIG_Q = st.one_of(st.just(Fraction(1)),
+                  st.builds(Fraction, st.integers(1, 9), st.integers(1, 9)),
+                  st.builds(Fraction, st.integers(1, 10 ** 40), st.integers(1, 10 ** 40)))
+PACKING_DIAGRAMS = {
+    "diagrams": diagrams(),
+    # The rank6 golden diagram of the CLI tests: a path of infinity edges.
+    "rank6": st.just(_rank6_diagram(RANK6_INFINITY[0])),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PACKING_DIAGRAMS))
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_packed_ray_fraction_is_the_clique_expansion(kind, data):
+    """Reducible diagrams included; q_s = 1, small q_s, and numerators and
+    denominators up to 10^40."""
+    d = data.draw(PACKING_DIAGRAMS[kind])
+    q = {s: data.draw(BIG_Q) for s in d.generators}
+    assert growth._ray_fraction(d, q) == clique_expansion(d, q)
