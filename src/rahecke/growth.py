@@ -126,14 +126,11 @@ def _digits(value: int, k: int, n: int) -> polys.Poly:
 
 
 def ray_numerator(diagram: CoxeterDiagram, q: Mapping[str, Fraction],
-                  num: polys.Poly | None = None) -> polys.Poly:
+                  num: polys.Poly) -> polys.Poly:
     """Reduced numerator N(t) of D(t*q): primitive integers with N(0) > 0,
-    reduced from ``num``, the numerator of ``_ray_fraction`` at q, when the
-    caller has it.  ``q`` is taken as checked, a positive ``Fraction`` for
-    every generator (as ``positive_parameters`` returns it), and is not
-    checked again."""
-    if num is None:
-        num, _ = _ray_fraction(diagram, q)
+    reduced from ``num``, the numerator of ``_ray_fraction`` at q.  ``q`` is
+    taken as checked, a positive ``Fraction`` for every generator (as
+    ``positive_parameters`` returns it), and is not checked again."""
     # den's factors b_s + a_s t are primitive with positive leads: those that
     # divide num, once per generator, multiply to gcd(num, den) (Gauss).
     for s in diagram.generators:
