@@ -54,7 +54,8 @@ def _load_diagram(path: str) -> CoxeterDiagram:
 def _assignments(diagram: CoxeterDiagram, text: str, what: str, value) -> dict:
     """Parse 'a=v,b=w' or the broadcast form 'all=v' into {generator:
     value(v)}; ``what`` names an assignment in the error messages.  A key
-    may be given once; values given after 'all' override it."""
+    may be given once; values given after 'all' override it, and a value
+    given before 'all', which 'all' would silently replace, is refused."""
     out = {}
     seen = set()
     for item in text.split(","):
@@ -69,6 +70,8 @@ def _assignments(diagram: CoxeterDiagram, text: str, what: str, value) -> dict:
         seen.add(key)
         v = value(val)
         if key == "all":
+            if out:
+                raise DiagramError(f"{what} {next(iter(out))!r} given before 'all'")
             out.update(dict.fromkeys(diagram.generators, v))
         elif key in diagram.generators:
             out[key] = v

@@ -17,17 +17,19 @@ t0, so
 
     q inside the convergence region  <=>  rho(q) < 1  <=>  N has no root in (0, 1].
 
-All decisions are made by exact sign evaluations and Sturm counts; the
-boundary (rho = 1) is the exact condition that 1 is the only root of N in
-(0, 1].  One ray fraction, its reduced numerator and one Sturm chain per
-parameter give the membership, D(q) = num(1) / den(1) and, when asked, the
-bracket of t0 (see polys for the two-phase bisection).  The clique products
-of the ray fraction are packed as integers, each its value at t = 2^k for a
-k that keeps every coefficient one balanced base-2^k digit.  The chain is
-one remainder sequence of N unless N has a repeated root, and its counts at
-0 and 1 that give the membership also start the bisection at (0, 1] when N
-has a root there.  The classifier analyses each distinct |q_eps| once; flips
-that differ only at generators with q_s = 1 share the result.
+All decisions are made by exact sign evaluations and Descartes counts; the
+boundary (rho = 1) is the exact condition that 1 is the smallest positive
+root of N.  One ray fraction, its reduced numerator and one isolation of
+t0 per parameter give the membership, D(q) = num(1) / den(1) and the
+bracket of t0 (see polys for the two phases).  The membership is read off
+the bracket: the isolation works on dyadic cells, so 1 is never strictly
+inside it.  When N(1) < 0 < N(0) the isolation starts at (0, 1], where one
+Descartes count usually isolates t0; N is made squarefree (one gcd) only
+when its first cell reads two or more sign variations.  The clique
+products of the ray fraction are packed as integers, each its value at
+t = 2^k for a k that keeps every coefficient one balanced base-2^k digit.
+The classifier analyses each distinct |q_eps| once; flips that differ only
+at generators with q_s = 1 share the result.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ def growth_reciprocal(diagram: CoxeterDiagram, q: Mapping[str, Fraction]) -> Fra
 def growth_value(diagram: CoxeterDiagram, q: Mapping[str, Fraction]) -> Fraction:
     """W(q) as an exact rational; requires q strictly inside the region."""
     qq = positive_parameters(diagram, q)
-    membership, _, _, (num, den) = _ray_analysis(diagram, qq, bracket=False)
+    membership, _, _, (num, den) = _ray_analysis(diagram, qq)
     if membership != "Interior":
         raise ValueError("growth series does not converge at this parameter")
     return Fraction(sum(den), sum(num))
@@ -159,32 +161,27 @@ class GrowthReport:
         return float((self.rho[0] + self.rho[1]) / 2)
 
 
-def _ray_analysis(diagram: CoxeterDiagram, qq: Mapping[str, Fraction], bracket: bool
+def _ray_analysis(diagram: CoxeterDiagram, qq: Mapping[str, Fraction]
                   ) -> tuple[str, Bracket | None, polys.Poly,
                              tuple[polys.Poly, polys.Poly]]:
     """(membership, t0, N, (num, den)) of a checked parameter from one ray
-    fraction num / den, its reduced numerator N and one Sturm chain of N's
-    squarefree part.  t0 is the isolating interval of the smallest positive
-    root of N, bisected only when ``bracket`` is true (None otherwise, and
-    when N has no positive root).
+    fraction num / den and its reduced numerator N.  t0 is the isolating
+    interval of the smallest positive root of N, None when N has none.
 
-    Membership: no root of N in (0, 1] is Interior (rho < 1); N(1) = 0 as
-    the only root in (0, 1] is Boundary (rho = 1); anything else has a root
-    below 1 and is Exterior (rho > 1)."""
+    Membership is read off t0: a root below 1 is Exterior (rho > 1),
+    t0 = (1, 1) is Boundary (rho = 1), and a root above 1, or none, is
+    Interior (rho < 1).  The isolation's cells are dyadic with 1 on their
+    grid, so 1 is never strictly inside t0: hi <= 1 exactly when the root
+    is at most 1."""
     fraction = _ray_fraction(diagram, qq)
     num = ray_numerator(diagram, qq, fraction[0])
-    if polys.degree(num) < 1:
-        return "Interior", None, num, fraction
-    chain = polys.squarefree_sturm_chain(num)
-    counts = polys._variations(chain, 0, 1), polys._variations(chain, 1, 1)
-    inside = counts[0] - counts[1]
-    if inside == 0:
-        membership = "Interior"
-    elif inside == 1 and polys.evaluate(num, 1) == 0:
+    t0 = polys.isolate_smallest_positive_root(num)
+    if t0 == (1, 1):
         membership = "Boundary"
-    else:
+    elif t0 is not None and t0[1] <= 1:
         membership = "Exterior"
-    t0 = polys.isolate_smallest_positive_root(chain, counts) if bracket else None
+    else:
+        membership = "Interior"
     return membership, t0, num, fraction
 
 
@@ -199,7 +196,7 @@ def pole_and_rho(diagram: CoxeterDiagram, q: Mapping[str, Fraction]) -> GrowthRe
     """Isolate the smallest positive pole t0 of t -> W(t*q) and rho = 1/t0;
     the membership and D(q) come from the same ray analysis."""
     qq = positive_parameters(diagram, q)
-    membership, t0, num, (full, den) = _ray_analysis(diagram, qq, bracket=True)
+    membership, t0, num, (full, den) = _ray_analysis(diagram, qq)
     return GrowthReport(
         diagram=diagram,
         q=dict(qq),
@@ -213,10 +210,10 @@ def pole_and_rho(diagram: CoxeterDiagram, q: Mapping[str, Fraction]) -> GrowthRe
 
 def region_membership(diagram: CoxeterDiagram, q: Mapping[str, Fraction]) -> str:
     """Position of q relative to the positive part of the convergence region:
-    'Interior' (rho < 1), 'Boundary' (rho = 1) or 'Exterior' (rho > 1).
-    Decided by Sturm counts alone; no bisection."""
+    'Interior' (rho < 1), 'Boundary' (rho = 1) or 'Exterior' (rho > 1),
+    read off the isolating interval of t0 (see ``_ray_analysis``)."""
     qq = positive_parameters(diagram, q)
-    return _ray_analysis(diagram, qq, bracket=False)[0]
+    return _ray_analysis(diagram, qq)[0]
 
 
 def all_sign_patterns(rank: int) -> list[SignPattern]:
@@ -264,7 +261,7 @@ def classify_simplicity(diagram: CoxeterDiagram, q: Mapping[str, Fraction]) -> V
         key = tuple(1 if pair[0] == 1 else e for pair, e in zip(pairs, eps))
         if key not in analyses:
             qe = {s: pair[e < 0] for s, pair, e in zip(gens, pairs, key)}
-            membership, t0, _, _ = _ray_analysis(diagram, qe, bracket=True)
+            membership, t0, _, _ = _ray_analysis(diagram, qe)
             analyses[key] = membership, t0, _rho(t0)
         membership, t0, rho = analyses[key]
         per_flip[eps] = {"membership": membership, "t0": t0, "rho": rho}

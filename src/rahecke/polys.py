@@ -1,19 +1,24 @@
-"""Dense univariate integer polynomials, with Sturm-based real-root counting
-and exact root isolation.
+"""Dense univariate integer polynomials and exact isolation of the smallest
+positive real root by Descartes' rule of signs on dyadic cells.
 
 Polynomials are lists of ints, lowest degree first, with no trailing zeros
 (the zero polynomial is the empty list).  Division is by pseudo-remainders
 scaled by |lc|^k, so a remainder is a positive multiple of the rational one
-and keeps its sign; Sturm chains are primitive remainder sequences (W. S.
-Brown, J. ACM 18, 1971) ending in gcd(p, p'), so one chain both tests p for
-squares and counts its roots.  Every sign is taken at x = a/b by integer Horner
-evaluation.
+and keeps its sign; the one gcd, of f and f', is a primitive remainder
+sequence (W. S. Brown, J. ACM 18, 1971).  Every sign is taken at x = a/b by
+integer Horner evaluation.
 
 ``isolate_smallest_positive_root`` is the one isolation routine.  It runs in
-two phases, both on integers over one power of 2.  Phase 1 bisects on Sturm
-counts, from (0, 1] when the counts at 0 and 1 put a root there, until the
-bracket (0, hi] holds exactly one root; it then halves on the sign of the
-polynomial alone until the bracket leaves 0.  Phase 2 does not bisect: the
+two phases, both on integers over one power of 2.  Phase 1 is Descartes
+subdivision (Collins and Akritas, SYMSAC 1976; Rouillier and Zimmermann,
+J. Comput. Appl. Math. 162, 2004) on dyadic cells of (0, 1] or (0, 2^j]:
+the sign variations of a cell's polynomial, mapped to (0, 1), reversed and
+shifted by 1, bound its roots in the cell, exactly when they are 0 or 1.
+Cells are taken left first, so the first that reads 1 holds the smallest
+positive root; it then halves on the sign of the polynomial alone until the
+cell leaves 0.  A repeated root reads 2 or more in every cell around it, so
+the polynomial is replaced by its squarefree part (one gcd) the first time a
+cell reads 2 or more, and not otherwise.  Phase 2 does not bisect: the
 bracket that bisecting on that sign would end in is a cell of a dyadic grid
 known in advance, and safeguarded Newton on the integer points of that grid
 finds it: the exact sign at every iterate narrows the bracket.
@@ -35,17 +40,6 @@ def trim(p: Poly) -> Poly:
     while p and p[-1] == 0:
         p.pop()
     return p
-
-
-def degree(p: Poly) -> int:
-    return len(p) - 1
-
-
-def evaluate(p: Poly, x: Fraction | int) -> Fraction | int:
-    acc = 0
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
 
 
 def derivative(p: Poly) -> Poly:
@@ -99,32 +93,6 @@ def exact_div(p: Poly, q: Poly) -> Poly:
     return trim(quo)
 
 
-def sturm_chain(p: Poly) -> list[Poly]:
-    """Sturm chain of a squarefree polynomial, each member primitive: p, p'
-    and the negated pseudo-remainders.  Each member is a positive multiple
-    of the rational Sturm chain's, so every sign and Sturm count is too.
-    The last member is gcd(p, p') times a constant."""
-    chain = [primitive(p), primitive(derivative(p))]
-    while chain[-1]:
-        rem = prem(chain[-2], chain[-1])
-        if not rem:
-            break
-        chain.append(primitive([-c for c in rem]))
-    return [c for c in chain if c]
-
-
-def squarefree_sturm_chain(p: Poly) -> list[Poly]:
-    """The Sturm chain of the squarefree part of a nonconstant p.  The
-    remainder sequence of p ends in g = gcd(p, p') up to sign: a constant
-    when p is squarefree, so the chain is p's own; otherwise the chain is
-    that of p / g."""
-    chain = sturm_chain(p)
-    g = chain[-1]
-    if degree(g) < 1:
-        return chain
-    return sturm_chain(exact_div(p, g if g[-1] > 0 else [-c for c in g]))
-
-
 def _sign(p: Poly, a: int, b: int) -> int:
     """Sign of p(a/b) for integer p and b > 0: integer Horner on the
     homogenised sum c_i a^i b^(n-i)."""
@@ -136,99 +104,111 @@ def _sign(p: Poly, a: int, b: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _variations(chain: list[Poly], a: int, b: int) -> int:
-    """Sign variations of the chain at a/b, b > 0, zeros skipped."""
-    signs = [s for s in (_sign(p, a, b) for p in chain) if s]
-    return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
-
-
 def cauchy_bound(p: Poly) -> Fraction:
     """All real roots of p lie in (-B, B)."""
     lead = abs(p[-1])
     return Fraction(1) + Fraction(max(abs(c) for c in p)) / lead
 
 
-def isolate_smallest_positive_root(chain: list[Poly],
-                                   counts: tuple[int, int] | None = None
-                                   ) -> tuple[Fraction, Fraction] | None:
-    """Isolating interval for the smallest positive real root of f, given
-    the Sturm chain of f (squarefree, with f(0) != 0; f is the chain's head)
-    and its variation counts (v(0), v(1)), which are taken when not given.
+def _squarefree(f: Poly) -> Poly:
+    """f divided by gcd(f, f'), the last member of their primitive remainder
+    sequence: the same roots as f, each simple."""
+    g, r = primitive(f), primitive(derivative(f))
+    while r:
+        g, r = r, primitive(prem(g, r))
+    return exact_div(f, g)
+
+
+def _shift(p: Poly) -> Poly:
+    """p(x + 1), the Taylor shift by 1 in n(n + 1)/2 additions."""
+    q = list(p)
+    for i in range(len(q) - 1):
+        for j in range(len(q) - 2, i - 1, -1):
+            q[j] += q[j + 1]
+    return q
+
+
+def _descartes(p: Poly) -> int:
+    """Descartes' bound on the roots of p in (0, 1), counted with
+    multiplicity: the sign variations of (1 + x)^n p(1 / (1 + x)).  It
+    exceeds the count by an even number, so it is exact when 0 or 1."""
+    signs = [c > 0 for c in _shift(p[::-1]) if c]
+    return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
+
+
+def isolate_smallest_positive_root(f: Poly) -> tuple[Fraction, Fraction] | None:
+    """Isolating interval for the smallest positive real root of an integer
+    polynomial f with f(0) != 0; repeated roots are allowed.
 
     Returns dyadic (lo, hi] with lo < root <= hi, hi - lo <= BISECTION_WIDTH
     and exactly one root of f inside, or (r, r) when the root is hit exactly,
     or None when f has no positive real root.
 
-    The bracket (lo, hi] is kept as lo = a/d and hi = b/d, d a power of 2.
-    Phase 1 bisects until (lo, hi] holds exactly one root and lo > 0.  While
-    the root is not isolated it bisects on Sturm counts, carrying the
-    variation counts at lo and hi, so each step evaluates the chain at the
-    midpoint alone.  Once (lo, hi] holds one root, that root lies in
-    (lo, mid] exactly when f(mid) = 0 or sign f(mid) != sign f(lo), so the
-    steps that remain until lo > 0 (lo = 0 throughout) and phase 2
-    (``_refine``) need the sign of f alone; phase 2 returns the bracket that
-    bisecting on that sign ends in, so the brackets are those of a
-    Sturm-count bisection.
-
-    From the Cauchy bound B >= 2 the bisection halves (0, 2^j] down to
-    (0, 1] when f has a root there, so then phase 1 starts at (0, 1]:
-    deflating a midpoint root 2^j > 1 keeps every count in (0, 1], and
-    ``_refine`` cancels the power of 2 the final (a, b, d) differs by.  A
-    root at 1 is deflated as the midpoint of (0, 2] would be.  Otherwise it
-    starts at (0, 2^j], the least with 2^j >= B.
+    Phase 1 starts at (0, w]: w = 1 when f(0) and f(1) differ in sign, so
+    that a root lies in (0, 1); otherwise, unless f's coefficients have no
+    sign variation (no positive root), w = 2^j, the least with 2^j >= the
+    Cauchy bound.  A cell is lo = a/d, hi = (a + w)/d, d a power of 2, with
+    P(x) a positive multiple of f(lo + (hi - lo) x).  A cell whose
+    Descartes bound is 0 is dropped; one whose bound is 2 or more is split,
+    left half first: the left half's P is P(x/2) 2^n, the right half's that
+    shifted by 1, whose value at 0 is zero exactly when the midpoint m is a
+    root; m is then returned once the left half is found to hold none.  The
+    first cell whose bound is 1 holds the smallest positive root, simple.
+    While lo = 0 that root lies in (lo, mid] exactly when f(mid) = 0 or
+    sign f(mid) != sign f(0), so phase 1 halves on the sign of f alone until
+    lo > 0; phase 2 (``_refine``) then returns the bracket that bisecting on
+    that sign ends in.  Each cell is a dyadic cell of (0, w], so that
+    bracket is the cell of the final grid that holds the root, whichever
+    cell phase 1 ends in.
     """
-    if counts is None:
-        counts = _variations(chain, 0, 1), _variations(chain, 1, 1)
-    a, b, d = 0, 1, 1
-    v_lo, v_hi = counts
-    if v_lo == v_hi:
-        bound = cauchy_bound(chain[0])
-        while b < bound:
-            b *= 2
-        v_hi = _variations(chain, b, d)
-        if v_lo == v_hi:
-            return None
-    elif _sign(chain[0], 1, 1) == 0:
-        chain = sturm_chain(exact_div(chain[0], [-1, 1]))
-        v_lo, v_hi = _variations(chain, 0, 1), _variations(chain, 1, 1)
-        if v_lo == v_hi:
-            return (Fraction(1), Fraction(1))
-    while v_lo - v_hi != 1 or a == 0:
-        a, b, d = 2 * a, 2 * b, 2 * d
-        m = (a + b) // 2
-        sign = _sign(chain[0], m, d)
+    if sum(f) * f[0] < 0:
+        w = 1
+    elif all(c * f[0] >= 0 for c in f):
+        return None
+    else:
+        w, bound = 1, cauchy_bound(f)
+        while w < bound:
+            w *= 2
+    cells = [(0, 1, [c * w ** i for i, c in enumerate(f)])]
+    while cells:
+        a, d, p = cells.pop()
+        if p is None:
+            return (Fraction(a, d), Fraction(a, d))
+        count = _descartes(p)
+        if count >= 2 and d == 1:
+            # The start cell is the only one with d = 1: f is made
+            # squarefree at most once, and only where a root may repeat.
+            f = _squarefree(f)
+            p = [c * w ** i for i, c in enumerate(f)]
+            count = _descartes(p)
+        if count == 1:
+            break
+        if count >= 2:
+            n = len(p) - 1
+            left = [c << (n - i) for i, c in enumerate(p)]
+            right = _shift(left)
+            cells.append((2 * a + w, 2 * d, right if right[0] else None))
+            cells.append((2 * a, 2 * d, left))
+    else:
+        return None
+    b = a + w
+    while a == 0:
+        m, b, d = b, 2 * b, 2 * d  # the midpoint of (0, b/d] is b/2d
+        sign = _sign(f, m, d)
         if sign == 0:
-            # m/d is a rational root; it is the smallest in (lo, hi] unless
-            # the deflated polynomial still has one strictly below it.  Only
-            # the reduced factor is primitive, so only it divides exactly.
-            g = gcd(m, d)
-            chain = sturm_chain(exact_div(chain[0], [-(m // g), d // g]))
-            v_lo, v_hi = _variations(chain, a, d), _variations(chain, m, d)
-            if v_lo == v_hi:
-                return (Fraction(m, d), Fraction(m, d))
+            return (Fraction(m, d), Fraction(m, d))
+        if (sign > 0) != (f[0] > 0):
             b = m
-            continue
-        if v_lo - v_hi == 1:
-            # (0, b/d] holds one simple root: it lies in (0, m/d] exactly
-            # when f changes sign there; the counts are not needed again.
-            if (sign > 0) != (chain[0][0] > 0):
-                b = m
-            else:
-                a = m
-            continue
-        v_mid = _variations(chain, m, d)
-        if v_lo - v_mid >= 1:
-            b, v_hi = m, v_mid
         else:
-            a, v_lo = m, v_mid
-    return _refine(chain[0], a, b, d)
+            a = m
+    return _refine(f, a, b, d)
 
 
 def _refine(f: Poly, a: int, b: int, d: int) -> tuple[Fraction, Fraction]:
     """Phase 2: the root t0 of f in (a/d, b/d), bracketed on the final grid.
 
-    Requires the phase-1 bracket: d a power of 2, a > 0, f squarefree with
-    exactly one root in (a/d, b/d) and none in (0, a/d].  So f has the sign
+    Requires the phase-1 bracket: d a power of 2, a > 0, and exactly one
+    root of f in (a/d, b/d), simple, and none in (0, a/d].  So f has the sign
     of f(0) on (0, t0) and the other sign on (t0, b/d].
 
     Bisecting on that sign keeps w = b - a and doubles d at every step until

@@ -82,6 +82,14 @@ def test_growth(capsys, diagram_a_file):
     assert abs(doc["rho_float"] - 1.618) < 1e-3
 
 
+def test_values_after_all_override_it(capsys, free3_file):
+    """'all=v,a=w' broadcasts v and then sets a to w; the other order is
+    refused (see test_error_exits)."""
+    code, doc = run(capsys, ["growth", "--diagram", free3_file, "--q", "all=1/3,a=1/2"])
+    assert code == 0
+    assert doc["q"] == {"a": "1/2", "b": "1/3", "c": "1/3"}
+
+
 def test_mul(capsys, diagram_a_file):
     code, doc = run(capsys, ["mul", "--diagram", diagram_a_file, "--q", "all=1/4",
                              "--left", "1*T(a)", "--right", "1*T(a)"])
@@ -185,6 +193,14 @@ def test_error_exits(capsys, diagram_a_file, tmp_path):
                  "--epsilon", "a=+1,a=-1", "--cutoff", "2"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "error: sign 'a' given twice\n"
+    # a value given before 'all', which 'all' silently replaced
+    for option, q, eps, err in (("--q", "a=1/2,all=1/3", "all=+1", "parameter 'a'"),
+                                ("--q", "c=1,b=1/4,all=1/4", "all=+1", "parameter 'c'"),
+                                ("--epsilon", "all=1/4", "b=-1,all=+1", "sign 'b'")):
+        assert main(["eproj", "--diagram", diagram_a_file, "--q", q,
+                     "--epsilon", eps, "--cutoff", "2"]) == 1, option
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {err} given before 'all'\n"
     bad = tmp_path / "bad.json"
     bad.write_text('{"generators": ["a", "a"]}')
     assert main(["nf", "--diagram", str(bad), "--word", "a"]) == 1

@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import string
 from fractions import Fraction
 from itertools import combinations
 from unittest import mock
@@ -34,30 +35,73 @@ def gcd_poly(p, q):
 
 
 def squarefree_part(p):
-    """p divided by gcd(p, p'): the oracle of ``squarefree_sturm_chain``."""
-    if polys.degree(p) < 1:
+    """p divided by gcd(p, p'): the oracle of ``polys._squarefree``."""
+    if len(p) < 2:
         return list(p)
     g = gcd_poly(p, polys.derivative(p))
-    if polys.degree(g) < 1:
+    if len(g) < 2:
         return list(p)
     return polys.exact_div(p, g)
 
 
-def smallest_positive_root(p):
-    """Isolating interval for the smallest positive root of any p with
-    p(0) != 0, through its squarefree part."""
-    f = squarefree_part(p)
-    if polys.degree(f) < 1:
-        return None
-    if polys.evaluate(f, Fraction(0)) == 0:
-        raise ValueError("polynomial vanishes at 0")
-    return polys.isolate_smallest_positive_root(polys.sturm_chain(f))
+def evaluate(p, x):
+    """p(x), by Horner's scheme."""
+    acc = 0
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+# The Sturm-count bisection: the reference that isolate_smallest_positive_root
+# must agree with, bracket for bracket.
+
+def sturm_chain(p):
+    """Sturm chain of a squarefree polynomial, each member primitive: p, p'
+    and the negated pseudo-remainders, each a positive multiple of the
+    rational Sturm chain's member, so every sign and count is too."""
+    chain = [polys.primitive(p), polys.primitive(polys.derivative(p))]
+    while chain[-1]:
+        rem = polys.prem(chain[-2], chain[-1])
+        if not rem:
+            break
+        chain.append(polys.primitive([-c for c in rem]))
+    return [c for c in chain if c]
+
+
+def _variations(chain, x):
+    """Sign variations of the chain at x, zeros skipped."""
+    signs = [s for s in (polys._sign(p, x.numerator, x.denominator) for p in chain) if s]
+    return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
 
 
 def count_roots(chain, a, b):
     """Number of distinct real roots in (a, b] for a squarefree chain."""
-    return (polys._variations(chain, a.numerator, a.denominator)
-            - polys._variations(chain, b.numerator, b.denominator))
+    return _variations(chain, Fraction(a)) - _variations(chain, Fraction(b))
+
+
+def _sturm_bisection(chain):
+    """Reference for isolate_smallest_positive_root: bisect (0, 2^k] with
+    Fraction midpoints and two Sturm counts per step until (lo, hi] holds
+    one root, lo > 0 and hi - lo <= WIDTH; a midpoint root deflates."""
+    hi = Fraction(1)
+    while hi < polys.cauchy_bound(chain[0]):
+        hi *= 2
+    lo = Fraction(0)
+    if count_roots(chain, lo, hi) == 0:
+        return None
+    while count_roots(chain, lo, hi) != 1 or lo == 0 or hi - lo > WIDTH:
+        mid = (lo + hi) / 2
+        if evaluate(chain[0], mid) == 0:
+            f = polys.exact_div(chain[0], [-mid.numerator, mid.denominator])
+            chain = sturm_chain(f)
+            if count_roots(chain, lo, mid) == 0:
+                return (mid, mid)
+            hi = mid
+        elif count_roots(chain, lo, mid) >= 1:
+            hi = mid
+        else:
+            lo = mid
+    return (lo, hi)
 
 
 def q_const(d, v):
@@ -218,8 +262,7 @@ def test_ray_homogeneity(diagram_a):
     lo1, hi1 = rep1.t0
     lo2, hi2 = rep2.t0
     scaled = (lo2 * t, hi2 * t)
-    f = squarefree_part(ray_numerator(diagram_a, q))
-    chain = polys.sturm_chain(f)
+    chain = sturm_chain(squarefree_part(ray_numerator(diagram_a, q)))
     lo = min(lo1, scaled[0])
     hi = max(hi1, scaled[1])
     assert count_roots(chain, lo, hi) == 1  # both brackets hold the same root
@@ -258,13 +301,13 @@ def test_product_rule_reducible():
 def test_smallest_positive_root_edge_cases():
     # exact rational root found exactly
     f = [1, -3, 2]  # (1-t)(1-2t)
-    lo, hi = smallest_positive_root(f)
+    lo, hi = polys.isolate_smallest_positive_root(f)
     assert lo == hi == Fraction(1, 2)
     # no positive root
-    assert smallest_positive_root([1, 0, 1]) is None
+    assert polys.isolate_smallest_positive_root([1, 0, 1]) is None
     # repeated roots are handled through the squarefree part
     g = mul(f, f)
-    lo, hi = smallest_positive_root(g)
+    lo, hi = polys.isolate_smallest_positive_root(g)
     assert lo == hi == Fraction(1, 2)
 
 
@@ -418,26 +461,26 @@ def test_newton_step_leaving_the_bracket_is_pulled_back(f, phase1, most):
     value, step = polys._newton_step(f, lo + hi, 2)  # at the midpoint, on the grid 1/2
     narrowed = (lo + hi, 2 * hi) if (value > 0) == (f[0] > 0) else (2 * lo, lo + hi)
     assert not narrowed[0] < lo + hi - step < narrowed[1]
-    chain = polys.sturm_chain(f)
     refine_args: list[tuple] = []
     with _calls_per_refine(refine_args=refine_args) as per_ray:
-        bracket = polys.isolate_smallest_positive_root(chain)
+        bracket = polys.isolate_smallest_positive_root(f)
     assert [(Fraction(a, d), Fraction(b, d)) for _, a, b, d in refine_args] == [phase1]
-    assert bracket == _sturm_bisection(chain)
+    assert bracket == _sturm_bisection(sturm_chain(f))
     assert per_ray[0] <= most
 
 
-def test_classify_evaluates_few_chains(pentagon):
-    """Each flip's chain is evaluated at 0 and 1 for the membership, and the
-    bisection starts at (0, 1] with those counts; once they isolate the root
-    it halves on the sign of f alone: one classify of the pentagon at a
-    mixed q (16 distinct flips) evaluates a chain 32 times, where Sturm
-    counts at every bisection point took 67, and from the Cauchy bound 156."""
+def test_classify_makes_one_descartes_count_per_flip(pentagon):
+    """Every flip of the pentagon at a mixed q has N(0) > 0 > N(1), so the
+    isolation starts at (0, 1], where one Descartes count isolates the
+    smallest root, and halves on the sign of f alone from there: one
+    classify (16 distinct flips) makes 16 counts and takes no gcd, where the
+    Sturm route built 16 chains and evaluated them 32 times."""
     q = dict(zip(pentagon.generators, (Fraction(1, 4), Fraction(2, 5), Fraction(1),
                                        Fraction(3, 2), Fraction(9, 4))))
-    with mock.patch.object(polys, "_variations", wraps=polys._variations) as variations:
+    with mock.patch.object(polys, "_descartes", wraps=polys._descartes) as counts, \
+            mock.patch.object(polys, "_squarefree", wraps=polys._squarefree) as gcds:
         growth.classify_simplicity(pentagon, q)
-    assert variations.call_count == 32
+    assert (counts.call_count, gcds.call_count) == (16, 0)
 
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
@@ -458,14 +501,14 @@ def int_polys(draw, positive=False):
 @PROPERTY_SETTINGS
 @given(int_polys())
 def test_smallest_positive_root_isolates(p):
-    chain = polys.sturm_chain(squarefree_part(p))
-    bracket = smallest_positive_root(p)
+    chain = sturm_chain(squarefree_part(p))
+    bracket = polys.isolate_smallest_positive_root(p)
     if bracket is None:
         assert count_roots(chain, Fraction(0), polys.cauchy_bound(p)) == 0
         return
     lo, hi = bracket
     if lo == hi:
-        assert polys.evaluate(p, lo) == 0
+        assert evaluate(p, lo) == 0
         assert count_roots(chain, Fraction(0), lo) == 1
         return
     assert 0 < lo < hi and hi - lo <= WIDTH
@@ -478,32 +521,7 @@ def test_smallest_positive_root_isolates(p):
 def test_smallest_positive_root_hits_dyadic_roots(g, a, j):
     r = Fraction(a, 2 ** j)
     p = mul(g, [-r.numerator, r.denominator])
-    assert smallest_positive_root(p) == (r, r)
-
-
-def _sturm_bisection(chain):
-    """Reference for isolate_smallest_positive_root: bisect (0, 2^k] with
-    Fraction midpoints and two Sturm counts per step until (lo, hi] holds
-    one root, lo > 0 and hi - lo <= WIDTH; a midpoint root deflates."""
-    hi = Fraction(1)
-    while hi < polys.cauchy_bound(chain[0]):
-        hi *= 2
-    lo = Fraction(0)
-    if count_roots(chain, lo, hi) == 0:
-        return None
-    while count_roots(chain, lo, hi) != 1 or lo == 0 or hi - lo > WIDTH:
-        mid = (lo + hi) / 2
-        if polys.evaluate(chain[0], mid) == 0:
-            f = polys.exact_div(chain[0], [-mid.numerator, mid.denominator])
-            chain = polys.sturm_chain(f)
-            if count_roots(chain, lo, mid) == 0:
-                return (mid, mid)
-            hi = mid
-        elif count_roots(chain, lo, mid) >= 1:
-            hi = mid
-        else:
-            lo = mid
-    return (lo, hi)
+    assert polys.isolate_smallest_positive_root(p) == (r, r)
 
 
 @st.composite
@@ -541,7 +559,7 @@ def polys_with_known_roots(draw):
 def test_sturm_counts_known_roots(p_roots, a, b):
     p, roots = p_roots
     lo, hi = min(a, b), max(a, b)
-    chain = polys.sturm_chain(squarefree_part(p))
+    chain = sturm_chain(squarefree_part(p))
     assert count_roots(chain, lo, hi) == sum(1 for r in roots if lo < r <= hi)
 
 
@@ -583,9 +601,8 @@ def test_near_grid_root_refinement_probes_the_neighbour_cell(p):
     """A root within 2^-80 of a grid point may leave the Newton iterate on
     the wrong side of that point; the step shorter than one grid point then
     moves to the neighbouring point, so phase 2 takes <= 8 values of F."""
-    chain = polys.sturm_chain(squarefree_part(p))
     with _calls_per_refine() as per_ray:
-        polys.isolate_smallest_positive_root(chain)
+        polys.isolate_smallest_positive_root(p)
     assert all(n <= 8 for n in per_ray)
 
 
@@ -605,9 +622,8 @@ def test_huge_coefficient_refinement_keeps_the_newton_start(p):
     """Coefficients beyond float range: the integer Newton, started at the
     bracket's midpoint and kept inside the bracket by the signs of its
     iterates, still takes <= 11 values of F."""
-    chain = polys.sturm_chain(squarefree_part(p))
     with _calls_per_refine() as per_ray:
-        polys.isolate_smallest_positive_root(chain)
+        polys.isolate_smallest_positive_root(p)
     assert all(n <= 11 for n in per_ray)
 
 
@@ -642,6 +658,53 @@ def tiny_root_polys(draw):
     return mul(g, [-draw(st.integers(1, m)), m << draw(st.integers(65, 140))])
 
 
+@st.composite
+def irreducible_diagrams(draw, max_rank=5, min_rank=1, extra=st.booleans()):
+    """An irreducible right-angled diagram of rank min_rank..max_rank: a
+    random spanning tree of infinity edges plus the extra ones ``extra``
+    draws true."""
+    names = string.ascii_lowercase[: draw(st.integers(min_rank, max_rank))]
+    infinity = {(names[draw(st.integers(0, i - 1))], names[i]) for i in range(1, len(names))}
+    for pair in combinations(names, 2):
+        if draw(extra):
+            infinity.add(pair)
+    commuting = [pair for pair in combinations(names, 2) if pair not in infinity]
+    return CoxeterDiagram(list(names), commuting)
+
+
+Q_VALUES = [Fraction(1, 4), Fraction(2, 5), Fraction(1, 2), Fraction(3, 5), Fraction(1),
+            Fraction(3, 2), Fraction(2), Fraction(9, 4), Fraction(4)]
+
+
+
+@st.composite
+def decisive_flip_numerators(draw):
+    """N of the decisive flip q*_s = min(q_s, 1/q_s) at a diagram of rank
+    12..16 whose infinity edges are a random tree plus one pair in eight:
+    N's degree is the clique number of the commuting graph, above 7 on
+    most draws."""
+    d = draw(irreducible_diagrams(16, 12, st.integers(0, 7).map(lambda i: i == 0)))
+    q = {s: min(v, 1 / v) for s, v in ((s, draw(st.sampled_from(Q_VALUES))) for s in d.generators)}
+    return ray_numerator(d, q)
+
+
+@st.composite
+def repeated_root_polys(draw):
+    """+-g^e h with g = m t - n, 0 < n <= m, e = 2 or 3, and h positive,
+    on half the draws times a linear factor whose root lies above n/m: the
+    smallest positive root n/m lies in (0, 1] and is repeated."""
+    n = draw(st.integers(1, 99))
+    m = draw(st.integers(n, 99))
+    p = [draw(st.sampled_from([1, -1]))]
+    for _ in range(draw(st.integers(2, 3))):
+        p = mul(p, [-n, m])
+    p = mul(p, draw(int_polys(positive=True)))
+    if draw(st.booleans()):
+        k, j = draw(st.integers(1, 9)), draw(st.integers(1, 99))
+        p = mul(p, [-(n * k + j), m * k])
+    return p
+
+
 BISECTION_CASES = {
     "int_polys": int_polys(),
     "root_at_one": root_at_one_polys(),
@@ -653,6 +716,8 @@ BISECTION_CASES = {
     "near_grid_root": near_grid_root_polys(),
     "huge_coefficients": huge_coefficient_polys(),
     "tiny_root": tiny_root_polys(),
+    "repeated_roots": repeated_root_polys(),
+    "decisive_flips": decisive_flip_numerators(),
 }
 
 
@@ -660,54 +725,54 @@ BISECTION_CASES = {
 @PROPERTY_SETTINGS
 @given(data=st.data())
 def test_bisection_is_the_sturm_count_bisection(kind, data):
+    """The Descartes isolation, given p unreduced, returns the bracket of
+    the Sturm-count bisection of p's squarefree part."""
     p = data.draw(BISECTION_CASES[kind])
     assume(p[0] != 0)
-    chain = polys.sturm_chain(squarefree_part(p))
-    expected = _sturm_bisection(chain)
-    assert polys.isolate_smallest_positive_root(chain) == expected
-    # As growth._ray_analysis runs it: with the counts at 0 and 1 handed over.
-    counts = polys._variations(chain, 0, 1), polys._variations(chain, 1, 1)
-    assert polys.isolate_smallest_positive_root(chain, counts) == expected
+    expected = _sturm_bisection(sturm_chain(squarefree_part(p)))
+    assert polys.isolate_smallest_positive_root(p) == expected
+
+
+def _sturm_membership(num):
+    """Membership from Sturm counts at 0 and 1: no root in (0, 1] is
+    Interior, 1 as the only one Boundary, anything else Exterior."""
+    inside = count_roots(sturm_chain(squarefree_part(num)), 0, 1)
+    if inside == 0:
+        return "Interior"
+    return "Boundary" if inside == 1 and evaluate(num, 1) == 0 else "Exterior"
+
+
+@pytest.mark.parametrize("kind", sorted(BISECTION_CASES))
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_membership_is_the_sturm_membership(kind, data, free3):
+    """The membership read off the isolation is the one Sturm counts at 0
+    and 1 give, for every numerator of the bisection cases (made positive
+    at 0, as a ray numerator is) put in place of the free3 one."""
+    p = data.draw(BISECTION_CASES[kind])
+    assume(p[0] != 0)
+    num = p if p[0] > 0 else [-c for c in p]
+    with mock.patch.object(growth, "ray_numerator", lambda diagram, q, full: list(num)):
+        membership = growth.region_membership(free3, q_const(free3, 1))
+    assert membership == _sturm_membership(num)
 
 
 @PROPERTY_SETTINGS
 @given(int_polys(), st.lists(int_polys(), max_size=2))
-def test_one_sequence_chain_is_the_squarefree_chain(p, squared):
-    """squarefree_sturm_chain is sturm_chain(squarefree_part(p)): from p's
-    own sequence when p is squarefree, and by the fallback when squared
-    factors are multiplied in."""
+def test_squarefree_is_the_gcd_quotient(p, squared):
+    """polys._squarefree is p / gcd(p, p'), up to sign: p itself when p is
+    squarefree, and without the squares when squared factors are
+    multiplied in."""
     for f in squared:
         p = mul(p, mul(f, f))
-    expected = polys.sturm_chain(squarefree_part(p))
-    assert polys.squarefree_sturm_chain(p) == expected
-    own = polys.sturm_chain(p)
-    if squared:
-        assert polys.degree(own[-1]) > 0  # the fallback is taken
-    elif polys.degree(gcd_poly(p, polys.derivative(p))) < 1:
-        assert own == expected and polys.degree(own[-1]) < 1
+    expected = squarefree_part(p)
+    assert polys._squarefree(p) in (expected, [-c for c in expected])
 
 
 def test_sturm_count_keeps_signs_through_a_negative_lead():
     """The pseudo-remainder scales by |lc|, never by a negative lc."""
-    chain = polys.sturm_chain([-1, -1, -1, 0, -1])  # -(1 + t + t^2 + t^4)
+    chain = sturm_chain([-1, -1, -1, 0, -1])  # -(1 + t + t^2 + t^4)
     assert count_roots(chain, Fraction(-10), Fraction(10)) == 0
-
-
-@st.composite
-def irreducible_diagrams(draw, max_rank=5):
-    """An irreducible right-angled diagram of rank <= max_rank: a random
-    spanning tree of infinity edges plus random extra ones."""
-    names = "abcde"[: draw(st.integers(1, max_rank))]
-    infinity = {(names[draw(st.integers(0, i - 1))], names[i]) for i in range(1, len(names))}
-    for pair in combinations(names, 2):
-        if draw(st.booleans()):
-            infinity.add(pair)
-    commuting = [pair for pair in combinations(names, 2) if pair not in infinity]
-    return CoxeterDiagram(list(names), commuting)
-
-
-Q_VALUES = [Fraction(1, 4), Fraction(2, 5), Fraction(1, 2), Fraction(3, 5), Fraction(1),
-            Fraction(3, 2), Fraction(2), Fraction(9, 4), Fraction(4)]
 
 
 def _params(data, d):
