@@ -136,7 +136,7 @@ def criterion_2_growth_oracle() -> CriterionResult:
         counts = aut.sphere_counts(lmax)
         if [int(c) for c in series] != counts:
             ones_failures.append(d.key())
-        # direct BFS cross-check as far as the budget allows
+        # Ball's array build vs the transfer-matrix count of the same automaton
         radius = 0
         size = 1
         while radius < lmax:

@@ -10,15 +10,16 @@ Products follow the one-letter rule
     T_s T_w = T_{sw}                 if s is not below w,
     T_s T_w = T_{sw} + p_s T_w       if s <= w,      p_s = (q_s - 1) / sqrt(q_s),
 
-extended letter by letter over the left factor and bilinearly: the left
-key's letters come off its layers as generator indices, right to left
-(``heap_letters``), and ``CoxeterDiagram.heap_lmul`` puts one index on a
-right key in one scan.  In exact mode every q_s must be the square of a
-rational, so p_s, character values, and the coefficients of the
-central-projection partial sums all stay rational.  Exact products run on
-Python integers over one denominator: each factor's coefficients become
-numerators over their least common denominator, the walk scales T_s by the
-denominator of p_s, and one ``Fraction`` per output key is built at the end.
+extended letter by letter over the left factor and bilinearly by ``walk``,
+which ``l2rep`` runs on the ids of a ball too.  The left key's letters come
+off its layers as generator indices, right to left (``heap_letters``), and
+``CoxeterDiagram.heap_lmul`` puts one index on a right key in one scan.  In
+exact mode every q_s must be the square of a rational, so p_s, character
+values, and the central-projection coefficients all stay rational.  Exact
+products run on Python integers over one denominator: each factor's
+coefficients become numerators over their least common denominator, the
+walk scales T_s by the denominator of p_s, and one ``Fraction`` per output
+key is built at the end.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from . import enumeration, growth
 from .coxeter import CoxeterDiagram, DiagramError, Word
@@ -50,6 +51,25 @@ def _over_lcm(coeffs: Iterable) -> tuple[list[int], int]:
     coeffs = list(coeffs)
     den = math.lcm(*(c.denominator for c in coeffs))
     return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def walk(state: dict, letters: Sequence[int], parts: Sequence[tuple],
+         step: Callable[[Hashable, int], tuple[Hashable, bool]]) -> dict:
+    """pd(w) T_w ``state``, ``letters`` the generator indices of a word of w,
+    right to left: letter s takes c at key to c pd_s at s.key and, if
+    s <= key, c pn_s at key, where p_s = pn_s / pd_s with (pn_s, pd_s) =
+    ``parts[s]`` and ``step(key, s) = (s.key, s <= key)``.  Zero sums are
+    dropped after each letter; with no letters ``state`` itself returns."""
+    for s in letters:
+        pn, pd = parts[s]
+        out: dict = {}
+        for key, c in state.items():
+            skey, below = step(key, s)
+            out[skey] = out.get(skey, 0) + c * pd
+            if below and pn:
+                out[key] = out.get(key, 0) + c * pn
+        state = {key: c for key, c in out.items() if c}
+    return state
 
 
 class MultiParameter:
@@ -221,12 +241,10 @@ class HeckeElement:
             return self.scaled(other)
         self._require_same(other)
         d, exact, parts = self.diagram, self.params.exact, self.params._p_parts
-        # With p_s = pn_s / pd_s the walk applies T'_s = pd_s T_s: c pd_s goes
-        # to s.w and c pn_s to w when s <= w, so a left term v lands on
-        # pd(v) T_v y, pd(v) the product of pd_s over its letters.  Exact
-        # coefficients run as integers over each factor's common denominator,
-        # a left term is pre-scaled by big / pd(v), and every output key meets
-        # the one denominator big dx dy.  Float mode has pd_s = 1.
+        # ``walk`` takes a left term v to pd(v) T_v y.  Exact coefficients
+        # run as integers over each factor's common denominator, a left term
+        # is pre-scaled by big / pd(v), and every output key meets the one
+        # denominator big dx dy.  Float mode has pd_s = 1.
         if exact:
             left, dx = _over_lcm(self.coeffs.values())
             right, dy = _over_lcm(other.coeffs.values())
@@ -239,22 +257,9 @@ class HeckeElement:
         start = dict(zip(other.coeffs, right))
         total: dict[tuple[int, ...], object] = {}
         for v, cv, pdv in zip(letters, left, pds):
-            state = start
-            for s in v:
-                pn, pd = parts[s]
-                out: dict[tuple[int, ...], object] = {}
-                for key, c in state.items():
-                    skey, below = d.heap_lmul(key, s)
-                    old = out.get(skey)
-                    out[skey] = c * pd if old is None else old + c * pd
-                    if below and pn != 0:
-                        old = out.get(key)
-                        out[key] = c * pn if old is None else old + c * pn
-                state = {key: c for key, c in out.items() if c != 0}
             cv = cv * (big // pdv)
-            for key, c in state.items():
-                old = total.get(key)
-                total[key] = cv * c if old is None else old + cv * c
+            for key, c in walk(start, v, parts, d.heap_lmul).items():
+                total[key] = total.get(key, 0) + cv * c
         if exact:
             den = big * dx * dy
             return HeckeElement(self.params, {key: Fraction(n, den)

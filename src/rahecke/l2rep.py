@@ -2,11 +2,13 @@
 verification, and spectral estimates.
 
 One exact form serves every exact path: sparse columns {id: coeff}, each
-walked only on a ball that holds all its terms.  The walker runs the
-one-letter rule on a ball's ids and tables, and a step out of its ball is an
-error, not a truncation.  The positivity window needs the *true*
-compression P_n T_w* T_w P_n, in which a term that leaves B_n and comes back
-counts.  It is the Gram X^T X of X = T_w P_n, whose columns T_w delta_v,
+walked only on a ball that holds all its terms.  The walker runs Hecke
+products' one-letter rule (``hecke.walk``) on a ball's ids and tables, and a
+step out of its ball is an error, not a truncation.  It walks pd(w) T_w, pd
+the denominators of the p_s, so exact paths run on integers and build a
+``Fraction`` only where a result leaves them.  The positivity window needs
+the *true* compression P_n T_w* T_w P_n, in which a term that leaves B_n and
+comes back counts.  It is the Gram X^T X of X = T_w P_n, whose columns T_w delta_v,
 |v| <= n, walk |w| letters inside B_{n+|w|}, and it is block diagonal: the
 window needs no Hecke product, no cut and no whole-ball matrix.  Each
 identity suite states its own comparison domain: the columns delta_v with
@@ -45,7 +47,7 @@ import numpy as np
 
 from .coxeter import CoxeterDiagram
 from .enumeration import Ball, ball
-from .hecke import MultiParameter, cliq_decomposition
+from .hecke import MultiParameter, cliq_decomposition, walk
 
 DENSE_LIMIT = 4000
 DENSE_TOL = 1e-9  # window tolerance of the dense eigensolver, relative to the upper bound
@@ -72,78 +74,57 @@ def _worst(worst, lhs: Mapping[int, object], rhs: Mapping[int, object]):
     return worst
 
 
-def _add(acc: dict[int, object], r: int, x) -> None:
-    old = acc.get(r)
-    acc[r] = x if old is None else old + x
-
-
-#: An operator sum c T_w for the walker: ``(p, terms)`` with p_s per
-#: generator index and ``terms`` of (the generator indices of a word of w,
-#: right to left, coefficient c).
-Op = tuple[Sequence, Sequence[tuple[tuple[int, ...], object]]]
+#: An operator pd(w) T_w for the walker: ``(parts, letters)``, with
+#: (pn_s, pd_s) per generator index and the generator indices of a word of
+#: w, right to left, as ``hecke.walk`` takes them.
+Op = tuple[Sequence[tuple], Sequence[int]]
 
 
 def _basis_op(params: MultiParameter, word: Sequence[str]) -> Op:
-    """T_w for a word of w: one term, the canonical letters of w right to
-    left, with coefficient 1."""
+    """pd(w) T_w for a word of w, on the canonical letters of w right to
+    left; pd(w) is 1 in float mode."""
     d = params.diagram
-    return ([params.p(s) for s in d.generators],
-            [(d.heap_letters(d.heap(word)), Fraction(1) if params.exact else 1.0)])
+    return params._p_parts, d.heap_letters(d.heap(word))
 
 
 def _group_op(d: CoxeterDiagram, word: Sequence[str]) -> Op:
-    """T_w at q == 1 (p == 0), a permutation of the basis; the word need not
-    be reduced, since s -> T_s at q == 1 is a group action."""
-    return [0] * d.rank, [(tuple(map(d.gen_index, reversed(word))), Fraction(1))]
+    """T_w at q == 1 (p == 0, pd(w) == 1), a permutation of the basis; the
+    word need not be reduced, since s -> T_s at q == 1 is a group action."""
+    return [(0, 1)] * d.rank, tuple(map(d.gen_index, reversed(word)))
+
+
+def _scale(op: Op) -> int:
+    """pd(w), the factor by which the walk of ``op`` scales T_w."""
+    return math.prod(op[0][s][1] for s in op[1])
 
 
 class _Walker:
-    """Operators sum c T_w on sparse vectors ``{id: coeff}`` over a ball,
-    where T_s acts by the one-letter rule
-    T_s delta_u = delta_{su} + p_s [s <= u] delta_u, read off ``lmul`` and
-    ``ldesc``.  The ball must hold every term of the walk: a step out of it
-    raises ``ValueError``.  Each step moves a term by at most one letter, so
-    a walk of k letters from delta_v stays in the ball of radius |v| + k.
+    """Ops on sparse vectors ``{id: coeff}`` over a ball: ``hecke.walk``
+    with the step s.u read off ``lmul`` and s <= u off ``ldesc``.  The ball
+    must hold every term of the walk: a step out of it raises
+    ``ValueError``.  Each step moves a term by at most one letter, so a walk
+    of k letters from delta_v stays in the ball of radius |v| + k.
     """
 
     def __init__(self, b: Ball):
-        self.lmul = b.lmul.tolist()
-        self.ldesc = b.ldesc.tolist()
+        lmul, ldesc = b.lmul.tolist(), b.ldesc.tolist()
+
+        def step(u: int, s: int) -> tuple[int, bool]:
+            su = lmul[s][u]
+            if su < 0:
+                raise ValueError("a step of the walk leaves the ball")
+            return su, ldesc[s][u]
+
+        self.step = step
+
+    def apply(self, op: Op, vec: dict[int, object]) -> dict[int, object]:
+        """``op`` applied to ``vec``, in one walk."""
+        parts, letters = op
+        return walk(vec, letters, parts, self.step)
 
     def column(self, op: Op, v: int) -> dict[int, object]:
         """``op`` applied to delta_v."""
-        p, terms = op
-        lmul, ldesc = self.lmul, self.ldesc
-        acc: dict[int, object] = {}
-        for letters, c in terms:
-            state: dict[int, object] = {v: c}
-            for s in letters:
-                row, drow, ps = lmul[s], ldesc[s], p[s]
-                out: dict[int, object] = {}
-                for u, cc in state.items():
-                    su = row[u]
-                    if su < 0:
-                        raise ValueError("a step of the walk leaves the ball")
-                    # adding to 0 would cost a Fraction operation per term;
-                    # zero sums are dropped once, at the end of the column
-                    old = out.get(su)
-                    out[su] = cc if old is None else old + cc
-                    if ps and drow[u]:
-                        old = out.get(u)
-                        out[u] = cc * ps if old is None else old + cc * ps
-                state = out
-            for u, cc in state.items():
-                _add(acc, u, cc)
-        return {u: cc for u, cc in acc.items() if cc}
-
-    def apply(self, op: Op, vec: Mapping[int, object]) -> dict[int, object]:
-        """``op`` applied to ``vec``: the columns of its ids, weighted and
-        summed in the order of the tests' reference product."""
-        acc: dict[int, object] = {}
-        for u, x in vec.items():
-            for r, a in self.column(op, u).items():
-                _add(acc, r, a * x)
-        return {r: y for r, y in acc.items() if y}
+        return self.apply(op, {v: 1})
 
 
 def q_operator(d: CoxeterDiagram, u: Sequence[str], q: Fraction, b: Ball,
@@ -201,11 +182,11 @@ def q_operator(d: CoxeterDiagram, u: Sequence[str], q: Fraction, b: Ball,
     return [Fraction(x, scale) for x in g], tail, omega
 
 
-def exact_psd(matrix: list[list[Fraction]]) -> bool:
+def exact_psd(matrix: list[list]) -> bool:
     """Exact positive-semidefiniteness by symmetric Gaussian elimination on
-    ``Fraction`` entries (each pivot row divided out, no tolerance)."""
+    ``Fraction``s of the entries (each pivot row divided out, no tolerance)."""
     n = len(matrix)
-    m = [row[:] for row in matrix]
+    m = [[Fraction(x) for x in row] for row in matrix]
     for i in range(n):
         piv = m[i][i]
         if piv < 0:
@@ -223,9 +204,10 @@ def exact_psd(matrix: list[list[Fraction]]) -> bool:
     return True
 
 
-def _gram(params: MultiParameter, w: Sequence[str], b: Ball) -> list[dict[int, object]]:
-    """Columns of P_n T_w* T_w P_n over B_n = ``b``, w reduced, as X^T X for
-    X = T_w P_n.
+def _gram(params: MultiParameter, w: Sequence[str], b: Ball
+          ) -> tuple[list[dict[int, object]], int]:
+    """``(columns, den)``: P_n T_w* T_w P_n over B_n = ``b`` is the columns
+    over den, w reduced, as X^T X for X = T_w P_n.
 
     P_n T_w* T_w P_n = (T_w P_n)* (T_w P_n).  Each step of a walk moves a
     term by at most one letter, so the column T_w delta_v of X, |v| <= n,
@@ -234,22 +216,22 @@ def _gram(params: MultiParameter, w: Sequence[str], b: Ball) -> list[dict[int, o
     is formed.  The rows of X are read off its columns, and each pair of
     columns v, v' that share a row u adds X[u, v] X[u, v'] to the entries
     (v, v') and (v', v) alike, so the Gram is symmetric as built, in float
-    mode too.  The walker's tables are freed on return, before the caller
-    allocates a dense matrix."""
-    walk, op = _Walker(ball(b.diagram, b.radius + len(w))), _basis_op(params, w)
+    mode too.  Exact entries are integers over den = pd(w)^2.  The walker's
+    tables are freed on return, before the caller allocates a dense matrix."""
+    walker, op = _Walker(ball(b.diagram, b.radius + len(w))), _basis_op(params, w)
     rows: dict[int, list[tuple[int, object]]] = {}
     for v in range(len(b)):
-        for u, c in walk.column(op, v).items():
+        for u, c in walker.column(op, v).items():
             rows.setdefault(u, []).append((v, c))
     gram: list[dict[int, object]] = [{} for _ in range(len(b))]
     for row in rows.values():
         for i, (v, c) in enumerate(row):
             for v2, c2 in row[i:]:
                 x = c * c2
-                _add(gram[v], v2, x)
+                gram[v][v2] = gram[v].get(v2, 0) + x
                 if v2 != v:
-                    _add(gram[v2], v, x)
-    return gram
+                    gram[v2][v] = gram[v2].get(v, 0) + x
+    return gram, _scale(op) ** 2
 
 
 def positivity_window(params: MultiParameter, word: Sequence[str], n: int,
@@ -263,7 +245,8 @@ def positivity_window(params: MultiParameter, word: Sequence[str], n: int,
     block, refused above ``DENSE_LIMIT`` before it is built, goes as built
     (symmetric bit for bit) to a dense eigensolver, whose ends may pass the
     bounds by ``DENSE_TOL`` times the upper bound, and, with
-    ``certify_exact``, to exact semidefinite elimination (zero tolerance).
+    ``certify_exact``, to exact semidefinite elimination (zero tolerance) of
+    the block scaled to integers.
     """
     if certify_exact and not params.exact:
         raise ValueError("exact certification needs exact parameters")
@@ -275,7 +258,7 @@ def positivity_window(params: MultiParameter, word: Sequence[str], n: int,
     lo_bound = math.prod((min(x, 1 / x) for x in qs), start=one)
     hi_bound = math.prod((max(x, 1 / x) for x in qs), start=one)
     tol = DENSE_TOL * float(hi_bound)  # eigvalsh errs by about eps * ||block||
-    gram = _gram(params, w, ball(d, n))
+    gram, den = _gram(params, w, ball(d, n))
     seen, lo, hi = [False] * len(gram), math.inf, -math.inf
     for v in range(len(gram)):
         if seen[v]:
@@ -292,7 +275,7 @@ def positivity_window(params: MultiParameter, word: Sequence[str], n: int,
         m = np.zeros((len(block), len(block)))
         for u, i in index.items():
             for r, val in gram[u].items():
-                m[index[r], i] = float(val)
+                m[index[r], i] = val / den
         vals = np.linalg.eigvalsh(m)
         blo, bhi = float(vals[0]), float(vals[-1])
         if blo < float(lo_bound) - tol or bhi > float(hi_bound) + tol:
@@ -300,8 +283,10 @@ def positivity_window(params: MultiParameter, word: Sequence[str], n: int,
                 f"window violated: [{blo}, {bhi}] vs [{float(lo_bound)}, {float(hi_bound)}]")
         lo, hi = min(lo, blo), max(hi, bhi)
         for c, sign in ((lo_bound, 1), (hi_bound, -1)) if certify_exact else ():
-            if not exact_psd([[sign * (gram[u].get(r, 0) - (c if u == r else 0)) for r in index]
-                              for u in index]):
+            # sign (G / den - c) times c's denominator and den
+            cn, cd = c.numerator * den, c.denominator
+            if not exact_psd([[sign * (cd * gram[u].get(r, 0) - (cn if u == r else 0))
+                               for r in index] for u in index]):
                 raise AssertionError("exact window certification failed")
     return lo, hi
 
@@ -313,13 +298,15 @@ def positivity_window(params: MultiParameter, word: Sequence[str], n: int,
 # ball, so the compression of a product equals the product of the
 # compressions.  The suites evaluate both sides on those columns alone: each
 # term is a chain of walker applications and diagonal prefix masks, and no
-# full compression is built.
+# full compression is built.  They take exact parameters, compare den lhs
+# with den rhs on integers, den the scale of their walks, and return the
+# worst difference over den.
 
 
-def _sandwich(walk: _Walker, left: Op, mask: np.ndarray, right: Op, v: int
+def _sandwich(walker: _Walker, left: Op, mask: np.ndarray, right: Op, v: int
               ) -> dict[int, object]:
     """left P right delta_v, for P the diagonal projection given by ``mask``."""
-    return walk.apply(left, {u: x for u, x in walk.column(right, v).items() if mask[u]})
+    return walker.apply(left, {u: x for u, x in walker.column(right, v).items() if mask[u]})
 
 
 def verify_action_case(d: CoxeterDiagram, s: str, w: Sequence[str], b: Ball):
@@ -340,12 +327,12 @@ def verify_action_case(d: CoxeterDiagram, s: str, w: Sequence[str], b: Ball):
         case, rhs = 2, psw.astype(np.int8) - pw
     else:
         case, rhs = 3, pw
-    walk, ts, one = _Walker(b), _group_op(d, (s,)), Fraction(1)
-    worst = Fraction(0)
+    walker, ts = _Walker(b), _group_op(d, (s,))
+    worst = 0
     for v in _domain(b, b.radius - 2):
-        worst = _worst(worst, _sandwich(walk, ts, pw, ts, v),
-                       {v: one * int(rhs[v])} if rhs[v] else {})
-    return case, worst
+        worst = _worst(worst, _sandwich(walker, ts, pw, ts, v),
+                       {v: int(rhs[v])} if rhs[v] else {})
+    return case, Fraction(worst)
 
 
 def verify_action_sweep(d: CoxeterDiagram, b: Ball, max_length: int
@@ -401,44 +388,51 @@ def verify_action_sweep(d: CoxeterDiagram, b: Ball, max_length: int
 def verify_remark22(params: MultiParameter, s: str, w: Sequence[str], b: Ball):
     """Residuals of T_s(1-P_s)T_s = P_s and T_s P_w T_s = P_{sw}
     (the latter for w outside the centralizer of s with s not below w), both
-    on the columns |v| <= n - 2."""
+    on the columns |v| <= n - 2, times den = pd_s^2."""
+    if not params.exact:
+        raise ValueError("identity suites need exact parameters")
     d = params.diagram
     if b.radius < 2:
         raise ValueError("ball too small")
     wnf = d.normal_form(w)
     if d.centralizes(s, wnf) or d.starts_with((s,), wnf):
         raise ValueError("second identity needs w outside C(s) with s not below w")
-    walk, ts = _Walker(b), _basis_op(params, (s,))
+    walker, ts = _Walker(b), _basis_op(params, (s,))
+    den = _scale(ts) ** 2
     ps, pw, psw = (b.prefix_mask(u) for u in ((s,), wnf, d.multiply((s,), wnf)))
-    one = Fraction(1)
-    first = second = Fraction(0) if params.exact else 0.0
+    first = second = 0
     for v in _domain(b, b.radius - 2):
-        first = _worst(first, _sandwich(walk, ts, ~ps, ts, v), {v: one} if ps[v] else {})
-        second = _worst(second, _sandwich(walk, ts, pw, ts, v), {v: one} if psw[v] else {})
-    return first, second
+        first = _worst(first, _sandwich(walker, ts, ~ps, ts, v), {v: den} if ps[v] else {})
+        second = _worst(second, _sandwich(walker, ts, pw, ts, v), {v: den} if psw[v] else {})
+    return Fraction(first, den), Fraction(second, den)
 
 
 def verify_cliq_identity(params: MultiParameter, w: Sequence[str], b: Ball):
     """Residual of the clique decomposition of T_w on the columns
-    |v| <= n - |w|."""
+    |v| <= n - |w|, times den = pd(w)."""
+    if not params.exact:
+        raise ValueError("identity suites need exact parameters")
     d = params.diagram
     wnf = d.normal_form(w)
     if b.radius < len(wnf) + 2:
         raise ValueError("ball too small")
-    walk, lhs = _Walker(b), _basis_op(params, wnf)
+    walker, lhs = _Walker(b), _basis_op(params, wnf)
+    den = _scale(lhs)
     decomposition = cliq_decomposition(params, wnf)
     masks = {gamma: b.prefix_mask(d.normal_form(gamma))
              for gamma in {gamma for _, gamma, _, _ in decomposition}}
-    terms = [(_group_op(d, wp), masks[gamma], _group_op(d, wpp), coeff)
+    # coeff is the product of p_s over Gamma, distinct letters of w, so
+    # coeff * den is an integer
+    terms = [(_group_op(d, wp), masks[gamma], _group_op(d, wpp), int(coeff * den))
              for wp, gamma, wpp, coeff in decomposition]
-    worst = Fraction(0) if params.exact else 0.0
+    worst = 0
     for v in _domain(b, b.radius - len(wnf)):
-        rhs: dict[int, object] = {}
+        rhs: dict[int, int] = {}
         for left, mask, right, coeff in terms:
-            for r, x in _sandwich(walk, left, mask, right, v).items():
-                _add(rhs, r, coeff * x)
-        worst = _worst(worst, walk.column(lhs, v), rhs)
-    return worst
+            for r, x in _sandwich(walker, left, mask, right, v).items():
+                rhs[r] = rhs.get(r, 0) + coeff * x
+        worst = _worst(worst, walker.column(lhs, v), rhs)
+    return Fraction(worst, den)
 
 
 def verify_cliq_sweep(params: MultiParameter, b: Ball) -> tuple[int, object]:
@@ -448,11 +442,8 @@ def verify_cliq_sweep(params: MultiParameter, b: Ball) -> tuple[int, object]:
         raise ValueError("ball too small")
     gens = params.diagram.generators
     ws = _domain(b, b.radius - 2)
-    worst = Fraction(0) if params.exact else 0.0
-    for w in ws:
-        word = tuple(gens[t] for t in b.letters(w))
-        worst = max(worst, verify_cliq_identity(params, word, b))
-    return len(ws), worst
+    return len(ws), max(verify_cliq_identity(params, tuple(gens[t] for t in b.letters(w)), b)
+                        for w in ws)
 
 
 def verify_corollary_split(params: MultiParameter, g: Sequence[str], power: int,
@@ -461,8 +452,11 @@ def verify_corollary_split(params: MultiParameter, g: Sequence[str], power: int,
     on the columns |v| <= n - |g^l| - 1.
 
     Returns (residual, number of terms of x).  The telescoping takes
-    x = sum_i p_{t_i} P_{t_1..t_i} T^(1) over the word with t_i removed.
+    x = sum_i p_{t_i} P_{t_1..t_i} T^(1) over the word with t_i removed,
+    compared times den = pd(g^l).
     """
+    if not params.exact:
+        raise ValueError("identity suites need exact parameters")
     if power < 1:
         raise ValueError("power must be >= 1")
     d = params.diagram
@@ -472,25 +466,23 @@ def verify_corollary_split(params: MultiParameter, g: Sequence[str], power: int,
         raise ValueError("g^l is not reduced; not a diagram path")
     if b.radius < len(letters) + 2:
         raise ValueError("ball too small")
-    walk = _Walker(b)
+    walker = _Walker(b)
     lhs, group = _basis_op(params, word), _group_op(d, word)
-    x_terms = [(params.p(t), b.prefix_mask(d.normal_form(letters[:i + 1])),
+    den = _scale(lhs)
+    # t is a letter of g^l, so pd_t divides den and p_t * den is an integer
+    x_terms = [(int(params.p(t) * den), b.prefix_mask(d.normal_form(letters[:i + 1])),
                 _group_op(d, letters[:i] + letters[i + 1:]))
                for i, t in enumerate(letters) if params.p(t) != 0]
     ps1 = b.prefix_mask((letters[0],))
-    worst = Fraction(0) if params.exact else 0.0
+    worst = 0
     for v in _domain(b, b.radius - len(letters) - 1):
-        x: dict[int, object] = {}
+        rhs = walker.apply(group, {v: den})
         for p, mask, rest in x_terms:
-            for u, c in walk.column(rest, v).items():
-                if mask[u]:
-                    _add(x, u, p * c)
-        rhs = walk.column(group, v)
-        for u, c in x.items():
-            if ps1[u]:
-                _add(rhs, u, c)
-        worst = _worst(worst, walk.column(lhs, v), rhs)
-    return worst, len(x_terms)
+            for u, c in walker.column(rest, v).items():
+                if mask[u] and ps1[u]:
+                    rhs[u] = rhs.get(u, 0) + p * c
+        worst = _worst(worst, walker.column(lhs, v), rhs)
+    return Fraction(worst, den), len(x_terms)
 
 
 # -- fast engine for large balls ---------------------------------------------

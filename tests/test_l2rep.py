@@ -22,30 +22,33 @@ from test_enumeration import ball_index, diagrams, prefixes
 from test_hecke import adjoint
 
 
-def hecke_op(a):
-    """The walker's operator for any Hecke element: p_s per generator index,
-    and each term's canonical letters, right to left, with its coefficient."""
-    d = a.diagram
-    return ([a.params.p(s) for s in d.generators],
-            [(d.heap_letters(w), c) for w, c in a.coeffs.items()])
-
-
 def rep_hecke(a, b):
     """Columns of P_n a P_n for the left-regular action of ``a``, one per v
-    in B_n: each walked without a cut on the ball of radius n + reach, reach
-    the longest word of ``a``, which holds every term of the walk, and then
-    cut to the rows of B_n, the first ``len(b)`` ids of that ball."""
+    in B_n: each term c T_w walked as its own op, which scales T_w by pd(w),
+    without a cut on the ball of radius n + reach, reach the longest word of
+    ``a``, which holds every term of the walk; then divided by pd(w), summed
+    and cut to the rows of B_n, the first ``len(b)`` ids of that ball."""
+    d, parts = a.diagram, a.params._p_parts
     reach = max((sum(map(int.bit_count, w)) for w in a.coeffs), default=0)
-    walk, op = l2rep._Walker(ball(b.diagram, b.radius + reach)), hecke_op(a)
-    return [{u: c for u, c in walk.column(op, v).items() if u < len(b)}
-            for v in range(len(b))]
+    walker = l2rep._Walker(ball(d, b.radius + reach))
+    ops = [((parts, d.heap_letters(w)), c) for w, c in a.coeffs.items()]
+    cols = []
+    for v in range(len(b)):
+        col = {}
+        for op, c in ops:
+            pd = l2rep._scale(op)
+            for u, x in walker.column(op, v).items():
+                if u < len(b):
+                    col[u] = col.get(u, 0) + c * x / pd
+        cols.append({u: x for u, x in col.items() if x})
+    return cols
 
 
 class Compression:
     """The reference algebra of the full-compression oracles: P_n X P_n as
     its sparse columns over a ball (``rep_hecke``'s output), with the entry
     sum, scaling and column product, each dropping zero entries as they
-    arise.  ``l2rep._Walker.apply`` sums in the order of this product."""
+    arise."""
 
     def __init__(self, b, cols, exact=True):
         self.ball, self.cols, self.exact = b, cols, exact
@@ -198,7 +201,9 @@ SQUARES = [Fraction(1), Fraction(1, 4), Fraction(4), Fraction(9, 4), Fraction(1,
 def test_id_columns_match_word_products(d, data):
     """Every column of ``rep_hecke`` is a * T_v cut to the ball, and every
     column at q == 1 is delta_{wv}, near the ball's edge too,
-    where a term may leave the ball and come back."""
+    where a term may leave the ball and come back.  Both sides run
+    ``hecke.walk``, so this checks the ball's tables against ``heap_lmul``;
+    ``test_hecke.test_product_matches_word_rule`` checks the rule itself."""
     n = data.draw(st.integers(1, 4))
     q = {s: data.draw(st.sampled_from(SQUARES)) for s in d.generators}
     params = MultiParameter.exact_squares(d, q)
@@ -241,8 +246,11 @@ def test_walker_refuses_a_step_out_of_its_ball():
     i1, i2 = ball_index(b1), ball_index(b2)
     with pytest.raises(ValueError, match="leaves the ball"):
         l2rep._Walker(b1).column(op, i1[("a",)])
+    # the walk scales T_ab by pd(ab) = pd_a pd_b = 2 * 2, on integers
+    pd = l2rep._scale(op)
+    assert pd == 4
     assert l2rep._Walker(b2).column(op, i2[("a",)]) == {
-        i2[("b",)]: 1, i2[("a", "b")]: params.p("a")}
+        i2[("b",)]: pd, i2[("a", "b")]: pd * params.p("a")}
 
 
 PENTAGON = CoxeterDiagram("abcde", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"),
@@ -251,6 +259,14 @@ PENTAGON = CoxeterDiagram("abcde", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e
 
 DIAGRAM_A, FREE3 = CoxeterDiagram("abc", [("a", "b")]), CoxeterDiagram("abc")
 GRAM_Q = [Fraction(1, 4), Fraction(1, 9), Fraction(1), Fraction(4), Fraction(9, 4)]
+
+
+def gram_compression(params, w, b):
+    """``l2rep._gram`` as a reference compression: its columns over its
+    denominator."""
+    cols, den = l2rep._gram(params, w, b)
+    return Compression(b, [{r: Fraction(x) / den for r, x in col.items()} for col in cols],
+                       params.exact)
 
 
 def gram_of_product(params, w, b):
@@ -303,13 +319,13 @@ def test_gram_is_the_compression_of_the_product(d, data):
         if not b.sphere_sizes()[length]:
             break
         w = b.words[data.draw(st.integers(b.sphere_start[length], b.sphere_start[length + 1] - 1))]
-        gram = l2rep._gram(params, w, b)
-        assert [{r: x for r, x in col.items() if x} for col in gram] == \
+        gram = gram_compression(params, w, b)
+        assert [{r: x for r, x in col.items() if x} for col in gram.cols] == \
             gram_of_product(params, w, b)
         letters = {d.gen_index(s) for s in w}
         assert all(coset_rep(b, letters, r) == coset_rep(b, letters, v)
-                   for v, col in enumerate(gram) for r in col)
-        vals = np.linalg.eigvalsh(Compression(b, gram).to_dense())
+                   for v, col in enumerate(gram.cols) for r in col)
+        vals = np.linalg.eigvalsh(gram.to_dense())
         lo, hi = vals[0], vals[-1]
         window = l2rep.positivity_window(params, w, n)
         assert abs(window[0] - lo) <= 1e-13 * hi and abs(window[1] - hi) <= 1e-13 * hi
@@ -351,7 +367,7 @@ def test_gram_is_symmetric_as_built(d, data):
     floating = MultiParameter.floating(
         d, {s: data.draw(st.sampled_from([2.0, 3.0, 0.5, 5 / 3, 7.0, 0.7])) for s in d.generators})
     for params in (exact, floating):
-        bits = Compression(b, l2rep._gram(params, w, b), params.exact).to_dense().view(np.uint64)
+        bits = gram_compression(params, w, b).to_dense().view(np.uint64)
         assert (bits == bits.T).all()
 
 
@@ -364,7 +380,7 @@ def test_float_gram_is_symmetric_as_built(d, n, word, q):
     compression of the float product within 1e-12 relative."""
     params = MultiParameter.floating(d, {s: q for s in d.generators})
     b, w = ball(d, n), d.normal_form(word)
-    m = Compression(b, l2rep._gram(params, w, b), False).to_dense()
+    m = gram_compression(params, w, b).to_dense()
     bits = m.view(np.uint64)
     assert (bits == bits.T).all() and (m.diagonal() > 0).all()
     ref = Compression(b, gram_of_product(params, w, b), False).to_dense()
@@ -607,15 +623,11 @@ def _scale_one_term(params, w):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(diagrams(max_rank=4), st.data())
 def test_suites_match_full_compressions(d, data):
-    """Each suite's residual equals the one of its full-matrix formula, in
-    exact and float mode, and under a broken clique decomposition."""
+    """Each suite's residual equals the one of its full-matrix formula, also
+    under a broken clique decomposition."""
     n = data.draw(st.integers(2, 4))
-    if data.draw(st.booleans()):
-        params = MultiParameter.exact_squares(
-            d, {s: data.draw(st.sampled_from(SQUARES)) for s in d.generators})
-    else:
-        params = MultiParameter.floating(
-            d, {s: data.draw(st.floats(0.1, 5.0)) for s in d.generators})
+    params = MultiParameter.exact_squares(
+        d, {s: data.draw(st.sampled_from(SQUARES)) for s in d.generators})
     b, small = ball(d, n), ball(d, 3)
     w = small.words[data.draw(st.integers(0, len(small) - 1))]
     s = data.draw(st.sampled_from(d.generators))
@@ -634,18 +646,30 @@ def test_suites_match_full_compressions(d, data):
 def test_corollary_matches_full_compressions(diagram_a, power, n):
     g = ("a", "c", "b", "c")
     q = {"a": Fraction(1, 4), "b": Fraction(1, 9), "c": Fraction(4)}
-    for params in (MultiParameter.exact_squares(diagram_a, q),
-                   MultiParameter.floating(diagram_a, {s: float(v) for s, v in q.items()})):
-        res, terms = l2rep.verify_corollary_split(params, g, power, ball(diagram_a, n))
-        assert terms == 4 * power
-        assert res == _full_corollary(params, g, power, ball(diagram_a, n))
+    params = MultiParameter.exact_squares(diagram_a, q)
+    res, terms = l2rep.verify_corollary_split(params, g, power, ball(diagram_a, n))
+    assert terms == 4 * power
+    assert res == _full_corollary(params, g, power, ball(diagram_a, n))
 
 
-@pytest.mark.parametrize("exact", [True, False])
-def test_broken_decomposition_residual(diagram_a, exact, monkeypatch):
+def test_suites_refuse_float_parameters(diagram_a):
+    """The identity suites compare on integers and take exact parameters
+    only: each refuses float parameters before it walks."""
+    floating = MultiParameter.floating(diagram_a, {s: 0.25 for s in "abc"})
+    b = ball(diagram_a, 6)
+    with mock.patch.object(l2rep, "walk") as walked:
+        for suite in (lambda: l2rep.verify_remark22(floating, "a", "c", b),
+                      lambda: l2rep.verify_cliq_identity(floating, "acb", b),
+                      lambda: l2rep.verify_cliq_sweep(floating, b),
+                      lambda: l2rep.verify_corollary_split(floating, "acbc", 1, b)):
+            with pytest.raises(ValueError, match="need exact parameters"):
+                suite()
+        walked.assert_not_called()
+
+
+def test_broken_decomposition_residual(diagram_a, monkeypatch):
     q = {"a": Fraction(1, 4), "b": Fraction(4), "c": Fraction(9)}
-    params = (MultiParameter.exact_squares(diagram_a, q) if exact
-              else MultiParameter.floating(diagram_a, {s: float(v) for s, v in q.items()}))
+    params = MultiParameter.exact_squares(diagram_a, q)
     monkeypatch.setattr(l2rep, "cliq_decomposition", _scale_one_term)
     b = ball(diagram_a, 6)
     for w in ("ab", "acb"):
@@ -786,7 +810,7 @@ def test_positivity_window_refuses_a_block_before_building_it():
     eigensolver, and one below, none does."""
     params = MultiParameter.exact_squares(FREE3, {s: Fraction(1, 4) for s in "abc"})
     b = ball(FREE3, 6)
-    blocks = components(Compression(b, l2rep._gram(params, ("a", "b"), b)).to_dense())
+    blocks = components(gram_compression(params, ("a", "b"), b).to_dense())
     limit = max(map(len, blocks))
     with mock.patch.object(l2rep.np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as spectrum:
         with mock.patch.object(l2rep, "DENSE_LIMIT", limit):
